@@ -1,0 +1,97 @@
+"""The golden corpus: exit code, stdout and stderr of fixed CLI invocations.
+
+Each case runs ``ordalab.cli.main(argv)`` in-process and records what a
+shell would see.  ``tests/test_golden.py`` compares every case byte for byte
+with the files under ``tests/golden/``.  Regenerate them only on purpose,
+from the code whose output is the reference, and log the change:
+
+    PYTHONPATH=src python tests/golden_corpus.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INDEX = GOLDEN / "cases.json"
+
+# registry key -> file-name stem
+_STRUCTURES = {
+    "Q": "Q", "Z": "Z", "Z[1/2]": "Z12", "Z[1/3]": "Z13", "Z(X)": "ZX",
+    "trop": "trop", "lex": "lex", "Q(i)": "Qi", "Id(Z)": "IdZ", "Q^2": "Q2",
+    "G0": "G0",
+}
+
+
+def _series(expr: str, structure: str, test: str, *extra: str) -> list[str]:
+    return ["series", expr, "--structure", structure, "--test", test, *extra]
+
+
+def _cases() -> list[tuple[str, list[str]]]:
+    out = []
+    for key, stem in _STRUCTURES.items():
+        out.append((f"check-{stem}-all", ["check", key, "--suite", "all", "--seed", "0"]))
+        out.append((f"check-{stem}-all-text",
+                    ["check", key, "--suite", "all", "--seed", "0", "--format", "text"]))
+    out += [
+        # the documented invocations
+        ("readme-check-Q-density", ["check", "Q", "--suite", "density", "--seed", "0"]),
+        ("readme-series-Q-condensation", _series("1/2^n", "Q", "condensation")),
+        ("readme-check-Z-density", ["check", "Z", "--suite", "density", "--seed", "0"]),
+        # one passing run per series test
+        ("series-Q-zero-limit", _series("1/n", "Q", "zero-limit")),
+        ("series-Q-condensation", _series("1/3^n", "Q", "condensation")),
+        ("series-Q-alternating", _series("1/n", "Q", "alternating")),
+        ("series-Q-geometric", _series("1/2^n", "Q", "geometric")),
+        ("series-ZX-zero-limit", _series("1/X^n", "Z(X)", "zero-limit")),
+        ("series-Q-geometric-text", _series("1/2^n", "Q", "geometric", "--format", "text")),
+        # violating runs (exit 1)
+        ("violation-Q-shifted-harmonic", _series("1/(n-1)", "Q", "zero-limit")),
+        ("violation-Q-harmonic-fine-grid",
+         _series("1/n", "Q", "zero-limit", "--grid", "1/2,1/10000")),
+        ("violation-Q-squares-condensation", _series("1/n^2", "Q", "condensation")),
+        # a structure-constant table (README's mini-i)
+        ("algebra-mini-i", ["algebra", "{golden}/mini-i.json"]),
+        ("algebra-mini-i-text", ["algebra", "{golden}/mini-i.json", "--format", "text"]),
+        # bad input (exit 2)
+        ("error-Q-not-geometric", _series("1/n", "Q", "geometric")),
+        ("error-Z-no-inverse", _series("1/2^n", "Z", "geometric")),
+    ]
+    return out
+
+
+CASES = _cases()
+
+
+def run_case(argv: list[str]) -> tuple[int, bytes, bytes]:
+    """(exit code, stdout bytes, stderr bytes) of one in-process CLI call."""
+    from ordalab.cli import main
+
+    argv = [a.replace("{golden}", str(GOLDEN)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
+
+
+def regenerate() -> None:
+    index = []
+    for name, argv in CASES:
+        code, out, err = run_case(argv)
+        (GOLDEN / f"{name}.stdout").write_bytes(out)
+        (GOLDEN / f"{name}.stderr").write_bytes(err)
+        index.append({"name": name, "argv": argv, "exit": code})
+        print(f"{code}  {name}", flush=True)
+    INDEX.write_text(json.dumps(index, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
+    regenerate()
