@@ -15,7 +15,7 @@ demonstrate exactly that.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -163,20 +163,9 @@ def albert_pseudonorm(alg: FinDimAlgebra) -> PseudonormedRing:
             "trivial and the scaled norm would not be definite"
         )
     scale = nat_mul(m, alg.n, big_m)
-
-    def norm(a):
-        acc = m.identity
-        for c in a:
-            acc = m.op(acc, alg.base_norm(c))
-        return m.mul(scale, acc)
-
-    return PseudonormedRing(
-        name=f"{alg.name}.scaled-coefficient",
-        ring=element_handle(alg),
-        codomain=m,
-        norm=norm,
-        strict=False,
-    )
+    base = coefficient_pseudonorm(alg)
+    return replace(base, name=f"{alg.name}.scaled-coefficient",
+                   norm=lambda a: m.mul(scale, base.norm(a)))
 
 
 def coefficient_pseudonorm(alg: FinDimAlgebra) -> PseudonormedRing:

@@ -11,25 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from dataclasses import fields as dataclass_fields
-from fractions import Fraction
 from typing import Sequence
 
 from . import algebra as _algebra
 from .instances import lookup, registry
-from .order import CapabilityError, StructureHandle, Violation, nat_mul, nat_pow
-from .report import (
-    PASS,
-    VIOLATION,
-    CheckRecord,
-    exit_code,
-    render_json_lines,
-    render_text,
-    violation_values,
-)
+from .order import CapabilityError, Violation, nat_pow
+from .report import CheckRecord, exit_code, render_json_lines, render_text
 from .sequences import (
-    Seq,
     scanned_cauchy_cert,
     scanned_conv_cert,
     verify_cauchy_cert,
@@ -43,7 +34,15 @@ from .series import (
     condense,
     geometric_cert,
 )
-from .suites import RunConfig, SUITE_NAMES, resolve_grid, run_suite, _first_metric
+from .suites import (
+    RunConfig,
+    SUITE_NAMES,
+    _albert_record,
+    _Collector,
+    _first_metric,
+    resolve_grid,
+    run_suite,
+)
 from .termexpr import EvalError, TermError, seq_from_expr
 
 _CONFIG_KEYS = ("structure", "suite", "grid", "horizon", "seed")
@@ -133,33 +132,26 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_check(args) -> tuple[list[CheckRecord], str]:
+def _grid_arg(raw: str | None) -> tuple[str, ...]:
+    """The epsilon expressions of a comma-separated --grid value."""
+    return tuple(g.strip() for g in raw.split(",") if g.strip()) if raw else ()
+
+
+def _cmd_check(args) -> list[CheckRecord]:
     config = _load_config(args.config) if args.config else {}
     structure = args.structure if args.structure is not None else config.get("structure")
     if structure is None:
         raise ValueError("a structure key is required (argument or config)")
     suite = args.suite if args.suite is not None else config.get("suite", "all")
-    if args.grid is not None:
-        grid = tuple(g.strip() for g in args.grid.split(",") if g.strip())
-    else:
-        grid = tuple(config.get("grid", ()))
+    grid = _grid_arg(args.grid) if args.grid is not None else tuple(config.get("grid", ()))
     horizon = args.horizon if args.horizon is not None else config.get("horizon", 64)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    cfg = RunConfig(structure=structure, suite=suite, grid=grid,
-                    horizon=horizon, seed=seed, format=args.format)
-    return run_suite(cfg), args.format
+    return run_suite(RunConfig(structure=structure, suite=suite, grid=grid,
+                               horizon=horizon, seed=seed))
 
 
-def _cert_check(
-    handle: StructureHandle,
-    check_id: str,
-    anchor: str,
-    cert,
-    grid,
-    horizon: int,
-    verify,
-    mfmt,
-) -> CheckRecord:
+def _cert_check(col: _Collector, check_id: str, anchor: str, cert, grid,
+                horizon: int, verify, mfmt) -> None:
     """Echo the modulus at each grid epsilon, then re-verify the windows.
 
     A modulus that cannot be produced (the scan found no stable window) is
@@ -177,28 +169,23 @@ def _cert_check(
         good.append(eps)
     if good:
         violations.extend(verify(cert, good, horizon))
-    if violations:
-        return CheckRecord("series", handle.name, check_id, VIOLATION,
-                           violation_values(violations, mfmt), anchor)
-    return CheckRecord("series", handle.name, check_id, PASS,
-                       tuple(echoes), anchor)
+    col.emit(check_id, anchor, violations, echoes, mfmt)
 
 
-def _cmd_series(args) -> tuple[list[CheckRecord], str]:
+def _cmd_series(args) -> list[CheckRecord]:
     handle = lookup(args.structure)
     seq = seq_from_expr(args.expr, handle)
     space = _first_metric(handle)
     m = space.codomain
-    grid_raw = tuple(g.strip() for g in args.grid.split(",") if g.strip()) if args.grid else ()
-    grid = resolve_grid(m, grid_raw)
+    grid = resolve_grid(m, _grid_arg(args.grid))
     h = args.horizon
     mfmt = m.fmt
-    records: list[CheckRecord] = []
+    col = _Collector("series", handle)
 
     if args.test == "zero-limit":
         c = scanned_conv_cert(space, seq, handle.identity, horizon=h)
-        records.append(_cert_check(handle, "series.zero-limit", "limit.zero",
-                                   c, grid, h, verify_conv_cert, mfmt))
+        _cert_check(col, "series.zero-limit", "limit.zero", c, grid, h,
+                    verify_conv_cert, mfmt)
 
     elif args.test == "condensation":
         handle.require("ring", "total_order")
@@ -206,13 +193,11 @@ def _cmd_series(args) -> tuple[list[CheckRecord], str]:
         partials = Series(handle, seq).partials
         base = scanned_cauchy_cert(space, partials, horizon=min(h, 16))
         fwd = condense(handle, space, seq, mono, base, "forward")
-        records.append(_cert_check(handle, "series.condensation.forward",
-                                   "series.condensation", fwd, grid, min(8, h),
-                                   verify_cauchy_cert, mfmt))
+        _cert_check(col, "series.condensation.forward", "series.condensation",
+                    fwd, grid, min(8, h), verify_cauchy_cert, mfmt)
         back = condense(handle, space, seq, mono, fwd, "backward")
-        records.append(_cert_check(handle, "series.condensation.backward",
-                                   "series.condensation", back, grid, h,
-                                   verify_cauchy_cert, mfmt))
+        _cert_check(col, "series.condensation.backward", "series.condensation",
+                    back, grid, h, verify_cauchy_cert, mfmt)
 
     elif args.test == "alternating":
         handle.require("ring", "total_order")
@@ -220,9 +205,8 @@ def _cmd_series(args) -> tuple[list[CheckRecord], str]:
                               MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
         c0 = scanned_conv_cert(space, seq, handle.identity, horizon=h)
         alt = alternating_cauchy(handle, space, seq, mono, c0)
-        records.append(_cert_check(handle, "series.alternating",
-                                   "series.alternating", alt, grid, h,
-                                   verify_cauchy_cert, mfmt))
+        _cert_check(col, "series.alternating", "series.alternating", alt, grid, h,
+                    verify_cauchy_cert, mfmt)
 
     elif args.test == "geometric":
         handle.require("ring", "total_order")
@@ -238,35 +222,15 @@ def _cmd_series(args) -> tuple[list[CheckRecord], str]:
         inv = handle.invert(handle.sub(handle.one, r))
         c0 = scanned_conv_cert(space, seq, handle.identity, horizon=h)
         g = geometric_cert(handle, space, r, c0, inv)
-        records.append(_cert_check(handle, "series.geometric",
-                                   "series.geometric", g, grid, h,
-                                   verify_conv_cert, mfmt))
+        _cert_check(col, "series.geometric", "series.geometric", g, grid, h,
+                    verify_conv_cert, mfmt)
 
-    return sorted(records, key=lambda rec: rec.check_id), args.format
+    return sorted(col.records, key=lambda rec: rec.check_id)
 
 
-def _cmd_algebra(args) -> tuple[list[CheckRecord], str]:
-    import random
-
+def _cmd_algebra(args) -> list[CheckRecord]:
     alg = _algebra.load_algebra_table(args.table)
-    field = alg.field
-    pn = _algebra.albert_pseudonorm(alg)
-    rng = random.Random(f"{args.seed}:albert:{alg.name}")
-    pairs = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(alg.n))
-             for _ in range(32)]
-    violations = _algebra.verify_pseudonorm(pn, pairs)
-    bound = _algebra.structure_bound(alg)
-    scale = nat_mul(field, alg.n, bound)
-    if violations:
-        record = CheckRecord("albert", field.name, f"albert.{alg.name}",
-                             VIOLATION, violation_values(violations, field.fmt),
-                             "algebra.pseudonorm")
-    else:
-        record = CheckRecord("albert", field.name, f"albert.{alg.name}", PASS,
-                             (f"bound={field.fmt(bound)}",
-                              f"scale={field.fmt(scale)}"),
-                             "algebra.pseudonorm")
-    return [record], args.format
+    return [_albert_record(alg, random.Random(f"{args.seed}:albert:{alg.name}"), 32)]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -276,11 +240,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "list":
             return _cmd_list()
         if args.command == "check":
-            records, fmt = _cmd_check(args)
+            records = _cmd_check(args)
         elif args.command == "series":
-            records, fmt = _cmd_series(args)
+            records = _cmd_series(args)
         else:
-            records, fmt = _cmd_algebra(args)
+            records = _cmd_algebra(args)
     except CapabilityError as exc:
         print(f"unverifiable: {exc}", file=sys.stderr)
         return 3
@@ -293,7 +257,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = render_json_lines(records) if fmt == "json" else render_text(records)
+    out = render_json_lines(records) if args.format == "json" else render_text(records)
     sys.stdout.write(out)
     return exit_code(records)
 

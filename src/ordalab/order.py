@@ -12,7 +12,6 @@ this module do exactly that.  No floating point is used anywhere.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -551,6 +550,29 @@ def verify_hemiring(s: StructureHandle, sample: Sequence[Element] | None = None)
     return out
 
 
+def _density_at(
+    s: StructureHandle, w: DensityWitness, eps: Element, max_parts: int = 4
+) -> tuple[list[Violation], tuple | None]:
+    """Exercise a density witness at one target: the n-part splits of eps for
+    n up to max_parts, parts positive, folds below eps.  Returns the
+    violations and the two-part split it produced (None when it failed)."""
+    out: list[Violation] = []
+    pair = None
+    for n in range(1, max_parts + 1):
+        try:
+            parts = n_split(s, eps, n, w)
+        except ValueError as exc:
+            out.append(Violation("density.split", (eps, n), str(exc)))
+            continue
+        if n == 2:
+            pair = tuple(parts)
+        if not all(s.is_positive(p) for p in parts):
+            out.append(Violation("density.positivity", (eps, tuple(parts))))
+        if not s.lt(fold_op(s, parts), eps):
+            out.append(Violation("density.fold-below", (eps, tuple(parts))))
+    return out, pair
+
+
 def verify_density(
     s: StructureHandle,
     w: DensityWitness | None = None,
@@ -560,19 +582,28 @@ def verify_density(
     """Exercise a density witness over a grid: parts positive, folds below eps."""
     w = split_witness(s, w)
     grid = tuple(grid if grid is not None else s.eps_grid)
+    return [v for eps in grid for v in _density_at(s, w, eps, max_parts)[0]]
+
+
+def _shrink_at(
+    s: StructureHandle, w: ShrinkWitness, alpha: Element, bounds: Sequence[Element]
+) -> tuple[list[Violation], list[tuple]]:
+    """Exercise a shrink witness at one target against each bound.  Returns
+    the violations and the (bound, left, right) triples whose parts are
+    positive."""
     out: list[Violation] = []
-    for eps in grid:
-        for n in range(1, max_parts + 1):
-            try:
-                parts = n_split(s, eps, n, w)
-            except ValueError as exc:
-                out.append(Violation("density.split", (eps, n), str(exc)))
-                continue
-            if not all(s.is_positive(p) for p in parts):
-                out.append(Violation("density.positivity", (eps, tuple(parts))))
-            if not s.lt(fold_op(s, parts), eps):
-                out.append(Violation("density.fold-below", (eps, tuple(parts))))
-    return out
+    produced: list[tuple] = []
+    for m in bounds:
+        left, right = w.shrink(alpha, m)
+        if not (s.is_positive(left) and s.is_positive(right)):
+            out.append(Violation("shrink.positivity", (alpha, m, left, right)))
+            continue
+        if not s.lt(s.second_op(left, m), alpha):
+            out.append(Violation("shrink.left-product", (alpha, m, left)))
+        if not s.lt(s.second_op(m, right), alpha):
+            out.append(Violation("shrink.right-product", (alpha, m, right)))
+        produced.append((m, left, right))
+    return out, produced
 
 
 def verify_shrink(
@@ -589,18 +620,7 @@ def verify_shrink(
         raise CapabilityError(f"{s.name} has no second operation")
     targets = tuple(targets if targets is not None else s.eps_grid)
     bounds = tuple(bounds if bounds is not None else (x for x in s.sample if s.is_positive(x)))
-    out: list[Violation] = []
-    for alpha in targets:
-        for m in bounds:
-            left, right = w.shrink(alpha, m)
-            if not (s.is_positive(left) and s.is_positive(right)):
-                out.append(Violation("shrink.positivity", (alpha, m, left, right)))
-                continue
-            if not s.lt(s.second_op(left, m), alpha):
-                out.append(Violation("shrink.left-product", (alpha, m, left)))
-            if not s.lt(s.second_op(m, right), alpha):
-                out.append(Violation("shrink.right-product", (alpha, m, right)))
-    return out
+    return [v for alpha in targets for v in _shrink_at(s, w, alpha, bounds)[0]]
 
 
 def verify_archimedean(

@@ -24,7 +24,12 @@ def _trim(cs: list) -> Poly:
 
 
 def poly(coeffs) -> Poly:
-    return _trim([int(c) for c in coeffs])
+    cs = list(coeffs)
+    ints = list(map(int, cs))
+    if ints != cs:
+        bad = next(c for c, i in zip(cs, ints) if c != i)
+        raise ValueError(f"polynomial coefficient {bad} is not an integer")
+    return _trim(ints)
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:

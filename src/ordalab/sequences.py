@@ -193,6 +193,22 @@ def verify_cauchy_cert(
 # certificate constructors
 
 
+def _split_max(
+    s: StructureHandle,
+    w: DensityWitness,
+    first: Callable[[Element], int],
+    second: Callable[[Element], int],
+) -> Callable[[Element], int]:
+    """The modulus eps -> max(first(beta), second(gamma)) over the split
+    eps -> (beta, gamma): one triangle step charges a part to each side."""
+
+    def modulus(eps: Element) -> int:
+        beta, gamma = checked_split(s, w, eps)
+        return max(_modulus_at(first, beta), _modulus_at(second, gamma))
+
+    return modulus
+
+
 def constant_cert(space: MetricSpace, value: Element, name: str = "const") -> ConvCert:
     seq = Seq(name, lambda n: value)
     return ConvCert(space, seq, value, lambda eps: 1, note="constant sequence")
@@ -202,12 +218,7 @@ def conv_to_cauchy(cert: ConvCert, w: DensityWitness | None = None) -> CauchyCer
     """Convergent implies Cauchy over a dense codomain: route both sides of
     a pair through the limit, splitting eps into beta + gamma."""
     s = cert.space.codomain
-    w = split_witness(s, w)
-
-    def modulus(eps: Element) -> int:
-        beta, gamma = checked_split(s, w, eps)
-        return max(_modulus_at(cert.modulus, beta), _modulus_at(cert.modulus, gamma))
-
+    modulus = _split_max(s, split_witness(s, w), cert.modulus, cert.modulus)
     return CauchyCert(cert.space, cert.seq, modulus, note="triangle through the limit")
 
 
@@ -258,6 +269,11 @@ def _same_space(a: MetricSpace, b: MetricSpace) -> MetricSpace:
     return a
 
 
+def _sum_seq(cx, cy, carrier: StructureHandle) -> Seq:
+    return Seq(f"({cx.seq.name})+({cy.seq.name})",
+               lambda n: carrier.op(cx.seq(n), cy.seq(n)))
+
+
 def add_certs(
     cx: ConvCert,
     cy: ConvCert,
@@ -272,18 +288,9 @@ def add_certs(
     space = _same_space(cx.space, cy.space)
     carrier.require("group", "commutative_add")
     s = space.codomain
-    w = split_witness(s, w)
-    seq = Seq(
-        f"({cx.seq.name})+({cy.seq.name})",
-        lambda n: carrier.op(cx.seq(n), cy.seq(n)),
-    )
-    limit = carrier.op(cx.limit, cy.limit)
-
-    def modulus(eps: Element) -> int:
-        beta, gamma = checked_split(s, w, eps)
-        return max(_modulus_at(cx.modulus, beta), _modulus_at(cy.modulus, gamma))
-
-    return ConvCert(space, seq, limit, modulus, note="sum of certificates")
+    modulus = _split_max(s, split_witness(s, w), cx.modulus, cy.modulus)
+    return ConvCert(space, _sum_seq(cx, cy, carrier), carrier.op(cx.limit, cy.limit),
+                    modulus, note="sum of certificates")
 
 
 def cauchy_sum(
@@ -296,17 +303,9 @@ def cauchy_sum(
     space = _same_space(cx.space, cy.space)
     carrier.require("group", "commutative_add")
     s = space.codomain
-    w = split_witness(s, w)
-    seq = Seq(
-        f"({cx.seq.name})+({cy.seq.name})",
-        lambda n: carrier.op(cx.seq(n), cy.seq(n)),
-    )
-
-    def modulus(eps: Element) -> int:
-        beta, gamma = checked_split(s, w, eps)
-        return max(_modulus_at(cx.modulus, beta), _modulus_at(cy.modulus, gamma))
-
-    return CauchyCert(space, seq, modulus, note="sum of Cauchy certificates")
+    modulus = _split_max(s, split_witness(s, w), cx.modulus, cy.modulus)
+    return CauchyCert(space, _sum_seq(cx, cy, carrier), modulus,
+                      note="sum of Cauchy certificates")
 
 
 def bounded_from_cert(
@@ -492,11 +491,8 @@ def subseq_rescue(
                 f"through {sub.name} (mismatch at k={k})"
             )
 
-    def modulus(eps: Element) -> int:
-        beta, gamma = checked_split(s, w, eps)
-        return max(_modulus_at(cauchy.modulus, beta), _modulus_at(csub.modulus, gamma))
-
-    return ConvCert(space, cauchy.seq, csub.limit, modulus,
+    return ConvCert(space, cauchy.seq, csub.limit,
+                    _split_max(s, w, cauchy.modulus, csub.modulus),
                     note=f"rescued through {sub.name}")
 
 

@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import algebra as _algebra
 from . import metric as _metric
@@ -26,10 +26,9 @@ from .order import (
     OrderResult,
     StructureHandle,
     Violation,
+    _density_at,
+    _shrink_at,
     betweenness,
-    checked_split,
-    fold_op,
-    n_split,
     nat_mul,
     nat_pow,
     split_witness,
@@ -41,7 +40,6 @@ from .order import (
 from .report import PASS, UNVERIFIABLE, VIOLATION, CheckRecord, violation_values
 from .sequences import (
     ApartFromZeroWitness,
-    CauchyCert,
     ConvCert,
     Seq,
     add_certs,
@@ -68,35 +66,22 @@ from .series import (
     condense,
     geometric_cert,
     power_limit_is_zero,
+    squeeze_cauchy,
     tail_bound,
     terms_vanish,
 )
 from .termexpr import eval_term, parse_term_expr
 
-SUITE_NAMES = (
-    "axioms",
-    "density",
-    "shrink",
-    "metric",
-    "sequence",
-    "series",
-    "condensation",
-    "geometric",
-    "bernoulli",
-    "albert",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One suite invocation: what to run, against what, how hard, how."""
+    """One suite invocation: what to run, against what, how hard."""
 
     structure: str | None = None
     suite: str = "all"
     grid: tuple[str, ...] = ()
     horizon: int = 64
     seed: int = 0
-    format: str = "json"
 
     def __post_init__(self):
         if self.suite != "all" and self.suite not in SUITE_NAMES:
@@ -108,8 +93,6 @@ class RunConfig:
             raise ValueError("horizon must be a positive integer")
         if not isinstance(self.seed, int):
             raise ValueError("seed must be an integer")
-        if self.format not in ("json", "text"):
-            raise ValueError("format must be json or text")
 
 
 def resolve_grid(handle: StructureHandle, raw: Sequence[str]) -> tuple:
@@ -168,6 +151,21 @@ class _Collector:
         violations, pass_values = got[0], got[1]
         fmt = got[2] if len(got) > 2 else None
         self.emit(check_id, anchor, violations, pass_values, fmt)
+
+    def cert(self, check_id: str, anchor: str, build, verify, grid, horizon: int,
+             fmt, lead=()):
+        """Build a certificate, verify it over the grid and window, and echo
+        its modulus at each grid epsilon after the lead values."""
+
+        def thunk():
+            c = build()
+            return verify(c, grid, horizon), tuple(lead) + _echo_moduli(c, grid, fmt), fmt
+
+        self.block(check_id, anchor, thunk)
+
+
+def _echo_moduli(cert, grid, fmt) -> tuple[str, ...]:
+    return tuple(f"N({fmt(eps)})={cert.modulus(eps)}" for eps in grid)
 
 
 # ---------------------------------------------------------------------------
@@ -249,25 +247,9 @@ def _suite_density(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
     w = split_witness(handle, None)
     grid = resolve_grid(handle, cfg.grid)
     for eps in grid:
-        viols: list[Violation] = []
-        echo: tuple[str, ...] = ()
-        try:
-            beta, gamma = checked_split(handle, w, eps)
-            echo = (handle.fmt(beta), handle.fmt(gamma))
-        except ValueError as exc:
-            viols.append(Violation("density.split", (eps,), str(exc)))
-        for n in (2, 3, 4):
-            try:
-                parts = n_split(handle, eps, n, w)
-            except ValueError as exc:
-                viols.append(Violation("density.split-chain", (eps, n), str(exc)))
-                continue
-            if not all(handle.is_positive(p) for p in parts):
-                viols.append(Violation("density.positivity", (eps, tuple(parts))))
-            if not handle.lt(fold_op(handle, parts), eps):
-                viols.append(Violation("density.fold-below", (eps, tuple(parts))))
+        viols, pair = _density_at(handle, w, eps)
         col.emit(f"density.split[{handle.fmt(eps)}]", "order.dense-split",
-                 viols, pass_values=echo)
+                 viols, pass_values=tuple(map(handle.fmt, pair or ())))
     if handle.one is not None and handle.lt(handle.identity, handle.one):
         def between_block():
             mid = betweenness(handle, handle.identity, handle.one, w)
@@ -289,23 +271,11 @@ def _suite_shrink(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
         bounds = (handle.one,)
     if not bounds:
         raise CapabilityError(f"{handle.name} has no positive sample elements")
+    fmt = handle.fmt
     for alpha in grid:
-        viols: list[Violation] = []
-        echo: list[str] = []
-        for m in bounds:
-            beta, gamma = w.shrink(alpha, m)
-            if not (handle.is_positive(beta) and handle.is_positive(gamma)):
-                viols.append(Violation("shrink.positivity", (alpha, m, beta, gamma)))
-                continue
-            if not handle.lt(handle.second_op(beta, m), alpha):
-                viols.append(Violation("shrink.left-product", (alpha, m, beta)))
-            if not handle.lt(handle.second_op(m, gamma), alpha):
-                viols.append(Violation("shrink.right-product", (alpha, m, gamma)))
-            echo.append(
-                f"{handle.fmt(m)}->({handle.fmt(beta)},{handle.fmt(gamma)})"
-            )
-        col.emit(f"shrink.bound[{handle.fmt(alpha)}]", "order.shrink",
-                 viols, pass_values=tuple(echo))
+        viols, produced = _shrink_at(handle, w, alpha, bounds)
+        col.emit(f"shrink.bound[{fmt(alpha)}]", "order.shrink", viols,
+                 pass_values=tuple(f"{fmt(m)}->({fmt(b)},{fmt(g)})" for m, b, g in produced))
     return col.records
 
 
@@ -350,24 +320,12 @@ def _suite_sequence(handle: StructureHandle, cfg: RunConfig, rng: random.Random)
     c = constant_cert(space, v)
     mfmt = m.fmt
 
-    def echo_conv(cert: ConvCert):
-        return tuple(f"N({mfmt(eps)})={cert.modulus(eps)}" for eps in grid)
-
-    def echo_cauchy(cert: CauchyCert):
-        return tuple(f"N({mfmt(eps)})={cert.modulus(eps)}" for eps in grid)
-
-    col.block("sequence.constant", "cauchy.modulus",
-              lambda: (verify_conv_cert(c, grid, h), echo_conv(c), mfmt))
-
-    def to_cauchy():
-        cc = conv_to_cauchy(c)
-        return verify_cauchy_cert(cc, grid, h), echo_cauchy(cc), mfmt
-    col.block("sequence.to-cauchy", "cauchy.from-limit", to_cauchy)
-
-    def add_block():
-        cs = add_certs(c, c, handle)
-        return verify_conv_cert(cs, grid, h), echo_conv(cs), mfmt
-    col.block("sequence.add", "cauchy.sum", add_block)
+    col.cert("sequence.constant", "cauchy.modulus", lambda: c,
+             verify_conv_cert, grid, h, mfmt)
+    col.cert("sequence.to-cauchy", "cauchy.from-limit", lambda: conv_to_cauchy(c),
+             verify_cauchy_cert, grid, h, mfmt)
+    col.cert("sequence.add", "cauchy.sum", lambda: add_certs(c, c, handle),
+             verify_conv_cert, grid, h, mfmt)
 
     def shift_block():
         sh = shift_cert(c, 3)
@@ -389,13 +347,12 @@ def _suite_sequence(handle: StructureHandle, cfg: RunConfig, rng: random.Random)
                        str(rec.index)), mfmt
     col.block("sequence.uniqueness", "limit.uniqueness", uniqueness_block)
 
-    def product_block():
+    def product():
         if not handle.pnorms:
             raise CapabilityError(f"{handle.name} has no pseudonorm registered")
-        pnr = handle.pnorms[0]
-        prod = prod_certs(c, c, pnr)
-        return verify_conv_cert(prod, grid, h), echo_conv(prod), mfmt
-    col.block("sequence.product", "cauchy.product", product_block)
+        return prod_certs(c, c, handle.pnorms[0])
+    col.cert("sequence.product", "cauchy.product", product,
+             verify_conv_cert, grid, h, mfmt)
 
     def apart_block():
         if not handle.norms:
@@ -416,21 +373,16 @@ def _suite_sequence(handle: StructureHandle, cfg: RunConfig, rng: random.Random)
 _SERIES_BASES = (Fraction(1, 2), Fraction(2, 3), Fraction(1, 3))
 
 
-def _sizes_vanish(space, grid, zero, probe) -> bool:
-    """True when each grid bound is eventually beaten by the probed sizes."""
-    m = space.codomain
-    sizes = tuple(space.distance(p, zero) for p in probe)
-    return all(any(m.lt(s, eps) for s in sizes) for eps in grid)
+def _stock_ratio(handle: StructureHandle, space, grid, want_inverse: bool):
+    """The first stock ratio 0 < r < 1 whose terms' sizes vanish at every
+    grid scale; with want_inverse, the first whose (1 - r)^-1 exists.
 
-
-def _stock_terms(handle: StructureHandle, space, grid, want_limit: bool):
-    """Geometric-style terms whose sizes genuinely vanish at every grid scale.
-
-    Rational bases are tried first; structures whose order ranks every
-    rational above some grid bound (an infinitesimal scale) fall through to
-    bases built from their published symbols.  Returns (label, terms, limit,
-    symbolic) -- symbolic terms double in representation size under index
-    doubling, which callers use to keep windows small.
+    Rational bases q come first, with terms q^n embedded whole; structures
+    whose order ranks every rational above some grid bound (an
+    infinitesimal scale) fall through to inverses of their published
+    symbols, with powers as terms.  Returns (r, terms, inverse, symbolic):
+    symbolic terms double in representation size under index doubling,
+    which callers use to keep windows small.
     """
     cands: list[tuple[str, object]] = []
     if handle.from_rational is not None:
@@ -438,32 +390,27 @@ def _stock_terms(handle: StructureHandle, space, grid, want_limit: bool):
     if (handle.second_op is not None and handle.invert is not None
             and handle.one is not None and handle.negate is not None):
         cands.extend(("symbol", name) for name in sorted(handle.symbols))
+    m = space.codomain
     for kind, payload in cands:
         try:
             if kind == "rational":
-                q = payload
-                label = str(q)
-                term_at = lambda n, q=q: handle.from_rational(q ** n)
-                limit = handle.from_rational(q / (1 - q)) if want_limit else None
+                label, r = str(payload), handle.from_rational(payload)
+                term_at = lambda n, q=payload: handle.from_rational(q ** n)
             else:
                 r = handle.invert(handle.symbols[payload])
-                if not (handle.lt(handle.identity, r) and handle.lt(r, handle.one)):
-                    continue
                 label = handle.fmt(r)
                 term_at = lambda n, r=r: nat_pow(handle, r, n)
-                limit = None
-                if want_limit:
-                    one_minus = handle.op(handle.one, handle.negate(r))
-                    limit = handle.mul(r, handle.invert(one_minus))
-            probe = tuple(term_at(k) for k in range(1, 33))
-            if not _sizes_vanish(space, grid, handle.identity, probe):
+            if not (handle.lt(handle.identity, r) and handle.lt(r, handle.one)):
                 continue
-            terms = Seq(f"geo-terms({label})", term_at)
-            return label, terms, limit, kind == "symbol"
+            sizes = tuple(space.distance(term_at(k), handle.identity) for k in range(1, 33))
+            if not all(any(m.lt(d, eps) for d in sizes) for eps in grid):
+                continue
+            inv = handle.invert(handle.sub(handle.one, r)) if want_inverse else None
         except (ValueError, TypeError):
             continue
+        return r, Seq(f"geo-terms({label})", term_at), inv, kind == "symbol"
     raise CapabilityError(
-        f"{handle.name} hosts no stock terms that vanish at every grid scale"
+        f"{handle.name} hosts no stock ratio whose powers vanish at every grid scale"
     )
 
 
@@ -473,21 +420,15 @@ def _suite_series(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
     m = space.codomain
     grid = resolve_grid(m, cfg.grid)
     h = cfg.horizon
-    _, terms, limit, _ = _stock_terms(handle, space, grid, want_limit=True)
+    r, terms, inv, _ = _stock_ratio(handle, space, grid, want_inverse=True)
     partials = Series(handle, terms).partials
-    c = scanned_conv_cert(space, partials, limit, horizon=h)
+    c = scanned_conv_cert(space, partials, handle.mul(r, inv), horizon=h)
     mfmt = m.fmt
 
-    def echo(cert):
-        return tuple(f"N({mfmt(eps)})={cert.modulus(eps)}" for eps in grid)
-
-    col.block("series.partials-converge", "series.partial-sums",
-              lambda: (verify_conv_cert(c, grid, h), echo(c), mfmt))
-
-    def vanish_block():
-        tv = terms_vanish(c, handle, terms)
-        return verify_conv_cert(tv, grid, h), echo(tv), mfmt
-    col.block("series.terms-vanish", "series.terms-vanish", vanish_block)
+    col.cert("series.partials-converge", "series.partial-sums", lambda: c,
+             verify_conv_cert, grid, h, mfmt)
+    col.cert("series.terms-vanish", "series.terms-vanish",
+             lambda: terms_vanish(c, handle, terms), verify_conv_cert, grid, h, mfmt)
 
     def tail_block():
         cc = conv_to_cauchy(c)
@@ -499,22 +440,20 @@ def _suite_series(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
         return viols, (mfmt(chk.tail_norm), f"N({mfmt(eps)})={n0}"), mfmt
     col.block("series.tail-bound", "series.tail", tail_block)
 
-    def alternating_block():
+    def alternating():
         mono = check_monotone(handle, terms,
                               MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
         c0 = scanned_conv_cert(space, terms, handle.identity, horizon=h)
-        alt = alternating_cauchy(handle, space, terms, mono, c0)
-        return verify_cauchy_cert(alt, grid, h), echo(alt), mfmt
-    col.block("series.alternating", "series.alternating", alternating_block)
+        return alternating_cauchy(handle, space, terms, mono, c0)
+    col.cert("series.alternating", "series.alternating", alternating,
+             verify_cauchy_cert, grid, h, mfmt)
 
-    def squeeze_block():
-        from .series import squeeze_cauchy
+    def squeeze():
         zero = constant_cert(space, handle.identity, name="zero-sums")
         cx = conv_to_cauchy(zero)
         cz = conv_to_cauchy(c)
-        sq = squeeze_cauchy(handle, space, cx, cz, 1, terms)
-        return verify_cauchy_cert(sq, grid, h), echo(sq), mfmt
-    col.block("series.squeeze", "series.squeeze", squeeze_block)
+        return squeeze_cauchy(handle, space, cx, cz, 1, terms)
+    col.cert("series.squeeze", "series.squeeze", squeeze, verify_cauchy_cert, grid, h, mfmt)
 
     return col.records
 
@@ -525,7 +464,7 @@ def _suite_condensation(handle: StructureHandle, cfg: RunConfig, rng: random.Ran
     space = _first_metric(handle)
     m = space.codomain
     grid = resolve_grid(m, cfg.grid)
-    _, terms, _, symbolic = _stock_terms(handle, space, grid, want_limit=False)
+    _, terms, _, symbolic = _stock_ratio(handle, space, grid, want_inverse=False)
     mono = check_monotone(handle, terms, MonotoneKind.DECREASING_POSITIVE, 32)
     partials = Series(handle, terms).partials
     base = scanned_cauchy_cert(space, partials, horizon=min(cfg.horizon, 16))
@@ -533,24 +472,20 @@ def _suite_condensation(handle: StructureHandle, cfg: RunConfig, rng: random.Ran
     # condensed partial sums reach index 2^n; symbolic terms grow linearly in
     # representation with the index, so their windows stay narrow
     fwd_h = min(cfg.horizon, 3 if symbolic else 8)
-
-    def echo(cert):
-        return tuple(f"N({mfmt(eps)})={cert.modulus(eps)}" for eps in grid)
-
     forward_holder: list = []
 
-    def forward_block():
-        fwd = condense(handle, space, terms, mono, base, "forward")
-        forward_holder.append(fwd)
-        return verify_cauchy_cert(fwd, grid, fwd_h), echo(fwd), mfmt
-    col.block("condensation.forward", "series.condensation", forward_block)
+    def forward():
+        forward_holder.append(condense(handle, space, terms, mono, base, "forward"))
+        return forward_holder[0]
+    col.cert("condensation.forward", "series.condensation", forward,
+             verify_cauchy_cert, grid, fwd_h, mfmt)
 
-    def backward_block():
+    def backward():
         if not forward_holder:
             raise CapabilityError("forward certificate unavailable")
-        back = condense(handle, space, terms, mono, forward_holder[0], "backward")
-        return verify_cauchy_cert(back, grid, cfg.horizon), echo(back), mfmt
-    col.block("condensation.backward", "series.condensation", backward_block)
+        return condense(handle, space, terms, mono, forward_holder[0], "backward")
+    col.cert("condensation.backward", "series.condensation", backward,
+             verify_cauchy_cert, grid, cfg.horizon, mfmt)
 
     col.block("condensation.blocks", "series.condensation-blocks",
               lambda: (condensation_inequalities(
@@ -570,47 +505,18 @@ def _suite_geometric(handle: StructureHandle, cfg: RunConfig, rng: random.Random
     grid = resolve_grid(m, cfg.grid)
     h = cfg.horizon
     mfmt = m.fmt
-
-    cands: list[tuple[str, object]] = [("rational", q) for q in _SERIES_BASES]
-    cands.extend(("symbol", name) for name in sorted(handle.symbols))
-    r = inv = None
-    for kind, payload in cands:
-        try:
-            cand = (handle.from_rational(payload) if kind == "rational"
-                    else handle.invert(handle.symbols[payload]))
-            if not (handle.lt(handle.identity, cand) and handle.lt(cand, handle.one)):
-                continue
-            probe = tuple(nat_pow(handle, cand, k) for k in range(1, 33))
-            if not _sizes_vanish(space, grid, handle.identity, probe):
-                continue
-            inv = handle.invert(handle.sub(handle.one, cand))
-            r = cand
-            break
-        except (ValueError, TypeError):
-            continue
-    if r is None:
-        raise CapabilityError(
-            f"{handle.name} hosts no stock ratio whose powers vanish at every "
-            "grid scale"
-        )
-
+    r, _, inv, _ = _stock_ratio(handle, space, grid, want_inverse=True)
     powers = Seq(f"pow({handle.fmt(r)})", lambda n: nat_pow(handle, r, n))
     c0 = scanned_conv_cert(space, powers, handle.identity, horizon=h)
 
-    def cert_block():
-        g = geometric_cert(handle, space, r, c0, inv)
-        echoes = tuple(f"N({mfmt(eps)})={g.modulus(eps)}" for eps in grid)
-        return verify_conv_cert(g, grid, h), (handle.fmt(inv),) + echoes, mfmt
-    col.block("geometric.certificate", "series.geometric", cert_block)
-
+    col.cert("geometric.certificate", "series.geometric",
+             lambda: geometric_cert(handle, space, r, c0, inv),
+             verify_conv_cert, grid, h, mfmt, lead=(handle.fmt(inv),))
     col.block("geometric.power-limit", "series.power-limit",
               lambda: (power_limit_is_zero(handle, c0, r), (), mfmt))
-
-    def modulus_block():
-        ap = archimedean_power_modulus(handle, space, r)
-        echoes = tuple(f"N({mfmt(eps)})={ap.modulus(eps)}" for eps in grid)
-        return verify_conv_cert(ap, grid, h), echoes, mfmt
-    col.block("geometric.power-modulus", "series.archimedean-power", modulus_block)
+    col.cert("geometric.power-modulus", "series.archimedean-power",
+             lambda: archimedean_power_modulus(handle, space, r),
+             verify_conv_cert, grid, h, mfmt)
 
     return col.records
 
@@ -651,56 +557,46 @@ def _suite_bernoulli(handle: StructureHandle, cfg: RunConfig, rng: random.Random
     return col.records
 
 
+def _albert_record(alg, rng: random.Random, count: int) -> CheckRecord:
+    """The scaled coefficient pseudonorm of alg, checked on count random
+    coefficient vectors."""
+    field = alg.field
+    pn = _algebra.albert_pseudonorm(alg)
+    pairs = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(alg.n))
+             for _ in range(count)]
+    bound = _algebra.structure_bound(alg)
+    col = _Collector("albert", field)
+    col.emit(f"albert.{alg.name}", "algebra.pseudonorm",
+             _algebra.verify_pseudonorm(pn, pairs),
+             pass_values=(f"bound={field.fmt(bound)}",
+                          f"scale={field.fmt(nat_mul(field, alg.n, bound))}"))
+    return col.records[0]
+
+
 def _suite_albert(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
-    col = _Collector("albert", handle)
     if handle.name != "Q":
         raise CapabilityError(
             "structure-constant tables are registered over Q only"
         )
     algs = _algebra.shipped_algebras()
-    for name in sorted(algs):
-        alg = algs[name]
-        pn = _algebra.albert_pseudonorm(alg)
-        pairs = []
-        for _ in range(24):
-            pairs.append(tuple(Fraction(rng.randint(-3, 3)) for _ in range(alg.n)))
-        bound = _algebra.structure_bound(alg)
-        scale = nat_mul(handle, alg.n, bound)
-        col.emit(
-            f"albert.{name}", "algebra.pseudonorm",
-            _algebra.verify_pseudonorm(pn, pairs),
-            pass_values=(f"bound={handle.fmt(bound)}",
-                         f"scale={handle.fmt(scale)}"),
-            fmt=handle.fmt,
-        )
-    return col.records
+    return [_albert_record(algs[name], rng, 24) for name in sorted(algs)]
 
 
+# suite name -> (runner, paper anchor of its capability record), in run order
 _SUITES = {
-    "axioms": _suite_axioms,
-    "density": _suite_density,
-    "shrink": _suite_shrink,
-    "metric": _suite_metric,
-    "sequence": _suite_sequence,
-    "series": _suite_series,
-    "condensation": _suite_condensation,
-    "geometric": _suite_geometric,
-    "bernoulli": _suite_bernoulli,
-    "albert": _suite_albert,
+    "axioms": (_suite_axioms, "magma.laws"),
+    "density": (_suite_density, "order.dense-split"),
+    "shrink": (_suite_shrink, "order.shrink"),
+    "metric": (_suite_metric, "metric.laws"),
+    "sequence": (_suite_sequence, "cauchy.modulus"),
+    "series": (_suite_series, "series.partial-sums"),
+    "condensation": (_suite_condensation, "series.condensation"),
+    "geometric": (_suite_geometric, "series.geometric"),
+    "bernoulli": (_suite_bernoulli, "inequality.product-sum"),
+    "albert": (_suite_albert, "algebra.pseudonorm"),
 }
 
-_ANCHORS = {
-    "axioms": "magma.laws",
-    "density": "order.dense-split",
-    "shrink": "order.shrink",
-    "metric": "metric.laws",
-    "sequence": "cauchy.modulus",
-    "series": "series.partial-sums",
-    "condensation": "series.condensation",
-    "geometric": "series.geometric",
-    "bernoulli": "inequality.product-sum",
-    "albert": "algebra.pseudonorm",
-}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(cfg: RunConfig) -> list[CheckRecord]:
@@ -711,13 +607,14 @@ def run_suite(cfg: RunConfig) -> list[CheckRecord]:
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
     records: list[CheckRecord] = []
     for name in names:
+        run, anchor = _SUITES[name]
         rng = random.Random(f"{cfg.seed}:{name}:{handle.name}")
         try:
-            records.extend(_SUITES[name](handle, cfg, rng))
+            records.extend(run(handle, cfg, rng))
         except CapabilityError:
             records.append(CheckRecord(
                 suite=name, structure=handle.name,
                 check_id=f"{name}.capability", status=UNVERIFIABLE,
-                witness_values=(), paper_anchor=_ANCHORS[name],
+                witness_values=(), paper_anchor=anchor,
             ))
     return sorted(records, key=lambda r: r.check_id)

@@ -111,6 +111,17 @@ def test_poly_str_pins():
     assert poly_str(poly([])) == "0"
 
 
+def test_poly_rejects_non_integral_coefficients():
+    with pytest.raises(ValueError, match="coefficient 0.5 is not an integer"):
+        poly([1, 0.5])
+    with pytest.raises(ValueError, match="coefficient 1/2 is not an integer"):
+        RatFunc((F(1, 2),))
+    with pytest.raises(ValueError, match="coefficient 1/2 is not an integer"):
+        RatFunc((1,), (F(1, 2),))
+    # integral values of other exact types are still accepted
+    assert poly([F(2), 3.0, True]) == (2, 3, 1)
+
+
 # ---------------------------------------------------------------------------
 # rational functions
 

@@ -33,7 +33,6 @@ def test_run_config_defaults():
     assert cfg.grid == ()
     assert cfg.horizon == 64
     assert cfg.seed == 0
-    assert cfg.format == "json"
 
 
 def test_unknown_suite_is_rejected():
