@@ -49,11 +49,18 @@ def _cases() -> list[tuple[str, list[str]]]:
         ("series-Q-geometric", _series("1/2^n", "Q", "geometric")),
         ("series-ZX-zero-limit", _series("1/X^n", "Z(X)", "zero-limit")),
         ("series-Q-geometric-text", _series("1/2^n", "Q", "geometric", "--format", "text")),
+        # a coarse grid and a short horizon (exit 0 for Q, 3 for the rest)
+        *((f"check-{_STRUCTURES[key]}-all-grid",
+           ["check", key, "--suite", "all", "--grid", "1/3,1/9", "--horizon", "8",
+            "--seed", "1"])
+          for key in ("Q", "Z[1/3]", "Z(X)", "Q(i)")),
         # violating runs (exit 1)
         ("violation-Q-shifted-harmonic", _series("1/(n-1)", "Q", "zero-limit")),
         ("violation-Q-harmonic-fine-grid",
          _series("1/n", "Q", "zero-limit", "--grid", "1/2,1/10000")),
         ("violation-Q-squares-condensation", _series("1/n^2", "Q", "condensation")),
+        # a term with no value in the carrier: 2 has no inverse in Z
+        ("series-Z-no-inverse-zero-limit", _series("1/2^n", "Z", "zero-limit")),
         # a structure-constant table (README's mini-i)
         ("algebra-mini-i", ["algebra", "{golden}/mini-i.json"]),
         ("algebra-mini-i-text", ["algebra", "{golden}/mini-i.json", "--format", "text"]),
