@@ -47,8 +47,6 @@ from .order import (
     checked_split,
     demarr_density_witness,
     density_from_unit_interval,
-    division_shrink_witness,
-    elements_between,
     fold_op,
     join_fold,
     make_flags,
@@ -80,7 +78,6 @@ from .sequences import (
     cauchy_sum,
     constant_cert,
     conv_to_cauchy,
-    least_index_below,
     limit_hom_report,
     negate_cert,
     norm_bound_from_cert,

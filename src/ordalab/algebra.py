@@ -188,8 +188,8 @@ def coefficient_pseudonorm(alg: FinDimAlgebra) -> PseudonormedRing:
     )
 
 
-def load_algebra_table(source: str | dict, field: StructureHandle | None = None) -> FinDimAlgebra:
-    """Build an algebra from a JSON table {name, n, gamma, basis?}.
+def load_algebra_table(source: str | dict) -> FinDimAlgebra:
+    """Build an algebra over Q from a JSON table {name, n, gamma, basis?}.
 
     gamma is a flat row-major list of n^3 scalars (index i*n*n + j*n + k);
     an n*n*n nested list is also accepted.  Entries are exact rational
@@ -210,10 +210,9 @@ def load_algebra_table(source: str | dict, field: StructureHandle | None = None)
     gamma = data.get("gamma")
     if not isinstance(n, int) or n < 1:
         raise ValueError("table key 'n' must be a positive integer")
-    if field is None:
-        from .instances import lookup
+    from .instances import lookup
 
-        field = lookup("Q")
+    field = lookup("Q")
 
     def cell(v):
         if isinstance(v, bool) or isinstance(v, float):

@@ -55,19 +55,28 @@ def _fraction_invert(x: F) -> F:
     return 1 / x
 
 
-def _build_q() -> StructureHandle:
+def _two_fifths_witnesses(zero, two_fifths) -> tuple[DensityWitness, ShrinkWitness]:
+    """Density and shrink witnesses of a totally ordered field: eps splits
+    into two fifths of itself, twice, and alpha shrinks against a bound to
+    two fifths of alpha over the bound, on both sides."""
+
     def split(eps):
-        part = F(2, 5) * eps
+        part = two_fifths * eps
         return (part, part)
 
     def shrink(alpha, bound):
-        if alpha <= 0:
+        if not zero < alpha:
             raise ValueError("target must be positive")
-        if bound <= 0:
+        if not zero < bound:
             raise ValueError("bound must be positive")
-        part = F(2, 5) * alpha / bound
+        part = two_fifths * alpha / bound
         return (part, part)
 
+    return DensityWitness(split), ShrinkWitness(shrink)
+
+
+def _build_q() -> StructureHandle:
+    density, shrink = _two_fifths_witnesses(F(0), F(2, 5))
     return StructureHandle(
         name="Q",
         flags=make_flags(field=True, total_order=True),
@@ -78,8 +87,8 @@ def _build_q() -> StructureHandle:
         second_op=lambda a, b: a * b,
         one=F(1),
         invert=_fraction_invert,
-        density=DensityWitness(split, note="two fifths, twice"),
-        shrink=ShrinkWitness(shrink, note="split part over the bound"),
+        density=density,
+        shrink=shrink,
         archimedean=ArchimedeanWitness(_frac_floor_count),
         join=JoinWitness(max),
         eps_grid=tuple(F(1, 2**k) for k in range(1, 13)),
@@ -87,7 +96,6 @@ def _build_q() -> StructureHandle:
                 F(-1, 7), F(5), F(-2)),
         from_rational=lambda q: F(q),
         aliases=("rationals",),
-        describe="rationals with exact arithmetic",
     )
 
 
@@ -113,7 +121,6 @@ def _build_z() -> StructureHandle:
         sample=(0, 1, -1, 2, 3, -3, 5, -7, 12, 10),
         from_rational=lambda q: _require_int(q),
         aliases=("integers",),
-        describe="integers (no density witness exists)",
     )
 
 
@@ -173,8 +180,8 @@ def _build_localized(p: int) -> StructureHandle:
         second_op=lambda a, b: a * b,
         one=F(1),
         invert=invert,
-        density=DensityWitness(split, note=f"powers of 1/{p}"),
-        shrink=ShrinkWitness(shrink, note=f"smallest adequate power of 1/{p}"),
+        density=DensityWitness(split),
+        shrink=ShrinkWitness(shrink),
         archimedean=ArchimedeanWitness(_frac_floor_count),
         join=JoinWitness(max),
         eps_grid=tuple(F(1, p**k) for k in range(1, 9)),
@@ -182,7 +189,6 @@ def _build_localized(p: int) -> StructureHandle:
                 F(5, p), F(-2), F(7)),
         from_rational=member,
         aliases=(f"Z1{p}", f"z[1/{p}]"),
-        describe=f"integers localized at {p}: denominators are powers of {p}",
     )
 
 
@@ -202,18 +208,7 @@ def _build_ratfunc() -> StructureHandle:
             raise ValueError("0 has no multiplicative inverse")
         return RF_ONE / x
 
-    def split(eps):
-        part = two_fifths * eps
-        return (part, part)
-
-    def shrink(alpha, bound):
-        if not RF_ZERO < alpha:
-            raise ValueError("target must be positive")
-        if not RF_ZERO < bound:
-            raise ValueError("bound must be positive")
-        part = two_fifths * alpha / bound
-        return (part, part)
-
+    density, shrink = _two_fifths_witnesses(RF_ZERO, two_fifths)
     halves = tuple(RatFunc((1,), (2**k,)) for k in range(1, 7))
     inverse_powers = tuple(RF_ONE / X**k for k in range(1, 5))
     return StructureHandle(
@@ -226,8 +221,8 @@ def _build_ratfunc() -> StructureHandle:
         second_op=lambda a, b: a * b,
         one=RF_ONE,
         invert=invert,
-        density=DensityWitness(split, note="two fifths, twice"),
-        shrink=ShrinkWitness(shrink, note="split part over the bound"),
+        density=density,
+        shrink=shrink,
         join=JoinWitness(lambda a, b: b if a < b else a),
         eps_grid=halves + inverse_powers,
         sample=(RF_ZERO, RF_ONE, -RF_ONE, X, -X, RF_ONE / X, two_fifths,
@@ -236,46 +231,51 @@ def _build_ratfunc() -> StructureHandle:
         symbols={"X": X},
         from_rational=lambda q: RatFunc.from_fraction(q),
         aliases=("ZX", "ratfunc"),
-        describe="rational functions ordered with X above every rational",
     )
 
 
+# trop and G0 adjoin a bottom element, None, below a totally ordered carrier;
+# both add by max and split eps into eps - 1, twice.
+
+
+def _bottom_max(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a if a >= b else b
+
+
+def _bottom_compare(a, b):
+    if a is None and b is None:
+        return OrderResult.EQUAL
+    if a is None:
+        return OrderResult.LESS
+    if b is None:
+        return OrderResult.GREATER
+    return total_compare(a, b)
+
+
+def _drop_one(eps):
+    return (eps - 1, eps - 1)
+
+
 def _build_tropical() -> StructureHandle:
-    def op(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a if a >= b else b
-
-    def compare(a, b):
-        if a is None and b is None:
-            return OrderResult.EQUAL
-        if a is None:
-            return OrderResult.LESS
-        if b is None:
-            return OrderResult.GREATER
-        return total_compare(a, b)
-
-    def split(eps):
-        return (eps - 1, eps - 1)
-
     return StructureHandle(
         name="trop",
         flags=make_flags(unital=True, associative=True, commutative_add=True,
                          total_order=True),
-        op=op,
-        compare=compare,
+        op=_bottom_max,
+        compare=_bottom_compare,
         identity=None,
-        density=DensityWitness(split, note="drop by one, twice"),
-        join=JoinWitness(op),
+        density=DensityWitness(_drop_one),
+        join=JoinWitness(_bottom_max),
         eps_grid=(F(2), F(1), F(0), F(-1), F(-2), F(-4)),
         sample=(None, F(0), F(1), F(-1), F(1, 2), F(-7, 2), F(3)),
         fmt=lambda a: "-inf" if a is None else str(a),
         from_rational=lambda q: F(q),
         strict_compat=False,
         aliases=("tropical",),
-        describe="rationals plus a bottom element under max",
     )
 
 
@@ -312,14 +312,13 @@ def _build_lex() -> StructureHandle:
         compare=compare,
         identity=(0, F(0)),
         negate=negate,
-        density=DensityWitness(split, note="head positive: unit pair; else scale"),
+        density=DensityWitness(split),
         join=JoinWitness(lambda g, h: h if compare(g, h) is OrderResult.LESS else g),
         eps_grid=tuple((0, F(1, 2**k)) for k in range(1, 7)),
         sample=((0, F(0)), (1, F(0)), (0, F(1)), (-1, F(0)), (0, F(-1)),
                 (1, F(1)), (-1, F(1, 2)), (2, F(-3)), (0, F(1, 3)), (1, F(-2))),
         fmt=fmt,
         aliases=("lexgroup",),
-        describe="non-abelian doubling twist on int-by-rational pairs",
     )
 
 
@@ -369,7 +368,6 @@ def _build_gaussian() -> StructureHandle:
         fmt=fmt,
         from_rational=lambda q: (F(q), F(0)),
         aliases=("Qi", "gauss"),
-        describe="planar field ordered only along the real line",
     )
     return replace(base, density=demarr_density_witness(base))
 
@@ -403,7 +401,6 @@ def _build_ideals() -> StructureHandle:
         fmt=lambda n: f"{n}Z",
         strict_compat=False,
         aliases=("IdZ", "ideals"),
-        describe="multiple-sets of integers: gcd as sum, containment as order",
     )
 
 
@@ -435,7 +432,6 @@ def _build_orthant(q: StructureHandle) -> StructureHandle:
                 (F(2), F(1, 2)), (F(0), F(-2)), (F(5), F(5))),
         fmt=lambda x: f"({x[0]}, {x[1]})",
         aliases=("orthant", "Q2"),
-        describe="rational pairs ordered by the nonnegative orthant",
     )
     smul = lambda r, m: (r * m[0], r * m[1])
     witness = module_density_witness(q, base, smul, F(1, 2))
@@ -443,34 +439,15 @@ def _build_orthant(q: StructureHandle) -> StructureHandle:
 
 
 def _build_valuation() -> StructureHandle:
-    def op(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a if a >= b else b
-
     def mul(a, b):
         if a is None or b is None:
             return None
         return a + b
 
-    def compare(a, b):
-        if a is None and b is None:
-            return OrderResult.EQUAL
-        if a is None:
-            return OrderResult.LESS
-        if b is None:
-            return OrderResult.GREATER
-        return total_compare(a, b)
-
     def invert(a):
         if a is None:
             raise ValueError("the zero element has no multiplicative inverse")
         return -a
-
-    def split(eps):
-        return (eps - 1, eps - 1)
 
     def shrink(alpha, bound):
         if alpha is None:
@@ -483,21 +460,20 @@ def _build_valuation() -> StructureHandle:
     return StructureHandle(
         name="G0",
         flags=make_flags(semiring=True, total_order=True),
-        op=op,
-        compare=compare,
+        op=_bottom_max,
+        compare=_bottom_compare,
         identity=None,
         second_op=mul,
         one=0,
         invert=invert,
-        density=DensityWitness(split, note="previous exponent, twice"),
-        shrink=ShrinkWitness(shrink, note="exponent arithmetic"),
-        join=JoinWitness(op),
+        density=DensityWitness(_drop_one),
+        shrink=ShrinkWitness(shrink),
+        join=JoinWitness(_bottom_max),
         eps_grid=(3, 2, 1, 0, -1, -2),
         sample=(None, 0, 1, -1, 2, -3, 5),
         fmt=lambda a: "0" if a is None else f"g^{a}",
         strict_compat=False,
         aliases=("valuation",),
-        describe="value semiring of a valuation: max as sum, exponent add as product",
     )
 
 
@@ -599,10 +575,10 @@ def _attach_spaces(reg: dict[str, StructureHandle]) -> None:
         return padic_norm(x - y, 2)
 
     reg["trop"] = replace(trop, metrics=(
-        MetricSpace("trop.dyadic", trop, dyadic_trop, dyadic_points, fmt_point=str),
+        MetricSpace("trop.dyadic", trop, dyadic_trop, dyadic_points),
     ))
     reg["G0"] = replace(g0, metrics=(
-        MetricSpace("G0.dyadic", g0, dyadic_g0, dyadic_points, fmt_point=str),
+        MetricSpace("G0.dyadic", g0, dyadic_g0, dyadic_points),
     ))
 
     # orthant: product of two copies of the rational line

@@ -30,7 +30,6 @@ class MetricSpace:
     distance: Callable[[Any, Any], Element]
     points: tuple = ()
     point_eq: Callable[[Any, Any], bool] = operator.eq
-    fmt_point: Callable[[Any], str] = str
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,9 @@ def absolute_value(s: StructureHandle, x: Element) -> Element:
     return x if s.le(nx, x) else nx
 
 
-def absolute_value_metric(s: StructureHandle, points: Sequence | None = None) -> MetricSpace:
-    """d(x, y) = |x - y| on a totally ordered group (abelian or not)."""
+def absolute_value_metric(s: StructureHandle) -> MetricSpace:
+    """d(x, y) = |x - y| on a totally ordered group (abelian or not), with
+    the structure's sample as points."""
     s.require("group", "total_order")
 
     def d(x, y):
@@ -60,19 +60,18 @@ def absolute_value_metric(s: StructureHandle, points: Sequence | None = None) ->
         name=f"{s.name}.abs",
         codomain=s,
         distance=d,
-        points=tuple(points if points is not None else s.sample),
-        fmt_point=s.fmt,
+        points=tuple(s.sample),
     )
 
 
-def absolute_value_norm(s: StructureHandle, sample: Sequence | None = None) -> NormedGroup:
+def absolute_value_norm(s: StructureHandle) -> NormedGroup:
     s.require("group", "total_order")
     return NormedGroup(
         name=f"{s.name}.abs",
         group=s,
         codomain=s,
         norm=lambda x: absolute_value(s, x),
-        sample=tuple(sample if sample is not None else s.sample),
+        sample=tuple(s.sample),
     )
 
 
@@ -88,12 +87,12 @@ def induced_metric(ng: NormedGroup) -> MetricSpace:
         codomain=ng.codomain,
         distance=d,
         points=ng.sample,
-        fmt_point=g.fmt,
     )
 
 
-def product_metric(name: str, spaces: Sequence[MetricSpace], max_points: int = 12) -> MetricSpace:
-    """Componentwise distance combined with the shared codomain's op."""
+def product_metric(name: str, spaces: Sequence[MetricSpace]) -> MetricSpace:
+    """Componentwise distance combined with the shared codomain's op; the
+    points are a grid of at most 12 (at least two per factor)."""
     if not spaces:
         raise ValueError("need at least one factor")
     codomain = spaces[0].codomain
@@ -110,7 +109,7 @@ def product_metric(name: str, spaces: Sequence[MetricSpace], max_points: int = 1
         return acc
 
     per_factor = 1
-    while (per_factor + 1) ** len(spaces) <= max_points:
+    while (per_factor + 1) ** len(spaces) <= 12:
         per_factor += 1
     per_factor = max(2, per_factor)
     pts = tuple(itertools.product(*(sp.points[:per_factor] for sp in spaces)))
@@ -118,25 +117,19 @@ def product_metric(name: str, spaces: Sequence[MetricSpace], max_points: int = 1
     def eq(xs, ys):
         return all(sp.point_eq(x, y) for sp, x, y in zip(spaces, xs, ys))
 
-    def fmt(xs):
-        return "(" + ", ".join(sp.fmt_point(x) for sp, x in zip(spaces, xs)) + ")"
-
     return MetricSpace(name=name, codomain=codomain, distance=d,
-                       points=pts, point_eq=eq, fmt_point=fmt)
+                       points=pts, point_eq=eq)
 
 
-def verify_metric(
-    space: MetricSpace,
-    triples: Iterable[tuple] | None = None,
-    points: Sequence | None = None,
-) -> list[Violation]:
+def verify_metric(space: MetricSpace, triples: Iterable[tuple] | None = None) -> list[Violation]:
     """Exact check of nonnegativity, identity, symmetry, and the triangle law.
 
-    Pair laws run over all point pairs; the triangle law runs over the given
-    triples (default: the cube of the first eight points).
+    Pair laws run over all pairs of the space's points; the triangle law
+    runs over the given triples (default: the cube of the first eight
+    points).
     """
     m = space.codomain
-    pts = tuple(points if points is not None else space.points)
+    pts = tuple(space.points)
     out: list[Violation] = []
     for x in pts:
         for y in pts:
@@ -168,7 +161,7 @@ def sample_triples(points: Sequence, count: int, rng) -> list[tuple]:
     ]
 
 
-def verify_norm(ng: NormedGroup, sample: Sequence | None = None) -> list[Violation]:
+def verify_norm(ng: NormedGroup) -> list[Violation]:
     """Exact check of the group-norm laws plus derived consequences.
 
     Base laws: norm is nonnegative, vanishes exactly at the identity, and
@@ -177,7 +170,7 @@ def verify_norm(ng: NormedGroup, sample: Sequence | None = None) -> list[Violati
     the reverse triangle inequality.
     """
     g, m = ng.group, ng.codomain
-    sample = tuple(sample if sample is not None else ng.sample)
+    sample = tuple(ng.sample)
     out: list[Violation] = []
     for a in sample:
         na = ng.norm(a)

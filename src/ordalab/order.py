@@ -103,7 +103,6 @@ class DensityWitness:
     """split(eps) -> (beta, gamma), both positive, with beta*gamma < eps."""
 
     split: Callable[[Element], tuple[Element, Element]]
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,6 @@ class ShrinkWitness:
     bound*right < alpha; all of alpha, bound, left, right positive."""
 
     shrink: Callable[[Element, Element], tuple[Element, Element]]
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,6 @@ class ArchimedeanWitness:
     """bound(x, y) -> n >= 1 such that the n-fold sum of x exceeds y."""
 
     bound: Callable[[Element, Element], int]
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,6 @@ class JoinWitness:
     """join(a, b) -> least upper bound of a and b."""
 
     join: Callable[[Element, Element], Element]
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,6 @@ class StructureHandle:
     from_rational: Callable[[Any], Element] | None = None
     strict_compat: bool = True
     aliases: tuple[str, ...] = ()
-    describe: str = ""
     metrics: tuple = ()
     norms: tuple = ()
     pnorms: tuple = ()
@@ -254,8 +249,8 @@ def nat_pow(s: StructureHandle, x: Element, n: int) -> Element:
     return acc
 
 
-def join_fold(s: StructureHandle, items: Iterable[Element], j: JoinWitness | None = None) -> Element:
-    j = j if j is not None else s.join
+def join_fold(s: StructureHandle, items: Iterable[Element]) -> Element:
+    j = s.join
     if j is None:
         raise CapabilityError(f"{s.name} has no join witness")
     it = iter(items)
@@ -294,6 +289,12 @@ def split_witness(s: StructureHandle, w: DensityWitness | None) -> DensityWitnes
     if w is None:
         raise CapabilityError(f"{s.name} has no density witness")
     return w
+
+
+def shrink_witness(s: StructureHandle) -> ShrinkWitness:
+    if s.shrink is None:
+        raise CapabilityError(f"{s.name} has no shrink witness")
+    return s.shrink
 
 
 def n_split(s: StructureHandle, eps: Element, n: int, w: DensityWitness | None = None) -> list[Element]:
@@ -343,7 +344,7 @@ def density_from_unit_interval(s: StructureHandle, alpha: Element) -> DensityWit
     def split(eps: Element) -> tuple[Element, Element]:
         return (s.second_op(alpha_sq, eps), s.second_op(coeff, eps))
 
-    return DensityWitness(split, note=f"unit-interval element {s.fmt(alpha)}")
+    return DensityWitness(split)
 
 
 def betweenness(s: StructureHandle, lo: Element, hi: Element, w: DensityWitness | None = None) -> Element:
@@ -360,25 +361,6 @@ def betweenness(s: StructureHandle, lo: Element, hi: Element, w: DensityWitness 
     if not (s.lt(lo, mid) and s.lt(mid, hi)):
         raise ValueError(f"{s.name}: witness produced a bad midpoint")
     return mid
-
-
-def division_shrink_witness(s: StructureHandle, w: DensityWitness | None = None) -> ShrinkWitness:
-    """Shrink witness for dense totally ordered carriers with inverses."""
-    s.require("total_order")
-    if s.invert is None:
-        raise CapabilityError(f"{s.name} has no multiplicative inverses")
-    w = split_witness(s, w)
-
-    def shrink(alpha: Element, bound: Element) -> tuple[Element, Element]:
-        if not s.is_positive(alpha):
-            raise ValueError(f"{s.name}: target {s.fmt(alpha)} must be positive")
-        if not s.is_positive(bound):
-            raise ValueError(f"{s.name}: bound {s.fmt(bound)} must be positive")
-        beta = n_split(s, alpha, 1, w)[0]
-        binv = s.invert(bound)
-        return (s.second_op(beta, binv), s.second_op(binv, beta))
-
-    return ShrinkWitness(shrink, note="scale a split part by the inverse bound")
 
 
 def demarr_density_witness(s: StructureHandle) -> DensityWitness:
@@ -398,7 +380,7 @@ def demarr_density_witness(s: StructureHandle) -> DensityWitness:
         part = s.second_op(c, x)
         return (part, part)
 
-    return DensityWitness(split, note="two fifths of x, twice")
+    return DensityWitness(split)
 
 
 def module_density_witness(
@@ -423,7 +405,7 @@ def module_density_witness(
     def split(m: Element) -> tuple[Element, Element]:
         return (smul(c1, m), smul(alpha_sq, m))
 
-    return DensityWitness(split, note=f"scalar slice at {ring.fmt(alpha)}")
+    return DensityWitness(split)
 
 
 # ---------------------------------------------------------------------------
@@ -439,17 +421,15 @@ def _pairs_lt(s: StructureHandle, sample: Sequence[Element], strict: bool):
 
 
 def verify_compatibility(
-    s: StructureHandle,
-    sample: Sequence[Element] | None = None,
-    strict: bool | None = None,
+    s: StructureHandle, sample: Sequence[Element] | None = None
 ) -> list[Violation]:
     """Check order-compatibility of op (and second_op on the positive cone).
 
-    strict=True checks a<b -> a*c<b*c and c*a<c*b; strict=False checks the
-    non-strict variant.  Default comes from the structure's declared mode.
+    A structure declared strict_compat is checked for a<b -> a*c<b*c and
+    c*a<c*b; any other for the non-strict variant.
     """
     sample = tuple(sample if sample is not None else s.sample)
-    strict = s.strict_compat if strict is None else strict
+    strict = s.strict_compat
     rel = s.lt if strict else s.le
     out: list[Violation] = []
     for a, b in _pairs_lt(s, sample, strict):
@@ -489,9 +469,9 @@ def verify_compatibility(
     return out
 
 
-def verify_monoid(s: StructureHandle, sample: Sequence[Element] | None = None) -> list[Violation]:
+def verify_monoid(s: StructureHandle) -> list[Violation]:
     """Identity and (if flagged) associativity/commutativity of op."""
-    sample = tuple(sample if sample is not None else s.sample)
+    sample = tuple(s.sample)
     out: list[Violation] = []
     if s.flags.unital:
         for a in sample:
@@ -512,8 +492,8 @@ def verify_monoid(s: StructureHandle, sample: Sequence[Element] | None = None) -
     return out
 
 
-def verify_group(s: StructureHandle, sample: Sequence[Element] | None = None) -> list[Violation]:
-    sample = tuple(sample if sample is not None else s.sample)
+def verify_group(s: StructureHandle) -> list[Violation]:
+    sample = tuple(s.sample)
     out: list[Violation] = []
     if not s.flags.group or s.negate is None:
         return [Violation("group.capability", (), f"{s.name} is not a group")]
@@ -525,9 +505,9 @@ def verify_group(s: StructureHandle, sample: Sequence[Element] | None = None) ->
     return out
 
 
-def verify_hemiring(s: StructureHandle, sample: Sequence[Element] | None = None) -> list[Violation]:
+def verify_hemiring(s: StructureHandle) -> list[Violation]:
     """Distributivity and zero-absorption for flagged hemirings."""
-    sample = tuple(sample if sample is not None else s.sample)
+    sample = tuple(s.sample)
     out: list[Violation] = []
     if not s.flags.hemiring or s.second_op is None:
         return [Violation("hemiring.capability", (), f"{s.name} is not a hemiring")]
@@ -551,14 +531,14 @@ def verify_hemiring(s: StructureHandle, sample: Sequence[Element] | None = None)
 
 
 def _density_at(
-    s: StructureHandle, w: DensityWitness, eps: Element, max_parts: int = 4
+    s: StructureHandle, w: DensityWitness, eps: Element
 ) -> tuple[list[Violation], tuple | None]:
     """Exercise a density witness at one target: the n-part splits of eps for
-    n up to max_parts, parts positive, folds below eps.  Returns the
-    violations and the two-part split it produced (None when it failed)."""
+    n up to 4, parts positive, folds below eps.  Returns the violations and
+    the two-part split it produced (None when it failed)."""
     out: list[Violation] = []
     pair = None
-    for n in range(1, max_parts + 1):
+    for n in range(1, 5):
         try:
             parts = n_split(s, eps, n, w)
         except ValueError as exc:
@@ -577,12 +557,11 @@ def verify_density(
     s: StructureHandle,
     w: DensityWitness | None = None,
     grid: Sequence[Element] | None = None,
-    max_parts: int = 4,
 ) -> list[Violation]:
     """Exercise a density witness over a grid: parts positive, folds below eps."""
     w = split_witness(s, w)
     grid = tuple(grid if grid is not None else s.eps_grid)
-    return [v for eps in grid for v in _density_at(s, w, eps, max_parts)[0]]
+    return [v for eps in grid for v in _density_at(s, w, eps)[0]]
 
 
 def _shrink_at(
@@ -608,14 +587,11 @@ def _shrink_at(
 
 def verify_shrink(
     s: StructureHandle,
-    w: ShrinkWitness | None = None,
     targets: Sequence[Element] | None = None,
     bounds: Sequence[Element] | None = None,
 ) -> list[Violation]:
     """Exercise a shrink witness: both scaled products land strictly below."""
-    w = w if w is not None else s.shrink
-    if w is None:
-        raise CapabilityError(f"{s.name} has no shrink witness")
+    w = shrink_witness(s)
     if s.second_op is None:
         raise CapabilityError(f"{s.name} has no second operation")
     targets = tuple(targets if targets is not None else s.eps_grid)
@@ -623,20 +599,14 @@ def verify_shrink(
     return [v for alpha in targets for v in _shrink_at(s, w, alpha, bounds)[0]]
 
 
-def verify_archimedean(
-    s: StructureHandle,
-    w: ArchimedeanWitness | None = None,
-    xs: Sequence[Element] | None = None,
-    ys: Sequence[Element] | None = None,
-) -> list[Violation]:
-    w = w if w is not None else s.archimedean
+def verify_archimedean(s: StructureHandle) -> list[Violation]:
+    w = s.archimedean
     if w is None:
         raise CapabilityError(f"{s.name} has no multiple-exceeds witness")
-    xs = tuple(xs if xs is not None else (x for x in s.sample if s.is_positive(x)))
-    ys = tuple(ys if ys is not None else s.sample)
+    positives = [x for x in s.sample if s.is_positive(x)]
     out: list[Violation] = []
-    for x in xs:
-        for y in ys:
+    for x in positives:
+        for y in s.sample:
             n = w.bound(x, y)
             if n < 1:
                 out.append(Violation("archimedean.count", (x, y, n)))
@@ -645,9 +615,3 @@ def verify_archimedean(
                 out.append(Violation("archimedean.exceeds", (x, y, n)))
     return out
 
-
-def elements_between(
-    s: StructureHandle, lo: Element, hi: Element, candidates: Iterable[Element]
-) -> list[Element]:
-    """All candidates strictly between lo and hi; empty means a gap."""
-    return [c for c in candidates if s.lt(lo, c) and s.lt(c, hi)]

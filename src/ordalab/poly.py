@@ -69,10 +69,6 @@ def poly_scale(p: Poly, c: int) -> Poly:
     return tuple(a * c for a in p)
 
 
-def poly_degree(p: Poly) -> int:
-    return len(p) - 1  # -1 for the zero polynomial
-
-
 def poly_lead(p: Poly) -> int:
     return p[-1] if p else 0
 
@@ -174,7 +170,7 @@ def poly_div_exact(p: Poly, q: Poly) -> Poly:
     return tuple(quo)
 
 
-def poly_str(p: Poly, var: str = "X") -> str:
+def poly_str(p: Poly) -> str:
     if not p:
         return "0"
     parts = []
@@ -186,7 +182,7 @@ def poly_str(p: Poly, var: str = "X") -> str:
             body = str(abs(c))
         else:
             head = "" if abs(c) == 1 else f"{abs(c)}*"
-            body = f"{head}{var}" + (f"^{i}" if i > 1 else "")
+            body = f"{head}X" + (f"^{i}" if i > 1 else "")
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

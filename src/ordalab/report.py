@@ -93,10 +93,10 @@ def fmt_value(fmt: Callable, v) -> str:
     return fmt(v)
 
 
-def violation_values(violations: Sequence, fmt: Callable, cap: int = 3) -> tuple[str, ...]:
-    """Law slugs and counterexample values of the first few violations."""
+def violation_values(violations: Sequence, fmt: Callable) -> tuple[str, ...]:
+    """Law slugs and counterexample values of the first three violations."""
     vals: list[str] = []
-    for v in violations[:cap]:
+    for v in violations[:3]:
         vals.append(v.law)
         vals.extend(fmt_value(fmt, x) for x in v.values)
     return tuple(vals)

@@ -21,13 +21,11 @@ from .algebra import PseudonormedRing
 from .metric import MetricSpace, NormedGroup
 from .order import (
     CapabilityError,
-    DensityWitness,
-    JoinWitness,
-    ShrinkWitness,
     StructureHandle,
     Violation,
     checked_split,
     join_fold,
+    shrink_witness,
     split_witness,
 )
 
@@ -35,6 +33,9 @@ Element = Any
 
 # Index offsets probed past N(eps): dense near N, sparse further out.
 _PROBE_OFFSETS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55)
+
+# The last window start a modulus scan tries before it gives up.
+_MAX_INDEX = 8192
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,6 @@ class ApartFromZeroWitness:
 
     eps: Element
     selector: Callable[[int], int]
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -195,12 +195,13 @@ def verify_cauchy_cert(
 
 def _split_max(
     s: StructureHandle,
-    w: DensityWitness,
     first: Callable[[Element], int],
     second: Callable[[Element], int],
 ) -> Callable[[Element], int]:
     """The modulus eps -> max(first(beta), second(gamma)) over the split
-    eps -> (beta, gamma): one triangle step charges a part to each side."""
+    eps -> (beta, gamma) of s's density witness: one triangle step charges
+    a part to each side.  Raises CapabilityError now if s is not dense."""
+    w = split_witness(s, None)
 
     def modulus(eps: Element) -> int:
         beta, gamma = checked_split(s, w, eps)
@@ -214,11 +215,10 @@ def constant_cert(space: MetricSpace, value: Element, name: str = "const") -> Co
     return ConvCert(space, seq, value, lambda eps: 1, note="constant sequence")
 
 
-def conv_to_cauchy(cert: ConvCert, w: DensityWitness | None = None) -> CauchyCert:
+def conv_to_cauchy(cert: ConvCert) -> CauchyCert:
     """Convergent implies Cauchy over a dense codomain: route both sides of
     a pair through the limit, splitting eps into beta + gamma."""
-    s = cert.space.codomain
-    modulus = _split_max(s, split_witness(s, w), cert.modulus, cert.modulus)
+    modulus = _split_max(cert.space.codomain, cert.modulus, cert.modulus)
     return CauchyCert(cert.space, cert.seq, modulus, note="triangle through the limit")
 
 
@@ -234,13 +234,14 @@ def shift_cert(cert: ConvCert, k: int) -> ConvCert:
     )
 
 
-def unshift_cert(cert: ConvCert, original: Seq, k: int, check: int = 16) -> ConvCert:
+def unshift_cert(cert: ConvCert, original: Seq, k: int) -> ConvCert:
     """Recover a certificate for the original sequence from one for its
-    k-step shift.  original(n+k) must agree with the shifted sequence."""
+    k-step shift.  original(n+k) must agree with the shifted sequence at
+    the first 16 indices."""
     if k < 0:
         raise ValueError("shift must be nonnegative")
     eq = cert.space.point_eq
-    for n in range(1, check + 1):
+    for n in range(1, 17):
         if not eq(original(n + k), cert.seq(n)):
             raise ValueError(
                 f"{original.name} is not a {k}-step unshift of {cert.seq.name} "
@@ -274,12 +275,7 @@ def _sum_seq(cx, cy, carrier: StructureHandle) -> Seq:
                lambda n: carrier.op(cx.seq(n), cy.seq(n)))
 
 
-def add_certs(
-    cx: ConvCert,
-    cy: ConvCert,
-    carrier: StructureHandle,
-    w: DensityWitness | None = None,
-) -> ConvCert:
+def add_certs(cx: ConvCert, cy: ConvCert, carrier: StructureHandle) -> ConvCert:
     """Sum of convergent sequences converges to the sum of limits.
 
     Works in an abelian group whose metric is norm-induced; the modulus
@@ -287,44 +283,32 @@ def add_certs(
     """
     space = _same_space(cx.space, cy.space)
     carrier.require("group", "commutative_add")
-    s = space.codomain
-    modulus = _split_max(s, split_witness(s, w), cx.modulus, cy.modulus)
+    modulus = _split_max(space.codomain, cx.modulus, cy.modulus)
     return ConvCert(space, _sum_seq(cx, cy, carrier), carrier.op(cx.limit, cy.limit),
                     modulus, note="sum of certificates")
 
 
-def cauchy_sum(
-    cx: CauchyCert,
-    cy: CauchyCert,
-    carrier: StructureHandle,
-    w: DensityWitness | None = None,
-) -> CauchyCert:
+def cauchy_sum(cx: CauchyCert, cy: CauchyCert, carrier: StructureHandle) -> CauchyCert:
     """Termwise sum of Cauchy sequences is Cauchy (same split pattern)."""
     space = _same_space(cx.space, cy.space)
     carrier.require("group", "commutative_add")
-    s = space.codomain
-    modulus = _split_max(s, split_witness(s, w), cx.modulus, cy.modulus)
+    modulus = _split_max(space.codomain, cx.modulus, cy.modulus)
     return CauchyCert(space, _sum_seq(cx, cy, carrier), modulus,
                       note="sum of Cauchy certificates")
 
 
-def bounded_from_cert(
-    cert: ConvCert | CauchyCert,
-    eps0: Element,
-    j: JoinWitness | None = None,
-    check_up_to: int = 64,
-) -> Element:
+def bounded_from_cert(cert: ConvCert | CauchyCert, eps0: Element) -> Element:
     """A bound R on all distances to the anchor (the limit, or for a bare
     Cauchy certificate the term at N(eps0)): join the finitely many head
-    distances with eps0 itself."""
+    distances with eps0 itself.  Re-checked at the first 64 indices."""
     space, s = cert.space, cert.space.codomain
     if not s.is_positive(eps0):
         raise ValueError(f"{s.name}: eps0 {s.fmt(eps0)} must be positive")
     n0 = _modulus_at(cert.modulus, eps0)
     anchor = cert.limit if isinstance(cert, ConvCert) else cert.seq(n0)
     dists = [space.distance(cert.seq(i), anchor) for i in range(1, n0)]
-    bound = join_fold(s, dists + [eps0], j)
-    for i in range(1, check_up_to + 1):
+    bound = join_fold(s, dists + [eps0])
+    for i in range(1, 65):
         d = space.distance(cert.seq(i), anchor)
         if not s.le(d, bound):
             raise ValueError(
@@ -334,18 +318,13 @@ def bounded_from_cert(
     return bound
 
 
-def norm_bound_from_cert(
-    ng: NormedGroup,
-    cert: ConvCert,
-    eps0: Element,
-    j: JoinWitness | None = None,
-    check_up_to: int = 64,
-) -> Element:
-    """Bound t on norm(x_n): distance bound to the limit plus norm(limit)."""
+def norm_bound_from_cert(ng: NormedGroup, cert: ConvCert, eps0: Element) -> Element:
+    """Bound t on norm(x_n): distance bound to the limit plus norm(limit),
+    re-checked at the first 64 indices."""
     s = cert.space.codomain
-    r = bounded_from_cert(cert, eps0, j, check_up_to)
+    r = bounded_from_cert(cert, eps0)
     t = s.op(r, ng.norm(cert.limit))
-    for i in range(1, check_up_to + 1):
+    for i in range(1, 65):
         if not s.le(ng.norm(cert.seq(i)), t):
             raise ValueError(
                 f"{cert.seq.name}: norm at index {i} exceeds {s.fmt(t)}; "
@@ -359,19 +338,18 @@ def zero_times_bounded(
     y: Seq,
     bound: Element,
     pnr: PseudonormedRing,
-    w: ShrinkWitness | None = None,
-    check_up_to: int = 64,
 ) -> tuple[ConvCert, ConvCert]:
     """From x -> 0 and norm(y_n) <= bound, certify x*y -> 0 and y*x -> 0.
 
-    Shrinks eps against the bound: the left product needs e_l with
-    e_l * bound < eps, the right one e_r with bound * e_r < eps.
+    The bound is checked at the first 64 indices.  Shrinks eps against the
+    bound: the left product needs e_l with e_l * bound < eps, the right one
+    e_r with bound * e_r < eps.
     """
     ring, m = pnr.ring, pnr.codomain
     space = c_zero.space
     if not ring.eq(c_zero.limit, ring.identity):
         raise ValueError(f"{c_zero.seq.name} does not carry a zero limit")
-    for n in range(1, check_up_to + 1):
+    for n in range(1, 65):
         nv = pnr.norm(y(n))
         if not m.le(nv, bound):
             raise ValueError(
@@ -394,9 +372,7 @@ def zero_times_bounded(
     if not m.is_positive(bound):
         raise ValueError(f"{m.name}: bound {m.fmt(bound)} is not nonnegative")
 
-    w = w if w is not None else m.shrink
-    if w is None:
-        raise CapabilityError(f"{m.name} has no shrink witness")
+    w = shrink_witness(m)
 
     def left_modulus(eps: Element) -> int:
         e_l = w.shrink(eps, bound)[0]
@@ -418,33 +394,26 @@ def prod_certs(
     cx: ConvCert,
     cy: ConvCert,
     pnr: PseudonormedRing,
-    w_shrink: ShrinkWitness | None = None,
-    w_density: DensityWitness | None = None,
-    j: JoinWitness | None = None,
-    eps0: Element = None,
 ) -> ConvCert:
     """Product of convergent sequences converges to the product of limits.
 
-    For limit b != 0: bound s1 >= norm(x_n) from the first certificate, then
-    per eps split into beta + gamma and shrink each part against s1 and
-    norm(b).  For b = 0 the zero-times-bounded route applies with x as the
-    bounded factor.
+    For limit b != 0: bound s1 >= norm(x_n) from the first certificate at
+    the first grid epsilon, then per eps split into beta + gamma and shrink
+    each part against s1 and norm(b).  For b = 0 the zero-times-bounded
+    route applies with x as the bounded factor.
     """
     space = _same_space(cx.space, cy.space)
     ring, m = pnr.ring, pnr.codomain
-    eps0 = eps0 if eps0 is not None else m.eps_grid[0]
     a, b = cx.limit, cy.limit
-    s1 = bounded_from_cert(cx, eps0, j)
+    s1 = bounded_from_cert(cx, m.eps_grid[0])
     s1 = m.op(s1, pnr.norm(a))
 
     if ring.eq(b, ring.identity):
-        _, bounded_times_zero = zero_times_bounded(cy, cx.seq, s1, pnr, w_shrink)
+        _, bounded_times_zero = zero_times_bounded(cy, cx.seq, s1, pnr)
         return bounded_times_zero
 
-    w_s = w_shrink if w_shrink is not None else m.shrink
-    if w_s is None:
-        raise CapabilityError(f"{m.name} has no shrink witness")
-    w_d = split_witness(m, w_density)
+    w_s = shrink_witness(m)
+    w_d = split_witness(m, None)
     norm_b = pnr.norm(b)
 
     seq = Seq(
@@ -466,17 +435,15 @@ def subseq_rescue(
     cauchy: CauchyCert,
     sub: SubseqMap,
     csub: ConvCert,
-    w: DensityWitness | None = None,
-    check_up_to: int = 64,
 ) -> ConvCert:
     """A Cauchy sequence with a convergent subsequence converges to the
-    subsequence limit.  Uses n_k >= k to reach the tail with one split."""
+    subsequence limit.  Uses n_k >= k to reach the tail with one split.
+    The index map is checked at the first 64 k, the sampling at the first 8."""
     space = _same_space(cauchy.space, csub.space)
-    s = space.codomain
-    w = split_witness(s, w)
+    modulus = _split_max(space.codomain, cauchy.modulus, csub.modulus)
 
     prev = 0
-    for k in range(1, check_up_to + 1):
+    for k in range(1, 65):
         nk = sub.index(k)
         if not isinstance(nk, int) or isinstance(nk, bool) or nk <= prev:
             raise ValueError(
@@ -484,29 +451,24 @@ def subseq_rescue(
             )
         prev = nk
     eq = space.point_eq
-    for k in range(1, min(check_up_to, 8) + 1):
+    for k in range(1, 9):
         if not eq(csub.seq(k), cauchy.seq(sub.index(k))):
             raise ValueError(
                 f"{csub.seq.name} does not sample {cauchy.seq.name} "
                 f"through {sub.name} (mismatch at k={k})"
             )
 
-    return ConvCert(space, cauchy.seq, csub.limit,
-                    _split_max(s, w, cauchy.modulus, csub.modulus),
+    return ConvCert(space, cauchy.seq, csub.limit, modulus,
                     note=f"rescued through {sub.name}")
 
 
-def validate_apart_witness(
-    witness: ApartFromZeroWitness,
-    ng: NormedGroup,
-    x: Seq,
-    check_up_to: int = 16,
-) -> None:
-    """Raise unless the selector really produces k >= n with norm >= eps."""
+def validate_apart_witness(witness: ApartFromZeroWitness, ng: NormedGroup, x: Seq) -> None:
+    """Raise unless the selector really produces k >= n with norm >= eps,
+    for each of the first 16 n."""
     m = ng.codomain
     if not m.is_positive(witness.eps):
         raise ValueError(f"{m.name}: witness epsilon must be positive")
-    for n in range(1, check_up_to + 1):
+    for n in range(1, 17):
         k = witness.selector(n)
         if not isinstance(k, int) or isinstance(k, bool) or k < n:
             raise ValueError(f"apartness selector returned k={k!r} < n={n}")
@@ -519,29 +481,26 @@ def validate_apart_witness(
 
 
 def apart_tail(
-    cauchy: CauchyCert,
-    witness: ApartFromZeroWitness,
-    ng: NormedGroup,
-    w: DensityWitness | None = None,
-    check_up_to: int = 16,
+    cauchy: CauchyCert, witness: ApartFromZeroWitness, ng: NormedGroup
 ) -> tuple[Element, int]:
     """A Cauchy sequence apart from zero has a whole tail apart from zero:
     returns (gamma, N) with norm(x_n) > gamma for all n >= N.
 
     gamma is the first part of split(eps - beta) where beta is the first
     part of split(eps): both strictly positive, and the tail estimate
-    norm(x_n) > eps - beta > gamma follows from one triangle step.
+    norm(x_n) > eps - beta > gamma follows from one triangle step; it is
+    re-checked on the 17 indices from N on.
     """
     m = ng.codomain
     m.require("group", "total_order")
-    w = split_witness(m, w)
-    validate_apart_witness(witness, ng, cauchy.seq, check_up_to)
+    w = split_witness(m, None)
+    validate_apart_witness(witness, ng, cauchy.seq)
 
     beta = checked_split(m, w, witness.eps)[0]
     n0 = _modulus_at(cauchy.modulus, beta)
     gap = m.sub(witness.eps, beta)
     gamma = checked_split(m, w, gap)[0]
-    for n in range(n0, n0 + check_up_to + 1):
+    for n in range(n0, n0 + 17):
         nv = ng.norm(cauchy.seq(n))
         if not m.lt(gamma, nv):
             raise ValueError(
@@ -551,30 +510,23 @@ def apart_tail(
     return gamma, n0
 
 
-def limit_hom_report(
-    cx: ConvCert,
-    cy: ConvCert,
-    pnr: PseudonormedRing,
-    w_density: DensityWitness | None = None,
-    w_shrink: ShrinkWitness | None = None,
-    grid: Sequence[Element] | None = None,
-    horizon: int = 16,
-) -> list[Violation]:
+def limit_hom_report(cx: ConvCert, cy: ConvCert, pnr: PseudonormedRing) -> list[Violation]:
     """Limit-taking as a ring map: the sum/product certificates must carry
-    limits equal to the sum/product of limits and must verify."""
+    limits equal to the sum/product of limits and must verify over the
+    codomain's grid with a 16-index window."""
     ring = pnr.ring
     out: list[Violation] = []
 
-    c_sum = add_certs(cx, cy, ring, w_density)
+    c_sum = add_certs(cx, cy, ring)
     if not ring.eq(c_sum.limit, ring.op(cx.limit, cy.limit)):
         out.append(Violation("limit-hom.add", (cx.limit, cy.limit, c_sum.limit)))
-    for v in verify_conv_cert(c_sum, grid, horizon):
+    for v in verify_conv_cert(c_sum, horizon=16):
         out.append(Violation("limit-hom.add.cert", v.values, v.note))
 
-    c_prod = prod_certs(cx, cy, pnr, w_shrink, w_density)
+    c_prod = prod_certs(cx, cy, pnr)
     if not ring.eq(c_prod.limit, ring.mul(cx.limit, cy.limit)):
         out.append(Violation("limit-hom.mul", (cx.limit, cy.limit, c_prod.limit)))
-    for v in verify_conv_cert(c_prod, grid, horizon):
+    for v in verify_conv_cert(c_prod, horizon=16):
         out.append(Violation("limit-hom.mul.cert", v.values, v.note))
 
     c_const = constant_cert(cx.space, cx.limit)
@@ -583,11 +535,7 @@ def limit_hom_report(
     return out
 
 
-def refute_distinct_limits(
-    ca: ConvCert,
-    cb: ConvCert,
-    w: DensityWitness | None = None,
-) -> RefutationRecord:
+def refute_distinct_limits(ca: ConvCert, cb: ConvCert) -> RefutationRecord:
     """Run the two-certificate uniqueness argument on a shared sequence.
 
     Splitting eps = d(a, b) into beta + gamma and probing the max of the two
@@ -596,7 +544,7 @@ def refute_distinct_limits(
     """
     space = _same_space(ca.space, cb.space)
     s = space.codomain
-    w = split_witness(s, w)
+    w = split_witness(s, None)
     eq = space.point_eq
     for n in range(1, 9):
         if not eq(ca.seq(n), cb.seq(n)):
@@ -627,13 +575,31 @@ def refute_distinct_limits(
 # without an analytic modulus)
 
 
+def _scanned_modulus(
+    scan: Callable[[Element], int | None], message: Callable[[Element], str]
+) -> Callable[[Element], int]:
+    """A modulus that runs scan once per epsilon and caches the index it
+    finds; an epsilon whose scan finds none raises ValueError(message(eps))."""
+    cache: dict = {}
+
+    def modulus(eps: Element) -> int:
+        if eps not in cache:
+            found = scan(eps)
+            if found is None:
+                raise ValueError(message(eps))
+            cache[eps] = found
+        return cache[eps]
+
+    return modulus
+
+
 def scan_window_start(
     space: MetricSpace,
     seq: Seq,
     limit: Element,
     eps: Element,
     horizon: int = 64,
-    max_index: int = 8192,
+    max_index: int = _MAX_INDEX,
 ) -> int | None:
     """Least N with d(seq(n), limit) < eps across all of [N, N+horizon],
     or None when no such window starts at or below max_index."""
@@ -649,31 +615,19 @@ def scan_window_start(
 
 
 def scanned_conv_cert(
-    space: MetricSpace,
-    seq: Seq,
-    limit: Element,
-    horizon: int = 64,
-    max_index: int = 8192,
+    space: MetricSpace, seq: Seq, limit: Element, horizon: int = 64
 ) -> ConvCert:
     """Certificate whose modulus is found by scanning, lazily per epsilon.
 
     Deterministic and exact, but desk-scale only: an epsilon whose window
-    never clears within max_index raises ValueError at modulus time.
+    never clears within _MAX_INDEX raises ValueError at modulus time.
     """
     s = space.codomain
-    cache: dict = {}
-
-    def modulus(eps: Element) -> int:
-        if eps not in cache:
-            found = scan_window_start(space, seq, limit, eps, horizon, max_index)
-            if found is None:
-                raise ValueError(
-                    f"{seq.name}: no index window up to {max_index} stays "
-                    f"below {s.fmt(eps)}; the claimed limit fails at this scale"
-                )
-            cache[eps] = found
-        return cache[eps]
-
+    modulus = _scanned_modulus(
+        lambda eps: scan_window_start(space, seq, limit, eps, horizon, _MAX_INDEX),
+        lambda eps: f"{seq.name}: no index window up to {_MAX_INDEX} stays "
+                    f"below {s.fmt(eps)}; the claimed limit fails at this scale",
+    )
     return ConvCert(space, seq, limit, modulus, note="modulus found by scan")
 
 
@@ -682,7 +636,7 @@ def scan_cauchy_window_start(
     seq: Seq,
     eps: Element,
     horizon: int = 64,
-    max_index: int = 8192,
+    max_index: int = _MAX_INDEX,
 ) -> int | None:
     """Least N such that every pair drawn from [N, N+horizon] has distance
     below eps, or None when no such window starts at or below max_index.
@@ -704,40 +658,14 @@ def scan_cauchy_window_start(
     return None
 
 
-def scanned_cauchy_cert(
-    space: MetricSpace,
-    seq: Seq,
-    horizon: int = 64,
-    max_index: int = 8192,
-) -> CauchyCert:
+def scanned_cauchy_cert(space: MetricSpace, seq: Seq, horizon: int = 64) -> CauchyCert:
     """Cauchy certificate whose modulus is found by scanning, lazily per
     epsilon; an epsilon whose window never clears raises at modulus time."""
     s = space.codomain
-    cache: dict = {}
-
-    def modulus(eps: Element) -> int:
-        if eps not in cache:
-            found = scan_cauchy_window_start(space, seq, eps, horizon, max_index)
-            if found is None:
-                raise ValueError(
-                    f"{seq.name}: no index window up to {max_index} keeps "
+    modulus = _scanned_modulus(
+        lambda eps: scan_cauchy_window_start(space, seq, eps, horizon, _MAX_INDEX),
+        lambda eps: f"{seq.name}: no index window up to {_MAX_INDEX} keeps "
                     f"pairwise gaps below {s.fmt(eps)}; the values fail to "
-                    f"cluster at this scale"
-                )
-            cache[eps] = found
-        return cache[eps]
-
+                    f"cluster at this scale",
+    )
     return CauchyCert(space, seq, modulus, note="modulus found by scan")
-
-
-def least_index_below(
-    s: StructureHandle,
-    f: Callable[[int], Element],
-    eps: Element,
-    max_index: int = 8192,
-) -> int:
-    """Least n >= 1 with f(n) < eps, for an eventually small f; scans."""
-    for n in range(1, max_index + 1):
-        if s.lt(f(n), eps):
-            return n
-    raise ValueError(f"{s.name}: no index up to {max_index} drops below {s.fmt(eps)}")

@@ -19,13 +19,11 @@ from typing import Any, Callable, Iterable, Sequence
 from .metric import MetricSpace, NormedGroup, absolute_value
 from .order import (
     CapabilityError,
-    DensityWitness,
-    ShrinkWitness,
     StructureHandle,
     Violation,
-    checked_split,
     nat_mul,
     nat_pow,
+    shrink_witness,
     split_witness,
 )
 from .sequences import (
@@ -33,6 +31,7 @@ from .sequences import (
     ConvCert,
     Seq,
     _modulus_at,
+    _split_max,
     add_certs,
     constant_cert,
     conv_to_cauchy,
@@ -69,14 +68,14 @@ class Series:
         object.__setattr__(self, "partials", _partials(self.handle, self.terms))
 
 
-def terms_from_partials(handle: StructureHandle, partials: Seq, name: str = "") -> Seq:
+def terms_from_partials(handle: StructureHandle, partials: Seq) -> Seq:
     """Recover terms as consecutive differences (needs additive inverses)."""
     def term(i: int) -> Element:
         if i == 1:
             return partials(1)
         return handle.sub(partials(i), partials(i - 1))
 
-    return Seq(name or f"diff({partials.name})", term)
+    return Seq(f"diff({partials.name})", term)
 
 
 class MonotoneKind(enum.Enum):
@@ -131,7 +130,6 @@ def terms_vanish(
     c: ConvCert,
     carrier: StructureHandle,
     series_terms: Seq | None = None,
-    w: DensityWitness | None = None,
 ) -> ConvCert:
     """If the partial sums converge, the terms tend to zero.
 
@@ -139,7 +137,7 @@ def terms_vanish(
     the series' own term sequence re-anchors the certificate to it.
     """
     carrier.require("group", "commutative_add")
-    diff = add_certs(shift_cert(c, 1), negate_cert(c, carrier), carrier, w)
+    diff = add_certs(shift_cert(c, 1), negate_cert(c, carrier), carrier)
     if series_terms is None:
         return diff
     return unshift_cert(diff, series_terms, 1)
@@ -212,17 +210,17 @@ def squeeze_cauchy(
     cz: CauchyCert,
     n1: int,
     y: Seq,
-    check: int = 32,
 ) -> CauchyCert:
     """If the flanking series have Cauchy partial sums and x_n <= y_n <= z_n
     from n1 on, the middle series is Cauchy: a tail of y is pinched between
-    two tails that are both small."""
+    two tails that are both small.  The squeeze is checked on the 33 indices
+    from n1 on."""
     handle.require("ring", "total_order")
     if n1 < 1:
         raise ValueError("ordering onset index must be >= 1")
     x_terms = terms_from_partials(handle, cx.seq)
     z_terms = terms_from_partials(handle, cz.seq)
-    for n in range(n1, n1 + check + 1):
+    for n in range(n1, n1 + 33):
         if not (handle.le(x_terms(n), y(n)) and handle.le(y(n), z_terms(n))):
             raise ValueError(
                 f"{y.name}: pointwise squeeze fails at index {n}"
@@ -250,7 +248,6 @@ def condense(
     mono: MonotoneEvidence,
     c: CauchyCert,
     direction: str,
-    w: DensityWitness | None = None,
 ) -> CauchyCert:
     """Condensation for decreasing positive terms, in either direction.
 
@@ -266,7 +263,7 @@ def condense(
     handle.require("ring", "total_order")
     if handle.one is None:
         raise CapabilityError(f"{handle.name} has no multiplicative identity")
-    w = split_witness(handle, w)
+    split_max = _split_max(handle, c.modulus, c.modulus)
     if mono.kind not in (
         MonotoneKind.DECREASING_POSITIVE,
         MonotoneKind.STRICTLY_DECREASING_POSITIVE,
@@ -282,8 +279,7 @@ def condense(
                       "certificate is not for this series' partial sums")
 
         def modulus(eps: Element) -> int:
-            beta, gamma = checked_split(handle, w, eps)
-            ns = max(_modulus_at(c.modulus, beta), _modulus_at(c.modulus, gamma))
+            ns = split_max(eps)
             k = 1
             while 2 ** (k - 1) < ns:
                 k += 1
@@ -353,15 +349,13 @@ def geometric_cert(
     r: Element,
     c0: ConvCert,
     inv: Element,
-    w_shrink: ShrinkWitness | None = None,
-    closed_form_up_to: int = 32,
 ) -> ConvCert:
     """Certificate that 1 + r + r^2 + ... converges to inv = (1-r)^(-1).
 
     The n-th sequence value is the sum of powers 0..n.  The closed form
-    (1 + ... + r^n) = (1 - r^(n+1)) * inv is checked exactly up to
-    closed_form_up_to, and the modulus shrinks eps against |inv| before
-    consulting the power certificate.
+    (1 + ... + r^n) = (1 - r^(n+1)) * inv is checked exactly up to n = 32,
+    and the modulus shrinks eps against |inv| before consulting the power
+    certificate.
     """
     handle.require("ring", "total_order")
     if handle.one is None:
@@ -378,15 +372,13 @@ def geometric_cert(
         raise ValueError(f"{c0.seq.name} does not carry a zero limit")
     _sample_agree(space, c0.seq, lambda k: nat_pow(handle, r, k), 6,
                   "power certificate is for a different ratio")
-    w_s = w_shrink if w_shrink is not None else handle.shrink
-    if w_s is None:
-        raise CapabilityError(f"{handle.name} has no shrink witness")
+    w_s = shrink_witness(handle)
 
     powers = Seq(f"pow({handle.fmt(r)})", lambda i: nat_pow(handle, r, i - 1))
     partials = Series(handle, powers).partials
     seq = Seq(f"geom({handle.fmt(r)})", lambda n: partials(n + 1))
 
-    for n in range(1, closed_form_up_to + 1):
+    for n in range(1, 33):
         want = handle.mul(handle.sub(handle.one, nat_pow(handle, r, n + 1)), inv)
         if not handle.eq(seq(n), want):
             raise ValueError(
@@ -426,14 +418,13 @@ def archimedean_power_modulus(
     handle: StructureHandle,
     space: MetricSpace,
     r: Element,
-    w=None,
 ) -> ConvCert:
     """Certificate for r^n -> 0 in an Archimedean totally ordered field with
     -1 < r < 1: with x = 1/|r| - 1, any N with N*(x*eps) > 1 works, since
     |r|^N <= 1/(1+Nx) <= 1/(Nx) < eps.  The chain is re-checked exactly at
     each requested epsilon."""
     handle.require("field", "total_order")
-    w = w if w is not None else handle.archimedean
+    w = handle.archimedean
     if w is None:
         raise CapabilityError(f"{handle.name} has no multiple-exceeds witness")
     mag = absolute_value(handle, r)
@@ -474,14 +465,13 @@ def ratio_cauchy(
     r: Element,
     ratio_checked_up_to: int,
     geo: ConvCert | None = None,
-    w: DensityWitness | None = None,
-    domination_check: int = 32,
 ) -> CauchyCert:
     """Ratio test: norm(x_{n+1}) <= r * norm(x_n) transfers the modulus of
     the dominating geometric series (scaled by norm(x_1)) to sum x_n.
 
     geo must certify the partial sums of norm(x_1) * (1 + r + r^2 + ...);
     it may be omitted only when norm(x_1) = 0, which forces the zero series.
+    Either way the domination is checked at the first 32 indices.
     """
     m = ng.codomain
     m.require("total_order")
@@ -499,7 +489,7 @@ def ratio_cauchy(
     c1 = ng.norm(x(1))
 
     if m.eq(c1, m.identity):
-        for i in range(1, domination_check + 1):
+        for i in range(1, 33):
             if not m.eq(ng.norm(x(i)), m.identity):
                 raise ValueError(
                     f"{x.name}: first norm vanishes but index {i} does not"
@@ -508,7 +498,7 @@ def ratio_cauchy(
 
     if geo is None:
         raise ValueError("a dominating geometric certificate is required")
-    for i in range(1, domination_check + 1):
+    for i in range(1, 33):
         dom = m.mul(nat_pow(m, r, i - 1), c1)
         if not m.le(ng.norm(x(i)), dom):
             raise ValueError(
@@ -525,7 +515,7 @@ def ratio_cauchy(
     _sample_agree(geo.space, geo.seq, scaled, 6,
                   "geometric certificate does not match the scaled powers")
 
-    cg = conv_to_cauchy(geo, w)
+    cg = conv_to_cauchy(geo)
 
     def modulus(eps: Element) -> int:
         return _modulus_at(cg.modulus, eps) + 1
@@ -538,22 +528,21 @@ def abs_conv_cauchy(
     space: MetricSpace,
     x: Seq,
     c_abs: CauchyCert,
-    w: DensityWitness | None = None,
-    tail_check: int = 10,
 ) -> CauchyCert:
     """Absolute convergence: a Cauchy certificate for the partial sums of
     norm(x_n) is one for the partial sums of x_n with the same modulus,
-    since a tail's norm never exceeds the sum of its terms' norms."""
+    since a tail's norm never exceeds the sum of its terms' norms.  The
+    tail bound is checked on every pair of the first 10 indices."""
     m = ng.codomain
     m.require("group", "total_order", "commutative_add")
-    split_witness(m, w)
+    split_witness(m, None)
     norm_partials = _partials(m, Seq(f"norm({x.name})", lambda i: ng.norm(x(i))))
     _sample_agree(c_abs.space, c_abs.seq, norm_partials, 6,
                   "certificate is not for this sequence's norm sums")
 
     partials = Series(ng.group, x).partials
-    for a in range(1, tail_check + 1):
-        for b in range(a + 1, tail_check + 1):
+    for a in range(1, 11):
+        for b in range(a + 1, 11):
             tail = ng.norm(ng.group.sub(partials(b), partials(a)))
             bound = m.sub(norm_partials(b), norm_partials(a))
             if not m.le(tail, bound):

@@ -31,6 +31,7 @@ from .order import (
     betweenness,
     nat_mul,
     nat_pow,
+    shrink_witness,
     split_witness,
     verify_compatibility,
     verify_group,
@@ -89,9 +90,11 @@ class RunConfig:
                 f"unknown suite {self.suite!r}; available: all, "
                 + ", ".join(SUITE_NAMES)
             )
-        if not isinstance(self.horizon, int) or self.horizon < 1:
+        # bool is an int subclass, but True is neither a horizon nor a seed
+        if (isinstance(self.horizon, bool) or not isinstance(self.horizon, int)
+                or self.horizon < 1):
             raise ValueError("horizon must be a positive integer")
-        if not isinstance(self.seed, int):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError("seed must be an integer")
 
 
@@ -178,15 +181,15 @@ def _suite_axioms(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
         raise CapabilityError(f"{handle.name} has no sample elements registered")
     sample = tuple(handle.sample)
 
-    col.emit("axioms.magma", "magma.laws", verify_monoid(handle, sample))
+    col.emit("axioms.magma", "magma.laws", verify_monoid(handle))
     if handle.flags.group:
-        col.emit("axioms.group", "group.inverses", verify_group(handle, sample))
+        col.emit("axioms.group", "group.inverses", verify_group(handle))
     if handle.flags.hemiring and handle.second_op is not None:
-        col.emit("axioms.hemiring", "hemiring.laws", verify_hemiring(handle, sample))
+        col.emit("axioms.hemiring", "hemiring.laws", verify_hemiring(handle))
     col.emit("axioms.order", "order.relation", _order_violations(handle, sample))
     col.emit(
         "axioms.compatibility", "order.compatibility",
-        verify_compatibility(handle, sample),
+        verify_compatibility(handle),
         pass_values=("strict" if handle.strict_compat else "non-strict",),
     )
     if handle.join is not None:
@@ -260,9 +263,7 @@ def _suite_density(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
 
 def _suite_shrink(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
     col = _Collector("shrink", handle)
-    w = handle.shrink
-    if w is None:
-        raise CapabilityError(f"{handle.name} has no shrink witness")
+    w = shrink_witness(handle)
     if handle.second_op is None:
         raise CapabilityError(f"{handle.name} has no second operation")
     grid = resolve_grid(handle, cfg.grid)

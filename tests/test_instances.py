@@ -10,9 +10,7 @@ from ordalab import (
     betweenness,
     checked_split,
     density_from_unit_interval,
-    division_shrink_witness,
     demarr_density_witness,
-    elements_between,
     lookup,
     n_split,
     nat_mul,
@@ -105,9 +103,6 @@ def test_density_from_unit_interval_rejects_bad_anchor():
 
 
 def test_shrink_witness_pins():
-    q = lookup("Q")
-    w = division_shrink_witness(q)
-    assert w.shrink(F(3), F(5)) == (F(6, 25), F(6, 25))
     g0 = lookup("G0")
     assert g0.shrink.shrink(2, 3) == (-2, -2)
 
@@ -116,12 +111,6 @@ def test_demarr_density_on_gaussians():
     qi = lookup("Q(i)")
     w = demarr_density_witness(qi)
     assert w.split((F(5), F(0))) == ((F(2), F(0)), (F(2), F(0)))
-
-
-def test_elements_between():
-    q = lookup("Q")
-    found = elements_between(q, F(0), F(1), [F(-1), F(1, 2), F(1, 3), F(2)])
-    assert found == [F(1, 2), F(1, 3)]
 
 
 def test_density_shrink_archimedean_verify_on_rationals():

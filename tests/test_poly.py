@@ -13,7 +13,6 @@ from ordalab.poly import (
     poly,
     poly_add,
     poly_content,
-    poly_degree,
     poly_div_exact,
     poly_gcd,
     poly_lead,
@@ -35,9 +34,7 @@ def test_poly_normalizes_trailing_zeros():
 
 
 def test_poly_degree_and_lead():
-    assert poly_degree(poly([1, 2, 0])) == 1
     assert poly_lead(poly([1, 2, 0])) == 2
-    assert poly_degree(()) == -1
 
 
 @given(coeffs, coeffs)

@@ -1,6 +1,7 @@
 """Convergence and Cauchy certificates: construction, transport, scanning."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, strategies as st
 
 from ordalab import (
     ApartFromZeroWitness,
+    CapabilityError,
+    CauchyCert,
     ConvCert,
     MonotoneKind,
     Seq,
@@ -18,7 +21,6 @@ from ordalab import (
     check_monotone,
     constant_cert,
     conv_to_cauchy,
-    least_index_below,
     lookup,
     negate_cert,
     norm_bound_from_cert,
@@ -117,14 +119,18 @@ def test_scan_exhaustion_is_a_value_error():
         c.modulus(F(1, 2))
 
 
+def test_cauchy_scan_exhaustion_is_a_value_error():
+    cc = scanned_cauchy_cert(SPACE, Seq("n", F))
+    with pytest.raises(ValueError) as exc:
+        cc.modulus(F(1, 2))
+    assert str(exc.value) == (
+        "n: no index window up to 8192 keeps pairwise gaps below 1/2; "
+        "the values fail to cluster at this scale"
+    )
+
+
 def test_scan_window_start_pin():
     assert scan_window_start(SPACE, one_over_n(), F(0), F(1, 8), 64, 8192) == 9
-
-
-def test_least_index_below():
-    assert least_index_below(Q, lambda n: F(1, n), F(1, 8)) == 9
-    with pytest.raises(ValueError, match="no index up to 64"):
-        least_index_below(Q, lambda n: F(1), F(1, 2), max_index=64)
 
 
 def geometric_partials():
@@ -222,6 +228,30 @@ def test_subseq_rescue_requires_increasing_indices():
     csub = constant_cert(SPACE, F(1))
     with pytest.raises(ValueError):
         subseq_rescue(cc, sub, csub)
+
+
+def test_constructors_need_the_codomain_density_witness_first():
+    q = replace(Q, density=None)
+    space = replace(SPACE, codomain=q)
+    c = ConvCert(space, one_over_n(), F(0), lambda eps: math.ceil(1 / eps) + 1)
+    with pytest.raises(CapabilityError, match="Q has no density witness"):
+        conv_to_cauchy(c)
+    with pytest.raises(CapabilityError, match="Q has no density witness"):
+        add_certs(c, c, q)
+    # the index map is not increasing, but the missing witness is found first
+    cauchy = CauchyCert(space, one_over_n(), lambda eps: 1)
+    with pytest.raises(CapabilityError, match="Q has no density witness"):
+        subseq_rescue(cauchy, SubseqMap("const", lambda k: 1), c)
+
+
+def test_prod_certs_needs_the_codomain_shrink_witness():
+    pnr = replace(PNR, codomain=replace(Q, shrink=None))
+    one_minus = ConvCert(SPACE, Seq("1-1/n", lambda n: 1 - F(1, n)), F(1),
+                         lambda eps: math.ceil(1 / eps) + 1)
+    # a nonzero limit shrinks against its norm; a zero limit against a bound
+    for cy in (one_minus, harmonic_cert()):
+        with pytest.raises(CapabilityError, match="Q has no shrink witness"):
+            prod_certs(harmonic_cert(), cy, pnr)
 
 
 def test_zero_times_bounded():

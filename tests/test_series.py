@@ -1,10 +1,12 @@
 """Series machinery: partial sums, condensation, geometric sums, inequalities."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from ordalab import (
+    CapabilityError,
     MonotoneKind,
     Seq,
     Series,
@@ -145,6 +147,13 @@ def test_geometric_cert_rejects_a_wrong_inverse():
     c0 = scanned_conv_cert(SPACE, powers, F(0))
     with pytest.raises(ValueError):
         geometric_cert(Q, SPACE, F(1, 2), c0, F(3))
+
+
+def test_geometric_cert_needs_a_shrink_witness():
+    powers = Seq("pow(1/2)", lambda n: F(1, 2) ** n)
+    c0 = scanned_conv_cert(SPACE, powers, F(0))
+    with pytest.raises(CapabilityError, match="Q has no shrink witness"):
+        geometric_cert(replace(Q, shrink=None), SPACE, F(1, 2), c0, F(2))
 
 
 def test_geometric_cert_over_rational_functions():

@@ -35,6 +35,14 @@ def test_run_config_defaults():
     assert cfg.seed == 0
 
 
+def test_run_config_rejects_bools():
+    # True is an int to isinstance, but it would seed the rng as "True:..."
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        RunConfig(structure="Q", suite="bernoulli", seed=True)
+    with pytest.raises(ValueError, match="horizon must be a positive integer"):
+        RunConfig(structure="Q", horizon=True)
+
+
 def test_unknown_suite_is_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite(RunConfig(structure="Q", suite="nope"))
