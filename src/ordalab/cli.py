@@ -155,13 +155,16 @@ def _cert_check(col: _Collector, check_id: str, anchor: str, cert, grid,
     """Echo the modulus at each grid epsilon, then re-verify the windows.
 
     A modulus that cannot be produced (the scan found no stable window) is
-    a violation: the claim fails at that scale."""
+    a violation: the claim fails at that scale.  A term that cannot be
+    evaluated is bad input, not a failed claim, and propagates."""
     violations: list[Violation] = []
     echoes: list[str] = []
     good = []
     for eps in grid:
         try:
             n = cert.modulus(eps)
+        except EvalError:
+            raise
         except ValueError as exc:
             violations.append(Violation("modulus.window", (eps,), str(exc)))
             continue

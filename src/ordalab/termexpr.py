@@ -311,7 +311,13 @@ def eval_term(node: Node, handle: StructureHandle, n: int) -> Element:
             den = go(node.right)
             if handle.eq(den, handle.identity):
                 raise EvalError(f"division by zero at n={n}")
-            return handle.mul(go(node.left), handle.invert(den))
+            num = go(node.left)
+            try:
+                inverse = handle.invert(den)
+            except ValueError as exc:
+                # a nonzero element without an inverse in this carrier
+                raise EvalError(str(exc)) from exc
+            return handle.mul(num, inverse)
         if isinstance(node, PowNat):
             return nat_pow(handle, go(node.base), node.exponent)
         if isinstance(node, PowIndex):

@@ -54,7 +54,8 @@ def _cases() -> list[tuple[str, list[str]]]:
            ["check", key, "--suite", "all", "--grid", "1/3,1/9", "--horizon", "8",
             "--seed", "1"])
           for key in ("Q", "Z[1/3]", "Z(X)", "Q(i)")),
-        # violating runs (exit 1)
+        # violating runs (exit 1); the shifted harmonic has no term at n=1
+        # and exits 2 since term-evaluation errors count as bad input
         ("violation-Q-shifted-harmonic", _series("1/(n-1)", "Q", "zero-limit")),
         ("violation-Q-harmonic-fine-grid",
          _series("1/n", "Q", "zero-limit", "--grid", "1/2,1/10000")),

@@ -122,6 +122,18 @@ def test_series_value_error_exits_two(capsys):
     assert "no inverse" in err
 
 
+@pytest.mark.parametrize("expr, structure, message", [
+    ("1/(n-1)", "Q", "error: division by zero at n=1\n"),
+    ("1/2^n", "Z", "error: 2 has no inverse among the integers\n"),
+])
+def test_series_term_evaluation_error_exits_two(capsys, expr, structure, message):
+    # a term with no value is bad input, not a limit that fails to hold
+    code, out, err = run(
+        capsys, ["series", expr, "--structure", structure, "--test", "zero-limit"]
+    )
+    assert (code, out, err) == (2, "", message)
+
+
 def test_series_capability_error_exits_three(capsys):
     code, _, err = run(
         capsys, ["series", "1/2^n", "--structure", "trop", "--test", "geometric"]

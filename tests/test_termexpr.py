@@ -84,6 +84,11 @@ def test_eval_errors():
         eval_term(parse_term_expr("1/(n-2)"), Q, 2)
 
 
+def test_a_missing_inverse_is_an_eval_error():
+    with pytest.raises(EvalError, match="^2 has no inverse among the integers$"):
+        eval_term(parse_term_expr("1/2^n"), lookup("Z"), 1)
+
+
 def test_errors_are_value_errors():
     assert issubclass(TermError, ValueError)
     assert issubclass(EvalError, ValueError)
