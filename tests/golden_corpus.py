@@ -68,6 +68,17 @@ def _cases() -> list[tuple[str, list[str]]]:
         # bad input (exit 2)
         ("error-Q-not-geometric", _series("1/n", "Q", "geometric")),
         ("error-Z-no-inverse", _series("1/2^n", "Z", "geometric")),
+        # a missing capability (exit 3) and terms that do not decrease (exit 2)
+        ("unverifiable-Qi-alternating", _series("1/2^n", "Q(i)", "alternating")),
+        ("error-Q-increasing-condensation", _series("n", "Q", "condensation")),
+        ("unverifiable-trop-condensation", _series("1/2^n", "trop", "condensation")),
+        # the three certificate tests over Z(X) at a short horizon
+        ("series-ZX-alternating", _series("1/(X+1)^n", "Z(X)", "alternating", "--horizon", "3")),
+        ("series-ZX-condensation", _series("1/X^n", "Z(X)", "condensation", "--horizon", "3")),
+        ("series-ZX-geometric", _series("1/X^n", "Z(X)", "geometric", "--horizon", "3")),
+        # a negative horizon
+        ("series-Q-negative-horizon",
+         _series("n", "Q", "zero-limit", "--horizon=-5", "--grid", "1/2")),
     ]
     return out
 
