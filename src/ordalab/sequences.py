@@ -279,7 +279,9 @@ def add_certs(cx: ConvCert, cy: ConvCert, carrier: StructureHandle) -> ConvCert:
     """Sum of convergent sequences converges to the sum of limits.
 
     Works in an abelian group whose metric is norm-induced; the modulus
-    splits eps and charges one part to each summand.
+    splits eps and charges one part to each summand.  The split is applied
+    to distances, so the density witness comes from the space's codomain;
+    carrier only adds the terms and limits.
     """
     space = _same_space(cx.space, cy.space)
     carrier.require("group", "commutative_add")
@@ -289,7 +291,10 @@ def add_certs(cx: ConvCert, cy: ConvCert, carrier: StructureHandle) -> ConvCert:
 
 
 def cauchy_sum(cx: CauchyCert, cy: CauchyCert, carrier: StructureHandle) -> CauchyCert:
-    """Termwise sum of Cauchy sequences is Cauchy (same split pattern)."""
+    """Termwise sum of Cauchy sequences is Cauchy (same split pattern).
+
+    As in add_certs, the density witness comes from the space's codomain
+    and carrier only adds the terms."""
     space = _same_space(cx.space, cy.space)
     carrier.require("group", "commutative_add")
     modulus = _split_max(space.codomain, cx.modulus, cy.modulus)

@@ -131,6 +131,18 @@ def test_swapped_order_breaks_compatibility():
     first = violations[0]
     assert first.law == "order.compatibility.op-right"
     assert first.values == (0, 1, 1, 1, 2)
+    # the whole list: each failing pair and scalar, right side before left
+    assert [(v.law, v.values) for v in violations] == [
+        (f"order.compatibility.{op}-{side}", values)
+        for op, values in (
+            ("op", (0, 1, 1, 1, 2)), ("op", (2, 1, 1, 3, 2)), ("op", (2, 1, 2, 4, 3)),
+            ("op", (2, 1, 3, 5, 4)), ("op", (2, 1, -1, 1, 0)), ("op", (2, 3, -1, 1, 2)),
+            ("op", (-1, 0, 2, 1, 2)), ("mul", (2, 1, 2, 4, 2)), ("mul", (2, 1, 3, 6, 3)),
+        )
+        for side in ("right", "left")
+    ]
+    assert violations[1].note == "0 vs 1 with 1 on the left"
+    assert violations[-1].note == "2 vs 1 scaled by 3 on the left"
 
 
 def test_is_prime():

@@ -18,6 +18,7 @@ from ordalab import (
     add_certs,
     apart_tail,
     bounded_from_cert,
+    cauchy_sum,
     check_monotone,
     constant_cert,
     conv_to_cauchy,
@@ -242,6 +243,23 @@ def test_constructors_need_the_codomain_density_witness_first():
     cauchy = CauchyCert(space, one_over_n(), lambda eps: 1)
     with pytest.raises(CapabilityError, match="Q has no density witness"):
         subseq_rescue(cauchy, SubseqMap("const", lambda k: 1), c)
+
+
+def test_sums_take_the_split_from_the_codomain():
+    # the split is applied to distances, which live in the space's codomain;
+    # the carrier handle only adds the terms
+    bare = replace(Q, density=None)
+    c = harmonic_cert()
+    cc = conv_to_cauchy(c)
+    for build, cert in ((add_certs, c), (cauchy_sum, cc)):
+        stock, custom = build(cert, cert, Q), build(cert, cert, bare)
+        assert [custom.modulus(eps) for eps in GRID] == [stock.modulus(eps) for eps in GRID]
+    space = replace(SPACE, codomain=bare)
+    c = ConvCert(space, one_over_n(), F(0), lambda eps: math.ceil(1 / eps) + 1)
+    cc = CauchyCert(space, one_over_n(), lambda eps: math.ceil(2 / eps) + 1)
+    for build, cert in ((add_certs, c), (cauchy_sum, cc)):
+        with pytest.raises(CapabilityError, match="Q has no density witness"):
+            build(cert, cert, Q)
 
 
 def test_prod_certs_needs_the_codomain_shrink_witness():
