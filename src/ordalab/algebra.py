@@ -36,13 +36,12 @@ class PseudonormedRing:
     codomain: StructureHandle
     norm: Callable[[Element], Element]
     strict: bool = False
-    sample: tuple = ()
 
 
 def verify_pseudonorm(p: PseudonormedRing, sample: Sequence | None = None) -> list[Violation]:
     """Exact check of definiteness, subadditivity, and (sub)multiplicativity."""
     r, m = p.ring, p.codomain
-    sample = tuple(sample if sample is not None else p.sample)
+    sample = tuple(sample if sample is not None else r.sample)
     out: list[Violation] = []
     for a in sample:
         na = p.norm(a)

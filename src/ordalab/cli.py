@@ -11,39 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import fields as dataclass_fields
 from typing import Sequence
 
-from . import algebra as _algebra
-from .instances import lookup, registry
-from .order import CapabilityError, Violation, nat_pow
+from .instances import registry
+from .order import CapabilityError
 from .report import CheckRecord, exit_code, render_json_lines, render_text
-from .sequences import (
-    scanned_cauchy_cert,
-    scanned_conv_cert,
-    verify_cauchy_cert,
-    verify_conv_cert,
-)
-from .series import (
-    MonotoneKind,
-    Series,
-    alternating_cauchy,
-    check_monotone,
-    condense,
-    geometric_cert,
-)
-from .suites import (
-    RunConfig,
-    SUITE_NAMES,
-    _albert_record,
-    _Collector,
-    _first_metric,
-    resolve_grid,
-    run_suite,
-)
-from .termexpr import EvalError, TermError, seq_from_expr
+from .suites import RunConfig, SUITE_NAMES, run_algebra, run_series, run_suite
 
 _CONFIG_KEYS = ("structure", "suite", "grid", "horizon", "seed")
 
@@ -150,92 +125,6 @@ def _cmd_check(args) -> list[CheckRecord]:
                                horizon=horizon, seed=seed))
 
 
-def _cert_check(col: _Collector, check_id: str, anchor: str, cert, grid,
-                horizon: int, verify, mfmt) -> None:
-    """Echo the modulus at each grid epsilon, then re-verify the windows.
-
-    A modulus that cannot be produced (the scan found no stable window) is
-    a violation: the claim fails at that scale.  A term that cannot be
-    evaluated is bad input, not a failed claim, and propagates."""
-    violations: list[Violation] = []
-    echoes: list[str] = []
-    good = []
-    for eps in grid:
-        try:
-            n = cert.modulus(eps)
-        except EvalError:
-            raise
-        except ValueError as exc:
-            violations.append(Violation("modulus.window", (eps,), str(exc)))
-            continue
-        echoes.append(f"N({mfmt(eps)})={n}")
-        good.append(eps)
-    if good:
-        violations.extend(verify(cert, good, horizon))
-    col.emit(check_id, anchor, violations, echoes, mfmt)
-
-
-def _cmd_series(args) -> list[CheckRecord]:
-    handle = lookup(args.structure)
-    seq = seq_from_expr(args.expr, handle)
-    space = _first_metric(handle)
-    m = space.codomain
-    grid = resolve_grid(m, _grid_arg(args.grid))
-    h = args.horizon
-    mfmt = m.fmt
-    col = _Collector("series", handle)
-
-    if args.test == "zero-limit":
-        c = scanned_conv_cert(space, seq, handle.identity, horizon=h)
-        _cert_check(col, "series.zero-limit", "limit.zero", c, grid, h,
-                    verify_conv_cert, mfmt)
-
-    elif args.test == "condensation":
-        handle.require("ring", "total_order")
-        mono = check_monotone(handle, seq, MonotoneKind.DECREASING_POSITIVE, 32)
-        partials = Series(handle, seq).partials
-        base = scanned_cauchy_cert(space, partials, horizon=min(h, 16))
-        fwd = condense(handle, space, seq, mono, base, "forward")
-        _cert_check(col, "series.condensation.forward", "series.condensation",
-                    fwd, grid, min(8, h), verify_cauchy_cert, mfmt)
-        back = condense(handle, space, seq, mono, fwd, "backward")
-        _cert_check(col, "series.condensation.backward", "series.condensation",
-                    back, grid, h, verify_cauchy_cert, mfmt)
-
-    elif args.test == "alternating":
-        handle.require("ring", "total_order")
-        mono = check_monotone(handle, seq,
-                              MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
-        c0 = scanned_conv_cert(space, seq, handle.identity, horizon=h)
-        alt = alternating_cauchy(handle, space, seq, mono, c0)
-        _cert_check(col, "series.alternating", "series.alternating", alt, grid, h,
-                    verify_cauchy_cert, mfmt)
-
-    elif args.test == "geometric":
-        handle.require("ring", "total_order")
-        if handle.invert is None:
-            raise CapabilityError(f"{handle.name} has no multiplicative inverses")
-        r = seq(1)
-        for k in range(1, 7):
-            if not handle.eq(seq(k), nat_pow(handle, r, k)):
-                raise ValueError(
-                    f"{seq.name} is not the power sequence of {handle.fmt(r)} "
-                    f"(index {k})"
-                )
-        inv = handle.invert(handle.sub(handle.one, r))
-        c0 = scanned_conv_cert(space, seq, handle.identity, horizon=h)
-        g = geometric_cert(handle, space, r, c0, inv)
-        _cert_check(col, "series.geometric", "series.geometric", g, grid, h,
-                    verify_conv_cert, mfmt)
-
-    return sorted(col.records, key=lambda rec: rec.check_id)
-
-
-def _cmd_algebra(args) -> list[CheckRecord]:
-    alg = _algebra.load_algebra_table(args.table)
-    return [_albert_record(alg, random.Random(f"{args.seed}:albert:{alg.name}"), 32)]
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -245,19 +134,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "check":
             records = _cmd_check(args)
         elif args.command == "series":
-            records = _cmd_series(args)
+            records = run_series(args.structure, args.expr, args.test,
+                                 _grid_arg(args.grid), args.horizon)
         else:
-            records = _cmd_algebra(args)
+            records = run_algebra(args.table, args.seed)
     except CapabilityError as exc:
         print(f"unverifiable: {exc}", file=sys.stderr)
         return 3
-    except (TermError, EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # term syntax and evaluation errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = render_json_lines(records) if args.format == "json" else render_text(records)

@@ -500,7 +500,6 @@ def _attach_spaces(reg: dict[str, StructureHandle]) -> None:
             codomain=s,
             norm=lambda x: absolute_value(s, x),
             strict=True,
-            sample=s.sample,
         )
 
     for key in ("Q", "Z", "Z[1/2]", "Z[1/3]", "Z(X)"):
@@ -520,7 +519,6 @@ def _attach_spaces(reg: dict[str, StructureHandle]) -> None:
             codomain=g0,
             norm=lambda x, p=p: padic_norm(x, p),
             strict=True,
-            sample=reg["Q"].sample,
         )
         for p in (2, 3, 5)
     )
@@ -538,8 +536,7 @@ def _attach_spaces(reg: dict[str, StructureHandle]) -> None:
         return (abs(a), F(0)) if a else (0, abs(q))
 
     lex_ng = _metric.NormedGroup(
-        name="lex.lead", group=lex, codomain=lex, norm=lex_lead_norm,
-        sample=lex.sample,
+        name="lex.lead", group=lex, codomain=lex, norm=lex_lead_norm
     )
     reg["lex"] = replace(lex, metrics=(induced_metric(lex_ng),), norms=(lex_ng,))
 
@@ -550,11 +547,10 @@ def _attach_spaces(reg: dict[str, StructureHandle]) -> None:
         return abs(z[0]) + abs(z[1])
 
     qi_norm = _metric.NormedGroup(
-        name="Q(i).taxicab", group=qi, codomain=q, norm=taxicab, sample=qi.sample
+        name="Q(i).taxicab", group=qi, codomain=q, norm=taxicab
     )
     qi_pnorm = PseudonormedRing(
-        name="Q(i).taxicab", ring=qi, codomain=q, norm=taxicab,
-        strict=False, sample=qi.sample,
+        name="Q(i).taxicab", ring=qi, codomain=q, norm=taxicab, strict=False
     )
     reg["Q(i)"] = replace(
         qi, metrics=(induced_metric(qi_norm),), norms=(qi_norm,), pnorms=(qi_pnorm,)

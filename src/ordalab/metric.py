@@ -10,7 +10,6 @@ its induced metric is d(g, h) = norm(g - h).
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -29,7 +28,6 @@ class MetricSpace:
     codomain: StructureHandle
     distance: Callable[[Any, Any], Element]
     points: tuple = ()
-    point_eq: Callable[[Any, Any], bool] = operator.eq
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,6 @@ class NormedGroup:
     group: StructureHandle
     codomain: StructureHandle
     norm: Callable[[Element], Element]
-    sample: tuple = ()
 
 
 def absolute_value(s: StructureHandle, x: Element) -> Element:
@@ -71,7 +68,6 @@ def absolute_value_norm(s: StructureHandle) -> NormedGroup:
         group=s,
         codomain=s,
         norm=lambda x: absolute_value(s, x),
-        sample=tuple(s.sample),
     )
 
 
@@ -86,7 +82,7 @@ def induced_metric(ng: NormedGroup) -> MetricSpace:
         name=f"{ng.name}.induced",
         codomain=ng.codomain,
         distance=d,
-        points=ng.sample,
+        points=tuple(ng.group.sample),
     )
 
 
@@ -113,12 +109,7 @@ def product_metric(name: str, spaces: Sequence[MetricSpace]) -> MetricSpace:
         per_factor += 1
     per_factor = max(2, per_factor)
     pts = tuple(itertools.product(*(sp.points[:per_factor] for sp in spaces)))
-
-    def eq(xs, ys):
-        return all(sp.point_eq(x, y) for sp, x, y in zip(spaces, xs, ys))
-
-    return MetricSpace(name=name, codomain=codomain, distance=d,
-                       points=pts, point_eq=eq)
+    return MetricSpace(name=name, codomain=codomain, distance=d, points=pts)
 
 
 def verify_metric(space: MetricSpace, triples: Iterable[tuple] | None = None) -> list[Violation]:
@@ -136,7 +127,7 @@ def verify_metric(space: MetricSpace, triples: Iterable[tuple] | None = None) ->
             dxy = space.distance(x, y)
             if m.compare(m.identity, dxy) not in (OrderResult.LESS, OrderResult.EQUAL):
                 out.append(Violation("metric.nonneg", (x, y, dxy)))
-            same = space.point_eq(x, y)
+            same = x == y
             iszero = m.eq(dxy, m.identity)
             if same != iszero:
                 out.append(Violation("metric.identity", (x, y, dxy)))
@@ -170,7 +161,7 @@ def verify_norm(ng: NormedGroup) -> list[Violation]:
     the reverse triangle inequality.
     """
     g, m = ng.group, ng.codomain
-    sample = tuple(ng.sample)
+    sample = tuple(ng.group.sample)
     out: list[Violation] = []
     for a in sample:
         na = ng.norm(a)

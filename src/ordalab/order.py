@@ -431,41 +431,23 @@ def verify_compatibility(
     sample = tuple(sample if sample is not None else s.sample)
     strict = s.strict_compat
     rel = s.lt if strict else s.le
-    out: list[Violation] = []
-    for a, b in _pairs_lt(s, sample, strict):
-        for c in sample:
-            left_a, left_b = s.op(a, c), s.op(b, c)
-            if not rel(left_a, left_b):
-                out.append(Violation(
-                    "order.compatibility.op-right",
-                    (a, b, c, left_a, left_b),
-                    f"{s.fmt(a)} vs {s.fmt(b)} with {s.fmt(c)} on the right",
-                ))
-            right_a, right_b = s.op(c, a), s.op(c, b)
-            if not rel(right_a, right_b):
-                out.append(Violation(
-                    "order.compatibility.op-left",
-                    (a, b, c, right_a, right_b),
-                    f"{s.fmt(a)} vs {s.fmt(b)} with {s.fmt(c)} on the left",
-                ))
+    # (law prefix, operation, elements c to combine with, wording)
+    laws = [("op", s.op, sample, "with")]
     if s.second_op is not None:
         cone = [c for c in sample if (s.is_positive(c) if strict else s.is_nonnegative(c))]
+        laws.append(("mul", s.second_op, cone, "scaled by"))
+    out: list[Violation] = []
+    for prefix, f, others, wording in laws:
         for a, b in _pairs_lt(s, sample, strict):
-            for c in cone:
-                left_a, left_b = s.second_op(a, c), s.second_op(b, c)
-                if not rel(left_a, left_b):
-                    out.append(Violation(
-                        "order.compatibility.mul-right",
-                        (a, b, c, left_a, left_b),
-                        f"{s.fmt(a)} vs {s.fmt(b)} scaled by {s.fmt(c)} on the right",
-                    ))
-                right_a, right_b = s.second_op(c, a), s.second_op(c, b)
-                if not rel(right_a, right_b):
-                    out.append(Violation(
-                        "order.compatibility.mul-left",
-                        (a, b, c, right_a, right_b),
-                        f"{s.fmt(a)} vs {s.fmt(b)} scaled by {s.fmt(c)} on the left",
-                    ))
+            for c in others:
+                for side, x, y in (("right", (a, c), (b, c)), ("left", (c, a), (c, b))):
+                    fx, fy = f(*x), f(*y)
+                    if not rel(fx, fy):
+                        out.append(Violation(
+                            f"order.compatibility.{prefix}-{side}",
+                            (a, b, c, fx, fy),
+                            f"{s.fmt(a)} vs {s.fmt(b)} {wording} {s.fmt(c)} on the {side}",
+                        ))
     return out
 
 

@@ -68,7 +68,6 @@ class ConvCert:
     seq: Seq
     limit: Element
     modulus: Callable[[Element], int]
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,6 @@ class CauchyCert:
     space: MetricSpace
     seq: Seq
     modulus: Callable[[Element], int]
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -212,14 +210,14 @@ def _split_max(
 
 def constant_cert(space: MetricSpace, value: Element, name: str = "const") -> ConvCert:
     seq = Seq(name, lambda n: value)
-    return ConvCert(space, seq, value, lambda eps: 1, note="constant sequence")
+    return ConvCert(space, seq, value, lambda eps: 1)
 
 
 def conv_to_cauchy(cert: ConvCert) -> CauchyCert:
     """Convergent implies Cauchy over a dense codomain: route both sides of
     a pair through the limit, splitting eps into beta + gamma."""
     modulus = _split_max(cert.space.codomain, cert.modulus, cert.modulus)
-    return CauchyCert(cert.space, cert.seq, modulus, note="triangle through the limit")
+    return CauchyCert(cert.space, cert.seq, modulus)
 
 
 def shift_cert(cert: ConvCert, k: int) -> ConvCert:
@@ -227,11 +225,8 @@ def shift_cert(cert: ConvCert, k: int) -> ConvCert:
     if k < 0:
         raise ValueError("shift must be nonnegative")
     shifted = Seq(f"{cert.seq.name}<<{k}", lambda n: cert.seq(n + k))
-    return ConvCert(
-        cert.space, shifted, cert.limit,
-        lambda eps: max(1, _modulus_at(cert.modulus, eps) - k),
-        note=f"shift by {k}",
-    )
+    return ConvCert(cert.space, shifted, cert.limit,
+                    lambda eps: max(1, _modulus_at(cert.modulus, eps) - k))
 
 
 def unshift_cert(cert: ConvCert, original: Seq, k: int) -> ConvCert:
@@ -240,18 +235,14 @@ def unshift_cert(cert: ConvCert, original: Seq, k: int) -> ConvCert:
     the first 16 indices."""
     if k < 0:
         raise ValueError("shift must be nonnegative")
-    eq = cert.space.point_eq
     for n in range(1, 17):
-        if not eq(original(n + k), cert.seq(n)):
+        if original(n + k) != cert.seq(n):
             raise ValueError(
                 f"{original.name} is not a {k}-step unshift of {cert.seq.name} "
                 f"(mismatch at index {n + k})"
             )
-    return ConvCert(
-        cert.space, original, cert.limit,
-        lambda eps: _modulus_at(cert.modulus, eps) + k,
-        note=f"unshift by {k}",
-    )
+    return ConvCert(cert.space, original, cert.limit,
+                    lambda eps: _modulus_at(cert.modulus, eps) + k)
 
 
 def negate_cert(cert: ConvCert, carrier: StructureHandle) -> ConvCert:
@@ -260,8 +251,7 @@ def negate_cert(cert: ConvCert, carrier: StructureHandle) -> ConvCert:
     if carrier.negate is None:
         raise CapabilityError(f"{carrier.name} has no additive inverses")
     seq = Seq(f"-({cert.seq.name})", lambda n: carrier.negate(cert.seq(n)))
-    return ConvCert(cert.space, seq, carrier.negate(cert.limit), cert.modulus,
-                    note="termwise negation")
+    return ConvCert(cert.space, seq, carrier.negate(cert.limit), cert.modulus)
 
 
 def _same_space(a: MetricSpace, b: MetricSpace) -> MetricSpace:
@@ -287,7 +277,7 @@ def add_certs(cx: ConvCert, cy: ConvCert, carrier: StructureHandle) -> ConvCert:
     carrier.require("group", "commutative_add")
     modulus = _split_max(space.codomain, cx.modulus, cy.modulus)
     return ConvCert(space, _sum_seq(cx, cy, carrier), carrier.op(cx.limit, cy.limit),
-                    modulus, note="sum of certificates")
+                    modulus)
 
 
 def cauchy_sum(cx: CauchyCert, cy: CauchyCert, carrier: StructureHandle) -> CauchyCert:
@@ -298,8 +288,7 @@ def cauchy_sum(cx: CauchyCert, cy: CauchyCert, carrier: StructureHandle) -> Cauc
     space = _same_space(cx.space, cy.space)
     carrier.require("group", "commutative_add")
     modulus = _split_max(space.codomain, cx.modulus, cy.modulus)
-    return CauchyCert(space, _sum_seq(cx, cy, carrier), modulus,
-                      note="sum of Cauchy certificates")
+    return CauchyCert(space, _sum_seq(cx, cy, carrier), modulus)
 
 
 def bounded_from_cert(cert: ConvCert | CauchyCert, eps0: Element) -> Element:
@@ -371,8 +360,8 @@ def zero_times_bounded(
         # bound 0 forces every y_n to be 0; both products vanish identically
         trivial = lambda eps: 1
         return (
-            ConvCert(space, left_seq, ring.identity, trivial, note="zero bound"),
-            ConvCert(space, right_seq, ring.identity, trivial, note="zero bound"),
+            ConvCert(space, left_seq, ring.identity, trivial),
+            ConvCert(space, right_seq, ring.identity, trivial),
         )
     if not m.is_positive(bound):
         raise ValueError(f"{m.name}: bound {m.fmt(bound)} is not nonnegative")
@@ -388,10 +377,8 @@ def zero_times_bounded(
         return _modulus_at(c_zero.modulus, e_r)
 
     return (
-        ConvCert(space, left_seq, ring.identity, left_modulus,
-                 note="zero factor on the left"),
-        ConvCert(space, right_seq, ring.identity, right_modulus,
-                 note="zero factor on the right"),
+        ConvCert(space, left_seq, ring.identity, left_modulus),
+        ConvCert(space, right_seq, ring.identity, right_modulus),
     )
 
 
@@ -432,8 +419,7 @@ def prod_certs(
         m_l = w_s.shrink(gamma, norm_b)[0]  # m_l * norm_b < gamma
         return max(_modulus_at(cy.modulus, k_r), _modulus_at(cx.modulus, m_l))
 
-    return ConvCert(space, seq, ring.mul(a, b), modulus,
-                    note="product of certificates")
+    return ConvCert(space, seq, ring.mul(a, b), modulus)
 
 
 def subseq_rescue(
@@ -455,16 +441,14 @@ def subseq_rescue(
                 f"{sub.name}: index map is not strictly increasing at k={k}"
             )
         prev = nk
-    eq = space.point_eq
     for k in range(1, 9):
-        if not eq(csub.seq(k), cauchy.seq(sub.index(k))):
+        if csub.seq(k) != cauchy.seq(sub.index(k)):
             raise ValueError(
                 f"{csub.seq.name} does not sample {cauchy.seq.name} "
                 f"through {sub.name} (mismatch at k={k})"
             )
 
-    return ConvCert(space, cauchy.seq, csub.limit, modulus,
-                    note=f"rescued through {sub.name}")
+    return ConvCert(space, cauchy.seq, csub.limit, modulus)
 
 
 def validate_apart_witness(witness: ApartFromZeroWitness, ng: NormedGroup, x: Seq) -> None:
@@ -550,9 +534,8 @@ def refute_distinct_limits(ca: ConvCert, cb: ConvCert) -> RefutationRecord:
     space = _same_space(ca.space, cb.space)
     s = space.codomain
     w = split_witness(s, None)
-    eq = space.point_eq
     for n in range(1, 9):
-        if not eq(ca.seq(n), cb.seq(n)):
+        if ca.seq(n) != cb.seq(n):
             raise ValueError("certificates disagree about the sequence itself")
 
     eps = space.distance(ca.limit, cb.limit)
@@ -633,7 +616,7 @@ def scanned_conv_cert(
         lambda eps: f"{seq.name}: no index window up to {_MAX_INDEX} stays "
                     f"below {s.fmt(eps)}; the claimed limit fails at this scale",
     )
-    return ConvCert(space, seq, limit, modulus, note="modulus found by scan")
+    return ConvCert(space, seq, limit, modulus)
 
 
 def scan_cauchy_window_start(
@@ -673,4 +656,4 @@ def scanned_cauchy_cert(space: MetricSpace, seq: Seq, horizon: int = 64) -> Cauc
                     f"pairwise gaps below {s.fmt(eps)}; the values fail to "
                     f"cluster at this scale",
     )
-    return CauchyCert(space, seq, modulus, note="modulus found by scan")
+    return CauchyCert(space, seq, modulus)

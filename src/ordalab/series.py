@@ -111,14 +111,9 @@ def check_monotone(
     return MonotoneEvidence(kind, up_to)
 
 
-def _recheck_monotone(handle: StructureHandle, x: Seq, mono: MonotoneEvidence) -> None:
-    check_monotone(handle, x, mono.kind, mono.checked_up_to)
-
-
-def _sample_agree(space: MetricSpace, a: Seq, b: Callable[[int], Element], upto: int, what: str) -> None:
-    eq = space.point_eq
+def _sample_agree(a: Seq, b: Callable[[int], Element], upto: int, what: str) -> None:
     for k in range(1, upto + 1):
-        if not eq(a(k), b(k)):
+        if a(k) != b(k):
             raise ValueError(f"{a.name}: {what} (mismatch at index {k})")
 
 
@@ -187,20 +182,17 @@ def alternating_cauchy(
     handle.require("ring", "total_order")
     if mono.kind is not MonotoneKind.STRICTLY_DECREASING_POSITIVE:
         raise ValueError("alternating series needs strictly decreasing positive terms")
-    _recheck_monotone(handle, x, mono)
+    check_monotone(handle, x, mono.kind, mono.checked_up_to)
     if not handle.eq(c0.limit, handle.identity):
         raise ValueError(f"{c0.seq.name} does not carry a zero limit")
-    _sample_agree(space, c0.seq, x, 8, "zero-limit certificate is for a different sequence")
+    _sample_agree(c0.seq, x, 8, "zero-limit certificate is for a different sequence")
 
     signed = Seq(
         f"alt({x.name})",
         lambda i: x(i) if i % 2 == 1 else handle.negate(x(i)),
     )
     partials = Series(handle, signed).partials
-    return CauchyCert(
-        space, partials, lambda eps: _modulus_at(c0.modulus, eps),
-        note="alternating pair collapse",
-    )
+    return CauchyCert(space, partials, lambda eps: _modulus_at(c0.modulus, eps))
 
 
 def squeeze_cauchy(
@@ -230,7 +222,7 @@ def squeeze_cauchy(
     def modulus(eps: Element) -> int:
         return max(n1, _modulus_at(cx.modulus, eps), _modulus_at(cz.modulus, eps))
 
-    return CauchyCert(space, partials, modulus, note=f"squeezed from index {n1}")
+    return CauchyCert(space, partials, modulus)
 
 
 def condensed_terms(handle: StructureHandle, x: Seq) -> Seq:
@@ -269,13 +261,13 @@ def condense(
         MonotoneKind.STRICTLY_DECREASING_POSITIVE,
     ):
         raise ValueError("condensation needs decreasing positive terms")
-    _recheck_monotone(handle, x, mono)
+    check_monotone(handle, x, mono.kind, mono.checked_up_to)
 
     base_partials = Series(handle, x).partials
     cond_partials = Series(handle, condensed_terms(handle, x)).partials
 
     if direction == "forward":
-        _sample_agree(space, c.seq, base_partials, 6,
+        _sample_agree(c.seq, base_partials, 6,
                       "certificate is not for this series' partial sums")
 
         def modulus(eps: Element) -> int:
@@ -285,16 +277,16 @@ def condense(
                 k += 1
             return k
 
-        return CauchyCert(space, cond_partials, modulus, note="condensed forward")
+        return CauchyCert(space, cond_partials, modulus)
 
     if direction == "backward":
-        _sample_agree(space, c.seq, cond_partials, 6,
+        _sample_agree(c.seq, cond_partials, 6,
                       "certificate is not for this series' condensed partial sums")
 
         def modulus(eps: Element) -> int:
             return max(1, 2 ** _modulus_at(c.modulus, eps) - 1)
 
-        return CauchyCert(space, base_partials, modulus, note="condensed backward")
+        return CauchyCert(space, base_partials, modulus)
 
     raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
 
@@ -370,7 +362,7 @@ def geometric_cert(
         )
     if not handle.eq(c0.limit, handle.identity):
         raise ValueError(f"{c0.seq.name} does not carry a zero limit")
-    _sample_agree(space, c0.seq, lambda k: nat_pow(handle, r, k), 6,
+    _sample_agree(c0.seq, lambda k: nat_pow(handle, r, k), 6,
                   "power certificate is for a different ratio")
     w_s = shrink_witness(handle)
 
@@ -391,7 +383,7 @@ def geometric_cert(
         e_l = w_s.shrink(eps, bound)[0]
         return max(1, _modulus_at(c0.modulus, e_l) - 1)
 
-    return ConvCert(space, seq, inv, modulus, note="geometric closed form")
+    return ConvCert(space, seq, inv, modulus)
 
 
 def power_limit_is_zero(
@@ -454,8 +446,7 @@ def archimedean_power_modulus(
             )
         return n
 
-    return ConvCert(space, seq, handle.identity, modulus,
-                    note="multiple-exceeds bound")
+    return ConvCert(space, seq, handle.identity, modulus)
 
 
 def ratio_cauchy(
@@ -494,7 +485,7 @@ def ratio_cauchy(
                 raise ValueError(
                     f"{x.name}: first norm vanishes but index {i} does not"
                 )
-        return CauchyCert(space, partials, lambda eps: 1, note="zero series")
+        return CauchyCert(space, partials, lambda eps: 1)
 
     if geo is None:
         raise ValueError("a dominating geometric certificate is required")
@@ -512,7 +503,7 @@ def ratio_cauchy(
             total = p if total is None else m.op(total, p)
         return m.mul(total, c1)
 
-    _sample_agree(geo.space, geo.seq, scaled, 6,
+    _sample_agree(geo.seq, scaled, 6,
                   "geometric certificate does not match the scaled powers")
 
     cg = conv_to_cauchy(geo)
@@ -520,7 +511,7 @@ def ratio_cauchy(
     def modulus(eps: Element) -> int:
         return _modulus_at(cg.modulus, eps) + 1
 
-    return CauchyCert(space, partials, modulus, note="dominated by a geometric series")
+    return CauchyCert(space, partials, modulus)
 
 
 def abs_conv_cauchy(
@@ -537,7 +528,7 @@ def abs_conv_cauchy(
     m.require("group", "total_order", "commutative_add")
     split_witness(m, None)
     norm_partials = _partials(m, Seq(f"norm({x.name})", lambda i: ng.norm(x(i))))
-    _sample_agree(c_abs.space, c_abs.seq, norm_partials, 6,
+    _sample_agree(c_abs.seq, norm_partials, 6,
                   "certificate is not for this sequence's norm sums")
 
     partials = Series(ng.group, x).partials
@@ -551,7 +542,7 @@ def abs_conv_cauchy(
                     f"({a}, {b}]"
                 )
 
-    return CauchyCert(space, partials, c_abs.modulus, note="absolute convergence")
+    return CauchyCert(space, partials, c_abs.modulus)
 
 
 # ---------------------------------------------------------------------------

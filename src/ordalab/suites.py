@@ -1,6 +1,8 @@
 """Named property suites run against a registered structure.
 
-Each suite turns library verifiers into CheckRecords.  A capability the
+Each suite turns library verifiers into CheckRecords, and so do the
+`series` and `algebra` subcommands (run_series, run_algebra): every record
+the workbench reports is built here.  A capability the
 structure lacks makes the affected check (or the whole suite, when nothing
 in it can run) report "unverifiable" rather than failing: not being able
 to pose a question is kept distinct from answering it negatively.
@@ -71,7 +73,7 @@ from .series import (
     tail_bound,
     terms_vanish,
 )
-from .termexpr import eval_term, parse_term_expr
+from .termexpr import EvalError, eval_term, parse_term_expr, seq_from_expr
 
 
 @dataclass(frozen=True)
@@ -162,13 +164,34 @@ class _Collector:
 
         def thunk():
             c = build()
-            return verify(c, grid, horizon), tuple(lead) + _echo_moduli(c, grid, fmt), fmt
+            echoes = tuple(f"N({fmt(eps)})={c.modulus(eps)}" for eps in grid)
+            return verify(c, grid, horizon), tuple(lead) + echoes, fmt
 
         self.block(check_id, anchor, thunk)
 
+    def windows(self, check_id: str, anchor: str, cert, grid, horizon: int,
+                verify, fmt):
+        """Echo cert's modulus at each grid epsilon, then verify the windows.
 
-def _echo_moduli(cert, grid, fmt) -> tuple[str, ...]:
-    return tuple(f"N({fmt(eps)})={cert.modulus(eps)}" for eps in grid)
+        A modulus that cannot be produced (the scan found no stable window)
+        is a violation: the claim fails at that scale.  A term that cannot be
+        evaluated is bad input, not a failed claim, and propagates."""
+        violations: list[Violation] = []
+        echoes: list[str] = []
+        good = []
+        for eps in grid:
+            try:
+                n = cert.modulus(eps)
+            except EvalError:
+                raise
+            except ValueError as exc:
+                violations.append(Violation("modulus.window", (eps,), str(exc)))
+                continue
+            echoes.append(f"N({fmt(eps)})={n}")
+            good.append(eps)
+        if good:
+            violations.extend(verify(cert, good, horizon))
+        self.emit(check_id, anchor, violations, echoes, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +218,9 @@ def _suite_axioms(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
     if handle.join is not None:
         col.emit("axioms.join", "order.join", _join_violations(handle, sample))
     for p in handle.pnorms:
-        ps = p.sample if p.sample else sample
         col.emit(
             f"axioms.pseudonorm.{p.name}", "norm.ring-compatible",
-            _algebra.verify_pseudonorm(p, ps),
+            _algebra.verify_pseudonorm(p),
             fmt=p.codomain.fmt,
         )
     return col.records
@@ -300,17 +322,17 @@ def _suite_metric(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
     return col.records
 
 
-def _first_metric(handle: StructureHandle):
+def _metric_grid(handle: StructureHandle, raw: Sequence[str]):
+    """(handle's first metric space, the epsilon grid of its codomain)."""
     if not handle.metrics:
         raise CapabilityError(f"{handle.name} has no metric space registered")
-    return handle.metrics[0]
+    space = handle.metrics[0]
+    return space, resolve_grid(space.codomain, raw)
 
 
 def _suite_sequence(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
     col = _Collector("sequence", handle)
-    space = _first_metric(handle)
-    m = space.codomain
-    grid = resolve_grid(m, cfg.grid)
+    space, grid = _metric_grid(handle, cfg.grid)
     h = cfg.horizon
     # constants must be points of the metric space: a structure may carry
     # extra elements (a bottom, say) its registered distance does not cover
@@ -319,7 +341,7 @@ def _suite_sequence(handle: StructureHandle, cfg: RunConfig, rng: random.Random)
         raise CapabilityError(f"{handle.name} has no sample points registered")
     v = pool[0]
     c = constant_cert(space, v)
-    mfmt = m.fmt
+    mfmt = space.codomain.fmt
 
     col.cert("sequence.constant", "cauchy.modulus", lambda: c,
              verify_conv_cert, grid, h, mfmt)
@@ -415,16 +437,32 @@ def _stock_ratio(handle: StructureHandle, space, grid, want_inverse: bool):
     )
 
 
+def _alternating(handle: StructureHandle, space, terms: Seq, h: int):
+    """The alternating test's Cauchy certificate for terms, whose strict
+    decrease is checked up to index 32 and whose zero limit is scanned."""
+    handle.require("ring", "total_order")
+    mono = check_monotone(handle, terms, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
+    c0 = scanned_conv_cert(space, terms, handle.identity, horizon=h)
+    return alternating_cauchy(handle, space, terms, mono, c0)
+
+
+def _condensation_base(handle: StructureHandle, space, terms: Seq, h: int):
+    """(decrease evidence up to index 32, scanned Cauchy certificate of the
+    partial sums): what condense needs for its forward direction."""
+    handle.require("ring", "total_order")
+    mono = check_monotone(handle, terms, MonotoneKind.DECREASING_POSITIVE, 32)
+    partials = Series(handle, terms).partials
+    return mono, scanned_cauchy_cert(space, partials, horizon=min(h, 16))
+
+
 def _suite_series(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
     col = _Collector("series", handle)
-    space = _first_metric(handle)
-    m = space.codomain
-    grid = resolve_grid(m, cfg.grid)
+    space, grid = _metric_grid(handle, cfg.grid)
     h = cfg.horizon
     r, terms, inv, _ = _stock_ratio(handle, space, grid, want_inverse=True)
     partials = Series(handle, terms).partials
     c = scanned_conv_cert(space, partials, handle.mul(r, inv), horizon=h)
-    mfmt = m.fmt
+    mfmt = space.codomain.fmt
 
     col.cert("series.partials-converge", "series.partial-sums", lambda: c,
              verify_conv_cert, grid, h, mfmt)
@@ -441,12 +479,8 @@ def _suite_series(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
         return viols, (mfmt(chk.tail_norm), f"N({mfmt(eps)})={n0}"), mfmt
     col.block("series.tail-bound", "series.tail", tail_block)
 
-    def alternating():
-        mono = check_monotone(handle, terms,
-                              MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
-        c0 = scanned_conv_cert(space, terms, handle.identity, horizon=h)
-        return alternating_cauchy(handle, space, terms, mono, c0)
-    col.cert("series.alternating", "series.alternating", alternating,
+    col.cert("series.alternating", "series.alternating",
+             lambda: _alternating(handle, space, terms, h),
              verify_cauchy_cert, grid, h, mfmt)
 
     def squeeze():
@@ -462,14 +496,10 @@ def _suite_series(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
 def _suite_condensation(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
     col = _Collector("condensation", handle)
     handle.require("ring", "total_order")
-    space = _first_metric(handle)
-    m = space.codomain
-    grid = resolve_grid(m, cfg.grid)
+    space, grid = _metric_grid(handle, cfg.grid)
     _, terms, _, symbolic = _stock_ratio(handle, space, grid, want_inverse=False)
-    mono = check_monotone(handle, terms, MonotoneKind.DECREASING_POSITIVE, 32)
-    partials = Series(handle, terms).partials
-    base = scanned_cauchy_cert(space, partials, horizon=min(cfg.horizon, 16))
-    mfmt = m.fmt
+    mono, base = _condensation_base(handle, space, terms, cfg.horizon)
+    mfmt = space.codomain.fmt
     # condensed partial sums reach index 2^n; symbolic terms grow linearly in
     # representation with the index, so their windows stay narrow
     fwd_h = min(cfg.horizon, 3 if symbolic else 8)
@@ -501,11 +531,9 @@ def _suite_geometric(handle: StructureHandle, cfg: RunConfig, rng: random.Random
     handle.require("ring", "total_order")
     if handle.from_rational is None or handle.invert is None:
         raise CapabilityError(f"{handle.name} cannot host the stock ratios")
-    space = _first_metric(handle)
-    m = space.codomain
-    grid = resolve_grid(m, cfg.grid)
+    space, grid = _metric_grid(handle, cfg.grid)
     h = cfg.horizon
-    mfmt = m.fmt
+    mfmt = space.codomain.fmt
     r, _, inv, _ = _stock_ratio(handle, space, grid, want_inverse=True)
     powers = Seq(f"pow({handle.fmt(r)})", lambda n: nat_pow(handle, r, n))
     c0 = scanned_conv_cert(space, powers, handle.identity, horizon=h)
@@ -583,6 +611,13 @@ def _suite_albert(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
     return [_albert_record(algs[name], rng, 24) for name in sorted(algs)]
 
 
+def run_algebra(path: str, seed: int) -> list[CheckRecord]:
+    """The `albert` record of the structure-constant table in the file at
+    path, checked on 32 coefficient vectors drawn from seed."""
+    alg = _algebra.load_algebra_table(path)
+    return [_albert_record(alg, random.Random(f"{seed}:albert:{alg.name}"), 32)]
+
+
 # suite name -> (runner, paper anchor of its capability record), in run order
 _SUITES = {
     "axioms": (_suite_axioms, "magma.laws"),
@@ -613,9 +648,58 @@ def run_suite(cfg: RunConfig) -> list[CheckRecord]:
         try:
             records.extend(run(handle, cfg, rng))
         except CapabilityError:
-            records.append(CheckRecord(
-                suite=name, structure=handle.name,
-                check_id=f"{name}.capability", status=UNVERIFIABLE,
-                witness_values=(), paper_anchor=anchor,
-            ))
+            col = _Collector(name, handle)
+            col.unverifiable(f"{name}.capability", anchor)
+            records.extend(col.records)
     return sorted(records, key=lambda r: r.check_id)
+
+
+def run_series(structure: str, expr: str, test: str, grid: Sequence[str],
+               horizon: int) -> list[CheckRecord]:
+    """One certificate test on the term expression expr over a structure
+    (`ordalab series`); records come back sorted by check id."""
+    handle = lookup(structure)
+    seq = seq_from_expr(expr, handle)
+    space, grid = _metric_grid(handle, grid)
+    mfmt = space.codomain.fmt
+    col = _Collector("series", handle)
+
+    if test == "zero-limit":
+        c = scanned_conv_cert(space, seq, handle.identity, horizon=horizon)
+        col.windows("series.zero-limit", "limit.zero", c, grid, horizon,
+                    verify_conv_cert, mfmt)
+
+    elif test == "condensation":
+        mono, base = _condensation_base(handle, space, seq, horizon)
+        fwd = condense(handle, space, seq, mono, base, "forward")
+        col.windows("series.condensation.forward", "series.condensation",
+                    fwd, grid, min(8, horizon), verify_cauchy_cert, mfmt)
+        back = condense(handle, space, seq, mono, fwd, "backward")
+        col.windows("series.condensation.backward", "series.condensation",
+                    back, grid, horizon, verify_cauchy_cert, mfmt)
+
+    elif test == "alternating":
+        col.windows("series.alternating", "series.alternating",
+                    _alternating(handle, space, seq, horizon), grid, horizon,
+                    verify_cauchy_cert, mfmt)
+
+    elif test == "geometric":
+        handle.require("ring", "total_order")
+        if handle.invert is None:
+            raise CapabilityError(f"{handle.name} has no multiplicative inverses")
+        r = seq(1)
+        for k in range(1, 7):
+            if not handle.eq(seq(k), nat_pow(handle, r, k)):
+                raise ValueError(
+                    f"{seq.name} is not the power sequence of {handle.fmt(r)} "
+                    f"(index {k})"
+                )
+        inv = handle.invert(handle.sub(handle.one, r))
+        c0 = scanned_conv_cert(space, seq, handle.identity, horizon=horizon)
+        col.windows("series.geometric", "series.geometric",
+                    geometric_cert(handle, space, r, c0, inv), grid, horizon,
+                    verify_conv_cert, mfmt)
+
+    else:
+        raise ValueError(f"unknown series test {test!r}")
+    return sorted(col.records, key=lambda rec: rec.check_id)

@@ -59,41 +59,19 @@ class Sym:
 
 
 @dataclass(frozen=True)
-class Add:
+class Bin:
+    op: str  # "+", "-", "*" or "/"
     left: "Node"
     right: "Node"
 
 
 @dataclass(frozen=True)
-class SubExpr:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Div:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class PowNat:
+class Pow:
     base: "Node"
-    exponent: int
+    exponent: int | None  # None: the index n
 
 
-@dataclass(frozen=True)
-class PowIndex:
-    base: "Node"
-
-
-Node = Union[Lit, Index, Sym, Add, SubExpr, Mul, Div, PowNat, PowIndex]
+Node = Union[Lit, Index, Sym, Bin, Pow]
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +146,14 @@ class _Parser:
         node = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.take()
-            rhs = self.term()
-            node = Add(node, rhs) if op.kind == "+" else SubExpr(node, rhs)
+            node = Bin(op.kind, node, self.term())
         return node
 
     def term(self) -> Node:
         node = self.factor()
         while self.peek().kind in ("*", "/"):
             op = self.take()
-            rhs = self.factor()
-            node = Mul(node, rhs) if op.kind == "*" else Div(node, rhs)
+            node = Bin(op.kind, node, self.factor())
         return node
 
     def factor(self) -> Node:
@@ -187,10 +163,10 @@ class _Parser:
             t = self.peek()
             if t.kind == "int":
                 self.take()
-                return PowNat(node, int(t.text))
+                return Pow(node, int(t.text))
             if t.kind == "name" and t.text == "n":
                 self.take()
-                return PowIndex(node)
+                return Pow(node, None)
             got = repr(t.text) if t.kind != "end" else "end of input"
             raise TermError(f"exponent must be a natural number or n, got {got}", t.column)
         return node
@@ -212,7 +188,7 @@ class _Parser:
                 if idx.text != "n":
                     raise TermError("pow's second argument must be n", idx.column)
                 self.expect(")", "')'")
-                return PowIndex(base)
+                return Pow(base, None)
             return Sym(t.text)
         if t.kind == "(":
             self.take()
@@ -237,6 +213,7 @@ def parse_term_expr(src: str) -> Node:
 # pretty printer (parse . pretty == identity on ASTs)
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4
+_BIN_LEVEL = {"+": _LEVEL_ADD, "-": _LEVEL_ADD, "*": _LEVEL_MUL, "/": _LEVEL_MUL}
 
 
 def _render(node: Node, level: int) -> str:
@@ -246,19 +223,12 @@ def _render(node: Node, level: int) -> str:
         return "n"
     if isinstance(node, Sym):
         return node.name
-    if isinstance(node, (Add, SubExpr)):
-        op = "+" if isinstance(node, Add) else "-"
-        text = f"{_render(node.left, _LEVEL_ADD)}{op}{_render(node.right, _LEVEL_ADD + 1)}"
-        own = _LEVEL_ADD
-    elif isinstance(node, (Mul, Div)):
-        op = "*" if isinstance(node, Mul) else "/"
-        text = f"{_render(node.left, _LEVEL_MUL)}{op}{_render(node.right, _LEVEL_MUL + 1)}"
-        own = _LEVEL_MUL
-    elif isinstance(node, PowNat):
-        text = f"{_render(node.base, _LEVEL_ATOM)}^{node.exponent}"
-        own = _LEVEL_POW
-    elif isinstance(node, PowIndex):
-        text = f"{_render(node.base, _LEVEL_ATOM)}^n"
+    if isinstance(node, Bin):
+        own = _BIN_LEVEL[node.op]
+        text = f"{_render(node.left, own)}{node.op}{_render(node.right, own + 1)}"
+    elif isinstance(node, Pow):
+        exponent = "n" if node.exponent is None else node.exponent
+        text = f"{_render(node.base, _LEVEL_ATOM)}^{exponent}"
         own = _LEVEL_POW
     else:
         raise TypeError(f"not a term node: {node!r}")
@@ -295,33 +265,35 @@ def eval_term(node: Node, handle: StructureHandle, n: int) -> Element:
                 raise EvalError(
                     f"{handle.name} does not define the symbol {node.name!r}"
                 ) from None
-        if isinstance(node, Add):
-            return handle.op(go(node.left), go(node.right))
-        if isinstance(node, SubExpr):
-            if handle.negate is None:
-                raise EvalError(f"{handle.name} has no subtraction")
-            return handle.sub(go(node.left), go(node.right))
-        if isinstance(node, Mul):
-            if handle.second_op is None:
-                raise EvalError(f"{handle.name} has no multiplication")
-            return handle.mul(go(node.left), go(node.right))
-        if isinstance(node, Div):
-            if handle.second_op is None or handle.invert is None:
-                raise EvalError(f"{handle.name} has no division")
-            den = go(node.right)
-            if handle.eq(den, handle.identity):
-                raise EvalError(f"division by zero at n={n}")
-            num = go(node.left)
-            try:
-                inverse = handle.invert(den)
-            except ValueError as exc:
-                # a nonzero element without an inverse in this carrier
-                raise EvalError(str(exc)) from exc
-            return handle.mul(num, inverse)
-        if isinstance(node, PowNat):
-            return nat_pow(handle, go(node.base), node.exponent)
-        if isinstance(node, PowIndex):
-            return nat_pow(handle, go(node.base), n)
+        if isinstance(node, Pow):
+            return nat_pow(handle, go(node.base),
+                           n if node.exponent is None else node.exponent)
+        if isinstance(node, Bin):
+            if node.op == "+":
+                return handle.op(go(node.left), go(node.right))
+            if node.op == "-":
+                if handle.negate is None:
+                    raise EvalError(f"{handle.name} has no subtraction")
+                return handle.sub(go(node.left), go(node.right))
+            if node.op == "*":
+                if handle.second_op is None:
+                    raise EvalError(f"{handle.name} has no multiplication")
+                return handle.mul(go(node.left), go(node.right))
+            if node.op == "/":
+                if handle.second_op is None or handle.invert is None:
+                    raise EvalError(f"{handle.name} has no division")
+                # the denominator first: a zero one is reported before the
+                # numerator is evaluated
+                den = go(node.right)
+                if handle.eq(den, handle.identity):
+                    raise EvalError(f"division by zero at n={n}")
+                num = go(node.left)
+                try:
+                    inverse = handle.invert(den)
+                except ValueError as exc:
+                    # a nonzero element without an inverse in this carrier
+                    raise EvalError(str(exc)) from exc
+                return handle.mul(num, inverse)
         raise TypeError(f"not a term node: {node!r}")
 
     return go(node)

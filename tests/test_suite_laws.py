@@ -8,12 +8,16 @@ import dataclasses
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from ordalab import (
     ConvCert,
     DensityWitness,
+    EvalError,
     RunConfig,
     Seq,
     ShrinkWitness,
+    Violation,
     lookup,
     verify_conv_cert,
 )
@@ -85,3 +89,42 @@ def test_collector_cert_turns_a_modulus_error_into_value_rejected():
     [rec] = col.records
     assert rec.status == "violation"
     assert rec.witness_values == ("value.rejected", "no window at this scale")
+
+
+def test_collector_windows_records_a_failed_scan_at_its_epsilon_only():
+    q = lookup("Q")
+    half, quarter = F(1, 2), F(1, 4)
+    verified = []
+
+    def verify(cert, grid, horizon):
+        verified.append(tuple(grid))
+        return verify_conv_cert(cert, grid, horizon)
+
+    def modulus(eps):
+        if eps == quarter:
+            raise ValueError("no window at this scale")
+        return 1  # too early: 1/1 and 1/2 are not below 1/2
+
+    cert = ConvCert(q.metrics[0], Seq("1/n", lambda n: F(1, n)), F(0), modulus)
+    col = _Collector("series", q)
+    col.windows("series.probe", "limit.zero", cert, (half, quarter), 8, verify, q.fmt)
+    # the failed scan is a violation at 1/4; 1/2 alone is verified
+    assert verified == [(half,)]
+    expected = [Violation("modulus.window", (quarter,), "no window at this scale")]
+    expected += verify_conv_cert(cert, [half], 8)
+    assert [v.law for v in expected] == ["modulus.window"] + ["convergence.within"] * 2
+    [rec] = col.records
+    assert rec.status == "violation"
+    assert rec.witness_values == violation_values(expected, q.fmt)
+
+    good = ConvCert(q.metrics[0], cert.seq, F(0), lambda eps: 1 + int(1 / eps))
+    col.windows("series.good", "limit.zero", good, (half, quarter), 8, verify, q.fmt)
+    assert col.records[1].status == "pass"
+    assert col.records[1].witness_values == ("N(1/2)=3", "N(1/4)=5")
+
+    def bad_term(eps):
+        raise EvalError("division by zero at n=1")
+
+    broken = ConvCert(q.metrics[0], cert.seq, F(0), bad_term)
+    with pytest.raises(EvalError, match="division by zero"):
+        col.windows("series.bad", "limit.zero", broken, (half,), 8, verify, q.fmt)
