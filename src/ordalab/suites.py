@@ -92,12 +92,16 @@ class RunConfig:
                 f"unknown suite {self.suite!r}; available: all, "
                 + ", ".join(SUITE_NAMES)
             )
-        # bool is an int subclass, but True is neither a horizon nor a seed
-        if (isinstance(self.horizon, bool) or not isinstance(self.horizon, int)
-                or self.horizon < 1):
-            raise ValueError("horizon must be a positive integer")
+        _check_horizon(self.horizon)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError("seed must be an integer")
+
+
+def _check_horizon(horizon) -> None:
+    """The rule for a window width given to `check` or `series`."""
+    # bool is an int subclass, but True is neither a horizon nor a seed
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
+        raise ValueError("horizon must be a positive integer")
 
 
 def resolve_grid(handle: StructureHandle, raw: Sequence[str]) -> tuple:
@@ -658,6 +662,7 @@ def run_series(structure: str, expr: str, test: str, grid: Sequence[str],
                horizon: int) -> list[CheckRecord]:
     """One certificate test on the term expression expr over a structure
     (`ordalab series`); records come back sorted by check id."""
+    _check_horizon(horizon)
     handle = lookup(structure)
     seq = seq_from_expr(expr, handle)
     space, grid = _metric_grid(handle, grid)

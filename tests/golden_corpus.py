@@ -76,7 +76,7 @@ def _cases() -> list[tuple[str, list[str]]]:
         ("series-ZX-alternating", _series("1/(X+1)^n", "Z(X)", "alternating", "--horizon", "3")),
         ("series-ZX-condensation", _series("1/X^n", "Z(X)", "condensation", "--horizon", "3")),
         ("series-ZX-geometric", _series("1/X^n", "Z(X)", "geometric", "--horizon", "3")),
-        # a negative horizon
+        # a negative horizon is bad input (exit 2), not an empty window that passes
         ("series-Q-negative-horizon",
          _series("n", "Q", "zero-limit", "--horizon=-5", "--grid", "1/2")),
     ]

@@ -134,6 +134,18 @@ def test_series_term_evaluation_error_exits_two(capsys, expr, structure, message
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize("expr, test, extra", [
+    ("n", "zero-limit", ["--horizon=-5", "--grid", "1/2"]),
+    ("2^n", "geometric", ["--horizon=-3"]),
+])
+def test_series_negative_horizon_exits_two(capsys, expr, test, extra):
+    # an empty window would verify nothing and pass a divergent sequence
+    code, out, err = run(
+        capsys, ["series", expr, "--structure", "Q", "--test", test, *extra]
+    )
+    assert (code, out, err) == (2, "", "error: horizon must be a positive integer\n")
+
+
 def test_series_capability_error_exits_three(capsys):
     code, _, err = run(
         capsys, ["series", "1/2^n", "--structure", "trop", "--test", "geometric"]

@@ -27,6 +27,7 @@ from ordalab import (
     norm_bound_from_cert,
     prod_certs,
     refute_distinct_limits,
+    scan_cauchy_window_start,
     scan_window_start,
     scanned_cauchy_cert,
     scanned_conv_cert,
@@ -128,6 +129,18 @@ def test_cauchy_scan_exhaustion_is_a_value_error():
         "n: no index window up to 8192 keeps pairwise gaps below 1/2; "
         "the values fail to cluster at this scale"
     )
+
+
+def test_a_negative_horizon_is_refused():
+    c = harmonic_cert()
+    for probe in (
+        lambda: verify_conv_cert(c, GRID, -1),
+        lambda: verify_cauchy_cert(conv_to_cauchy(c), GRID, -1),
+        lambda: scan_window_start(SPACE, one_over_n(), F(0), F(1, 8), -1),
+        lambda: scan_cauchy_window_start(SPACE, one_over_n(), F(1, 8), -1),
+    ):
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            probe()
 
 
 def test_scan_window_start_pin():
