@@ -132,13 +132,13 @@ def _grid_for(space: MetricSpace, grid: Sequence[Element] | None) -> tuple:
     return grid
 
 
-def _check_horizon(horizon: int) -> None:
+def _nonnegative_horizon(horizon: int) -> None:
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
 
 
 def _offsets(horizon: int) -> tuple[int, ...]:
-    _check_horizon(horizon)
+    _nonnegative_horizon(horizon)
     return tuple(sorted({o for o in _PROBE_OFFSETS if o <= horizon} | {horizon}))
 
 
@@ -149,7 +149,7 @@ def verify_conv_cert(
 ) -> list[Violation]:
     """Check d(seq(n), limit) < eps for every grid eps and every index in
     [N(eps), N(eps)+horizon].  Empty result = consistent at this scale."""
-    _check_horizon(horizon)
+    _nonnegative_horizon(horizon)
     space, s = cert.space, cert.space.codomain
     out: list[Violation] = []
     for eps in _grid_for(space, grid):
@@ -596,7 +596,7 @@ def scan_window_start(
 ) -> int | None:
     """Least N with d(seq(n), limit) < eps across all of [N, N+horizon],
     or None when no such window starts at or below max_index."""
-    _check_horizon(horizon)
+    _nonnegative_horizon(horizon)
     s = space.codomain
     last_bad = 0
     for n in range(1, max_index + horizon + 1):
@@ -638,7 +638,7 @@ def scan_cauchy_window_start(
     Slides a left bound g: after step n, all pairs inside [g, n] are known
     good, so the first window of width horizon is returned as soon as it
     fits."""
-    _check_horizon(horizon)
+    _nonnegative_horizon(horizon)
     s = space.codomain
     g = 1
     for n in range(2, max_index + horizon + 1):

@@ -2,10 +2,10 @@
 
 Each suite turns library verifiers into CheckRecords, and so do the
 `series` and `algebra` subcommands (run_series, run_algebra): every record
-the workbench reports is built here.  A capability the
-structure lacks makes the affected check (or the whole suite, when nothing
-in it can run) report "unverifiable" rather than failing: not being able
-to pose a question is kept distinct from answering it negatively.
+the workbench reports is built here.  A capability the structure lacks
+makes the affected check (or the whole suite, when nothing in it can run)
+report "unverifiable" rather than failing: not being able to pose a
+question is kept distinct from answering it negatively.
 
 Determinism: randomized sampling inside a suite draws from a generator
 seeded with (seed, suite, structure), so reports are byte-stable for a
@@ -93,13 +93,14 @@ class RunConfig:
                 + ", ".join(SUITE_NAMES)
             )
         _check_horizon(self.horizon)
+        # bool is an int subclass, but True is not a seed
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError("seed must be an integer")
 
 
 def _check_horizon(horizon) -> None:
     """The rule for a window width given to `check` or `series`."""
-    # bool is an int subclass, but True is neither a horizon nor a seed
+    # bool is an int subclass, but True is not a horizon
     if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
         raise ValueError("horizon must be a positive integer")
 
