@@ -500,6 +500,8 @@ def _suite_series(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
 
 def _suite_condensation(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
     col = _Collector("condensation", handle)
+    # before the grid is read: without the ring the suite is unverifiable
+    # whatever grid is given
     handle.require("ring", "total_order")
     space, grid = _metric_grid(handle, cfg.grid)
     _, terms, _, symbolic = _stock_ratio(handle, space, grid, want_inverse=False)
