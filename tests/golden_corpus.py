@@ -79,6 +79,13 @@ def _cases() -> list[tuple[str, list[str]]]:
         # a negative horizon is bad input (exit 2), not an empty window that passes
         ("series-Q-negative-horizon",
          _series("n", "Q", "zero-limit", "--horizon=-5", "--grid", "1/2")),
+        # grid entries are constants: one that mentions n, one with no value
+        ("check-Q-density-grid-index",
+         ["check", "Q", "--suite", "density", "--grid", "n,1/n", "--seed", "0"]),
+        ("check-Q-density-grid-zero",
+         ["check", "Q", "--suite", "density", "--grid", "1/0", "--seed", "0"]),
+        ("series-Q-grid-index", _series("1/2^n", "Q", "zero-limit", "--grid", "1/2,1/n")),
+        ("series-Q-grid-zero", _series("1/2^n", "Q", "zero-limit", "--grid", "1/(2-2)")),
     ]
     return out
 
