@@ -15,8 +15,10 @@ demonstrate exactly that.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .order import (
@@ -43,20 +45,22 @@ def verify_pseudonorm(p: PseudonormedRing, sample: Sequence | None = None) -> li
     r, m = p.ring, p.codomain
     sample = tuple(sample if sample is not None else r.sample)
     out: list[Violation] = []
+    normed = []
     for a in sample:
         na = p.norm(a)
+        normed.append((a, na))
         if not m.le(m.identity, na):
             out.append(Violation("pseudonorm.nonneg", (a, na)))
         if r.eq(a, r.identity) != m.eq(na, m.identity):
             out.append(Violation("pseudonorm.definite", (a, na)))
-    for a in sample:
-        for b in sample:
+    for a, na in normed:
+        for b, nb in normed:
             if r.negate is not None:
                 diff = p.norm(r.sub(a, b))
-                if not m.le(diff, m.op(p.norm(a), p.norm(b))):
+                if not m.le(diff, m.op(na, nb)):
                     out.append(Violation("pseudonorm.subadditive", (a, b)))
             prod = p.norm(r.mul(a, b))
-            bound = m.mul(p.norm(a), p.norm(b))
+            bound = m.mul(na, nb)
             ok = m.eq(prod, bound) if p.strict else m.le(prod, bound)
             if not ok:
                 law = "pseudonorm.multiplicative" if p.strict else "pseudonorm.submultiplicative"
@@ -96,7 +100,43 @@ class FinDimAlgebra:
     def neg(self, a):
         return tuple(self.field.negate(x) for x in a)
 
+    @cached_property
+    def _terms(self) -> tuple:
+        """terms[i][j]: the (k, gamma[i][j][k]) with a nonzero constant."""
+        f = self.field
+        return tuple(
+            tuple(tuple((k, g) for k, g in enumerate(row) if not f.eq(g, f.identity))
+                  for row in plane)
+            for plane in self.gamma
+        )
+
+    @cached_property
+    def _integer_terms(self) -> tuple | None:
+        """(d, terms) with _terms' constants as integers over their common
+        denominator d, or None when products must go through the handle.
+
+        The integer path needs a field that compares with total_compare, so
+        that its elements are numbers under Python's own arithmetic, and
+        constants and a zero that are Fractions, so that its results are
+        Fractions as the handle's would be.
+        """
+        f = self.field
+        consts = [g for plane in self.gamma for row in plane for g in row]
+        if not (f._direct and type(f.identity) is Fraction
+                and all(type(g) is Fraction for g in consts)):
+            return None
+        d = math.lcm(*(g.denominator for g in consts))
+        return d, tuple(
+            tuple(tuple((k, g.numerator * (d // g.denominator)) for k, g in row)
+                  for row in plane)
+            for plane in self._terms
+        )
+
     def multiply(self, a, b):
+        table = self._integer_terms
+        if (table is not None and all(type(c) is Fraction for c in a)
+                and all(type(c) is Fraction for c in b)):
+            return self._multiply_integers(table, a, b)
         f = self.field
         out = [f.identity] * self.n
         for i, ai in enumerate(a):
@@ -106,10 +146,31 @@ class FinDimAlgebra:
                 if f.eq(bj, f.identity):
                     continue
                 scale = f.mul(ai, bj)
-                for k, g in enumerate(self.gamma[i][j]):
-                    if not f.eq(g, f.identity):
-                        out[k] = f.op(out[k], f.mul(scale, g))
+                for k, g in self._terms[i][j]:
+                    out[k] = f.op(out[k], f.mul(scale, g))
         return tuple(out)
+
+    def _multiply_integers(self, table, a, b) -> tuple:
+        # a_i = xs[i]/da, b_j = ys[j]/db and gamma = g/d, so every
+        # coefficient of the product is an integer over d*da*db
+        d, terms = table
+        da = math.lcm(*(c.denominator for c in a))
+        db = math.lcm(*(c.denominator for c in b))
+        ys = [c.numerator * (db // c.denominator) for c in b]
+        acc = [0] * self.n
+        for i, ai in enumerate(a):
+            x = ai.numerator * (da // ai.denominator)
+            if not x:
+                continue
+            row = terms[i]
+            for j, y in enumerate(ys):
+                if not y:
+                    continue
+                scale = x * y
+                for k, g in row[j]:
+                    acc[k] += scale * g
+        den = d * da * db
+        return tuple(Fraction(v, den) for v in acc)
 
     def fmt(self, a) -> str:
         names = self.basis if self.basis else tuple(f"e{i+1}" for i in range(self.n))
@@ -338,14 +399,15 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def padic_valuation(r: Fraction | int, p: int) -> int:
-    """The exponent of p in r (r nonzero)."""
+def _as_rational(r: Fraction | int, p: int) -> Fraction:
+    """r as a Fraction, once p is known to be prime."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    r = Fraction(r)
-    if r == 0:
-        raise ValueError("the zero element has no valuation")
+    return r if type(r) is Fraction else Fraction(r)
 
+
+def _valuation(r: Fraction, p: int) -> int:
+    # the exponent of the prime p in the nonzero rational r
     def v(n: int) -> int:
         count = 0
         while n % p == 0:
@@ -356,12 +418,18 @@ def padic_valuation(r: Fraction | int, p: int) -> int:
     return v(abs(r.numerator)) - v(r.denominator)
 
 
+def padic_valuation(r: Fraction | int, p: int) -> int:
+    """The exponent of p in r (r nonzero)."""
+    r = _as_rational(r, p)
+    if r == 0:
+        raise ValueError("the zero element has no valuation")
+    return _valuation(r, p)
+
+
 def padic_norm(r: Fraction | int, p: int):
     """|r|_p as an element of the exponent semiring: None for 0, else the
     negated valuation (larger exponent means larger norm)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    r = Fraction(r)
+    r = _as_rational(r, p)
     if r == 0:
         return None
-    return -padic_valuation(r, p)
+    return -_valuation(r, p)

@@ -40,7 +40,10 @@ class NormedGroup:
 
 def absolute_value(s: StructureHandle, x: Element) -> Element:
     """max(x, -x) in a totally ordered group."""
-    s.require("group", "total_order")
+    # every distance and norm comes here: test the flags, and build the
+    # error only when one is missing
+    if not (s.flags.group and s.flags.total_order):
+        s.require("group", "total_order")
     nx = s.negate(x)
     return x if s.le(nx, x) else nx
 

@@ -170,15 +170,29 @@ class StructureHandle:
     metrics: tuple = ()
     norms: tuple = ()
     pnorms: tuple = ()
+    # True when compare is total_compare: Python's comparisons realize the
+    # order, so the shorthands below use them and skip OrderResult.  Fixed
+    # at construction, so a profiler that later wraps the module's
+    # total_compare does not change which path a handle takes.
+    _direct: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_direct", self.compare is total_compare)
 
     # -- comparison shorthands ------------------------------------------
     def lt(self, a: Element, b: Element) -> bool:
+        if self._direct:
+            return a < b
         return self.compare(a, b) is OrderResult.LESS
 
     def le(self, a: Element, b: Element) -> bool:
+        if self._direct:
+            return a <= b
         return self.compare(a, b) in (OrderResult.LESS, OrderResult.EQUAL)
 
     def eq(self, a: Element, b: Element) -> bool:
+        if self._direct:
+            return a == b
         return self.compare(a, b) is OrderResult.EQUAL
 
     def is_positive(self, a: Element) -> bool:
