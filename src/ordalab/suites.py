@@ -25,6 +25,7 @@ from . import metric as _metric
 from .instances import lookup
 from .order import (
     CapabilityError,
+    Element,
     OrderResult,
     StructureHandle,
     Violation,
@@ -73,7 +74,13 @@ from .series import (
     tail_bound,
     terms_vanish,
 )
-from .termexpr import EvalError, eval_term, parse_term_expr, seq_from_expr
+from .termexpr import (
+    EvalError,
+    _mentions_index,
+    eval_term,
+    parse_term_expr,
+    seq_from_expr,
+)
 
 
 @dataclass(frozen=True)
@@ -105,10 +112,22 @@ def _check_horizon(horizon) -> None:
         raise ValueError("horizon must be a positive integer")
 
 
+def _grid_value(handle: StructureHandle, entry: str) -> Element:
+    """The constant a grid entry denotes; an entry may not mention n."""
+    node = parse_term_expr(entry)
+    if _mentions_index(node):
+        raise ValueError(f"grid entry {entry!r} mentions the index n; "
+                         "grid entries are constants")
+    try:
+        return eval_term(node, handle, 1)
+    except EvalError as exc:
+        raise EvalError(f"grid entry {entry!r}: {exc.reason}") from None
+
+
 def resolve_grid(handle: StructureHandle, raw: Sequence[str]) -> tuple:
     """Grid of positive epsilon values: parsed overrides or the default."""
     if raw:
-        vals = tuple(eval_term(parse_term_expr(g), handle, 1) for g in raw)
+        vals = tuple(_grid_value(handle, g) for g in raw)
     else:
         vals = tuple(handle.eps_grid)
     if not vals:

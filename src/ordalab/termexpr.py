@@ -36,7 +36,15 @@ class TermError(ValueError):
 
 
 class EvalError(ValueError):
-    """Runtime evaluation failure (bad symbol, division by zero, ...)."""
+    """Runtime evaluation failure (bad symbol, division by zero, ...).
+
+    The message names the index n the failure happened at, when given;
+    reason is the message without it.
+    """
+
+    def __init__(self, reason: str, index: int | None = None):
+        super().__init__(reason if index is None else f"{reason} at n={index}")
+        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +294,7 @@ def eval_term(node: Node, handle: StructureHandle, n: int) -> Element:
                 # numerator is evaluated
                 den = go(node.right)
                 if handle.eq(den, handle.identity):
-                    raise EvalError(f"division by zero at n={n}")
+                    raise EvalError("division by zero", n)
                 num = go(node.left)
                 try:
                     inverse = handle.invert(den)
@@ -297,6 +305,17 @@ def eval_term(node: Node, handle: StructureHandle, n: int) -> Element:
         raise TypeError(f"not a term node: {node!r}")
 
     return go(node)
+
+
+def _mentions_index(node: Node) -> bool:
+    """Whether the term depends on the index n."""
+    if isinstance(node, Index):
+        return True
+    if isinstance(node, Bin):
+        return _mentions_index(node.left) or _mentions_index(node.right)
+    if isinstance(node, Pow):
+        return node.exponent is None or _mentions_index(node.base)
+    return False
 
 
 def seq_from_expr(src: str, handle: StructureHandle) -> Seq:

@@ -164,6 +164,21 @@ def test_resolve_grid():
     assert got == ((RF_ONE / X) ** 2,)
 
 
+@pytest.mark.parametrize("entry", ["n", "1/n", "1/2^n", "pow(1/2, n)", "(n-n)+1"])
+def test_grid_entries_must_not_mention_the_index(entry):
+    with pytest.raises(ValueError, match=r"mentions the index n; grid entries are constants"):
+        resolve_grid(lookup("Q"), ("1/2", entry))
+
+
+def test_grid_evaluation_errors_name_the_entry_and_no_index():
+    with pytest.raises(ValueError) as info:
+        resolve_grid(lookup("Q"), ("1/2", "1/(2-2)"))
+    assert str(info.value) == "grid entry '1/(2-2)': division by zero"
+    with pytest.raises(ValueError) as info:
+        resolve_grid(lookup("Z"), ("1/2",))
+    assert str(info.value) == "grid entry '1/2': 2 has no inverse among the integers"
+
+
 @given(st.fractions(min_value=F(-20), max_value=F(20), max_denominator=64))
 def test_rational_formatting_round_trips(x):
     q = lookup("Q")
