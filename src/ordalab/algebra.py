@@ -268,7 +268,8 @@ def load_algebra_table(source: str | dict) -> FinDimAlgebra:
     name = data.get("name", "algebra")
     n = data.get("n")
     gamma = data.get("gamma")
-    if not isinstance(n, int) or n < 1:
+    # bool is an int subclass, but true is not a dimension
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("table key 'n' must be a positive integer")
     from .instances import lookup
 
@@ -309,7 +310,11 @@ def load_algebra_table(source: str | dict) -> FinDimAlgebra:
         raise ValueError(
             f"gamma must hold n^3 = {n ** 3} scalars (flat) or be n*n*n nested"
         )
-    basis = tuple(data.get("basis", ()))
+    basis = data.get("basis", [])
+    # a string is iterable, but "ab" is not the two names a and b
+    if not (isinstance(basis, list) and all(isinstance(b, str) for b in basis)):
+        raise ValueError("basis must be a list of name strings")
+    basis = tuple(basis)
     if basis and len(basis) != n:
         raise ValueError("basis names must match n")
     from .metric import absolute_value

@@ -113,6 +113,18 @@ def test_load_algebra_table_validates():
         load_algebra_table({"name": "bad", "n": 2, "gamma": [0.5] * 8})
 
 
+def test_load_algebra_table_rejects_a_bool_n():
+    # bool is an int subclass: true must not be read as n = 1
+    with pytest.raises(ValueError, match="table key 'n' must be a positive integer"):
+        load_algebra_table({"name": "bad", "n": True, "gamma": ["1"]})
+
+
+@pytest.mark.parametrize("basis", ["ab", ["a", 2], {"a": 1, "b": 2}])
+def test_load_algebra_table_rejects_a_basis_that_is_not_a_list_of_names(basis):
+    with pytest.raises(ValueError, match="basis must be a list of name strings"):
+        load_algebra_table({"name": "bad", "n": 2, "gamma": MINI_GAMMA, "basis": basis})
+
+
 def test_matrix_algebra_random_submultiplicativity():
     m2 = shipped_algebras()["M2(Q)"]
     pn = albert_pseudonorm(m2)

@@ -209,3 +209,15 @@ def test_algebra_rejects_a_malformed_table(capsys, tmp_path):
     code, _, err = run(capsys, ["algebra", str(table)])
     assert code == 2
     assert "gamma must hold n^3" in err
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"n": True, "gamma": ["1"]}, "error: table key 'n' must be a positive integer\n"),
+    ({"n": 2, "gamma": [1, 0, 0, 1, 0, 1, -1, 0], "basis": "ab"},
+     "error: basis must be a list of name strings\n"),
+])
+def test_algebra_rejects_a_bool_n_and_a_string_basis(capsys, tmp_path, table, message):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(capsys, ["algebra", str(path)])
+    assert (code, out, err) == (2, "", message)
