@@ -115,10 +115,11 @@ class FinDimAlgebra:
         """(d, terms) with _terms' constants as integers over their common
         denominator d, or None when products must go through the handle.
 
-        The integer path needs a field that compares with total_compare, so
-        that its elements are numbers under Python's own arithmetic, and
-        constants and a zero that are Fractions, so that its results are
-        Fractions as the handle's would be.
+        The integer path needs a field that compares with total_compare,
+        whose elements are numbers under Python's own + and * (as in every
+        such handle the registry holds), and constants and a zero that are
+        Fractions, so that its results are the Fractions the handle's
+        arithmetic would give.
         """
         f = self.field
         consts = [g for plane in self.gamma for row in plane for g in row]
@@ -151,7 +152,7 @@ class FinDimAlgebra:
         return tuple(out)
 
     def _multiply_integers(self, table, a, b) -> tuple:
-        # a_i = xs[i]/da, b_j = ys[j]/db and gamma = g/d, so every
+        # a_i = x/da, b_j = ys[j]/db and gamma[i][j][k] = g/d, so every
         # coefficient of the product is an integer over d*da*db
         d, terms = table
         da = math.lcm(*(c.denominator for c in a))
