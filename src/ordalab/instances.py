@@ -23,7 +23,9 @@ Carriers, at a glance:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import replace
+from functools import partial
 from fractions import Fraction
 
 from . import metric as _metric
@@ -49,7 +51,8 @@ def _frac_floor_count(x: F, y: F) -> int:
     return n if n >= 1 else 1
 
 
-def _fraction_invert(x: F) -> F:
+def _field_invert(x):
+    # the inverse in Q and in Z(X), whose elements both divide the integer 1
     if x == 0:
         raise ValueError("0 has no multiplicative inverse")
     return 1 / x
@@ -80,13 +83,13 @@ def _build_q() -> StructureHandle:
     return StructureHandle(
         name="Q",
         flags=make_flags(field=True, total_order=True),
-        op=lambda a, b: a + b,
+        op=operator.add,
         compare=total_compare,
         identity=F(0),
-        negate=lambda a: -a,
-        second_op=lambda a, b: a * b,
+        negate=operator.neg,
+        second_op=operator.mul,
         one=F(1),
-        invert=_fraction_invert,
+        invert=_field_invert,
         density=density,
         shrink=shrink,
         archimedean=ArchimedeanWitness(_frac_floor_count),
@@ -94,7 +97,7 @@ def _build_q() -> StructureHandle:
         eps_grid=tuple(F(1, 2**k) for k in range(1, 13)),
         sample=(F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(2), F(7, 3),
                 F(-1, 7), F(5), F(-2)),
-        from_rational=lambda q: F(q),
+        from_rational=F,
         aliases=("rationals",),
     )
 
@@ -108,18 +111,18 @@ def _build_z() -> StructureHandle:
     return StructureHandle(
         name="Z",
         flags=make_flags(ring=True, semiring=True, total_order=True),
-        op=lambda a, b: a + b,
+        op=operator.add,
         compare=total_compare,
         identity=0,
-        negate=lambda a: -a,
-        second_op=lambda a, b: a * b,
+        negate=operator.neg,
+        second_op=operator.mul,
         one=1,
         invert=invert,
         archimedean=ArchimedeanWitness(lambda x, y: max(1, y // x + 1)),
         join=JoinWitness(max),
         eps_grid=(8, 4, 2, 1),
         sample=(0, 1, -1, 2, 3, -3, 5, -7, 12, 10),
-        from_rational=lambda q: _require_int(q),
+        from_rational=_require_int,
         aliases=("integers",),
     )
 
@@ -173,11 +176,11 @@ def _build_localized(p: int) -> StructureHandle:
     return StructureHandle(
         name=name,
         flags=make_flags(ring=True, semiring=True, total_order=True),
-        op=lambda a, b: a + b,
+        op=operator.add,
         compare=total_compare,
         identity=F(0),
-        negate=lambda a: -a,
-        second_op=lambda a, b: a * b,
+        negate=operator.neg,
+        second_op=operator.mul,
         one=F(1),
         invert=invert,
         density=DensityWitness(split),
@@ -197,39 +200,27 @@ def _build_ratfunc() -> StructureHandle:
 
     two_fifths = RatFunc((2,), (5,))
 
-    def compare(a, b):
-        s = a._cmp_sign(b)
-        if s == 0:
-            return OrderResult.EQUAL
-        return OrderResult.LESS if s < 0 else OrderResult.GREATER
-
-    def invert(x):
-        if x == RF_ZERO:
-            raise ValueError("0 has no multiplicative inverse")
-        return RF_ONE / x
-
     density, shrink = _two_fifths_witnesses(RF_ZERO, two_fifths)
     halves = tuple(RatFunc((1,), (2**k,)) for k in range(1, 7))
     inverse_powers = tuple(RF_ONE / X**k for k in range(1, 5))
     return StructureHandle(
         name="Z(X)",
         flags=make_flags(field=True, total_order=True),
-        op=lambda a, b: a + b,
-        compare=compare,
+        op=operator.add,
+        compare=total_compare,
         identity=RF_ZERO,
-        negate=lambda a: -a,
-        second_op=lambda a, b: a * b,
+        negate=operator.neg,
+        second_op=operator.mul,
         one=RF_ONE,
-        invert=invert,
+        invert=_field_invert,
         density=density,
         shrink=shrink,
-        join=JoinWitness(lambda a, b: b if a < b else a),
+        join=JoinWitness(max),
         eps_grid=halves + inverse_powers,
         sample=(RF_ZERO, RF_ONE, -RF_ONE, X, -X, RF_ONE / X, two_fifths,
                 X + 1, (X * X - 1) / X, RatFunc((7,))),
-        fmt=str,
         symbols={"X": X},
-        from_rational=lambda q: RatFunc.from_fraction(q),
+        from_rational=RatFunc.from_fraction,
         aliases=("ZX", "ratfunc"),
     )
 
@@ -273,7 +264,7 @@ def _build_tropical() -> StructureHandle:
         eps_grid=(F(2), F(1), F(0), F(-1), F(-2), F(-4)),
         sample=(None, F(0), F(1), F(-1), F(1, 2), F(-7, 2), F(3)),
         fmt=lambda a: "-inf" if a is None else str(a),
-        from_rational=lambda q: F(q),
+        from_rational=F,
         strict_compat=False,
         aliases=("tropical",),
     )
@@ -288,11 +279,6 @@ def _build_lex() -> StructureHandle:
     def negate(g):
         a, q = g
         return (-a, -(q * F(2) ** (-a)))
-
-    def compare(g, h):
-        if g[0] != h[0]:
-            return OrderResult.LESS if g[0] < h[0] else OrderResult.GREATER
-        return total_compare(g[1], h[1])
 
     def split(eps):
         a, q = eps
@@ -309,11 +295,11 @@ def _build_lex() -> StructureHandle:
         name="lex",
         flags=make_flags(group=True, total_order=True),
         op=op,
-        compare=compare,
+        compare=total_compare,
         identity=(0, F(0)),
         negate=negate,
         density=DensityWitness(split),
-        join=JoinWitness(lambda g, h: h if compare(g, h) is OrderResult.LESS else g),
+        join=JoinWitness(max),
         eps_grid=tuple((0, F(1, 2**k)) for k in range(1, 7)),
         sample=((0, F(0)), (1, F(0)), (0, F(1)), (-1, F(0)), (0, F(-1)),
                 (1, F(1)), (-1, F(1, 2)), (2, F(-3)), (0, F(1, 3)), (1, F(-2))),
@@ -393,7 +379,7 @@ def _build_ideals() -> StructureHandle:
         op=math.gcd,
         compare=compare,
         identity=0,
-        second_op=lambda a, b: a * b,
+        second_op=operator.mul,
         one=1,
         join=JoinWitness(math.gcd),
         eps_grid=(2, 4, 8, 16),
@@ -482,7 +468,6 @@ def _attach_spaces(reg: dict[str, StructureHandle]) -> None:
     from .algebra import PseudonormedRing, padic_norm, padic_valuation
     from .metric import (
         MetricSpace,
-        absolute_value,
         absolute_value_metric,
         absolute_value_norm,
         induced_metric,
@@ -493,22 +478,14 @@ def _attach_spaces(reg: dict[str, StructureHandle]) -> None:
     g0 = reg["G0"]
     trop = reg["trop"]
 
-    def abs_pnorm(s: StructureHandle) -> PseudonormedRing:
-        return PseudonormedRing(
-            name=f"{s.name}.abs",
-            ring=s,
-            codomain=s,
-            norm=lambda x: absolute_value(s, x),
-            strict=True,
-        )
-
     for key in ("Q", "Z", "Z[1/2]", "Z[1/3]", "Z(X)"):
         s = reg[key]
+        norm = absolute_value_norm(s)
         reg[key] = replace(
             s,
             metrics=(absolute_value_metric(s),),
-            norms=(absolute_value_norm(s),),
-            pnorms=(abs_pnorm(s),),
+            norms=(norm,),
+            pnorms=(PseudonormedRing(norm.name, s, s, norm.norm, strict=True),),
         )
 
     # p-adic pseudonorms on Q, valued in the exponent semiring
@@ -517,7 +494,7 @@ def _attach_spaces(reg: dict[str, StructureHandle]) -> None:
             name=f"Q.{p}adic",
             ring=reg["Q"],
             codomain=g0,
-            norm=lambda x, p=p: padic_norm(x, p),
+            norm=partial(padic_norm, p=p),
             strict=True,
         )
         for p in (2, 3, 5)

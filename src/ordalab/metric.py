@@ -16,7 +16,6 @@ from typing import Any, Callable, Iterable, Sequence
 from .order import (
     CapabilityError,
     Element,
-    OrderResult,
     StructureHandle,
     Violation,
 )
@@ -128,7 +127,7 @@ def verify_metric(space: MetricSpace, triples: Iterable[tuple] | None = None) ->
     for x in pts:
         for y in pts:
             dxy = space.distance(x, y)
-            if m.compare(m.identity, dxy) not in (OrderResult.LESS, OrderResult.EQUAL):
+            if not m.le(m.identity, dxy):
                 out.append(Violation("metric.nonneg", (x, y, dxy)))
             same = x == y
             iszero = m.eq(dxy, m.identity)

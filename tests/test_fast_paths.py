@@ -3,6 +3,9 @@
 * ``StructureHandle.lt/le/eq`` on a handle that compares with
   ``total_compare`` use Python's comparisons; the reference is the handle's
   four-valued ``compare``.
+* ``Z(X)`` and ``lex`` compare with ``total_compare``, join with ``max``,
+  and ``Z(X)`` inverts with ``Q``'s inverse; the references are the
+  closures these replaced, kept in ``tests/order_oracle.py``.
 * ``FinDimAlgebra.multiply`` over Fractions accumulates integers over one
   denominator; the reference is the same table over a copy of ``Q`` whose
   compare is a wrapper, which sends products through the handle.
@@ -28,9 +31,18 @@ from ordalab import (
     total_compare,
     verify_pseudonorm,
 )
+from ordalab.poly import RatFunc, poly_scale
+from order_oracle import (
+    lex_compare,
+    lex_join,
+    ratfunc_compare,
+    ratfunc_invert,
+    ratfunc_join,
+)
 from pseudonorm_oracle import verify_pseudonorm_reference
+from test_poly import ratfuncs
 
-DIRECT_KEYS = ("Q", "Z", "Z[1/2]", "Z[1/3]")
+DIRECT_KEYS = ("Q", "Z", "Z[1/2]", "Z[1/3]", "Z(X)", "lex")
 
 
 def generic_copy(handle):
@@ -41,13 +53,21 @@ def generic_copy(handle):
 
 # -- comparisons --------------------------------------------------------
 
+small_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+lex_pairs = st.tuples(st.integers(-3, 3), small_fractions)
+
+
 def operands(key):
+    if key == "Z(X)":
+        return ratfuncs
+    if key == "lex":
+        return lex_pairs
     ints = st.integers(-40, 40)
     if key == "Z":
         return ints
     p = {"Z[1/2]": 2, "Z[1/3]": 3}.get(key)
     if p is None:
-        fracs = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+        fracs = small_fractions
     else:
         fracs = st.builds(lambda k, e: F(k, p ** e), ints, st.integers(0, 4))
     return st.one_of(ints, fracs)
@@ -78,6 +98,63 @@ def test_only_total_compare_takes_the_direct_path():
     for key, h in reg.items():
         assert h._direct is (key in DIRECT_KEYS), key
     assert replace(reg["Q"], name="Q'")._direct
+
+
+def equal_copy(x):
+    """A new object equal to the RatFunc or lex pair x."""
+    if isinstance(x, RatFunc):
+        # a common factor of 3, cancelled again by the constructor
+        return RatFunc(poly_scale(x.num, 3), poly_scale(x.den, 3))
+    return (x[0], F(x[1].numerator, x[1].denominator))
+
+
+def partners(pool):
+    """A second operand for a: a itself, an equal copy, or any element."""
+    return lambda a: st.one_of(st.just(a), st.just(equal_copy(a)), pool)
+
+
+@pytest.mark.parametrize("key,compare,join", [
+    ("Z(X)", ratfunc_compare, ratfunc_join),
+    ("lex", lex_compare, lex_join),
+])
+@given(data=st.data())
+def test_direct_orders_agree_with_the_old_closures(key, compare, join, data):
+    h = lookup(key)
+    a = data.draw(operands(key))
+    b = data.draw(partners(operands(key))(a))
+    for x, y in ((a, b), (b, a), (a, a)):
+        r = compare(x, y)
+        assert total_compare(x, y) is r
+        assert h.compare(x, y) is r
+        assert h.lt(x, y) is (r is OrderResult.LESS)
+        assert h.le(x, y) is (r in (OrderResult.LESS, OrderResult.EQUAL))
+        assert h.eq(x, y) is (r is OrderResult.EQUAL)
+        assert h.join.join(x, y) is join(x, y)
+
+
+@given(ratfuncs, st.one_of(st.integers(-40, 40), small_fractions))
+def test_ratfuncs_compare_with_ints_and_fractions_as_their_embeddings(a, q):
+    e = RatFunc.from_fraction(q)
+    for r in (a, e):
+        assert total_compare(r, q) is ratfunc_compare(r, e)
+        assert total_compare(q, r) is ratfunc_compare(e, r)
+        assert max(r, q) is ratfunc_join(r, q)
+        assert max(q, r) is ratfunc_join(q, r)
+
+
+@given(ratfuncs)
+def test_ratfunc_inverse_agrees_with_the_old_closure(a):
+    invert = lookup("Z(X)").invert
+    for x in (a, RatFunc(())):
+        try:
+            want = ratfunc_invert(x)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                invert(x)
+        else:
+            got = invert(x)
+            assert type(got) is RatFunc
+            assert got == want
 
 
 # -- structure-constant products ------------------------------------------
