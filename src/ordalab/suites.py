@@ -125,7 +125,8 @@ def _grid_value(handle: StructureHandle, entry: str) -> Element:
 
 
 def resolve_grid(handle: StructureHandle, raw: Sequence[str]) -> tuple:
-    """Grid of positive epsilon values: parsed overrides or the default."""
+    """Grid of positive, strictly decreasing epsilon values: parsed
+    overrides or the default."""
     if raw:
         vals = tuple(_grid_value(handle, g) for g in raw)
     else:
@@ -135,6 +136,10 @@ def resolve_grid(handle: StructureHandle, raw: Sequence[str]) -> tuple:
     for v in vals:
         if not handle.is_positive(v):
             raise ValueError(f"{handle.name}: grid value {handle.fmt(v)} is not positive")
+    for i in range(1, len(raw)):
+        if not handle.lt(vals[i], vals[i - 1]):
+            raise ValueError(f"grid entry {raw[i]!r} is not below {raw[i - 1]!r}; "
+                             "grid entries must strictly decrease")
     return vals
 
 

@@ -86,7 +86,7 @@ def _cases() -> list[tuple[str, list[str]]]:
          ["check", "Q", "--suite", "density", "--grid", "1/0", "--seed", "0"]),
         ("series-Q-grid-index", _series("1/2^n", "Q", "zero-limit", "--grid", "1/2,1/n")),
         ("series-Q-grid-zero", _series("1/2^n", "Q", "zero-limit", "--grid", "1/(2-2)")),
-        # grid entries strictly decrease: a repeated one, an increasing one
+        # grid entries must strictly decrease (exit 2): a repeated one, a rising one
         ("check-Q-density-grid-repeated",
          ["check", "Q", "--suite", "density", "--grid", "1/2,2/4", "--seed", "0"]),
         ("series-Q-grid-increasing",

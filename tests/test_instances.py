@@ -179,6 +179,32 @@ def test_grid_evaluation_errors_name_the_entry_and_no_index():
     assert str(info.value) == "grid entry '1/2': 2 has no inverse among the integers"
 
 
+@pytest.mark.parametrize("key, grid, message", [
+    ("Q", ("1/2", "2/4"), "grid entry '2/4' is not below '1/2'"),
+    ("Q", ("1/4", "1/2", "1/4"), "grid entry '1/2' is not below '1/4'"),
+    ("Z(X)", ("1/X", "1/2"), "grid entry '1/2' is not below '1/X'"),
+])
+def test_grid_entries_must_strictly_decrease(key, grid, message):
+    with pytest.raises(ValueError) as info:
+        resolve_grid(lookup(key), grid)
+    assert str(info.value) == message + "; grid entries must strictly decrease"
+
+
+def test_grid_entries_are_checked_for_positivity_before_order():
+    with pytest.raises(ValueError, match="grid value -1/2 is not positive"):
+        resolve_grid(lookup("Q"), ("1/4", "1/2-1"))
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_registered_eps_grids_strictly_decrease(key):
+    # the rule resolve_grid applies to typed entries holds for the defaults
+    h = registry()[key]
+    grid = h.eps_grid
+    assert grid
+    assert all(h.is_positive(e) for e in grid)
+    assert all(h.lt(b, a) for a, b in zip(grid, grid[1:]))
+
+
 @given(st.fractions(min_value=F(-20), max_value=F(20), max_denominator=64))
 def test_rational_formatting_round_trips(x):
     q = lookup("Q")
