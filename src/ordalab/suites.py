@@ -425,9 +425,9 @@ def _suite_sequence(handle: StructureHandle, cfg: RunConfig, rng: random.Random)
 _SERIES_BASES = (Fraction(1, 2), Fraction(2, 3), Fraction(1, 3))
 
 
-def _stock_ratio(handle: StructureHandle, space, grid, want_inverse: bool):
+def _stock_ratio(handle: StructureHandle, space, grid):
     """The first stock ratio 0 < r < 1 whose terms' sizes vanish at every
-    grid scale; with want_inverse, the first whose (1 - r)^-1 exists.
+    grid scale and whose (1 - r)^-1 exists.
 
     Rational bases q come first, with terms q^n embedded whole; structures
     whose order ranks every rational above some grid bound (an
@@ -457,7 +457,7 @@ def _stock_ratio(handle: StructureHandle, space, grid, want_inverse: bool):
             sizes = tuple(space.distance(term_at(k), handle.identity) for k in range(1, 33))
             if not all(any(m.lt(d, eps) for d in sizes) for eps in grid):
                 continue
-            inv = handle.invert(handle.sub(handle.one, r)) if want_inverse else None
+            inv = handle.invert(handle.sub(handle.one, r))
         except (ValueError, TypeError):
             continue
         return r, Seq(f"geo-terms({label})", term_at), inv, kind == "symbol"
@@ -488,7 +488,7 @@ def _suite_series(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
     col = _Collector("series", handle)
     space, grid = _metric_grid(handle, cfg.grid)
     h = cfg.horizon
-    r, terms, inv, _ = _stock_ratio(handle, space, grid, want_inverse=True)
+    r, terms, inv, _ = _stock_ratio(handle, space, grid)
     partials = Series(handle, terms).partials
     c = scanned_conv_cert(space, partials, handle.mul(r, inv), horizon=h)
     mfmt = space.codomain.fmt
@@ -528,7 +528,7 @@ def _suite_condensation(handle: StructureHandle, cfg: RunConfig, rng: random.Ran
     # whatever grid is given
     handle.require("ring", "total_order")
     space, grid = _metric_grid(handle, cfg.grid)
-    _, terms, _, symbolic = _stock_ratio(handle, space, grid, want_inverse=False)
+    _, terms, _, symbolic = _stock_ratio(handle, space, grid)
     mono, base = _condensation_base(handle, space, terms, cfg.horizon)
     mfmt = space.codomain.fmt
     # condensed partial sums reach index 2^n; symbolic terms grow linearly in
@@ -565,7 +565,7 @@ def _suite_geometric(handle: StructureHandle, cfg: RunConfig, rng: random.Random
     space, grid = _metric_grid(handle, cfg.grid)
     h = cfg.horizon
     mfmt = space.codomain.fmt
-    r, _, inv, _ = _stock_ratio(handle, space, grid, want_inverse=True)
+    r, _, inv, _ = _stock_ratio(handle, space, grid)
     powers = Seq(f"pow({handle.fmt(r)})", lambda n: nat_pow(handle, r, n))
     c0 = scanned_conv_cert(space, powers, handle.identity, horizon=h)
 
