@@ -80,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     algebra = sub.add_parser("algebra", help="check a structure-constant table")
     algebra.add_argument("table", help="JSON file {name, n, gamma (flat n^3), basis?}")
-    algebra.add_argument("--suite", default="albert", choices=("albert",))
     algebra.add_argument("--seed", type=int, default=0)
     algebra.add_argument("--format", default="json", choices=("json", "text"))
 

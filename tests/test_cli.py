@@ -221,3 +221,10 @@ def test_algebra_rejects_a_bool_n_and_a_string_basis(capsys, tmp_path, table, me
     path.write_text(json.dumps(table))
     code, out, err = run(capsys, ["algebra", str(path)])
     assert (code, out, err) == (2, "", message)
+
+
+def test_algebra_takes_no_suite_option(capsys):
+    # albert was its only value and nothing read it
+    code, out, err = run(capsys, ["algebra", "t.json", "--suite", "albert"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --suite albert" in err
