@@ -91,6 +91,13 @@ def _cases() -> list[tuple[str, list[str]]]:
          ["check", "Q", "--suite", "density", "--grid", "1/2,2/4", "--seed", "0"]),
         ("series-Q-grid-increasing",
          _series("1/2^n", "Q", "zero-limit", "--grid", "1/4,1/2,1/4")),
+        # a --grid value with no entries
+        ("check-Q-density-grid-empty",
+         ["check", "Q", "--suite", "density", "--grid", ",", "--seed", "0"]),
+        # the registry listing, and a config file whose structure key the
+        # argument overrides
+        ("list", ["list"]),
+        ("check-Q-config", ["check", "Q", "--config", "{golden}/config-Q.json"]),
     ]
     return out
 
