@@ -34,12 +34,8 @@ from .metric import (
     verify_norm,
 )
 from .order import (
-    ArchimedeanWitness,
     CapabilityError,
-    DensityWitness,
-    JoinWitness,
     OrderResult,
-    ShrinkWitness,
     StructureFlags,
     StructureHandle,
     Violation,

@@ -30,13 +30,10 @@ from fractions import Fraction
 
 from . import metric as _metric
 from .order import (
-    ArchimedeanWitness,
-    DensityWitness,
-    JoinWitness,
     OrderResult,
-    ShrinkWitness,
     StructureHandle,
     demarr_density_witness,
+    density_from_unit_interval,
     make_flags,
     module_density_witness,
     total_compare,
@@ -58,14 +55,9 @@ def _field_invert(x):
     return 1 / x
 
 
-def _two_fifths_witnesses(zero, two_fifths) -> tuple[DensityWitness, ShrinkWitness]:
-    """Density and shrink witnesses of a totally ordered field: eps splits
-    into two fifths of itself, twice, and alpha shrinks against a bound to
-    two fifths of alpha over the bound, on both sides."""
-
-    def split(eps):
-        part = two_fifths * eps
-        return (part, part)
+def _two_fifths_shrink(zero, two_fifths):
+    """Shrink witness of a totally ordered field: alpha shrinks against a
+    bound to two fifths of alpha over the bound, on both sides."""
 
     def shrink(alpha, bound):
         if not zero < alpha:
@@ -75,12 +67,11 @@ def _two_fifths_witnesses(zero, two_fifths) -> tuple[DensityWitness, ShrinkWitne
         part = two_fifths * alpha / bound
         return (part, part)
 
-    return DensityWitness(split), ShrinkWitness(shrink)
+    return shrink
 
 
 def _build_q() -> StructureHandle:
-    density, shrink = _two_fifths_witnesses(F(0), F(2, 5))
-    return StructureHandle(
+    base = StructureHandle(
         name="Q",
         flags=make_flags(field=True, total_order=True),
         op=operator.add,
@@ -90,16 +81,16 @@ def _build_q() -> StructureHandle:
         second_op=operator.mul,
         one=F(1),
         invert=_field_invert,
-        density=density,
-        shrink=shrink,
-        archimedean=ArchimedeanWitness(_frac_floor_count),
-        join=JoinWitness(max),
+        shrink=_two_fifths_shrink(F(0), F(2, 5)),
+        archimedean=_frac_floor_count,
+        join=max,
         eps_grid=tuple(F(1, 2**k) for k in range(1, 13)),
         sample=(F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(2), F(7, 3),
                 F(-1, 7), F(5), F(-2)),
         from_rational=F,
         aliases=("rationals",),
     )
+    return replace(base, density=demarr_density_witness(base))
 
 
 def _build_z() -> StructureHandle:
@@ -118,8 +109,8 @@ def _build_z() -> StructureHandle:
         second_op=operator.mul,
         one=1,
         invert=invert,
-        archimedean=ArchimedeanWitness(lambda x, y: max(1, y // x + 1)),
-        join=JoinWitness(max),
+        archimedean=lambda x, y: max(1, y // x + 1),
+        join=max,
         eps_grid=(8, 4, 2, 1),
         sample=(0, 1, -1, 2, 3, -3, 5, -7, 12, 10),
         from_rational=_require_int,
@@ -158,10 +149,6 @@ def _build_localized(p: int) -> StructureHandle:
             raise ValueError(f"{x} has no inverse in {name}")
         return y
 
-    def split(eps):
-        # eps/p^2 and (p-1)eps/p^2 combine to exactly eps/p
-        return (eps / p**2, eps * (p - 1) / p**2)
-
     def shrink(alpha, bound):
         if alpha <= 0:
             raise ValueError("target must be positive")
@@ -173,7 +160,7 @@ def _build_localized(p: int) -> StructureHandle:
         part = F(1, p**k)
         return (part, part)
 
-    return StructureHandle(
+    base = StructureHandle(
         name=name,
         flags=make_flags(ring=True, semiring=True, total_order=True),
         op=operator.add,
@@ -183,27 +170,25 @@ def _build_localized(p: int) -> StructureHandle:
         second_op=operator.mul,
         one=F(1),
         invert=invert,
-        density=DensityWitness(split),
-        shrink=ShrinkWitness(shrink),
-        archimedean=ArchimedeanWitness(_frac_floor_count),
-        join=JoinWitness(max),
+        shrink=shrink,
+        archimedean=_frac_floor_count,
+        join=max,
         eps_grid=tuple(F(1, p**k) for k in range(1, 9)),
         sample=(F(0), F(1), F(-1), F(1, p), F(-1, p**2), F(p), F(3),
                 F(5, p), F(-2), F(7)),
         from_rational=member,
         aliases=(f"Z1{p}", f"z[1/{p}]"),
     )
+    return replace(base, density=density_from_unit_interval(base, F(1, p)))
 
 
 def _build_ratfunc() -> StructureHandle:
     from .poly import RF_ONE, RF_ZERO, RatFunc, X
 
     two_fifths = RatFunc((2,), (5,))
-
-    density, shrink = _two_fifths_witnesses(RF_ZERO, two_fifths)
     halves = tuple(RatFunc((1,), (2**k,)) for k in range(1, 7))
     inverse_powers = tuple(RF_ONE / X**k for k in range(1, 5))
-    return StructureHandle(
+    base = StructureHandle(
         name="Z(X)",
         flags=make_flags(field=True, total_order=True),
         op=operator.add,
@@ -213,9 +198,8 @@ def _build_ratfunc() -> StructureHandle:
         second_op=operator.mul,
         one=RF_ONE,
         invert=_field_invert,
-        density=density,
-        shrink=shrink,
-        join=JoinWitness(max),
+        shrink=_two_fifths_shrink(RF_ZERO, two_fifths),
+        join=max,
         eps_grid=halves + inverse_powers,
         sample=(RF_ZERO, RF_ONE, -RF_ONE, X, -X, RF_ONE / X, two_fifths,
                 X + 1, (X * X - 1) / X, RatFunc((7,))),
@@ -223,6 +207,7 @@ def _build_ratfunc() -> StructureHandle:
         from_rational=RatFunc.from_fraction,
         aliases=("ZX", "ratfunc"),
     )
+    return replace(base, density=demarr_density_witness(base))
 
 
 # trop and G0 adjoin a bottom element, None, below a totally ordered carrier;
@@ -259,13 +244,12 @@ def _build_tropical() -> StructureHandle:
         op=_bottom_max,
         compare=_bottom_compare,
         identity=None,
-        density=DensityWitness(_drop_one),
-        join=JoinWitness(_bottom_max),
+        density=_drop_one,
+        join=_bottom_max,
         eps_grid=(F(2), F(1), F(0), F(-1), F(-2), F(-4)),
         sample=(None, F(0), F(1), F(-1), F(1, 2), F(-7, 2), F(3)),
         fmt=lambda a: "-inf" if a is None else str(a),
         from_rational=F,
-        strict_compat=False,
         aliases=("tropical",),
     )
 
@@ -298,8 +282,8 @@ def _build_lex() -> StructureHandle:
         compare=total_compare,
         identity=(0, F(0)),
         negate=negate,
-        density=DensityWitness(split),
-        join=JoinWitness(max),
+        density=split,
+        join=max,
         eps_grid=tuple((0, F(1, 2**k)) for k in range(1, 7)),
         sample=((0, F(0)), (1, F(0)), (0, F(1)), (-1, F(0)), (0, F(-1)),
                 (1, F(1)), (-1, F(1, 2)), (2, F(-3)), (0, F(1, 3)), (1, F(-2))),
@@ -381,11 +365,10 @@ def _build_ideals() -> StructureHandle:
         identity=0,
         second_op=operator.mul,
         one=1,
-        join=JoinWitness(math.gcd),
+        join=math.gcd,
         eps_grid=(2, 4, 8, 16),
         sample=(0, 1, 2, 3, 4, 6, 8, 12, 5, 30),
         fmt=lambda n: f"{n}Z",
-        strict_compat=False,
         aliases=("IdZ", "ideals"),
     )
 
@@ -411,7 +394,7 @@ def _build_orthant(q: StructureHandle) -> StructureHandle:
         compare=compare,
         identity=(F(0), F(0)),
         negate=lambda x: (-x[0], -x[1]),
-        join=JoinWitness(lambda x, y: (max(x[0], y[0]), max(x[1], y[1]))),
+        join=lambda x, y: (max(x[0], y[0]), max(x[1], y[1])),
         eps_grid=((F(1), F(2)),) + tuple((F(1, 2**k), F(1, 2**k)) for k in range(1, 5)),
         sample=((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1)),
                 (F(-1), F(2)), (F(1, 2), F(3)), (F(-1), F(-1)),
@@ -420,8 +403,7 @@ def _build_orthant(q: StructureHandle) -> StructureHandle:
         aliases=("orthant", "Q2"),
     )
     smul = lambda r, m: (r * m[0], r * m[1])
-    witness = module_density_witness(q, base, smul, F(1, 2))
-    return replace(base, density=witness)
+    return replace(base, density=module_density_witness(q, smul, F(1, 2)))
 
 
 def _build_valuation() -> StructureHandle:
@@ -452,13 +434,12 @@ def _build_valuation() -> StructureHandle:
         second_op=mul,
         one=0,
         invert=invert,
-        density=DensityWitness(_drop_one),
-        shrink=ShrinkWitness(shrink),
-        join=JoinWitness(_bottom_max),
+        density=_drop_one,
+        shrink=shrink,
+        join=_bottom_max,
         eps_grid=(3, 2, 1, 0, -1, -2),
         sample=(None, 0, 1, -1, 2, -3, 5),
         fmt=lambda a: "0" if a is None else f"g^{a}",
-        strict_compat=False,
         aliases=("valuation",),
     )
 

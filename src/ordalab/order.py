@@ -2,11 +2,11 @@
 
 Everything here manipulates opaque carrier elements through a
 :class:`StructureHandle`: a bundle of operations, a four-valued comparator,
-capability flags, and optional witnesses.  Witnesses are plain data holding
-functions (split an epsilon into two smaller positive parts, shrink a target
-below a bound, find a multiple exceeding a threshold, join two elements);
-every claim a witness makes is re-checkable exactly, and the verifiers in
-this module do exactly that.  No floating point is used anywhere.
+capability flags, and optional witnesses.  Witnesses are plain functions
+(split an epsilon into two smaller positive parts, shrink a target below a
+bound, find a multiple exceeding a threshold, join two elements); every
+claim a witness makes is re-checkable exactly, and the verifiers in this
+module do exactly that.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ class OrderResult(enum.Enum):
 
 
 Compare = Callable[[Element, Element], OrderResult]
+Split = Callable[[Element], tuple[Element, Element]]
+Shrink = Callable[[Element, Element], tuple[Element, Element]]
 
 
 class CapabilityError(Exception):
@@ -99,35 +101,6 @@ def make_flags(**kwargs: bool) -> StructureFlags:
 
 
 @dataclass(frozen=True)
-class DensityWitness:
-    """split(eps) -> (beta, gamma), both positive, with beta*gamma < eps."""
-
-    split: Callable[[Element], tuple[Element, Element]]
-
-
-@dataclass(frozen=True)
-class ShrinkWitness:
-    """shrink(alpha, bound) -> (left, right) with left*bound < alpha and
-    bound*right < alpha; all of alpha, bound, left, right positive."""
-
-    shrink: Callable[[Element, Element], tuple[Element, Element]]
-
-
-@dataclass(frozen=True)
-class ArchimedeanWitness:
-    """bound(x, y) -> n >= 1 such that the n-fold sum of x exceeds y."""
-
-    bound: Callable[[Element, Element], int]
-
-
-@dataclass(frozen=True)
-class JoinWitness:
-    """join(a, b) -> least upper bound of a and b."""
-
-    join: Callable[[Element, Element], Element]
-
-
-@dataclass(frozen=True)
 class Violation:
     """One exact counterexample found by a verifier."""
 
@@ -145,6 +118,13 @@ class StructureHandle:
     source of order information.  eps_grid is a strictly decreasing tuple of
     positive elements used as default check targets; sample a spread of
     carrier elements for law checks.  fmt renders elements as exact text.
+
+    The witnesses are plain functions, None where the structure has none:
+    density(eps) -> (beta, gamma), both positive, with beta*gamma < eps;
+    shrink(alpha, bound) -> (left, right) with left*bound < alpha and
+    bound*right < alpha, all of alpha, bound, left, right positive;
+    archimedean(x, y) -> n >= 1 such that the n-fold sum of x exceeds y;
+    join(a, b) -> the least upper bound of a and b.
     """
 
     name: str
@@ -156,16 +136,15 @@ class StructureHandle:
     second_op: Callable[[Element, Element], Element] | None = None
     one: Element = None
     invert: Callable[[Element], Element] | None = None
-    density: DensityWitness | None = None
-    shrink: ShrinkWitness | None = None
-    archimedean: ArchimedeanWitness | None = None
-    join: JoinWitness | None = None
+    density: Split | None = None
+    shrink: Shrink | None = None
+    archimedean: Callable[[Element, Element], int] | None = None
+    join: Callable[[Element, Element], Element] | None = None
     eps_grid: tuple = ()
     sample: tuple = ()
     fmt: Callable[[Element], str] = str
     symbols: Mapping[str, Element] = field(default_factory=dict)
     from_rational: Callable[[Any], Element] | None = None
-    strict_compat: bool = True
     aliases: tuple[str, ...] = ()
     metrics: tuple = ()
     norms: tuple = ()
@@ -273,7 +252,7 @@ def join_fold(s: StructureHandle, items: Iterable[Element]) -> Element:
     except StopIteration:
         raise ValueError("join of an empty collection") from None
     for x in it:
-        acc = j.join(acc, x)
+        acc = j(acc, x)
     return acc
 
 
@@ -281,11 +260,11 @@ def join_fold(s: StructureHandle, items: Iterable[Element]) -> Element:
 # density machinery
 
 
-def checked_split(s: StructureHandle, w: DensityWitness, eps: Element) -> tuple[Element, Element]:
+def checked_split(s: StructureHandle, w: Split, eps: Element) -> tuple[Element, Element]:
     """Run a split and verify its contract exactly, raising on any breach."""
     if not s.is_positive(eps):
         raise ValueError(f"{s.name}: epsilon {s.fmt(eps)} is not positive")
-    beta, gamma = w.split(eps)
+    beta, gamma = w(eps)
     if not s.is_positive(beta) or not s.is_positive(gamma):
         raise ValueError(
             f"{s.name}: split({s.fmt(eps)}) produced a non-positive part "
@@ -298,20 +277,20 @@ def checked_split(s: StructureHandle, w: DensityWitness, eps: Element) -> tuple[
     return beta, gamma
 
 
-def split_witness(s: StructureHandle, w: DensityWitness | None) -> DensityWitness:
+def split_witness(s: StructureHandle, w: Split | None) -> Split:
     w = w if w is not None else s.density
     if w is None:
         raise CapabilityError(f"{s.name} has no density witness")
     return w
 
 
-def shrink_witness(s: StructureHandle) -> ShrinkWitness:
+def shrink_witness(s: StructureHandle) -> Shrink:
     if s.shrink is None:
         raise CapabilityError(f"{s.name} has no shrink witness")
     return s.shrink
 
 
-def n_split(s: StructureHandle, eps: Element, n: int, w: DensityWitness | None = None) -> list[Element]:
+def n_split(s: StructureHandle, eps: Element, n: int, w: Split | None = None) -> list[Element]:
     """Split eps into n positive parts whose op-fold stays strictly below eps.
 
     n=1 returns the first half of a single split (still strictly below eps);
@@ -338,7 +317,7 @@ def fold_op(s: StructureHandle, items: Sequence[Element]) -> Element:
     return acc
 
 
-def density_from_unit_interval(s: StructureHandle, alpha: Element) -> DensityWitness:
+def density_from_unit_interval(s: StructureHandle, alpha: Element) -> Split:
     """Density witness from one element strictly between 0 and 1.
 
     Requires a totally ordered near-ring with identity.  The split of eps is
@@ -358,10 +337,10 @@ def density_from_unit_interval(s: StructureHandle, alpha: Element) -> DensityWit
     def split(eps: Element) -> tuple[Element, Element]:
         return (s.second_op(alpha_sq, eps), s.second_op(coeff, eps))
 
-    return DensityWitness(split)
+    return split
 
 
-def betweenness(s: StructureHandle, lo: Element, hi: Element, w: DensityWitness | None = None) -> Element:
+def betweenness(s: StructureHandle, lo: Element, hi: Element, w: Split | None = None) -> Element:
     """An element strictly between lo and hi in a dense ordered group."""
     s.require("group")
     w = split_witness(s, w)
@@ -377,7 +356,7 @@ def betweenness(s: StructureHandle, lo: Element, hi: Element, w: DensityWitness 
     return mid
 
 
-def demarr_density_witness(s: StructureHandle) -> DensityWitness:
+def demarr_density_witness(s: StructureHandle) -> Split:
     """Density witness for ordered division rings where 1 is positive.
 
     Splits a positive x into two copies of (2/5')x where 2 and 5' are the
@@ -394,15 +373,12 @@ def demarr_density_witness(s: StructureHandle) -> DensityWitness:
         part = s.second_op(c, x)
         return (part, part)
 
-    return DensityWitness(split)
+    return split
 
 
 def module_density_witness(
-    ring: StructureHandle,
-    module: StructureHandle,
-    smul: Callable[[Element, Element], Element],
-    alpha: Element,
-) -> DensityWitness:
+    ring: StructureHandle, smul: Callable[[Element, Element], Element], alpha: Element
+) -> Split:
     """Density witness on a module's positive cone from a scalar in (0, 1).
 
     Splits a positive m into ((alpha - alpha^2)m, (alpha^2)m); the parts
@@ -419,7 +395,7 @@ def module_density_witness(
     def split(m: Element) -> tuple[Element, Element]:
         return (smul(c1, m), smul(alpha_sq, m))
 
-    return DensityWitness(split)
+    return split
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +415,12 @@ def verify_compatibility(
 ) -> list[Violation]:
     """Check order-compatibility of op (and second_op on the positive cone).
 
-    A structure declared strict_compat is checked for a<b -> a*c<b*c and
-    c*a<c*b; any other for the non-strict variant.
+    A group is checked for a<b -> a*c<b*c and c*a<c*b, since cancellation
+    makes op-compatibility strict there; any other structure for the
+    non-strict variant.
     """
     sample = tuple(sample if sample is not None else s.sample)
-    strict = s.strict_compat
+    strict = s.flags.group
     rel = s.lt if strict else s.le
     # (law prefix, operation, elements c to combine with, wording)
     laws = [("op", s.op, sample, "with")]
@@ -527,7 +504,7 @@ def verify_hemiring(s: StructureHandle) -> list[Violation]:
 
 
 def _density_at(
-    s: StructureHandle, w: DensityWitness, eps: Element
+    s: StructureHandle, w: Split, eps: Element
 ) -> tuple[list[Violation], tuple | None]:
     """Exercise a density witness at one target: the n-part splits of eps for
     n up to 4, parts positive, folds below eps.  Returns the violations and
@@ -551,7 +528,7 @@ def _density_at(
 
 def verify_density(
     s: StructureHandle,
-    w: DensityWitness | None = None,
+    w: Split | None = None,
     grid: Sequence[Element] | None = None,
 ) -> list[Violation]:
     """Exercise a density witness over a grid: parts positive, folds below eps."""
@@ -561,7 +538,7 @@ def verify_density(
 
 
 def _shrink_at(
-    s: StructureHandle, w: ShrinkWitness, alpha: Element, bounds: Sequence[Element]
+    s: StructureHandle, w: Shrink, alpha: Element, bounds: Sequence[Element]
 ) -> tuple[list[Violation], list[tuple]]:
     """Exercise a shrink witness at one target against each bound.  Returns
     the violations and the (bound, left, right) triples whose parts are
@@ -569,7 +546,7 @@ def _shrink_at(
     out: list[Violation] = []
     produced: list[tuple] = []
     for m in bounds:
-        left, right = w.shrink(alpha, m)
+        left, right = w(alpha, m)
         if not (s.is_positive(left) and s.is_positive(right)):
             out.append(Violation("shrink.positivity", (alpha, m, left, right)))
             continue
@@ -603,7 +580,7 @@ def verify_archimedean(s: StructureHandle) -> list[Violation]:
     out: list[Violation] = []
     for x in positives:
         for y in s.sample:
-            n = w.bound(x, y)
+            n = w(x, y)
             if n < 1:
                 out.append(Violation("archimedean.count", (x, y, n)))
                 continue

@@ -371,14 +371,14 @@ def zero_times_bounded(
     if not m.is_positive(bound):
         raise ValueError(f"{m.name}: bound {m.fmt(bound)} is not nonnegative")
 
-    w = shrink_witness(m)
+    shrink = shrink_witness(m)
 
     def left_modulus(eps: Element) -> int:
-        e_l = w.shrink(eps, bound)[0]
+        e_l = shrink(eps, bound)[0]
         return _modulus_at(c_zero.modulus, e_l)
 
     def right_modulus(eps: Element) -> int:
-        e_r = w.shrink(eps, bound)[1]
+        e_r = shrink(eps, bound)[1]
         return _modulus_at(c_zero.modulus, e_r)
 
     return (
@@ -409,8 +409,8 @@ def prod_certs(
         _, bounded_times_zero = zero_times_bounded(cy, cx.seq, s1, pnr)
         return bounded_times_zero
 
-    w_s = shrink_witness(m)
-    w_d = split_witness(m, None)
+    shrink = shrink_witness(m)
+    split = split_witness(m, None)
     norm_b = pnr.norm(b)
 
     seq = Seq(
@@ -419,9 +419,9 @@ def prod_certs(
     )
 
     def modulus(eps: Element) -> int:
-        beta, gamma = checked_split(m, w_d, eps)
-        k_r = w_s.shrink(beta, s1)[1]       # s1 * k_r < beta
-        m_l = w_s.shrink(gamma, norm_b)[0]  # m_l * norm_b < gamma
+        beta, gamma = checked_split(m, split, eps)
+        k_r = shrink(beta, s1)[1]       # s1 * k_r < beta
+        m_l = shrink(gamma, norm_b)[0]  # m_l * norm_b < gamma
         return max(_modulus_at(cy.modulus, k_r), _modulus_at(cx.modulus, m_l))
 
     return ConvCert(space, seq, ring.mul(a, b), modulus)

@@ -364,7 +364,7 @@ def geometric_cert(
         raise ValueError(f"{c0.seq.name} does not carry a zero limit")
     _sample_agree(c0.seq, lambda k: nat_pow(handle, r, k), 6,
                   "power certificate is for a different ratio")
-    w_s = shrink_witness(handle)
+    shrink = shrink_witness(handle)
 
     powers = Seq(f"pow({handle.fmt(r)})", lambda i: nat_pow(handle, r, i - 1))
     partials = Series(handle, powers).partials
@@ -380,7 +380,7 @@ def geometric_cert(
     bound = absolute_value(handle, inv)
 
     def modulus(eps: Element) -> int:
-        e_l = w_s.shrink(eps, bound)[0]
+        e_l = shrink(eps, bound)[0]
         return max(1, _modulus_at(c0.modulus, e_l) - 1)
 
     return ConvCert(space, seq, inv, modulus)
@@ -416,8 +416,8 @@ def archimedean_power_modulus(
     |r|^N <= 1/(1+Nx) <= 1/(Nx) < eps.  The chain is re-checked exactly at
     each requested epsilon."""
     handle.require("field", "total_order")
-    w = handle.archimedean
-    if w is None:
+    exceeds = handle.archimedean
+    if exceeds is None:
         raise CapabilityError(f"{handle.name} has no multiple-exceeds witness")
     mag = absolute_value(handle, r)
     if not handle.lt(mag, handle.one):
@@ -430,7 +430,7 @@ def archimedean_power_modulus(
     x = handle.sub(handle.invert(mag), handle.one)
 
     def modulus(eps: Element) -> int:
-        n = max(1, w.bound(handle.mul(x, eps), handle.one))
+        n = max(1, exceeds(handle.mul(x, eps), handle.one))
         # re-verify the proof chain at this eps: |r|^n <= 1/(1+nx) <= 1/(nx) < eps
         nx = nat_mul(handle, n, x)
         mid = handle.invert(handle.op(handle.one, nx))

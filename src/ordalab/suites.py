@@ -242,7 +242,7 @@ def _suite_axioms(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
     col.emit(
         "axioms.compatibility", "order.compatibility",
         verify_compatibility(handle),
-        pass_values=("strict" if handle.strict_compat else "non-strict",),
+        pass_values=("strict" if handle.flags.group else "non-strict",),
     )
     if handle.join is not None:
         col.emit("axioms.join", "order.join", _join_violations(handle, sample))
@@ -283,7 +283,7 @@ def _order_violations(handle: StructureHandle, sample) -> list[Violation]:
 
 def _join_violations(handle: StructureHandle, sample) -> list[Violation]:
     out: list[Violation] = []
-    join = handle.join.join
+    join = handle.join
     for a in sample:
         for b in sample:
             j = join(a, b)

@@ -7,6 +7,10 @@ join with ``max``, since Python's own comparisons of ``RatFunc``s and of
 ``(int, Fraction)`` pairs already realise those orders.  The closures, their
 joins and the old ``Z(X)`` inverse are kept here only as differential
 oracles for the tests.
+
+The density splits of ``Q``, ``Z(X)`` and ``Z[1/p]`` used to be written out
+by hand in the registry; they now come from ``demarr_density_witness`` and
+``density_from_unit_interval``.  The hand-written splits are kept here too.
 """
 
 from ordalab import OrderResult, total_compare
@@ -38,3 +42,23 @@ def lex_compare(g, h):
 
 def lex_join(g, h):
     return h if lex_compare(g, h) is OrderResult.LESS else g
+
+
+def two_fifths_split(two_fifths):
+    """The old split of Q and Z(X): two fifths of eps, twice."""
+
+    def split(eps):
+        part = two_fifths * eps
+        return (part, part)
+
+    return split
+
+
+def localized_split(p):
+    """The old split of Z[1/p]: eps/p^2 and (p-1)eps/p^2, which combine to
+    exactly eps/p."""
+
+    def split(eps):
+        return (eps / p**2, eps * (p - 1) / p**2)
+
+    return split

@@ -135,7 +135,7 @@ def test_direct_orders_agree_with_the_old_closures(key, compare, join, data):
         assert h.lt(x, y) is (r is OrderResult.LESS)
         assert h.le(x, y) is (r in (OrderResult.LESS, OrderResult.EQUAL))
         assert h.eq(x, y) is (r is OrderResult.EQUAL)
-        assert h.join.join(x, y) is join(x, y)
+        assert h.join(x, y) is join(x, y)
 
 
 @given(ratfuncs, st.one_of(st.integers(-40, 40), small_fractions))

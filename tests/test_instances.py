@@ -22,6 +22,8 @@ from ordalab import (
     verify_shrink,
 )
 from ordalab.poly import RF_ONE, RF_ZERO, RatFunc, X
+from order_oracle import localized_split, two_fifths_split
+from test_poly import ratfuncs
 
 ALL_KEYS = [
     "G0",
@@ -76,20 +78,51 @@ def test_density_witness_pins():
     assert checked_split(trop, split_witness(trop, None), 5) == (4, 4)
 
 
+SPLIT_ORACLES = {
+    "Q": two_fifths_split(F(2, 5)),
+    "Z(X)": two_fifths_split(RatFunc((2,), (5,))),
+    "Z[1/2]": localized_split(2),
+    "Z[1/3]": localized_split(3),
+}
+
+
+def positive_elements(key):
+    if key == "Z(X)":
+        return ratfuncs.filter(lambda r: r != 0).map(lambda r: r if r > 0 else -r)
+    num = st.integers(1, 10**6)
+    if key == "Q":
+        return st.builds(F, num, st.integers(1, 10**6))
+    p = 2 if key == "Z[1/2]" else 3
+    return st.builds(lambda k, e: F(k, p**e), num, st.integers(0, 16))
+
+
+@pytest.mark.parametrize("key", sorted(SPLIT_ORACLES))
+@given(data=st.data())
+def test_registry_splits_match_the_old_splits(key, data):
+    # the registry builds these splits with order.py's constructors; they
+    # must give the parts the hand-written splits gave, in value and type
+    h = lookup(key)
+    eps = data.draw(positive_elements(key))
+    for x in (eps, *h.eps_grid, *filter(h.is_positive, h.sample)):
+        got, want = h.density(x), SPLIT_ORACLES[key](x)
+        assert got == want, x
+        assert tuple(map(type, got)) == tuple(map(type, want)), x
+
+
 def test_density_from_unit_interval_pins():
     q = lookup("Q")
     w = density_from_unit_interval(q, F(1, 2))
-    assert w.split(F(1)) == (F(1, 4), F(1, 4))
+    assert w(F(1)) == (F(1, 4), F(1, 4))
 
     zx = lookup("Z(X)")
     wx = density_from_unit_interval(zx, RF_ONE / X)
-    lo, hi = wx.split(RF_ONE)
+    lo, hi = wx(RF_ONE)
     assert zx.fmt(lo) == "1/X^2"
     assert zx.fmt(hi) == "(X - 1)/X^2"
     assert zx.lt(RF_ZERO, lo) and zx.lt(RF_ZERO, hi)
     assert zx.lt(zx.op(lo, hi), RF_ONE)
     # at a smaller target the parts scale down by another factor of the anchor
-    lo2, hi2 = wx.split(RF_ONE / X)
+    lo2, hi2 = wx(RF_ONE / X)
     assert zx.fmt(lo2) == "1/X^3"
     assert zx.lt(zx.op(lo2, hi2), RF_ONE / X)
 
@@ -104,13 +137,13 @@ def test_density_from_unit_interval_rejects_bad_anchor():
 
 def test_shrink_witness_pins():
     g0 = lookup("G0")
-    assert g0.shrink.shrink(2, 3) == (-2, -2)
+    assert g0.shrink(2, 3) == (-2, -2)
 
 
 def test_demarr_density_on_gaussians():
     qi = lookup("Q(i)")
     w = demarr_density_witness(qi)
-    assert w.split((F(5), F(0))) == ((F(2), F(0)), (F(2), F(0)))
+    assert w((F(5), F(0))) == ((F(2), F(0)), (F(2), F(0)))
 
 
 def test_density_shrink_archimedean_verify_on_rationals():

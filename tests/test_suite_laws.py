@@ -12,11 +12,9 @@ import pytest
 
 from ordalab import (
     ConvCert,
-    DensityWitness,
     EvalError,
     RunConfig,
     Seq,
-    ShrinkWitness,
     Violation,
     lookup,
     verify_conv_cert,
@@ -43,7 +41,7 @@ def test_density_suite_reports_the_library_violations():
     def split(eps):
         return (eps / 3, eps / 3) if eps >= F(1, 64) else (eps, eps)
 
-    q = dataclasses.replace(lookup("Q"), density=DensityWitness(split))
+    q = dataclasses.replace(lookup("Q"), density=split)
     recs = _by_id(_suite_density(q, RunConfig(structure="Q"), random.Random(0)))
     statuses = set()
     for eps in q.eps_grid:
@@ -59,11 +57,11 @@ def test_shrink_suite_reports_the_library_violations():
 
     def shrink(alpha, bound):
         if alpha >= F(1, 64):
-            return base.shrink.shrink(alpha, bound)
+            return base.shrink(alpha, bound)
         # right product fails for bounds >= 1; non-positive part from 2 on
         return (alpha / (2 * bound), alpha) if bound < 2 else (-alpha, alpha)
 
-    q = dataclasses.replace(base, shrink=ShrinkWitness(shrink))
+    q = dataclasses.replace(base, shrink=shrink)
     bounds = tuple(x for x in q.sample if q.is_positive(x))[:4]
     recs = _by_id(_suite_shrink(q, RunConfig(structure="Q"), random.Random(0)))
     laws = set()
