@@ -108,7 +108,12 @@ def _cmd_list() -> int:
 
 def _grid_arg(raw: str | None) -> tuple[str, ...]:
     """The epsilon expressions of a comma-separated --grid value."""
-    return tuple(g.strip() for g in raw.split(",") if g.strip()) if raw else ()
+    if raw is None:
+        return ()
+    grid = tuple(g.strip() for g in raw.split(",") if g.strip())
+    if not grid:
+        raise ValueError("--grid has no entries")
+    return grid
 
 
 def _cmd_check(args) -> list[CheckRecord]:

@@ -83,6 +83,18 @@ def test_grid_flag_restricts_the_grid(capsys):
     assert ids == ["density.between", "density.split[1/2]", "density.split[1/4]"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "Q", "--suite", "density", "--grid", ","],
+    ["check", "Q", "--suite", "density", "--grid", ""],
+    ["series", "1/n", "--structure", "Q", "--test", "zero-limit", "--grid", " "],
+])
+def test_a_grid_with_no_entries_exits_two(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --grid has no entries\n"
+
+
 def test_series_condensation_passes(capsys):
     code, out, _ = run(
         capsys, ["series", "1/2^n", "--structure", "Q", "--test", "condensation"]
