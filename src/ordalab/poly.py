@@ -389,7 +389,8 @@ def _coerce(value):
     if isinstance(value, RatFunc):
         return value
     if isinstance(value, int):
-        return RatFunc((value,))
+        # an integer over 1 is already canonical
+        return _make((int(value),) if value else (), (1,))
     if isinstance(value, Fraction):
         return RatFunc.from_fraction(value)
     return NotImplemented

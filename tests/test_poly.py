@@ -3,13 +3,14 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ordalab.poly import (
     RF_ONE,
     RF_ZERO,
     RatFunc,
     X,
+    _coerce,
     poly,
     poly_add,
     poly_content,
@@ -139,6 +140,18 @@ def test_ratfunc_str_pins():
 
 
 rationals = st.fractions(min_value=F(-50), max_value=F(50), max_denominator=20)
+
+
+@given(st.one_of(st.integers(), st.booleans()))
+@example(0)
+@example(-3)
+@example(True)
+@example(False)
+def test_int_coercion_matches_the_constructor(k):
+    # _coerce wraps an int directly, as one over one, skipping canonicalization
+    got, want = _coerce(k), RatFunc((k,))
+    assert (got.num, got.den) == (want.num, want.den)
+    assert all(type(c) is int for c in got.num + got.den)
 
 
 def _rf(num_c, den_c):
