@@ -98,6 +98,9 @@ def _cases() -> list[tuple[str, list[str]]]:
         # argument overrides
         ("list", ["list"]),
         ("check-Q-config", ["check", "Q", "--config", "{golden}/config-Q.json"]),
+        # a config file whose grid list has no entries
+        ("check-Q-config-grid-empty",
+         ["check", "Q", "--suite", "density", "--config", "{golden}/config-grid-empty.json"]),
     ]
     return out
 
