@@ -46,7 +46,6 @@ from .order import (
     fold_op,
     join_fold,
     make_flags,
-    module_density_witness,
     n_split,
     nat_mul,
     nat_pow,

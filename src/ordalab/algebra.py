@@ -252,9 +252,9 @@ def coefficient_pseudonorm(alg: FinDimAlgebra) -> PseudonormedRing:
 def load_algebra_table(source: str | dict) -> FinDimAlgebra:
     """Build an algebra over Q from a JSON table {name, n, gamma, basis?}.
 
-    gamma is a flat row-major list of n^3 scalars (index i*n*n + j*n + k);
-    an n*n*n nested list is also accepted.  Entries are exact rational
-    strings or integers.  Raises ValueError on any shape or parse problem.
+    gamma is a flat row-major list of n^3 scalars (index i*n*n + j*n + k).
+    Entries are exact rational strings or integers.  Raises ValueError on
+    any shape or parse problem.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -279,38 +279,19 @@ def load_algebra_table(source: str | dict) -> FinDimAlgebra:
     def cell(v):
         if isinstance(v, bool) or isinstance(v, float):
             raise ValueError("gamma entries must be exact (integer or rational string)")
-        if isinstance(v, int):
-            return field.from_rational(Fraction(v))
-        if isinstance(v, str):
+        if isinstance(v, (int, str)):
             return field.from_rational(Fraction(v))
         raise ValueError(f"bad gamma entry {v!r}")
 
     if not isinstance(gamma, list):
         raise ValueError("gamma must be a flat list of n^3 scalars")
-    if len(gamma) == n ** 3 and not any(isinstance(v, list) for v in gamma):
-        flat = [cell(v) for v in gamma]
-        table = [
-            tuple(
-                tuple(flat[i * n * n + j * n + k] for k in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
-        ]
-    elif len(gamma) == n:
-        table = []
-        for plane in gamma:
-            if not (isinstance(plane, list) and len(plane) == n):
-                raise ValueError("gamma must be an n*n*n nested list")
-            rows = []
-            for row in plane:
-                if not (isinstance(row, list) and len(row) == n):
-                    raise ValueError("gamma must be an n*n*n nested list")
-                rows.append(tuple(cell(v) for v in row))
-            table.append(tuple(rows))
-    else:
-        raise ValueError(
-            f"gamma must hold n^3 = {n ** 3} scalars (flat) or be n*n*n nested"
-        )
+    if len(gamma) != n ** 3 or any(isinstance(v, list) for v in gamma):
+        raise ValueError(f"gamma must hold n^3 = {n ** 3} scalars")
+    flat = [cell(v) for v in gamma]
+    table = tuple(
+        tuple(tuple(flat[i * n * n + j * n + k] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
     basis = data.get("basis", [])
     # a string is iterable, but "ab" is not the two names a and b
     if not (isinstance(basis, list) and all(isinstance(b, str) for b in basis)):
@@ -325,17 +306,17 @@ def load_algebra_table(source: str | dict) -> FinDimAlgebra:
         field=field,
         codomain=field,
         base_norm=lambda c: absolute_value(field, c),
-        gamma=tuple(table),
+        gamma=table,
         basis=basis,
     )
 
 
 def _table_from_products(n: int, products: dict) -> list:
-    """gamma as nested lists from {(i, j): {k: coeff}} (missing cells are 0)."""
-    g = [[[0] * n for _ in range(n)] for _ in range(n)]
+    """Flat gamma from {(i, j): {k: coeff}} (missing cells are 0)."""
+    g = [0] * n ** 3
     for (i, j), cells in products.items():
         for k, c in cells.items():
-            g[i][j][k] = c
+            g[i * n * n + j * n + k] = c
     return g
 
 

@@ -35,7 +35,6 @@ from .order import (
     demarr_density_witness,
     density_from_unit_interval,
     make_flags,
-    module_density_witness,
     total_compare,
 )
 
@@ -387,13 +386,17 @@ def _build_orthant(q: StructureHandle) -> StructureHandle:
             return OrderResult.GREATER
         return OrderResult.INCOMPARABLE
 
-    base = StructureHandle(
+    # Q's slice split at 1/2 on each coordinate: m -> (m/4, m/4)
+    half = density_from_unit_interval(q, F(1, 2))
+
+    return StructureHandle(
         name="Q^2",
         flags=make_flags(group=True, commutative_add=True, join_semilattice=True),
         op=op,
         compare=compare,
         identity=(F(0), F(0)),
         negate=lambda x: (-x[0], -x[1]),
+        density=lambda m: tuple(zip(half(m[0]), half(m[1]))),
         join=lambda x, y: (max(x[0], y[0]), max(x[1], y[1])),
         eps_grid=((F(1), F(2)),) + tuple((F(1, 2**k), F(1, 2**k)) for k in range(1, 5)),
         sample=((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1)),
@@ -402,8 +405,6 @@ def _build_orthant(q: StructureHandle) -> StructureHandle:
         fmt=lambda x: f"({x[0]}, {x[1]})",
         aliases=("orthant", "Q2"),
     )
-    smul = lambda r, m: (r * m[0], r * m[1])
-    return replace(base, density=module_density_witness(q, smul, F(1, 2)))
 
 
 def _build_valuation() -> StructureHandle:

@@ -210,15 +210,7 @@ def nat_mul(s: StructureHandle, n: int, x: Element) -> Element:
         for _ in range(n - 1):
             acc = s.op(acc, x)
         return acc
-    acc = None
-    base = x
-    while n:
-        if n & 1:
-            acc = base if acc is None else s.op(acc, base)
-        n >>= 1
-        if n:
-            base = s.op(base, base)
-    return acc
+    return _doubling(s.op, x, n)
 
 
 def nat_pow(s: StructureHandle, x: Element, n: int) -> Element:
@@ -231,14 +223,19 @@ def nat_pow(s: StructureHandle, x: Element, n: int) -> Element:
         if s.one is None:
             raise CapabilityError(f"{s.name} has no multiplicative identity")
         return s.one
+    return _doubling(s.second_op, x, n)
+
+
+def _doubling(f: Callable[[Element, Element], Element], x: Element, n: int) -> Element:
+    # the n-fold f-product of x (n >= 1) by square-and-multiply; f associative
     acc = None
     base = x
     while n:
         if n & 1:
-            acc = base if acc is None else s.second_op(acc, base)
+            acc = base if acc is None else f(acc, base)
         n >>= 1
         if n:
-            base = s.second_op(base, base)
+            base = f(base, base)
     return acc
 
 
@@ -372,28 +369,6 @@ def demarr_density_witness(s: StructureHandle) -> Split:
     def split(x: Element) -> tuple[Element, Element]:
         part = s.second_op(c, x)
         return (part, part)
-
-    return split
-
-
-def module_density_witness(
-    ring: StructureHandle, smul: Callable[[Element, Element], Element], alpha: Element
-) -> Split:
-    """Density witness on a module's positive cone from a scalar in (0, 1).
-
-    Splits a positive m into ((alpha - alpha^2)m, (alpha^2)m); the parts
-    combine to exactly alpha*m.
-    """
-    ring.require("ring", "total_order")
-    if not (ring.lt(ring.identity, alpha) and ring.lt(alpha, ring.one)):
-        raise ValueError(
-            f"{ring.name}: scalar {ring.fmt(alpha)} is not strictly between 0 and 1"
-        )
-    alpha_sq = ring.second_op(alpha, alpha)
-    c1 = ring.sub(alpha, alpha_sq)
-
-    def split(m: Element) -> tuple[Element, Element]:
-        return (smul(c1, m), smul(alpha_sq, m))
 
     return split
 

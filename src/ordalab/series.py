@@ -21,6 +21,7 @@ from .order import (
     CapabilityError,
     StructureHandle,
     Violation,
+    fold_op,
     nat_mul,
     nat_pow,
     shrink_witness,
@@ -307,9 +308,7 @@ def condensation_inequalities(
     for n in ns:
         if n < 1:
             raise ValueError("forward block index must be >= 1")
-        block = None
-        for i in range(2 ** (n - 1) + 1, 2 ** n + 1):
-            block = x(i) if block is None else handle.op(block, x(i))
+        block = fold_op(handle, [x(i) for i in range(2 ** (n - 1) + 1, 2 ** n + 1)])
         lhs = nat_mul(handle, 2 ** n, x(2 ** n))
         rhs = nat_mul(handle, 2, block)
         if not handle.le(lhs, rhs):
@@ -319,13 +318,8 @@ def condensation_inequalities(
     for k, l in kls:
         if k < 0 or l < k:
             raise ValueError("backward block needs 0 <= k <= l")
-        lhs = None
-        for i in range(2 ** k, 2 ** (l + 1)):
-            lhs = x(i) if lhs is None else handle.op(lhs, x(i))
-        rhs = None
-        for i in range(k, l + 1):
-            t = nat_mul(handle, 2 ** i, x(2 ** i))
-            rhs = t if rhs is None else handle.op(rhs, t)
+        lhs = fold_op(handle, [x(i) for i in range(2 ** k, 2 ** (l + 1))])
+        rhs = fold_op(handle, [nat_mul(handle, 2 ** i, x(2 ** i)) for i in range(k, l + 1)])
         if not handle.le(lhs, rhs):
             out.append(Violation("condensation.backward-block", (k, l, lhs, rhs)))
     return out
@@ -497,11 +491,7 @@ def ratio_cauchy(
             )
 
     def scaled(k: int) -> Element:
-        total = None
-        for i in range(0, k + 1):
-            p = nat_pow(m, r, i)
-            total = p if total is None else m.op(total, p)
-        return m.mul(total, c1)
+        return m.mul(fold_op(m, [nat_pow(m, r, i) for i in range(k + 1)]), c1)
 
     _sample_agree(geo.seq, scaled, 6,
                   "geometric certificate does not match the scaled powers")

@@ -235,6 +235,19 @@ def test_algebra_rejects_a_bool_n_and_a_string_basis(capsys, tmp_path, table, me
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize("table, message", [
+    # mini-i as planes of rows: the loader reads only the flat n^3 list
+    ({"n": 2, "gamma": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]]},
+     "error: gamma must hold n^3 = 8 scalars\n"),
+    ({"n": 1, "gamma": [[[1]]]}, "error: gamma must hold n^3 = 1 scalars\n"),
+], ids=["n2", "n1"])
+def test_algebra_rejects_a_nested_table(capsys, tmp_path, table, message):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(capsys, ["algebra", str(path)])
+    assert (code, out, err) == (2, "", message)
+
+
 def test_algebra_takes_no_suite_option(capsys):
     # albert was its only value and nothing read it
     code, out, err = run(capsys, ["algebra", "t.json", "--suite", "albert"])
