@@ -39,6 +39,8 @@ def _load_config(path: str) -> dict:
         grid = data["grid"]
         if not (isinstance(grid, list) and all(isinstance(g, str) for g in grid)):
             raise ValueError("config key 'grid' must be a list of strings")
+        if not grid:
+            raise ValueError("config key 'grid' has no entries")
     for key in ("horizon", "seed"):
         if key in data and (isinstance(data[key], bool) or not isinstance(data[key], int)):
             raise ValueError(f"config key {key!r} must be an integer")

@@ -95,6 +95,14 @@ def test_a_grid_with_no_entries_exits_two(capsys, argv):
     assert err == "error: --grid has no entries\n"
 
 
+def test_a_config_grid_with_no_entries_exits_two(capsys, tmp_path):
+    # an empty list is refused as --grid "," is, not read as the default grid
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": []}))
+    code, out, err = run(capsys, ["check", "Q", "--suite", "density", "--config", str(cfg)])
+    assert (code, out, err) == (2, "", "error: config key 'grid' has no entries\n")
+
+
 def test_series_condensation_passes(capsys):
     code, out, _ = run(
         capsys, ["series", "1/2^n", "--structure", "Q", "--test", "condensation"]
