@@ -65,6 +65,8 @@ def _cases() -> list[tuple[str, list[str]]]:
         # a structure-constant table (README's mini-i)
         ("algebra-mini-i", ["algebra", "{golden}/mini-i.json"]),
         ("algebra-mini-i-text", ["algebra", "{golden}/mini-i.json", "--format", "text"]),
+        # a table name that would put float text in the check id (exit 2)
+        ("algebra-float-name", ["algebra", "{golden}/float-name.json"]),
         # bad input (exit 2)
         ("error-Q-not-geometric", _series("1/n", "Q", "geometric")),
         ("error-Z-no-inverse", _series("1/2^n", "Z", "geometric")),

@@ -256,6 +256,16 @@ def test_algebra_rejects_a_nested_table(capsys, tmp_path, table, message):
     assert (code, out, err) == (2, "", message)
 
 
+def test_algebra_refuses_a_float_name_under_both_formats(capsys, tmp_path):
+    # the name lands in the check id albert.v1.2, which reads as a float
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"name": "v1.2", "n": 2, "gamma": [1, 0, 0, 1, 0, 1, -1, 0]}))
+    message = "error: floating-point text is not allowed in reports: 'albert.v1.2'\n"
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, ["algebra", str(path), "--format", fmt])
+        assert (code, out, err) == (2, "", message)
+
+
 def test_algebra_takes_no_suite_option(capsys):
     # albert was its only value and nothing read it
     code, out, err = run(capsys, ["algebra", "t.json", "--suite", "albert"])

@@ -33,6 +33,16 @@ def test_record_rejects_float_text():
         rec(witness=(0.5,))
 
 
+@pytest.mark.parametrize("field", ["suite", "structure", "check_id", "paper_anchor"])
+def test_record_rejects_float_text_in_every_field(field):
+    fields = dict(suite="density", structure="Q", check_id="a.check", status="pass",
+                  paper_anchor="order.dense-between")
+    with pytest.raises(ValueError, match="floating-point text"):
+        CheckRecord(**{**fields, field: "1.2"})
+    with pytest.raises(TypeError):
+        CheckRecord(**{**fields, field: 1.2})
+
+
 def test_record_allows_exact_text():
     assert rec(witness=("1/2", "g^-2", "(X - 1)/X^2", "N(1/8)=9")).witness_values
 
