@@ -10,7 +10,9 @@ oracles for the tests.
 
 The density splits of ``Q``, ``Z(X)`` and ``Z[1/p]`` used to be written out
 by hand in the registry; they now come from ``demarr_density_witness`` and
-``density_from_unit_interval``.  The hand-written splits are kept here too.
+``density_from_unit_interval``.  The hand-written splits are kept here too,
+and so is ``module_density_witness``, which split ``Q^2`` by a scalar action
+before ``Q^2`` took ``Q``'s slice split on each coordinate.
 """
 
 from ordalab import OrderResult, total_compare
@@ -60,5 +62,22 @@ def localized_split(p):
 
     def split(eps):
         return (eps / p**2, eps * (p - 1) / p**2)
+
+    return split
+
+
+def module_density_witness(ring, smul, alpha):
+    """The old split of Q^2 from a scalar in (0, 1): a positive m splits into
+    ((alpha - alpha^2)m, (alpha^2)m), which combine to exactly alpha*m."""
+    ring.require("ring", "total_order")
+    if not (ring.lt(ring.identity, alpha) and ring.lt(alpha, ring.one)):
+        raise ValueError(
+            f"{ring.name}: scalar {ring.fmt(alpha)} is not strictly between 0 and 1"
+        )
+    alpha_sq = ring.second_op(alpha, alpha)
+    c1 = ring.sub(alpha, alpha_sq)
+
+    def split(m):
+        return (smul(c1, m), smul(alpha_sq, m))
 
     return split

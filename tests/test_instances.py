@@ -22,7 +22,7 @@ from ordalab import (
     verify_shrink,
 )
 from ordalab.poly import RF_ONE, RF_ZERO, RatFunc, X
-from order_oracle import localized_split, two_fifths_split
+from order_oracle import localized_split, module_density_witness, two_fifths_split
 from test_poly import ratfuncs
 
 ALL_KEYS = [
@@ -83,6 +83,7 @@ SPLIT_ORACLES = {
     "Z(X)": two_fifths_split(RatFunc((2,), (5,))),
     "Z[1/2]": localized_split(2),
     "Z[1/3]": localized_split(3),
+    "Q^2": module_density_witness(lookup("Q"), lambda r, m: (r * m[0], r * m[1]), F(1, 2)),
 }
 
 
@@ -90,6 +91,10 @@ def positive_elements(key):
     if key == "Z(X)":
         return ratfuncs.filter(lambda r: r != 0).map(lambda r: r if r > 0 else -r)
     num = st.integers(1, 10**6)
+    if key == "Q^2":
+        # the nonnegative cone without its apex; a coordinate may be 0
+        coord = st.builds(F, st.integers(0, 10**6), st.integers(1, 10**6))
+        return st.tuples(coord, coord).filter(lambda m: m != (0, 0))
     if key == "Q":
         return st.builds(F, num, st.integers(1, 10**6))
     p = 2 if key == "Z[1/2]" else 3

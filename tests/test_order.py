@@ -24,6 +24,7 @@ from ordalab import (
     verify_hemiring,
     verify_monoid,
 )
+from test_poly import _rf
 
 rationals = st.fractions(min_value=F(-50), max_value=F(50), max_denominator=30)
 
@@ -91,6 +92,43 @@ def test_fold_and_naturals():
     assert nat_pow(q, F(2), 5) == F(32)
     assert nat_pow(q, F(2), 0) == q.one
     assert join_fold(q, [F(1), F(5), F(3)]) == F(5)
+
+
+def _left_fold(f, unit, x, n):
+    # the n-fold product x f x f ... f x, bracketed from the left
+    acc = unit
+    for i in range(n):
+        acc = x if i == 0 else f(acc, x)
+    return acc
+
+
+_ELEMENTS = {
+    "Q": rationals,
+    "lex": st.tuples(st.integers(-5, 5), rationals),
+    "trop": st.none() | rationals,
+    "Q(i)": st.tuples(rationals, rationals),
+    "Z(X)": st.builds(_rf, st.lists(st.integers(-3, 3), max_size=3),
+                      st.lists(st.integers(-3, 3), min_size=1, max_size=3)),
+}
+
+
+@pytest.mark.parametrize("key", ["Q", "lex", "trop"])
+@given(data=st.data(), n=st.integers(0, 40))
+def test_nat_mul_matches_a_left_fold(key, data, n):
+    # doubling regroups the sum, which associativity allows
+    h = lookup(key)
+    x = data.draw(_ELEMENTS[key])
+    got, want = nat_mul(h, n, x), _left_fold(h.op, h.identity, x, n)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("key", ["Q", "Z(X)", "Q(i)"])
+@given(data=st.data(), n=st.integers(0, 40))
+def test_nat_pow_matches_a_left_fold(key, data, n):
+    h = lookup(key)
+    x = data.draw(_ELEMENTS[key])
+    got, want = nat_pow(h, x, n), _left_fold(h.second_op, h.one, x, n)
+    assert got == want and type(got) is type(want)
 
 
 @given(rationals)
