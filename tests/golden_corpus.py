@@ -86,6 +86,9 @@ def _cases() -> list[tuple[str, list[str]]]:
          ["check", "Q", "--suite", "density", "--grid", "n,1/n", "--seed", "0"]),
         ("check-Q-density-grid-zero",
          ["check", "Q", "--suite", "density", "--grid", "1/0", "--seed", "0"]),
+        # a grid entry that does not parse
+        ("check-Q-density-grid-parse",
+         ["check", "Q", "--suite", "density", "--grid", "1/2,1/+", "--seed", "0"]),
         ("series-Q-grid-index", _series("1/2^n", "Q", "zero-limit", "--grid", "1/2,1/n")),
         ("series-Q-grid-zero", _series("1/2^n", "Q", "zero-limit", "--grid", "1/(2-2)")),
         # grid entries must strictly decrease (exit 2): a repeated one, a rising one
