@@ -68,6 +68,10 @@ class ConvCert:
     seq: Seq
     limit: Element
     modulus: Callable[[Element], int]
+    # d(seq(n), limit) by index n, filled lazily by verify_conv_cert and, for
+    # a scanned certificate, by the scans behind its modulus.  Not an init
+    # field, so dataclasses.replace never carries a table to a new limit.
+    _dists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -151,11 +155,14 @@ def verify_conv_cert(
     [N(eps), N(eps)+horizon].  Empty result = consistent at this scale."""
     _nonnegative_horizon(horizon)
     space, s = cert.space, cert.space.codomain
+    dists = cert._dists
     out: list[Violation] = []
     for eps in _grid_for(space, grid):
         n0 = _modulus_at(cert.modulus, eps)
         for n in range(n0, n0 + horizon + 1):
-            d = space.distance(cert.seq(n), cert.limit)
+            d = dists.get(n)
+            if d is None:
+                d = dists[n] = space.distance(cert.seq(n), cert.limit)
             if not s.lt(d, eps):
                 out.append(Violation(
                     "convergence.within",
@@ -569,15 +576,24 @@ def refute_distinct_limits(ca: ConvCert, cb: ConvCert) -> RefutationRecord:
 
 
 def _scanned_modulus(
-    scan: Callable[[Element], int | None], message: Callable[[Element], str]
+    s: StructureHandle,
+    scan: Callable[[Element, int], int | None],
+    message: Callable[[Element], str],
 ) -> Callable[[Element], int]:
-    """A modulus that runs scan once per epsilon and caches the index it
-    finds; an epsilon whose scan finds none raises ValueError(message(eps))."""
+    """A modulus that runs scan(eps, start) once per epsilon and caches the
+    index it finds; an epsilon whose scan finds none raises
+    ValueError(message(eps)).
+
+    A window that is good for eps is good for every e >= eps, so the least
+    window start for eps is at least the cached start of any such e: the
+    scan resumes from the largest of them instead of from index 1.  The
+    bound comes from s's order, since moduli are queried in any order."""
     cache: dict = {}
 
     def modulus(eps: Element) -> int:
         if eps not in cache:
-            found = scan(eps)
+            start = max((n for e, n in cache.items() if s.le(eps, e)), default=1)
+            found = scan(eps, start)
             if found is None:
                 raise ValueError(message(eps))
             cache[eps] = found
@@ -593,18 +609,29 @@ def scan_window_start(
     eps: Element,
     horizon: int = 64,
     max_index: int = _MAX_INDEX,
+    *,
+    start: int | None = None,
+    dists: dict | None = None,
 ) -> int | None:
     """Least N with d(seq(n), limit) < eps across all of [N, N+horizon],
-    or None when no such window starts at or below max_index."""
+    or None when no such window starts at or below max_index.
+
+    start (default 1) is a known lower bound on N, where the scan begins;
+    dists caches d(seq(n), limit) by n across scans."""
     _nonnegative_horizon(horizon)
     s = space.codomain
-    last_bad = 0
-    for n in range(1, max_index + horizon + 1):
-        if not s.lt(space.distance(seq(n), limit), eps):
+    start = start or 1
+    if dists is None:
+        dists = {}
+    last_bad = start - 1
+    for n in range(start, max_index + horizon + 1):
+        d = dists.get(n)
+        if d is None:
+            d = dists[n] = space.distance(seq(n), limit)
+        if not s.lt(d, eps):
             last_bad = n
-        window_start = n - horizon
-        if window_start >= 1 and window_start > last_bad:
-            return window_start
+        if n - horizon > last_bad:
+            return n - horizon
     return None
 
 
@@ -614,15 +641,23 @@ def scanned_conv_cert(
     """Certificate whose modulus is found by scanning, lazily per epsilon.
 
     Deterministic and exact, but desk-scale only: an epsilon whose window
-    never clears within _MAX_INDEX raises ValueError at modulus time.
+    never clears within _MAX_INDEX raises ValueError at modulus time.  The
+    scans and verify_conv_cert share one distance table; the modulus holds
+    the table, not the certificate, so dropping the certificate frees both
+    without the cycle collector.
     """
     s = space.codomain
+    dists: dict = {}
     modulus = _scanned_modulus(
-        lambda eps: scan_window_start(space, seq, limit, eps, horizon, _MAX_INDEX),
+        s,
+        lambda eps, start: scan_window_start(space, seq, limit, eps, horizon, _MAX_INDEX,
+                                             start=start, dists=dists),
         lambda eps: f"{seq.name}: no index window up to {_MAX_INDEX} stays "
                     f"below {s.fmt(eps)}; the claimed limit fails at this scale",
     )
-    return ConvCert(space, seq, limit, modulus)
+    cert = ConvCert(space, seq, limit, modulus)
+    object.__setattr__(cert, "_dists", dists)
+    return cert
 
 
 def scan_cauchy_window_start(
@@ -631,17 +666,21 @@ def scan_cauchy_window_start(
     eps: Element,
     horizon: int = 64,
     max_index: int = _MAX_INDEX,
+    *,
+    start: int | None = None,
 ) -> int | None:
     """Least N such that every pair drawn from [N, N+horizon] has distance
     below eps, or None when no such window starts at or below max_index.
 
-    Slides a left bound g: after step n, all pairs inside [g, n] are known
-    good, so the first window of width horizon is returned as soon as it
-    fits."""
+    Slides a left bound g from start (default 1), a known lower bound on N:
+    after step n, all pairs inside [g, n] are known good, so the first
+    window of width horizon is returned as soon as it fits.  A scan from 1
+    takes its first step at n = 2, so at horizon 0 it returns 1 or 2; a
+    scan resumed past 1 returns start at once, as the one from 1 would."""
     _nonnegative_horizon(horizon)
     s = space.codomain
-    g = 1
-    for n in range(2, max_index + horizon + 1):
+    g = start or 1
+    for n in range(max(2, g), max_index + horizon + 1):
         xn = seq(n)
         for a in range(g, n):
             if not s.lt(space.distance(seq(a), xn), eps):
@@ -655,10 +694,13 @@ def scan_cauchy_window_start(
 
 def scanned_cauchy_cert(space: MetricSpace, seq: Seq, horizon: int = 64) -> CauchyCert:
     """Cauchy certificate whose modulus is found by scanning, lazily per
-    epsilon; an epsilon whose window never clears raises at modulus time."""
+    epsilon and resumed from a larger epsilon's start; an epsilon whose
+    window never clears raises at modulus time."""
     s = space.codomain
     modulus = _scanned_modulus(
-        lambda eps: scan_cauchy_window_start(space, seq, eps, horizon, _MAX_INDEX),
+        s,
+        lambda eps, start: scan_cauchy_window_start(space, seq, eps, horizon, _MAX_INDEX,
+                                                    start=start),
         lambda eps: f"{seq.name}: no index window up to {_MAX_INDEX} keeps "
                     f"pairwise gaps below {s.fmt(eps)}; the values fail to "
                     f"cluster at this scale",

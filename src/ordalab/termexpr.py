@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Union
+from typing import Any, Callable, Union
 
 from .order import StructureHandle, nat_pow
 from .sequences import Seq
@@ -251,60 +251,92 @@ def pretty(node: Node) -> str:
 # evaluation
 
 
+def _raiser(reason: str) -> Callable[[int], Element]:
+    def term(n: int) -> Element:
+        raise EvalError(reason)
+    return term
+
+
+def _constant(value: Element) -> Callable[[int], Element]:
+    return lambda n: value
+
+
+def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
+    """The term as a function of the index n >= 1, built once.
+
+    Literals are converted and symbols looked up here, and each operator is
+    bound to its node.  A missing capability or symbol still raises
+    EvalError only when the node is evaluated, so errors come at the same
+    time, with the same message and in the same order as a walk of the tree
+    at each index would give."""
+    name = handle.name
+    if isinstance(node, (Lit, Index)):
+        as_element = handle.from_rational
+        if as_element is None:
+            return _raiser(f"{name} cannot interpret rational literals")
+        if isinstance(node, Index):
+            return lambda n: as_element(Fraction(n))
+        q = Fraction(node.value)
+        try:
+            return _constant(as_element(q))
+        except Exception:
+            # a literal this carrier refuses fails when it is evaluated
+            return lambda n: as_element(q)
+    if isinstance(node, Sym):
+        if node.name not in handle.symbols:
+            return _raiser(f"{name} does not define the symbol {node.name!r}")
+        return _constant(handle.symbols[node.name])
+    if isinstance(node, Pow):
+        base = _compile(node.base, handle)
+        if node.exponent is None:
+            return lambda n: nat_pow(handle, base(n), n)
+        exponent = node.exponent
+        return lambda n: nat_pow(handle, base(n), exponent)
+    if not isinstance(node, Bin):
+        raise TypeError(f"not a term node: {node!r}")
+    left, right = _compile(node.left, handle), _compile(node.right, handle)
+    if node.op == "+":
+        op = handle.op
+        return lambda n: op(left(n), right(n))
+    if node.op == "-":
+        if handle.negate is None:
+            return _raiser(f"{name} has no subtraction")
+        op, neg = handle.op, handle.negate
+        return lambda n: op(left(n), neg(right(n)))
+    mul = handle.second_op
+    if node.op == "*":
+        if mul is None:
+            return _raiser(f"{name} has no multiplication")
+        return lambda n: mul(left(n), right(n))
+    if mul is None or handle.invert is None:
+        return _raiser(f"{name} has no division")
+    eq, zero, invert = handle.eq, handle.identity, handle.invert
+
+    def divide(n: int) -> Element:
+        # the denominator first: a zero one is reported before the
+        # numerator is evaluated
+        den = right(n)
+        if eq(den, zero):
+            raise EvalError("division by zero", n)
+        num = left(n)
+        try:
+            inverse = invert(den)
+        except ValueError as exc:
+            # a nonzero element without an inverse in this carrier
+            raise EvalError(str(exc)) from exc
+        return mul(num, inverse)
+
+    return divide
+
+
 def eval_term(node: Node, handle: StructureHandle, n: int) -> Element:
-    """Evaluate at index n >= 1, exactly, through the structure handle."""
+    """Evaluate at index n >= 1, exactly, through the structure handle.
+
+    Compiles the term for this one call; seq_from_expr compiles once per
+    sequence."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"index must be a positive integer, got {n!r}")
-
-    def as_element(q: Fraction) -> Element:
-        if handle.from_rational is None:
-            raise EvalError(f"{handle.name} cannot interpret rational literals")
-        return handle.from_rational(q)
-
-    def go(node: Node) -> Element:
-        if isinstance(node, Lit):
-            return as_element(Fraction(node.value))
-        if isinstance(node, Index):
-            return as_element(Fraction(n))
-        if isinstance(node, Sym):
-            try:
-                return handle.symbols[node.name]
-            except KeyError:
-                raise EvalError(
-                    f"{handle.name} does not define the symbol {node.name!r}"
-                ) from None
-        if isinstance(node, Pow):
-            return nat_pow(handle, go(node.base),
-                           n if node.exponent is None else node.exponent)
-        if isinstance(node, Bin):
-            if node.op == "+":
-                return handle.op(go(node.left), go(node.right))
-            if node.op == "-":
-                if handle.negate is None:
-                    raise EvalError(f"{handle.name} has no subtraction")
-                return handle.sub(go(node.left), go(node.right))
-            if node.op == "*":
-                if handle.second_op is None:
-                    raise EvalError(f"{handle.name} has no multiplication")
-                return handle.mul(go(node.left), go(node.right))
-            if node.op == "/":
-                if handle.second_op is None or handle.invert is None:
-                    raise EvalError(f"{handle.name} has no division")
-                # the denominator first: a zero one is reported before the
-                # numerator is evaluated
-                den = go(node.right)
-                if handle.eq(den, handle.identity):
-                    raise EvalError("division by zero", n)
-                num = go(node.left)
-                try:
-                    inverse = handle.invert(den)
-                except ValueError as exc:
-                    # a nonzero element without an inverse in this carrier
-                    raise EvalError(str(exc)) from exc
-                return handle.mul(num, inverse)
-        raise TypeError(f"not a term node: {node!r}")
-
-    return go(node)
+    return _compile(node, handle)(n)
 
 
 def _mentions_index(node: Node) -> bool:
@@ -321,5 +353,4 @@ def _mentions_index(node: Node) -> bool:
 def seq_from_expr(src: str, handle: StructureHandle) -> Seq:
     """Compile source text to a 1-indexed sequence over the structure."""
     ast = parse_term_expr(src)
-    text = pretty(ast)
-    return Seq(text, lambda n: eval_term(ast, handle, n))
+    return Seq(pretty(ast), _compile(ast, handle))
