@@ -76,6 +76,7 @@ from .series import (
 )
 from .termexpr import (
     EvalError,
+    TermError,
     _mentions_index,
     eval_term,
     parse_term_expr,
@@ -114,7 +115,10 @@ def _check_horizon(horizon) -> None:
 
 def _grid_value(handle: StructureHandle, entry: str) -> Element:
     """The constant a grid entry denotes; an entry may not mention n."""
-    node = parse_term_expr(entry)
+    try:
+        node = parse_term_expr(entry)
+    except TermError as exc:
+        raise ValueError(f"grid entry {entry!r}: {exc}") from None
     if _mentions_index(node):
         raise ValueError(f"grid entry {entry!r} mentions the index n; "
                          "grid entries are constants")

@@ -103,6 +103,17 @@ def test_a_config_grid_with_no_entries_exits_two(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: config key 'grid' has no entries\n")
 
 
+def test_a_grid_entry_that_does_not_parse_is_named(capsys, tmp_path):
+    code, out, err = run(capsys, ["check", "Q", "--suite", "density", "--grid", "1/2,1/+"])
+    assert (code, out, err) == (
+        2, "", "error: grid entry '1/+': expected a value, got '+' (column 3)\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": [""]}))
+    code, out, err = run(capsys, ["check", "Q", "--suite", "density", "--config", str(cfg)])
+    assert (code, out, err) == (
+        2, "", "error: grid entry '': expected a value, got end of input (column 1)\n")
+
+
 def test_series_condensation_passes(capsys):
     code, out, _ = run(
         capsys, ["series", "1/2^n", "--structure", "Q", "--test", "condensation"]
