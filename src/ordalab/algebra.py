@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -249,6 +250,10 @@ def coefficient_pseudonorm(alg: FinDimAlgebra) -> PseudonormedRing:
     )
 
 
+# an exact integer or rational entry, as text: "3", "-1/2"
+_EXACT_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def load_algebra_table(source: str | dict) -> FinDimAlgebra:
     """Build an algebra over Q from a JSON table {name, n, gamma, basis?}.
 
@@ -277,10 +282,15 @@ def load_algebra_table(source: str | dict) -> FinDimAlgebra:
     field = lookup("Q")
 
     def cell(v):
-        if isinstance(v, bool) or isinstance(v, float):
+        # Fraction would also read "0.5", "1e3" and " 1/2 " as exact values
+        if (isinstance(v, bool) or isinstance(v, float)
+                or isinstance(v, str) and not _EXACT_TEXT.fullmatch(v)):
             raise ValueError("gamma entries must be exact (integer or rational string)")
         if isinstance(v, (int, str)):
-            return field.from_rational(Fraction(v))
+            try:
+                return field.from_rational(Fraction(v))
+            except ZeroDivisionError:
+                raise ValueError(f"gamma entry {v!r} has a zero denominator") from None
         raise ValueError(f"bad gamma entry {v!r}")
 
     if not isinstance(gamma, list):

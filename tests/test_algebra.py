@@ -113,6 +113,18 @@ def test_load_algebra_table_validates():
         load_algebra_table({"name": "bad", "n": 2, "gamma": [0.5] * 8})
 
 
+@pytest.mark.parametrize("entry", ["0.5", "1e3", " 1/2 ", "1/2 ", "+1", "1/-2", "0x1", "1_0"])
+def test_load_algebra_table_refuses_inexact_text(entry):
+    with pytest.raises(ValueError, match="gamma entries must be exact"):
+        load_algebra_table({"n": 1, "gamma": [entry]})
+
+
+def test_load_algebra_table_reads_exact_text():
+    table = load_algebra_table({"n": 1, "gamma": ["-3/6"]})
+    assert table.gamma == (((F(-1, 2),),),)
+    assert load_algebra_table({"n": 1, "gamma": ["12"]}).gamma == (((F(12),),),)
+
+
 def test_load_algebra_table_rejects_a_bool_n():
     # bool is an int subclass: true must not be read as n = 1
     with pytest.raises(ValueError, match="table key 'n' must be a positive integer"):

@@ -242,6 +242,21 @@ def test_algebra_rejects_a_malformed_table(capsys, tmp_path):
     assert "gamma must hold n^3" in err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("0.5", "error: gamma entries must be exact (integer or rational string)\n"),
+    ("1e3", "error: gamma entries must be exact (integer or rational string)\n"),
+    (" 1/2 ", "error: gamma entries must be exact (integer or rational string)\n"),
+    ("+1", "error: gamma entries must be exact (integer or rational string)\n"),
+    ("1/0", "error: gamma entry '1/0' has a zero denominator\n"),
+])
+def test_algebra_refuses_inexact_and_malformed_entry_text(capsys, tmp_path, entry, message):
+    # Fraction reads every one of these; only -?digits(/digits)? is exact text
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"n": 1, "gamma": [entry]}))
+    code, out, err = run(capsys, ["algebra", str(path)])
+    assert (code, out, err) == (2, "", message)
+
+
 @pytest.mark.parametrize("table, message", [
     ({"n": True, "gamma": ["1"]}, "error: table key 'n' must be a positive integer\n"),
     ({"n": 2, "gamma": [1, 0, 0, 1, 0, 1, -1, 0], "basis": "ab"},
