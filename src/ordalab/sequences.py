@@ -610,17 +610,16 @@ def scan_window_start(
     horizon: int = 64,
     max_index: int = _MAX_INDEX,
     *,
-    start: int | None = None,
+    start: int = 1,
     dists: dict | None = None,
 ) -> int | None:
     """Least N with d(seq(n), limit) < eps across all of [N, N+horizon],
     or None when no such window starts at or below max_index.
 
-    start (default 1) is a known lower bound on N, where the scan begins;
-    dists caches d(seq(n), limit) by n across scans."""
+    start is a known lower bound on N, where the scan begins; dists caches
+    d(seq(n), limit) by n across scans."""
     _nonnegative_horizon(horizon)
     s = space.codomain
-    start = start or 1
     if dists is None:
         dists = {}
     last_bad = start - 1
@@ -667,19 +666,19 @@ def scan_cauchy_window_start(
     horizon: int = 64,
     max_index: int = _MAX_INDEX,
     *,
-    start: int | None = None,
+    start: int = 1,
 ) -> int | None:
     """Least N such that every pair drawn from [N, N+horizon] has distance
     below eps, or None when no such window starts at or below max_index.
 
-    Slides a left bound g from start (default 1), a known lower bound on N:
+    Slides a left bound g from start, a known lower bound on N:
     after step n, all pairs inside [g, n] are known good, so the first
     window of width horizon is returned as soon as it fits.  A scan from 1
     takes its first step at n = 2, so at horizon 0 it returns 1 or 2; a
     scan resumed past 1 returns start at once, as the one from 1 would."""
     _nonnegative_horizon(horizon)
     s = space.codomain
-    g = start or 1
+    g = start
     for n in range(max(2, g), max_index + horizon + 1):
         xn = seq(n)
         for a in range(g, n):

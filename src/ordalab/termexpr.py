@@ -257,10 +257,6 @@ def _raiser(reason: str) -> Callable[[int], Element]:
     return term
 
 
-def _constant(value: Element) -> Callable[[int], Element]:
-    return lambda n: value
-
-
 def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
     """The term as a function of the index n >= 1, built once.
 
@@ -278,14 +274,16 @@ def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
             return lambda n: as_element(Fraction(n))
         q = Fraction(node.value)
         try:
-            return _constant(as_element(q))
+            value = as_element(q)
         except Exception:
             # a literal this carrier refuses fails when it is evaluated
             return lambda n: as_element(q)
+        return lambda n: value
     if isinstance(node, Sym):
         if node.name not in handle.symbols:
             return _raiser(f"{name} does not define the symbol {node.name!r}")
-        return _constant(handle.symbols[node.name])
+        value = handle.symbols[node.name]
+        return lambda n: value
     if isinstance(node, Pow):
         base = _compile(node.base, handle)
         if node.exponent is None:

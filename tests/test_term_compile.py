@@ -15,12 +15,22 @@ from ordalab.termexpr import Bin, Index, Lit, Pow, Sym
 from term_oracle import eval_term_reference
 
 Q = lookup("Q")
-# the carriers terms are written over, one with no division, and a few that
-# lack literals, subtraction or multiplication
+# the carriers terms are written over, a few that lack literals, subtraction
+# or multiplication, and two changed copies of Q
 HANDLES = {
     key: lookup(key) for key in ("Q", "Z", "Z[1/2]", "Z[1/3]", "Z(X)", "trop", "lex", "Id(Z)")
 }
 HANDLES["Q without inverses"] = replace(Q, name="Q without inverses", invert=None)
+
+
+def _up_to_three(q):
+    if q > 3:
+        raise ValueError(f"{q} is out of range")
+    return q
+
+
+# refuses some literals: the refusal must wait for evaluation, as an index would
+HANDLES["Q up to 3"] = replace(Q, name="Q up to 3", from_rational=_up_to_three)
 INDICES = range(1, 41)
 
 _leaves = st.one_of(
