@@ -10,7 +10,7 @@ its induced metric is d(g, h) = norm(g - h).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from .order import (
@@ -23,10 +23,20 @@ from .order import (
 
 @dataclass(frozen=True)
 class MetricSpace:
+    """Points with a codomain-valued distance.
+
+    _group, set only by absolute_value_metric, is the ordered abelian group
+    whose |x - y| is the distance; the Cauchy verifier and scan decide
+    windows on such a space from the spread max - min of their values.  Not
+    an init field, so dataclasses.replace drops the claim.
+    """
+
     name: str
     codomain: StructureHandle
     distance: Callable[[Any, Any], Element]
     points: tuple = ()
+    _group: StructureHandle | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
 
 @dataclass(frozen=True)
@@ -38,29 +48,33 @@ class NormedGroup:
 
 
 def absolute_value(s: StructureHandle, x: Element) -> Element:
-    """max(x, -x) in a totally ordered group."""
+    """max(x, -x) in a totally ordered group: x itself unless x is
+    negative."""
     # every distance and norm comes here: test the flags, and build the
     # error only when one is missing
     if not (s.flags.group and s.flags.total_order):
         s.require("group", "total_order")
-    nx = s.negate(x)
-    return x if s.le(nx, x) else nx
+    return x if s.le(s.identity, x) else s.negate(x)
 
 
 def absolute_value_metric(s: StructureHandle) -> MetricSpace:
     """d(x, y) = |x - y| on a totally ordered group (abelian or not), with
-    the structure's sample as points."""
+    the structure's sample as points; an abelian s is recorded as the
+    space's _group."""
     s.require("group", "total_order")
 
     def d(x, y):
         return absolute_value(s, s.sub(x, y))
 
-    return MetricSpace(
+    space = MetricSpace(
         name=f"{s.name}.abs",
         codomain=s,
         distance=d,
         points=tuple(s.sample),
     )
+    if s.flags.commutative_add:
+        object.__setattr__(space, "_group", s)
+    return space
 
 
 def absolute_value_norm(s: StructureHandle) -> NormedGroup:

@@ -14,6 +14,7 @@ encode.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -179,16 +180,32 @@ def verify_cauchy_cert(
     horizon: int = 64,
 ) -> list[Violation]:
     """Check d(seq(m), seq(n)) < eps over sampled index pairs in
-    [N(eps), N(eps)+horizon] for every grid eps."""
+    [N(eps), N(eps)+horizon] for every grid eps.
+
+    On a space with an ordered abelian _group (absolute_value_metric on Q,
+    Z, Z[1/2], Z[1/3], Z(X)) the values are pairwise within eps exactly
+    when their min and max are, so a clean window costs one distance; a
+    window that fails, and any other space, walks the pairs."""
     space, s = cert.space, cert.space.codomain
+    grp = space._group
     out: list[Violation] = []
     offs = _offsets(horizon)
     for eps in _grid_for(space, grid):
         n0 = _modulus_at(cert.modulus, eps)
+        xs = [cert.seq(n0 + o) for o in offs]
+        if grp is not None:
+            lo = hi = xs[0]
+            for x in xs:
+                if grp.lt(x, lo):
+                    lo = x
+                elif grp.lt(hi, x):
+                    hi = x
+            if s.lt(space.distance(lo, hi), eps):
+                continue
         for a in range(len(offs)):
             for b in range(a, len(offs)):
                 m, n = n0 + offs[a], n0 + offs[b]
-                d = space.distance(cert.seq(m), cert.seq(n))
+                d = space.distance(xs[a], xs[b])
                 if not s.lt(d, eps):
                     out.append(Violation(
                         "cauchy.within",
@@ -675,15 +692,46 @@ def scan_cauchy_window_start(
     after step n, all pairs inside [g, n] are known good, so the first
     window of width horizon is returned as soon as it fits.  A scan from 1
     takes its first step at n = 2, so at horizon 0 it returns 1 or 2; a
-    scan resumed past 1 returns start at once, as the one from 1 would."""
+    scan resumed past 1 returns start at once, as the one from 1 would.
+
+    On a space with an ordered abelian _group, x_a is too far from x_n
+    exactly when x_a >= x_n + eps or x_a <= x_n - eps, so the last such a
+    heads a deque of the suffix maxima or one of the suffix minima of
+    [g, n): each step costs one add, one subtract and amortised O(1)
+    compares, and no distance.  Any other space compares every pair."""
     _nonnegative_horizon(horizon)
     s = space.codomain
+    grp = space._group
     g = start
+    tops: deque = deque()  # (a, x_a), values strictly decreasing
+    bottoms: deque = deque()  # (a, x_a), values strictly increasing
+
+    def push(a, xa):
+        while tops and grp.le(tops[-1][1], xa):
+            tops.pop()
+        tops.append((a, xa))
+        while bottoms and grp.le(xa, bottoms[-1][1]):
+            bottoms.pop()
+        bottoms.append((a, xa))
+
     for n in range(max(2, g), max_index + horizon + 1):
         xn = seq(n)
-        for a in range(g, n):
-            if not s.lt(space.distance(seq(a), xn), eps):
-                g = a + 1
+        if grp is None:
+            for a in range(g, n):
+                if not s.lt(space.distance(seq(a), xn), eps):
+                    g = a + 1
+        else:
+            if n == 2 and g == 1:  # a scan from 1 reads seq(1) after seq(2)
+                push(1, seq(1))
+            hi, lo = grp.op(xn, eps), grp.sub(xn, eps)
+            # Pairs in [g, n) are good, so at most one side is bad.  The
+            # other side's entries below the new g lie strictly beyond x_n
+            # (each is within eps of a popped value), so pushing x_n drops them.
+            while tops and grp.le(hi, tops[0][1]):
+                g = tops.popleft()[0] + 1
+            while bottoms and grp.le(bottoms[0][1], lo):
+                g = bottoms.popleft()[0] + 1
+            push(n, xn)
         if g > max_index:
             return None
         if n - g >= horizon:

@@ -1,10 +1,14 @@
-"""Slow references for the modulus scans and the convergence verifier.
+"""Slow references for the modulus scans and the certificate verifiers.
 
-These are the loops that ``ordalab.sequences`` resumes and backs with a
-distance table: every scan starts at index 1, and the verifier computes
-every distance it reads.  They are kept only as differential oracles for
-the tests.
+These are the loops that ``ordalab.sequences`` resumes, backs with a
+distance table, or decides from the spread of the values: every scan starts
+at index 1 and compares every pair, and the verifiers compute every
+distance they read.  They are kept only as differential oracles for the
+tests.
 """
+
+# the index offsets verify_cauchy_cert probes past N(eps)
+PROBE_OFFSETS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55)
 
 
 def scan_window_start_reference(space, seq, limit, eps, horizon, max_index):
@@ -49,4 +53,22 @@ def verify_conv_cert_reference(cert, grid, horizon):
             d = space.distance(cert.seq(n), cert.limit)
             if not s.lt(d, eps):
                 out.append((eps, n, d))
+    return out
+
+
+def verify_cauchy_cert_reference(cert, grid, horizon):
+    """(eps, m, n, d) for every grid eps and every pair m <= n of probed
+    indices in [N(eps), N(eps)+horizon] where d(seq(m), seq(n)) is not
+    below eps, in the verifier's order."""
+    space, s = cert.space, cert.space.codomain
+    offs = sorted({o for o in PROBE_OFFSETS if o <= horizon} | {horizon})
+    out = []
+    for eps in grid:
+        n0 = cert.modulus(eps)
+        for a in range(len(offs)):
+            for b in range(a, len(offs)):
+                m, n = n0 + offs[a], n0 + offs[b]
+                d = space.distance(cert.seq(m), cert.seq(n))
+                if not s.lt(d, eps):
+                    out.append((eps, m, n, d))
     return out

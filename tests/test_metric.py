@@ -1,6 +1,7 @@
 """Metric spaces, norms, induced distances, and their law checkers."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -131,3 +132,21 @@ def test_verify_metric_accepts_explicit_triples():
     space = absolute_value_metric(q)
     triples = sample_triples([F(n, 3) for n in range(-6, 7)], 200, random.Random(0))
     assert verify_metric(space, triples=triples) == []
+
+
+def test_a_distance_negates_once_and_only_a_negative_difference_again():
+    calls = []
+
+    def negate(x):
+        calls.append(x)
+        return -x
+
+    space = absolute_value_metric(replace(lookup("Q"), negate=negate))
+    assert space.distance(F(3), F(1)) == 2
+    assert calls == [F(1)]  # the subtraction's negation only
+    calls.clear()
+    assert space.distance(F(1), F(3)) == 2
+    assert calls == [F(3), F(-2)]
+    calls.clear()
+    assert space.distance(F(2), F(2)) == 0
+    assert calls == [F(2)]
