@@ -64,7 +64,6 @@ from .sequences import (
     ApartFromZeroWitness,
     CauchyCert,
     ConvCert,
-    RefutationRecord,
     Seq,
     SubseqMap,
     add_certs,
@@ -94,7 +93,6 @@ from .series import (
     MonotoneEvidence,
     MonotoneKind,
     Series,
-    TailCheck,
     abs_conv_cauchy,
     alternating_cauchy,
     archimedean_power_modulus,
