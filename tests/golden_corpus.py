@@ -70,6 +70,8 @@ def _cases() -> list[tuple[str, list[str]]]:
         # bad input (exit 2)
         ("error-Q-not-geometric", _series("1/n", "Q", "geometric")),
         ("error-Z-no-inverse", _series("1/2^n", "Z", "geometric")),
+        # a ratio of 1 has no geometric limit
+        ("error-Q-ratio-one", _series("pow(1,n)", "Q", "geometric")),
         # a missing capability (exit 3) and terms that do not decrease (exit 2)
         ("unverifiable-Qi-alternating", _series("1/2^n", "Q(i)", "alternating")),
         ("error-Q-increasing-condensation", _series("n", "Q", "condensation")),
