@@ -27,7 +27,8 @@ class MetricSpace:
 
     _group, set only by absolute_value_metric, is the ordered abelian group
     whose |x - y| is the distance; the Cauchy verifier and scan decide
-    windows on such a space from the spread max - min of their values.  Not
+    windows on such a space from the spread max - min of their values, and
+    the convergence scan from the bounds limit - eps and limit + eps.  Not
     an init field, so dataclasses.replace drops the claim.
     """
 

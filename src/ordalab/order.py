@@ -214,7 +214,8 @@ def nat_mul(s: StructureHandle, n: int, x: Element) -> Element:
 
 
 def nat_pow(s: StructureHandle, x: Element, n: int) -> Element:
-    """n-fold second_op-product of x (n >= 0; empty product is one)."""
+    """n-fold second_op-product of x (n >= 0; empty product is one), by
+    square-and-multiply; powers steps through consecutive exponents."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
     if s.second_op is None:
@@ -224,6 +225,22 @@ def nat_pow(s: StructureHandle, x: Element, n: int) -> Element:
             raise CapabilityError(f"{s.name} has no multiplicative identity")
         return s.one
     return _doubling(s.second_op, x, n)
+
+
+def powers(s: StructureHandle, x: Element) -> Callable[[int], Element]:
+    """n -> nat_pow(s, x, n) for a walk over exponents: the last (k, x^k)
+    with k >= 1 is kept, so k + 1 costs one product x^k * x.  Any other
+    exponent, 0 and 1 included, goes to nat_pow and restarts the walk;
+    the values agree because powers of one element associate."""
+    last: list = [0, None]
+
+    def power(n: int) -> Element:
+        k, xk = last
+        xn = s.second_op(xk, x) if k and n == k + 1 else nat_pow(s, x, n)
+        last[0], last[1] = n, xn
+        return xn
+
+    return power
 
 
 def _doubling(f: Callable[[Element, Element], Element], x: Element, n: int) -> Element:

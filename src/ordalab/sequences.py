@@ -70,7 +70,8 @@ class ConvCert:
     limit: Element
     modulus: Callable[[Element], int]
     # d(seq(n), limit) by index n, filled lazily by verify_conv_cert and, for
-    # a scanned certificate, by the scans behind its modulus.  Not an init
+    # a scanned certificate on a space without a _group, by the scans behind
+    # its modulus.  Not an init
     # field, so dataclasses.replace never carries a table to a new limit.
     _dists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -633,19 +634,30 @@ def scan_window_start(
     """Least N with d(seq(n), limit) < eps across all of [N, N+horizon],
     or None when no such window starts at or below max_index.
 
-    start is a known lower bound on N, where the scan begins; dists caches
-    d(seq(n), limit) by n across scans."""
+    start is a known lower bound on N, where the scan begins.  On a space
+    with an ordered abelian _group, |x_n - limit| >= eps exactly when
+    x_n <= limit - eps or x_n >= limit + eps, so each index costs two
+    compares against bounds made once per scan, and no distance.  Any other
+    space takes d(seq(n), limit), cached by n across scans in dists."""
     _nonnegative_horizon(horizon)
     s = space.codomain
-    if dists is None:
+    grp = space._group
+    if grp is not None:
+        lo, hi = grp.sub(limit, eps), grp.op(limit, eps)
+    elif dists is None:
         dists = {}
     last_bad = start - 1
     for n in range(start, max_index + horizon + 1):
-        d = dists.get(n)
-        if d is None:
-            d = dists[n] = space.distance(seq(n), limit)
-        if not s.lt(d, eps):
-            last_bad = n
+        if grp is not None:
+            x = seq(n)
+            if grp.le(x, lo) or grp.le(hi, x):
+                last_bad = n
+        else:
+            d = dists.get(n)
+            if d is None:
+                d = dists[n] = space.distance(seq(n), limit)
+            if not s.lt(d, eps):
+                last_bad = n
         if n - horizon > last_bad:
             return n - horizon
     return None
@@ -658,9 +670,10 @@ def scanned_conv_cert(
 
     Deterministic and exact, but desk-scale only: an epsilon whose window
     never clears within _MAX_INDEX raises ValueError at modulus time.  The
-    scans and verify_conv_cert share one distance table; the modulus holds
-    the table, not the certificate, so dropping the certificate frees both
-    without the cycle collector.
+    scans and verify_conv_cert share one distance table, which only the
+    verifier fills on a space with a _group; the modulus holds the table,
+    not the certificate, so dropping the certificate frees both without the
+    cycle collector.
     """
     s = space.codomain
     dists: dict = {}

@@ -24,6 +24,7 @@ from .order import (
     fold_op,
     nat_mul,
     nat_pow,
+    powers,
     shrink_witness,
     split_witness,
 )
@@ -356,16 +357,18 @@ def geometric_cert(
         )
     if not handle.eq(c0.limit, handle.identity):
         raise ValueError(f"{c0.seq.name} does not carry a zero limit")
-    _sample_agree(c0.seq, lambda k: nat_pow(handle, r, k), 6,
-                  "power certificate is for a different ratio")
+    power = powers(handle, r)
+    _sample_agree(c0.seq, power, 6, "power certificate is for a different ratio")
     shrink = shrink_witness(handle)
 
-    powers = Seq(f"pow({handle.fmt(r)})", lambda i: nat_pow(handle, r, i - 1))
-    partials = Series(handle, powers).partials
+    # terms r^(i-1); the closed form below reads r^(n+1) as term n + 2, so
+    # both walks share the term cache and step through the powers once
+    terms = Seq(f"pow({handle.fmt(r)})", lambda i: power(i - 1))
+    partials = Series(handle, terms).partials
     seq = Seq(f"geom({handle.fmt(r)})", lambda n: partials(n + 1))
 
     for n in range(1, 33):
-        want = handle.mul(handle.sub(handle.one, nat_pow(handle, r, n + 1)), inv)
+        want = handle.mul(handle.sub(handle.one, terms(n + 2)), inv)
         if not handle.eq(seq(n), want):
             raise ValueError(
                 f"{handle.name}: geometric closed form fails at n={n}"
@@ -417,7 +420,7 @@ def archimedean_power_modulus(
     if not handle.lt(mag, handle.one):
         raise ValueError(f"{handle.name}: need -1 < r < 1, got {handle.fmt(r)}")
 
-    seq = Seq(f"pow({handle.fmt(r)})", lambda n: nat_pow(handle, r, n))
+    seq = Seq(f"pow({handle.fmt(r)})", powers(handle, r))
     if handle.eq(r, handle.identity):
         return constant_cert(space, handle.identity, name=seq.name)
 

@@ -33,7 +33,7 @@ from .order import (
     _shrink_at,
     betweenness,
     nat_mul,
-    nat_pow,
+    powers,
     shrink_witness,
     split_witness,
     verify_compatibility,
@@ -455,7 +455,7 @@ def _stock_ratio(handle: StructureHandle, space, grid):
             else:
                 r = handle.invert(handle.symbols[payload])
                 label = handle.fmt(r)
-                term_at = lambda n, r=r: nat_pow(handle, r, n)
+                term_at = powers(handle, r)
             if not (handle.lt(handle.identity, r) and handle.lt(r, handle.one)):
                 continue
             sizes = tuple(space.distance(term_at(k), handle.identity) for k in range(1, 33))
@@ -570,8 +570,8 @@ def _suite_geometric(handle: StructureHandle, cfg: RunConfig, rng: random.Random
     h = cfg.horizon
     mfmt = space.codomain.fmt
     r, _, inv, _ = _stock_ratio(handle, space, grid)
-    powers = Seq(f"pow({handle.fmt(r)})", lambda n: nat_pow(handle, r, n))
-    c0 = scanned_conv_cert(space, powers, handle.identity, horizon=h)
+    c0 = scanned_conv_cert(space, Seq(f"pow({handle.fmt(r)})", powers(handle, r)),
+                           handle.identity, horizon=h)
 
     col.cert("geometric.certificate", "series.geometric",
              lambda: geometric_cert(handle, space, r, c0, inv),
@@ -724,8 +724,9 @@ def run_series(structure: str, expr: str, test: str, grid: Sequence[str],
         if handle.invert is None:
             raise CapabilityError(f"{handle.name} has no multiplicative inverses")
         r = seq(1)
+        power = powers(handle, r)
         for k in range(1, 7):
-            if not handle.eq(seq(k), nat_pow(handle, r, k)):
+            if not handle.eq(seq(k), power(k)):
                 raise ValueError(
                     f"{seq.name} is not the power sequence of {handle.fmt(r)} "
                     f"(index {k})"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Union
 
-from .order import StructureHandle, nat_pow
+from .order import StructureHandle, nat_pow, powers
 from .sequences import Seq
 
 Element = Any
@@ -257,14 +257,36 @@ def _raiser(reason: str) -> Callable[[int], Element]:
     return term
 
 
+def _once(term: Callable[[int], Element]) -> Callable[[int], Element]:
+    # an index-free subterm: its first value serves every later index.  A
+    # failure is not kept, so each call raises it again, naming its index.
+    value: list = []
+
+    def once(n: int) -> Element:
+        if not value:
+            value.append(term(n))
+        return value[0]
+
+    return once
+
+
 def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
     """The term as a function of the index n >= 1, built once.
 
-    Literals are converted and symbols looked up here, and each operator is
-    bound to its node.  A missing capability or symbol still raises
+    Literals are converted and symbols looked up here, each operator is
+    bound to its node, a subtree that does not mention n is evaluated once
+    it first succeeds, and pow(c, n) over such a c steps from c^k to
+    c^(k+1) with one product.  A missing capability or symbol still raises
     EvalError only when the node is evaluated, so errors come at the same
     time, with the same message and in the same order as a walk of the tree
     at each index would give."""
+    term = _compile_node(node, handle)
+    if isinstance(node, (Bin, Pow)) and not _mentions_index(node):
+        return _once(term)
+    return term
+
+
+def _compile_node(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
     name = handle.name
     if isinstance(node, (Lit, Index)):
         as_element = handle.from_rational
@@ -286,10 +308,19 @@ def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
         return lambda n: value
     if isinstance(node, Pow):
         base = _compile(node.base, handle)
-        if node.exponent is None:
+        if node.exponent is not None:
+            exponent = node.exponent
+            return lambda n: nat_pow(handle, base(n), exponent)
+        if _mentions_index(node.base):
             return lambda n: nat_pow(handle, base(n), n)
-        exponent = node.exponent
-        return lambda n: nat_pow(handle, base(n), exponent)
+        stepper: list = []  # powers(handle, c), once c has a value
+
+        def power(n: int) -> Element:
+            if not stepper:
+                stepper.append(powers(handle, base(n)))
+            return stepper[0](n)
+
+        return power
     if not isinstance(node, Bin):
         raise TypeError(f"not a term node: {node!r}")
     left, right = _compile(node.left, handle), _compile(node.right, handle)
