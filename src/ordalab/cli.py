@@ -10,6 +10,7 @@ missing, so the question could not be posed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields as dataclass_fields
@@ -47,7 +48,9 @@ def _load_config(path: str) -> dict:
     return data
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was
     parser = argparse.ArgumentParser(
         prog="ordalab",
         description="exact-arithmetic workbench for ordered structures, "

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from golden_corpus import GOLDEN, run_case
 from ordalab.cli import main
 
 
@@ -297,3 +298,20 @@ def test_algebra_takes_no_suite_option(capsys):
     code, out, err = run(capsys, ["algebra", "t.json", "--suite", "albert"])
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --suite albert" in err
+
+
+def test_the_parser_serves_calls_after_an_argparse_rejection():
+    # one parser serves every call in a process: a rejection must leave it
+    # as it was for the calls after it
+    def golden(name):
+        return tuple((GOLDEN / f"{name}.{part}").read_bytes() for part in ("stdout", "stderr"))
+
+    rejection = ["series", "1/n", "--structure", "Q", "--test", "ratio"]
+    code, out, err = run_case(rejection)
+    assert (code, out) == (2, b"")
+    assert b"argument --test: invalid choice: 'ratio'" in err
+    check = run_case(["check", "Q", "--suite", "density", "--seed", "0"])
+    assert check == (0, *golden("readme-check-Q-density"))
+    series = run_case(["series", "1/2^n", "--structure", "Q", "--test", "geometric"])
+    assert series == (0, *golden("series-Q-geometric"))
+    assert run_case(rejection) == (code, out, err)
