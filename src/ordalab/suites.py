@@ -731,6 +731,9 @@ def run_series(structure: str, expr: str, test: str, grid: Sequence[str],
                     f"{seq.name} is not the power sequence of {handle.fmt(r)} "
                     f"(index {k})"
                 )
+        if handle.eq(r, handle.one):
+            # before 1 - r is inverted: 0 has no inverse
+            raise ValueError(f"{handle.name}: ratio 1 has no geometric limit")
         inv = handle.invert(handle.sub(handle.one, r))
         c0 = scanned_conv_cert(space, seq, handle.identity, horizon=horizon)
         col.windows("series.geometric", "series.geometric",

@@ -315,3 +315,11 @@ def test_the_parser_serves_calls_after_an_argparse_rejection():
     series = run_case(["series", "1/2^n", "--structure", "Q", "--test", "geometric"])
     assert series == (0, *golden("series-Q-geometric"))
     assert run_case(rejection) == (code, out, err)
+
+
+@pytest.mark.parametrize("structure", ["Q", "Z(X)", "Z[1/2]"])
+def test_a_geometric_ratio_of_one_is_refused_as_such(capsys, structure):
+    # refused before 1 - r = 0 is inverted
+    code, out, err = run(capsys, ["series", "pow(1,n)", "--structure", structure,
+                                  "--test", "geometric"])
+    assert (code, out, err) == (2, "", f"error: {structure}: ratio 1 has no geometric limit\n")
