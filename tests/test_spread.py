@@ -1,13 +1,16 @@
-"""Cauchy windows decided from the spread of the values.
+"""Cauchy windows decided from the spread of the values, and convergence
+windows from the bounds limit - eps and limit + eps.
 
 On a space whose distance is |x - y| in an ordered abelian group, the
 values of a window are pairwise within eps exactly when max - min is below
 eps.  ``verify_cauchy_cert`` then takes one distance per clean window, and
 ``scan_cauchy_window_start`` keeps deques of suffix maxima and minima and
-takes none.  The references in ``tests/scan_oracle.py`` compare every pair;
-the fast paths must agree with them on every answer, every violation and
-its order, and every evaluation error.  Other spaces keep the pairwise
-paths.
+takes none.  Likewise x is within eps of a limit L exactly when
+L - eps < x < L + eps, so ``scan_window_start`` takes no distance there.
+The references in ``tests/scan_oracle.py`` compare every pair and take
+every distance; the fast paths must agree with them on every answer, every
+violation and its order, and every evaluation error.  Other spaces keep the
+pairwise and distance paths.
 """
 
 from dataclasses import replace
@@ -23,11 +26,19 @@ from ordalab import (
     absolute_value_metric,
     lookup,
     scan_cauchy_window_start,
+    scan_window_start,
+    scanned_conv_cert,
     seq_from_expr,
     verify_cauchy_cert,
+    verify_conv_cert,
 )
 from ordalab.poly import RatFunc, X, poly
-from scan_oracle import scan_cauchy_window_start_reference, verify_cauchy_cert_reference
+from scan_oracle import (
+    scan_cauchy_window_start_reference,
+    scan_window_start_reference,
+    verify_cauchy_cert_reference,
+    verify_conv_cert_reference,
+)
 
 Q = lookup("Q")
 ZX = lookup("Z(X)")
@@ -35,17 +46,15 @@ Q_EPS = tuple(F(1, k) for k in (1, 2, 3, 4, 6, 8, 16, 64)) + (F(3, 4), F(5, 2))
 ZX_EPS = ZX.eps_grid + (RatFunc((1,), (1, 1)), X, RatFunc((3,)))
 
 # few distinct values, so windows hold repeated and equal values
-q_values = st.lists(
-    st.one_of(st.sampled_from((F(0), F(1, 2), F(-1, 2), F(1), F(1, 4))),
-              st.fractions(min_value=-3, max_value=3, max_denominator=8)),
-    min_size=1, max_size=30)
+q_elements = st.one_of(st.sampled_from((F(0), F(1, 2), F(-1, 2), F(1), F(1, 4))),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=8))
+q_values = st.lists(q_elements, min_size=1, max_size=30)
 small = st.integers(min_value=-3, max_value=3)
 polys = st.lists(small, min_size=1, max_size=3).map(poly)
 ratfuncs = st.builds(RatFunc, polys, polys.filter(bool))
-zx_values = st.lists(
-    st.one_of(st.sampled_from((RatFunc((0,)), RatFunc((1,)), X, RatFunc((1,), (0, 1)))),
-              ratfuncs),
-    min_size=1, max_size=12)
+zx_elements = st.one_of(
+    st.sampled_from((RatFunc((0,)), RatFunc((1,)), X, RatFunc((1,), (0, 1)))), ratfuncs)
+zx_values = st.lists(zx_elements, min_size=1, max_size=12)
 horizons = st.integers(0, 70)
 CARRIERS = {"Q": (Q, q_values, Q_EPS), "Z(X)": (ZX, zx_values, ZX_EPS)}
 
@@ -213,3 +222,117 @@ def test_a_failing_window_walks_every_pair():
     # one spread distance, then the 36 pairs of the offsets 0,1,2,3,5,8,13,16
     assert len(log) == 1 + 36
     assert [v.values for v in got] == verify_cauchy_cert_reference(cert, (F(1, 2),), 16)
+
+
+# ---------------------------------------------------------------------------
+# convergence windows decided from limit - eps and limit + eps
+
+# nonzero limits, and the elements values are drawn from
+LIMITS = {"Q": (F(1, 2), F(-3), F(7, 4)),
+          "Z(X)": (X, RatFunc((1,), (1, 1)), RatFunc((-2,)), RatFunc((1, 1), (0, 1)))}
+ELEMENTS = {"Q": q_elements, "Z(X)": zx_elements}
+
+
+@st.composite
+def conv_cases(draw, key, settle=False):
+    """(space, seq, limit, queries, horizon): the values sit exactly at
+    limit +- eps for queried eps, at limit +- eps/2, at the limit, or
+    anywhere; a settling sequence ends at the limit, so every scan clears."""
+    handle, _, eps = CARRIERS[key]
+    limit = draw(st.sampled_from(LIMITS[key]))
+    queries = draw(st.lists(st.sampled_from(eps), min_size=1, max_size=6))
+    half = handle.from_rational(F(1, 2))
+    near = [limit]
+    for e in queries:
+        for step in (e, handle.mul(half, e)):
+            near += [handle.op(limit, step), handle.sub(limit, step)]
+    vals = draw(st.lists(st.one_of(st.sampled_from(near), ELEMENTS[key]),
+                         min_size=1, max_size=30))
+    make = tail_seq if settle else draw(st.sampled_from((periodic_seq, tail_seq)))
+    seq = make(vals + [limit] if settle else vals)
+    return handle.metrics[0], seq, limit, queries, draw(horizons)
+
+
+@pytest.mark.parametrize("key", sorted(CARRIERS))
+def test_bound_scan_matches_the_distance_scan(key):
+    @given(conv_cases(key), st.integers(1, 60), st.integers(0, 10**6))
+    def check(case, max_index, pick):
+        space, seq, limit, queries, horizon = case
+        found: dict = {}
+        for eps in queries:
+            expected = scan_window_start_reference(space, seq, limit, eps, horizon,
+                                                   max_index)
+            # resumed from the start cached for a larger epsilon, and from
+            # any start up to the answer
+            start = max((n for e, n in found.items() if space.codomain.le(eps, e)),
+                        default=1)
+            got = scan_window_start(space, seq, limit, eps, horizon, max_index,
+                                    start=start)
+            assert got == expected
+            if expected is not None:
+                found[eps] = expected
+                assert scan_window_start(space, seq, limit, eps, horizon, max_index,
+                                         start=1 + pick % expected) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("key", sorted(CARRIERS))
+def test_scanned_convergence_certificates_match_the_references(key):
+    @given(conv_cases(key, settle=True), horizons)
+    def check(case, verify_horizon):
+        space, seq, limit, queries, horizon = case
+        cert = scanned_conv_cert(space, seq, limit, horizon)
+        for eps in queries:
+            assert cert.modulus(eps) == scan_window_start_reference(
+                space, seq, limit, eps, horizon, 8192)
+        # a second horizon, so the verifier can find violations
+        got = verify_conv_cert(cert, queries, verify_horizon)
+        assert [v.values for v in got] == \
+            verify_conv_cert_reference(cert, queries, verify_horizon)
+
+    check()
+
+
+@pytest.mark.parametrize("key", sorted(CARRIERS))
+def test_a_term_failing_mid_scan_fails_at_the_same_index(key):
+    handle = CARRIERS[key][0]
+    space, limit = handle.metrics[0], LIMITS[key][0]
+    eps = handle.from_rational(F(1, 8))
+
+    def message(run):
+        with pytest.raises(EvalError) as err:
+            run(seq_from_expr("1/(n-5)", handle))
+        return str(err.value)
+
+    expected = message(lambda seq: scan_window_start_reference(space, seq, limit, eps,
+                                                               4, 8192))
+    assert expected == "division by zero at n=5"
+    for start in (1, 3, 5):
+        assert message(lambda seq: scan_window_start(space, seq, limit, eps, 4,
+                                                     start=start)) == expected
+
+
+def test_the_bound_scan_takes_no_distance():
+    space = absolute_value_metric(Q)
+    log = counted(space)
+    seq = Seq("1+1/n", lambda n: 1 + F(1, n))
+    grid = (F(1, 2), F(1, 64), F(1, 8))
+    for eps in grid:
+        assert scan_window_start(space, seq, F(1), eps, 16) == \
+            scan_window_start_reference(Q.metrics[0], seq, F(1), eps, 16, 8192)
+    cert = scanned_conv_cert(space, seq, F(1), 16)
+    assert [cert.modulus(eps) for eps in grid] == [3, 65, 9]
+    assert log == []
+    # the verifier keeps its table: one distance per index it reads
+    assert verify_conv_cert(cert, grid, 16) == []
+    assert len(log) == len(set(range(3, 20)) | set(range(65, 82)) | set(range(9, 26)))
+
+
+def test_a_space_without_a_group_takes_distances():
+    space = replace(Q.metrics[0], name="Q.abs copy")
+    log = counted(space)
+    seq = Seq("1+1/n", lambda n: 1 + F(1, n))
+    dists: dict = {}
+    assert scan_window_start(space, seq, F(1), F(1, 8), 16, dists=dists) == 9
+    assert len(log) == len(dists) == 9 + 16

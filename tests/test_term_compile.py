@@ -4,13 +4,17 @@
 is the per-index walk of the syntax tree kept in ``tests/term_oracle.py``.
 Over generated terms, carriers and indices the two must give equal values
 of the same type, or raise the same exception type with the same message.
+Subtrees that do not mention n are evaluated once they first succeed, and
+pow(c, n) over such a c steps through its powers, so terms are also called
+at indices that run up, down, repeat and skip.
 """
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordalab import EvalError, eval_term, lookup, pretty, seq_from_expr
+from ordalab import EvalError, eval_term, lookup, parse_term_expr, pretty, seq_from_expr
 from ordalab.termexpr import Bin, Index, Lit, Pow, Sym
 from term_oracle import eval_term_reference
 
@@ -87,3 +91,89 @@ def test_the_denominator_is_evaluated_first():
         assert outcome(term, 3) == ("raised", EvalError, "division by zero at n=3")
         assert outcome(term, 2) == (
             "raised", EvalError, f"{handle.name} does not define the symbol 'Y'")
+
+
+# index-free subtrees: literals and symbols under the four operations and
+# fixed powers; an undefined symbol and the literal 0 are rare, so most
+# terms have values
+def _constants(depth, leaves):
+    if depth == 0:
+        return leaves
+    sub = _constants(depth - 1, leaves)
+    return st.one_of(
+        leaves,
+        st.builds(Bin, st.sampled_from("+-*/"), sub, sub),
+        st.builds(Pow, sub, st.integers(0, 2)),
+    )
+
+
+def _folded_terms(handle):
+    """pow(c, n) over an index-free c, combined with index-free subtrees and
+    n; the symbols are the ones handle defines."""
+    symbols = [Sym(name) for name in sorted(handle.symbols)]
+    leaves = st.sampled_from([Lit(k) for k in range(1, 7)] * 3 + symbols * 4
+                             + [Lit(0), Sym("Y")])
+    constants = _constants(2, leaves)
+    stepped = st.builds(Pow, constants, st.none())
+    small = st.one_of(stepped, constants, leaves, st.just(Index()))
+    return st.one_of(stepped, st.builds(Bin, st.sampled_from("+-*/"), small, small),
+                     st.builds(Bin, st.sampled_from("+-*/"), stepped, small))
+
+
+ORDERS = {
+    "ascending": tuple(range(1, 25)),
+    "descending": tuple(range(24, 0, -1)),
+    "repeated": (1, 1, 2, 2, 2, 3, 3, 7, 7, 8, 8),
+    "skipping": (2, 5, 6, 7, 12, 1, 3, 4, 20, 21, 24, 9),
+}
+
+
+def assert_every_order_matches(node, handle):
+    """Call a freshly compiled term in each order; every call must match the
+    tree walk at its index."""
+    expected = {n: outcome(lambda i: eval_term_reference(node, handle, i), n)
+                for n in range(1, 25)}
+    for order in ORDERS.values():
+        term = seq_from_expr(pretty(node), handle).term
+        for n in order:
+            assert outcome(term, n) == expected[n], (pretty(node), n)
+
+
+@settings(max_examples=150)
+@given(st.data(), st.sampled_from(sorted(HANDLES)))
+def test_folded_and_stepped_terms_match_the_tree_walk_in_any_order(data, key):
+    handle = HANDLES[key]
+    assert_every_order_matches(data.draw(_folded_terms(handle)), handle)
+
+
+@pytest.mark.parametrize("key, expr", [
+    ("Q", "pow(1/3,n)"),
+    ("Z[1/3]", "pow(1/3,n)"),
+    ("Z(X)", "3/(X^2+1)^n"),
+    ("Z(X)", "(2*X)/(X^3+2)^n+n/(X+1)"),
+    ("Q", "pow(2/3,n)*n+(1/4)^2"),
+])
+def test_stock_folded_terms_match_the_tree_walk_in_any_order(key, expr):
+    assert_every_order_matches(parse_term_expr(expr), HANDLES[key])
+
+
+@pytest.mark.parametrize("key, expr", [
+    ("Q", "pow(1/0,n)"),
+    ("Q", "n+(1/(2-2))*X"),
+    ("Z(X)", "pow(X/(X-X),n)"),
+    ("Z", "pow(1/2,n)"),
+    ("Q up to 3", "pow(1+5,n)"),
+])
+def test_a_folded_subtree_that_raises_raises_again_at_each_call(key, expr):
+    # its failure is not kept: each call evaluates it again and names its
+    # own index where the error carries one
+    handle = HANDLES[key]
+    node = parse_term_expr(expr)
+    term = seq_from_expr(expr, handle).term
+    first = outcome(term, 3)
+    assert first[0] == "raised"
+    for n in (3, 1, 5, 5, 2, 4):
+        got = outcome(term, n)
+        assert got == outcome(lambda i: eval_term_reference(node, handle, i), n)
+        if "division by zero" in first[2]:
+            assert got == ("raised", EvalError, f"division by zero at n={n}")
