@@ -258,8 +258,9 @@ def _raiser(reason: str) -> Callable[[int], Element]:
 
 
 def _once(term: Callable[[int], Element]) -> Callable[[int], Element]:
-    # an index-free subterm: its first value serves every later index.  A
-    # failure is not kept, so each call raises it again, naming its index.
+    # a term that does not depend on n: its first value serves every later
+    # index.  A failure is not kept, so each call raises it again, naming
+    # its own index.
     value: list = []
 
     def once(n: int) -> Element:
@@ -313,14 +314,8 @@ def _compile_node(node: Node, handle: StructureHandle) -> Callable[[int], Elemen
             return lambda n: nat_pow(handle, base(n), exponent)
         if _mentions_index(node.base):
             return lambda n: nat_pow(handle, base(n), n)
-        stepper: list = []  # powers(handle, c), once c has a value
-
-        def power(n: int) -> Element:
-            if not stepper:
-                stepper.append(powers(handle, base(n)))
-            return stepper[0](n)
-
-        return power
+        stepper = _once(lambda n: powers(handle, base(n)))
+        return lambda n: stepper(n)(n)
     if not isinstance(node, Bin):
         raise TypeError(f"not a term node: {node!r}")
     left, right = _compile(node.left, handle), _compile(node.right, handle)
