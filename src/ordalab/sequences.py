@@ -71,8 +71,8 @@ class ConvCert:
     modulus: Callable[[Element], int]
     # d(seq(n), limit) by index n, filled lazily by verify_conv_cert and, for
     # a scanned certificate on a space without a _group, by the scans behind
-    # its modulus.  Not an init
-    # field, so dataclasses.replace never carries a table to a new limit.
+    # its modulus.  Not an init field, so dataclasses.replace never carries
+    # a table to a new limit.
     _dists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
