@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from ordalab import lookup, nat_pow
 from ordalab.order import powers
+from ordalab.poly import X
 
 # every registry carrier with a second operation, and Q^2, which has none
 KEYS = ("Q", "Z", "Z[1/2]", "Z[1/3]", "Z(X)", "Q(i)", "Q^2", "G0", "Id(Z)")
@@ -82,10 +83,9 @@ def counting(handle):
     return dataclasses.replace(handle, second_op=mul), log
 
 
-@pytest.mark.parametrize("key, x", [("Q", F(2, 3)), ("Z(X)", None)])
+@pytest.mark.parametrize("key, x", [("Q", F(2, 3)), ("Z(X)", X)])
 def test_walking_one_to_n_takes_n_minus_one_products(key, x):
     handle, log = counting(lookup(key))
-    x = handle.symbols["X"] if x is None else x
     top = 30
     power = powers(handle, x)
     assert [power(n) for n in range(1, top + 1)] == \
