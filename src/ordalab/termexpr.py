@@ -258,9 +258,8 @@ def _raiser(reason: str) -> Callable[[int], Element]:
 
 
 def _once(term: Callable[[int], Element]) -> Callable[[int], Element]:
-    # a term that does not depend on n: its first value serves every later
-    # index.  A failure is not kept, so each call raises it again, naming
-    # its own index.
+    # its first value serves every later index.  A failure is not kept, so
+    # each call raises it again, naming its own index.
     value: list = []
 
     def once(n: int) -> Element:
@@ -275,19 +274,12 @@ def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
     """The term as a function of the index n >= 1, built once.
 
     Literals are converted and symbols looked up here, each operator is
-    bound to its node, a subtree that does not mention n is evaluated once
-    it first succeeds, and pow(c, n) over such a c steps from c^k to
-    c^(k+1) with one product.  A missing capability or symbol still raises
-    EvalError only when the node is evaluated, so errors come at the same
-    time, with the same message and in the same order as a walk of the tree
-    at each index would give."""
-    term = _compile_node(node, handle)
-    if isinstance(node, (Bin, Pow)) and not _mentions_index(node):
-        return _once(term)
-    return term
-
-
-def _compile_node(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
+    bound to its node, and pow(c, n) over a c that does not mention n
+    evaluates c once it first succeeds and steps from c^k to c^(k+1) with
+    one product.  A missing capability or symbol still raises EvalError
+    only when the node is evaluated, so errors come at the same time, with
+    the same message and in the same order as a walk of the tree at each
+    index would give."""
     name = handle.name
     if isinstance(node, (Lit, Index)):
         as_element = handle.from_rational
