@@ -330,6 +330,13 @@ def condensation_inequalities(
 # geometric series and power limits
 
 
+def _refuse_ratio_one(handle: StructureHandle, r: Element) -> None:
+    # geometric_cert takes (1 - r)^(-1) from its caller, so a caller that
+    # inverts 1 - r itself refuses r = 1 here first, with the same message
+    if handle.eq(r, handle.one):
+        raise ValueError(f"{handle.name}: ratio 1 has no geometric limit")
+
+
 def geometric_cert(
     handle: StructureHandle,
     space: MetricSpace,
@@ -347,8 +354,7 @@ def geometric_cert(
     handle.require("ring", "total_order")
     if handle.one is None:
         raise CapabilityError(f"{handle.name} has no multiplicative identity")
-    if handle.eq(r, handle.one):
-        raise ValueError(f"{handle.name}: ratio 1 has no geometric limit")
+    _refuse_ratio_one(handle, r)
     lead = handle.mul(handle.sub(handle.one, r), inv)
     if not handle.eq(lead, handle.one):
         raise ValueError(

@@ -62,6 +62,7 @@ from .sequences import (
 from .series import (
     MonotoneKind,
     Series,
+    _refuse_ratio_one,
     alternating_cauchy,
     archimedean_power_modulus,
     bernoulli_check,
@@ -731,9 +732,7 @@ def run_series(structure: str, expr: str, test: str, grid: Sequence[str],
                     f"{seq.name} is not the power sequence of {handle.fmt(r)} "
                     f"(index {k})"
                 )
-        if handle.eq(r, handle.one):
-            # before 1 - r is inverted: 0 has no inverse
-            raise ValueError(f"{handle.name}: ratio 1 has no geometric limit")
+        _refuse_ratio_one(handle, r)
         inv = handle.invert(handle.sub(handle.one, r))
         c0 = scanned_conv_cert(space, seq, handle.identity, horizon=horizon)
         col.windows("series.geometric", "series.geometric",
