@@ -44,7 +44,6 @@ from .order import (
     demarr_density_witness,
     density_from_unit_interval,
     fold_op,
-    join_fold,
     make_flags,
     n_split,
     nat_mul,
@@ -73,8 +72,6 @@ from .sequences import (
     constant_cert,
     conv_to_cauchy,
     limit_hom_report,
-    negate_cert,
-    norm_bound_from_cert,
     prod_certs,
     refute_distinct_limits,
     scan_cauchy_window_start,

@@ -85,10 +85,10 @@ def make_flags(**kwargs: bool) -> StructureFlags:
     make_flags(field=True) also sets division_ring, ring, semiring, hemiring,
     near_ring, group, commutative_add, unital, associative.
     """
-    names = set(k for k, v in kwargs.items() if v)
-    unknown = names - set(StructureFlags.__dataclass_fields__)
+    unknown = set(kwargs) - set(StructureFlags.__dataclass_fields__)
     if unknown:
         raise TypeError(f"unknown flags: {sorted(unknown)}")
+    names = set(k for k, v in kwargs.items() if v)
     changed = True
     while changed:
         changed = False
@@ -402,16 +402,15 @@ def _pairs_lt(s: StructureHandle, sample: Sequence[Element], strict: bool):
                 yield a, b
 
 
-def verify_compatibility(
-    s: StructureHandle, sample: Sequence[Element] | None = None
-) -> list[Violation]:
-    """Check order-compatibility of op (and second_op on the positive cone).
+def verify_compatibility(s: StructureHandle) -> list[Violation]:
+    """Check order-compatibility of op (and second_op on the positive cone)
+    over the structure's sample.
 
     A group is checked for a<b -> a*c<b*c and c*a<c*b, since cancellation
     makes op-compatibility strict there; any other structure for the
     non-strict variant.
     """
-    sample = tuple(sample if sample is not None else s.sample)
+    sample = tuple(s.sample)
     strict = s.flags.group
     rel = s.lt if strict else s.le
     # (law prefix, operation, elements c to combine with, wording)
@@ -495,59 +494,30 @@ def verify_hemiring(s: StructureHandle) -> list[Violation]:
     return out
 
 
-def _density_at(
-    s: StructureHandle, w: Split, eps: Element
-) -> tuple[list[Violation], tuple | None]:
-    """Exercise a density witness at one target: the n-part splits of eps for
-    n up to 4, parts positive, folds below eps.  Returns the violations and
-    the two-part split it produced (None when it failed)."""
-    out: list[Violation] = []
-    pair = None
-    for n in range(1, 5):
-        try:
-            parts = n_split(s, eps, n, w)
-        except ValueError as exc:
-            out.append(Violation("density.split", (eps, n), str(exc)))
-            continue
-        if n == 2:
-            pair = tuple(parts)
-        if not all(s.is_positive(p) for p in parts):
-            out.append(Violation("density.positivity", (eps, tuple(parts))))
-        if not s.lt(fold_op(s, parts), eps):
-            out.append(Violation("density.fold-below", (eps, tuple(parts))))
-    return out, pair
-
-
 def verify_density(
     s: StructureHandle,
     w: Split | None = None,
     grid: Sequence[Element] | None = None,
 ) -> list[Violation]:
-    """Exercise a density witness over a grid: parts positive, folds below eps."""
+    """Exercise a density witness at each target of the grid (default: the
+    structure's eps_grid): the n-part splits of eps for n up to 4, parts
+    positive, folds below eps.  The density suite passes one grid epsilon
+    at a time."""
     w = split_witness(s, w)
     grid = tuple(grid if grid is not None else s.eps_grid)
-    return [v for eps in grid for v in _density_at(s, w, eps)[0]]
-
-
-def _shrink_at(
-    s: StructureHandle, w: Shrink, alpha: Element, bounds: Sequence[Element]
-) -> tuple[list[Violation], list[tuple]]:
-    """Exercise a shrink witness at one target against each bound.  Returns
-    the violations and the (bound, left, right) triples whose parts are
-    positive."""
     out: list[Violation] = []
-    produced: list[tuple] = []
-    for m in bounds:
-        left, right = w(alpha, m)
-        if not (s.is_positive(left) and s.is_positive(right)):
-            out.append(Violation("shrink.positivity", (alpha, m, left, right)))
-            continue
-        if not s.lt(s.second_op(left, m), alpha):
-            out.append(Violation("shrink.left-product", (alpha, m, left)))
-        if not s.lt(s.second_op(m, right), alpha):
-            out.append(Violation("shrink.right-product", (alpha, m, right)))
-        produced.append((m, left, right))
-    return out, produced
+    for eps in grid:
+        for n in range(1, 5):
+            try:
+                parts = n_split(s, eps, n, w)
+            except ValueError as exc:
+                out.append(Violation("density.split", (eps, n), str(exc)))
+                continue
+            if not all(s.is_positive(p) for p in parts):
+                out.append(Violation("density.positivity", (eps, tuple(parts))))
+            if not s.lt(fold_op(s, parts), eps):
+                out.append(Violation("density.fold-below", (eps, tuple(parts))))
+    return out
 
 
 def verify_shrink(
@@ -555,16 +525,33 @@ def verify_shrink(
     targets: Sequence[Element] | None = None,
     bounds: Sequence[Element] | None = None,
 ) -> list[Violation]:
-    """Exercise a shrink witness: both scaled products land strictly below."""
+    """Exercise a shrink witness at each target against each bound: both
+    parts positive, both scaled products strictly below the target.  The
+    targets default to the structure's eps_grid and the bounds to its
+    positive sample elements; the shrink suite passes one grid epsilon at a
+    time and the first four positive sample elements."""
     w = shrink_witness(s)
     if s.second_op is None:
         raise CapabilityError(f"{s.name} has no second operation")
     targets = tuple(targets if targets is not None else s.eps_grid)
     bounds = tuple(bounds if bounds is not None else (x for x in s.sample if s.is_positive(x)))
-    return [v for alpha in targets for v in _shrink_at(s, w, alpha, bounds)[0]]
+    out: list[Violation] = []
+    for alpha in targets:
+        for m in bounds:
+            left, right = w(alpha, m)
+            if not (s.is_positive(left) and s.is_positive(right)):
+                out.append(Violation("shrink.positivity", (alpha, m, left, right)))
+                continue
+            if not s.lt(s.second_op(left, m), alpha):
+                out.append(Violation("shrink.left-product", (alpha, m, left)))
+            if not s.lt(s.second_op(m, right), alpha):
+                out.append(Violation("shrink.right-product", (alpha, m, right)))
+    return out
 
 
 def verify_archimedean(s: StructureHandle) -> list[Violation]:
+    """Check the multiple-exceeds witness on every positive x and every y of
+    the sample: n >= 1 and the n-fold sum of x exceeds y."""
     w = s.archimedean
     if w is None:
         raise CapabilityError(f"{s.name} has no multiple-exceeds witness")

@@ -342,21 +342,6 @@ def bounded_from_cert(cert: ConvCert | CauchyCert, eps0: Element) -> Element:
     return bound
 
 
-def norm_bound_from_cert(ng: NormedGroup, cert: ConvCert, eps0: Element) -> Element:
-    """Bound t on norm(x_n): distance bound to the limit plus norm(limit),
-    re-checked at the first 64 indices."""
-    s = cert.space.codomain
-    r = bounded_from_cert(cert, eps0)
-    t = s.op(r, ng.norm(cert.limit))
-    for i in range(1, 65):
-        if not s.le(ng.norm(cert.seq(i)), t):
-            raise ValueError(
-                f"{cert.seq.name}: norm at index {i} exceeds {s.fmt(t)}; "
-                f"the certificate is inconsistent"
-            )
-    return t
-
-
 def zero_times_bounded(
     c_zero: ConvCert,
     y: Seq,

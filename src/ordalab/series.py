@@ -123,20 +123,14 @@ def _sample_agree(a: Seq, b: Callable[[int], Element], upto: int, what: str) -> 
 # basic consequences of partial-sum certificates
 
 
-def terms_vanish(
-    c: ConvCert,
-    carrier: StructureHandle,
-    series_terms: Seq | None = None,
-) -> ConvCert:
+def terms_vanish(c: ConvCert, carrier: StructureHandle, series_terms: Seq) -> ConvCert:
     """If the partial sums converge, the terms tend to zero.
 
-    Built literally as (s shifted by one) + (-s) -> L + (-L) = 0; passing
-    the series' own term sequence re-anchors the certificate to it.
+    Built literally as (s shifted by one) + (-s) -> L + (-L) = 0, then
+    re-anchored to the series' own term sequence series_terms.
     """
     carrier.require("group", "commutative_add")
     diff = add_certs(shift_cert(c, 1), negate_cert(c, carrier), carrier)
-    if series_terms is None:
-        return diff
     return unshift_cert(diff, series_terms, 1)
 
 
@@ -296,10 +290,11 @@ def condense(
 def condensation_inequalities(
     handle: StructureHandle,
     x: Seq,
-    ns: Iterable[int] = range(1, 11),
-    kls: Iterable[tuple[int, int]] | None = None,
+    ns: Iterable[int],
+    kls: Iterable[tuple[int, int]],
 ) -> list[Violation]:
-    """Exact spot checks of the two block bounds behind condensation:
+    """Exact spot checks of the two block bounds behind condensation, the
+    forward one at each n of ns and the backward one at each (k, l) of kls:
 
       2^n x_(2^n)  <=  2 * (x_(2^(n-1)+1) + ... + x_(2^n))          (forward)
       x_(2^k) + ... + x_(2^(l+1)-1)  <=  sum_{i=k..l} 2^i x_(2^i)   (backward)
@@ -314,8 +309,6 @@ def condensation_inequalities(
         rhs = nat_mul(handle, 2, block)
         if not handle.le(lhs, rhs):
             out.append(Violation("condensation.forward-block", (n, lhs, rhs)))
-    if kls is None:
-        kls = [(k, l) for k in range(0, 5) for l in range(k, 5)]
     for k, l in kls:
         if k < 0 or l < k:
             raise ValueError("backward block needs 0 <= k <= l")
@@ -331,10 +324,16 @@ def condensation_inequalities(
 
 
 def _refuse_ratio_one(handle: StructureHandle, r: Element) -> None:
-    # geometric_cert takes (1 - r)^(-1) from its caller, so a caller that
-    # inverts 1 - r itself refuses r = 1 here first, with the same message
+    # the one owner of the rule that 1 + r + r^2 + ... has no limit at r = 1
     if handle.eq(r, handle.one):
         raise ValueError(f"{handle.name}: ratio 1 has no geometric limit")
+
+
+def geometric_limit(handle: StructureHandle, r: Element) -> Element:
+    """(1 - r)^(-1), the limit geometric_cert certifies for ratio r; ratio 1
+    is refused with the same message geometric_cert gives."""
+    _refuse_ratio_one(handle, r)
+    return handle.invert(handle.sub(handle.one, r))
 
 
 def geometric_cert(
@@ -395,8 +394,7 @@ def power_limit_is_zero(
     """A convergent power sequence r^n in a totally ordered ring with r != 1
     can only have limit 0: the limit must satisfy l*(r-1) = 0 exactly."""
     handle.require("ring", "total_order")
-    if handle.eq(r, handle.one):
-        raise ValueError(f"{handle.name}: ratio 1 is excluded")
+    _refuse_ratio_one(handle, r)
     out: list[Violation] = []
     fixed = handle.mul(c.limit, handle.sub(r, handle.one))
     if not handle.eq(fixed, handle.identity):

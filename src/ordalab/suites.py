@@ -29,17 +29,19 @@ from .order import (
     OrderResult,
     StructureHandle,
     Violation,
-    _density_at,
-    _shrink_at,
     betweenness,
+    n_split,
     nat_mul,
     powers,
     shrink_witness,
     split_witness,
+    verify_archimedean,
     verify_compatibility,
+    verify_density,
     verify_group,
     verify_hemiring,
     verify_monoid,
+    verify_shrink,
 )
 from .report import PASS, UNVERIFIABLE, VIOLATION, CheckRecord, violation_values
 from .sequences import (
@@ -62,7 +64,6 @@ from .sequences import (
 from .series import (
     MonotoneKind,
     Series,
-    _refuse_ratio_one,
     alternating_cauchy,
     archimedean_power_modulus,
     bernoulli_check,
@@ -70,6 +71,7 @@ from .series import (
     condensation_inequalities,
     condense,
     geometric_cert,
+    geometric_limit,
     power_limit_is_zero,
     squeeze_cauchy,
     tail_bound,
@@ -78,8 +80,8 @@ from .series import (
 from .termexpr import (
     EvalError,
     TermError,
-    _mentions_index,
     eval_term,
+    mentions_index,
     parse_term_expr,
     seq_from_expr,
 )
@@ -120,7 +122,7 @@ def _grid_value(handle: StructureHandle, entry: str) -> Element:
         node = parse_term_expr(entry)
     except TermError as exc:
         raise ValueError(f"grid entry {entry!r}: {exc}") from None
-    if _mentions_index(node):
+    if mentions_index(node):
         raise ValueError(f"grid entry {entry!r} mentions the index n; "
                          "grid entries are constants")
     try:
@@ -306,9 +308,10 @@ def _suite_density(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
     w = split_witness(handle, None)
     grid = resolve_grid(handle, cfg.grid)
     for eps in grid:
-        viols, pair = _density_at(handle, w, eps)
+        viols = verify_density(handle, w, (eps,))
+        pair = () if viols else n_split(handle, eps, 2, w)
         col.emit(f"density.split[{handle.fmt(eps)}]", "order.dense-split",
-                 viols, pass_values=tuple(map(handle.fmt, pair or ())))
+                 viols, pass_values=tuple(map(handle.fmt, pair)))
     if handle.one is not None and handle.lt(handle.identity, handle.one):
         def between_block():
             mid = betweenness(handle, handle.identity, handle.one, w)
@@ -324,13 +327,12 @@ def _suite_shrink(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
         raise CapabilityError(f"{handle.name} has no second operation")
     grid = resolve_grid(handle, cfg.grid)
     bounds = tuple(x for x in handle.sample if handle.is_positive(x))[:4]
-    if not bounds and handle.one is not None:
-        bounds = (handle.one,)
     if not bounds:
         raise CapabilityError(f"{handle.name} has no positive sample elements")
     fmt = handle.fmt
     for alpha in grid:
-        viols, produced = _shrink_at(handle, w, alpha, bounds)
+        viols = verify_shrink(handle, (alpha,), bounds)
+        produced = () if viols else ((m, *w(alpha, m)) for m in bounds)
         col.emit(f"shrink.bound[{fmt(alpha)}]", "order.shrink", viols,
                  pass_values=tuple(f"{fmt(m)}->({fmt(b)},{fmt(g)})" for m, b, g in produced))
     return col.records
@@ -462,7 +464,7 @@ def _stock_ratio(handle: StructureHandle, space, grid):
             sizes = tuple(space.distance(term_at(k), handle.identity) for k in range(1, 33))
             if not all(any(m.lt(d, eps) for d in sizes) for eps in grid):
                 continue
-            inv = handle.invert(handle.sub(handle.one, r))
+            inv = geometric_limit(handle, r)
         except (ValueError, TypeError):
             continue
         return r, Seq(f"geo-terms({label})", term_at), inv, kind == "symbol"
@@ -579,9 +581,11 @@ def _suite_geometric(handle: StructureHandle, cfg: RunConfig, rng: random.Random
              verify_conv_cert, grid, h, mfmt, lead=(handle.fmt(inv),))
     col.block("geometric.power-limit", "series.power-limit",
               lambda: (power_limit_is_zero(handle, c0, r), (), mfmt))
+    # the modulus trusts the Archimedean witness, so the witness is checked too
     col.cert("geometric.power-modulus", "series.archimedean-power",
              lambda: archimedean_power_modulus(handle, space, r),
-             verify_conv_cert, grid, h, mfmt)
+             lambda c, grid, h: verify_archimedean(handle) + verify_conv_cert(c, grid, h),
+             grid, h, mfmt)
 
     return col.records
 
@@ -732,8 +736,7 @@ def run_series(structure: str, expr: str, test: str, grid: Sequence[str],
                     f"{seq.name} is not the power sequence of {handle.fmt(r)} "
                     f"(index {k})"
                 )
-        _refuse_ratio_one(handle, r)
-        inv = handle.invert(handle.sub(handle.one, r))
+        inv = geometric_limit(handle, r)
         c0 = scanned_conv_cert(space, seq, handle.identity, horizon=horizon)
         col.windows("series.geometric", "series.geometric",
                     geometric_cert(handle, space, r, c0, inv), grid, horizon,

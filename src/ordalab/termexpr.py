@@ -17,6 +17,7 @@ in any carrier that can interpret it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Union
@@ -93,35 +94,21 @@ class _Token:
     column: int
 
 
-_OPS = set("+-*/^(),")
+# digits and names are ASCII only: str.isdigit would also read '¹' or '٣'
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),])|\s+")
 
 
 def _lex(src: str) -> list[_Token]:
     out: list[_Token] = []
     i = 0
     while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if c.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            out.append(_Token("int", src[i:j], col))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            out.append(_Token("name", src[i:j], col))
-            i = j
-        elif c in _OPS:
-            out.append(_Token(c, c, col))
-            i += 1
-        else:
-            raise TermError(f"unexpected character {c!r}", col)
+        m = _TOKEN.match(src, i)
+        if m is None:
+            raise TermError(f"unexpected character {src[i]!r}", i + 1)
+        if m.lastgroup is not None:  # not whitespace
+            kind = m.group() if m.lastgroup == "op" else m.lastgroup
+            out.append(_Token(kind, m.group(), i + 1))
+        i = m.end()
     out.append(_Token("end", "", len(src) + 1))
     return out
 
@@ -304,7 +291,7 @@ def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
         if node.exponent is not None:
             exponent = node.exponent
             return lambda n: nat_pow(handle, base(n), exponent)
-        if _mentions_index(node.base):
+        if mentions_index(node.base):
             return lambda n: nat_pow(handle, base(n), n)
         stepper = _once(lambda n: powers(handle, base(n)))
         return lambda n: stepper(n)(n)
@@ -355,14 +342,16 @@ def eval_term(node: Node, handle: StructureHandle, n: int) -> Element:
     return _compile(node, handle)(n)
 
 
-def _mentions_index(node: Node) -> bool:
-    """Whether the term depends on the index n."""
+def mentions_index(node: Node) -> bool:
+    """Whether the term depends on the index n: true of n and of pow(_, n)
+    anywhere in it.  The compiler steps pow(c, n) only over a c for which
+    this is false, and a grid entry for which it is true exits 2."""
     if isinstance(node, Index):
         return True
     if isinstance(node, Bin):
-        return _mentions_index(node.left) or _mentions_index(node.right)
+        return mentions_index(node.left) or mentions_index(node.right)
     if isinstance(node, Pow):
-        return node.exponent is None or _mentions_index(node.base)
+        return node.exponent is None or mentions_index(node.base)
     return False
 
 

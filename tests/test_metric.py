@@ -1,5 +1,6 @@
 """Metric spaces, norms, induced distances, and their law checkers."""
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -22,10 +23,16 @@ from ordalab import (
 rationals = st.fractions(min_value=F(-30), max_value=F(30), max_denominator=40)
 
 
+def _cube(space):
+    # every triple of the space's first eight points
+    base = tuple(space.points)[:8]
+    return itertools.product(base, base, base)
+
+
 def test_every_registered_space_satisfies_the_laws():
     for key, handle in registry().items():
         for space in handle.metrics:
-            assert verify_metric(space) == [], f"{key}/{space.name}"
+            assert verify_metric(space, triples=_cube(space)) == [], f"{key}/{space.name}"
 
 
 def test_every_registered_norm_satisfies_the_laws():
@@ -112,7 +119,7 @@ def test_product_metric_laws():
     q = lookup("Q")
     base = absolute_value_metric(q)
     prod = product_metric("pair", (base, base))
-    assert verify_metric(prod) == []
+    assert verify_metric(prod, triples=_cube(prod)) == []
     assert prod.distance((F(0), F(0)), (F(0), F(0))) == prod.codomain.identity
 
 

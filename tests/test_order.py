@@ -13,7 +13,6 @@ from ordalab import (
     absolute_value,
     fold_op,
     is_prime,
-    join_fold,
     lookup,
     make_flags,
     nat_mul,
@@ -24,6 +23,7 @@ from ordalab import (
     verify_hemiring,
     verify_monoid,
 )
+from ordalab.order import join_fold
 from test_poly import _rf
 
 rationals = st.fractions(min_value=F(-50), max_value=F(50), max_denominator=30)
@@ -61,6 +61,14 @@ def test_partial_orders_report_incomparable():
 def test_make_flags():
     f = make_flags(group=True, total_order=True)
     assert f.group and f.total_order and not f.field
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_make_flags_refuses_an_unknown_name_whatever_its_value(value):
+    with pytest.raises(TypeError, match=r"unknown flags: \['feild'\]"):
+        make_flags(feild=value)
+    with pytest.raises(TypeError, match=r"unknown flags: \['feild'\]"):
+        make_flags(field=True, feild=value)
 
 
 def test_flags_pins():
@@ -157,7 +165,7 @@ def test_swapped_order_breaks_compatibility():
     broken = dataclasses.replace(
         z, name="Z-swapped", compare=lambda a, b: total_compare(swap(a), swap(b))
     )
-    violations = verify_compatibility(broken, sample=(0, 1, 2, 3, -1))
+    violations = verify_compatibility(dataclasses.replace(broken, sample=(0, 1, 2, 3, -1)))
     assert violations, "relabeled order must fail compatibility"
     laws = {v.law for v in violations}
     assert laws <= {

@@ -23,8 +23,6 @@ from ordalab import (
     constant_cert,
     conv_to_cauchy,
     lookup,
-    negate_cert,
-    norm_bound_from_cert,
     prod_certs,
     refute_distinct_limits,
     scan_cauchy_window_start,
@@ -40,6 +38,7 @@ from ordalab import (
     verify_conv_cert,
     zero_times_bounded,
 )
+from ordalab.sequences import negate_cert
 
 Q = lookup("Q")
 SPACE = Q.metrics[0]
@@ -219,7 +218,9 @@ def test_bounded_from_cert_pins():
         F(1),
         lambda eps: math.ceil(1 / eps) + 1,
     )
-    assert norm_bound_from_cert(NG, cy, F(1)) == F(2)
+    # the norm bound prod_certs builds: the distance bound plus norm(limit)
+    assert bounded_from_cert(cy, F(1)) == F(1)
+    assert bounded_from_cert(cy, F(1)) + NG.norm(cy.limit) == F(2)
 
 
 def test_subseq_rescue():

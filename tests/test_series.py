@@ -108,8 +108,9 @@ def test_condense_rejects_unknown_direction():
 
 
 def test_condensation_inequalities_hold_for_decreasing_terms():
-    assert condensation_inequalities(Q, halves(), ns=range(1, 6)) == []
-    assert condensation_inequalities(Q, harmonic_terms(), ns=range(1, 6)) == []
+    kls = [(k, l) for k in range(0, 5) for l in range(k, 5)]
+    assert condensation_inequalities(Q, halves(), ns=range(1, 6), kls=kls) == []
+    assert condensation_inequalities(Q, harmonic_terms(), ns=range(1, 6), kls=kls) == []
 
 
 def test_condensation_inequalities_flag_increasing_terms():
@@ -119,7 +120,7 @@ def test_condensation_inequalities_flag_increasing_terms():
 
 def test_condensation_inequalities_validate_indices():
     with pytest.raises(ValueError):
-        condensation_inequalities(Q, halves(), ns=[0])
+        condensation_inequalities(Q, halves(), ns=[0], kls=[])
     with pytest.raises(ValueError):
         condensation_inequalities(Q, halves(), ns=[], kls=[(2, 1)])
     with pytest.raises(ValueError):

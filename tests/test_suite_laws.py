@@ -1,7 +1,8 @@
 """The suites and the library verifiers share one law body per check.
 
 No registered structure breaks a law, so the violation branches are driven
-with deliberately broken witnesses on a copy of the rationals.
+with deliberately broken witnesses on a copy of the rationals.  Each suite
+calls its law's public verifier one target at a time.
 """
 
 import dataclasses
@@ -19,9 +20,16 @@ from ordalab import (
     lookup,
     verify_conv_cert,
 )
-from ordalab.order import verify_density, verify_shrink
+from ordalab.order import verify_archimedean, verify_density, verify_shrink
 from ordalab.report import violation_values
-from ordalab.suites import _Collector, _suite_density, _suite_shrink
+from ordalab.series import (
+    archimedean_power_modulus,
+    geometric_cert,
+    geometric_limit,
+    power_limit_is_zero,
+)
+from ordalab.suites import _Collector, _suite_density, _suite_geometric, _suite_shrink
+from src_size import private_imports
 
 
 def _by_id(records):
@@ -72,6 +80,46 @@ def test_shrink_suite_reports_the_library_violations():
         laws |= {v.law for v in found}
     assert laws == {"shrink.right-product", "shrink.positivity"}
     assert recs["shrink.bound[1/2]"].status == "pass"
+
+
+def test_power_modulus_reports_a_broken_archimedean_witness():
+    # wrong only for negative y; the modulus asks only about y = 1, so the
+    # certificate builds and verifies, and only the witness check fails
+    base = lookup("Q")
+
+    def exceeds(x, y):
+        return 0 if y < 0 else base.archimedean(x, y)
+
+    q = dataclasses.replace(base, archimedean=exceeds)
+    found = verify_archimedean(q)
+    assert found and found[0].law == "archimedean.count"
+    space = q.metrics[0]
+    cert = archimedean_power_modulus(q, space, F(1, 2))
+    assert verify_conv_cert(cert, q.eps_grid, 64) == []
+    recs = _by_id(_suite_geometric(q, RunConfig(structure="Q"), random.Random(0)))
+    rec = recs["geometric.power-modulus"]
+    assert rec.status == "violation"
+    assert rec.witness_values == violation_values(found, space.codomain.fmt)
+    assert recs["geometric.certificate"].status == "pass"
+    sound = _by_id(_suite_geometric(base, RunConfig(structure="Q"), random.Random(0)))
+    assert sound["geometric.power-modulus"].status == "pass"
+
+
+def test_ratio_one_is_refused_by_one_rule():
+    q = lookup("Q")
+    c0 = ConvCert(q.metrics[0], Seq("1", lambda n: F(1)), F(1), lambda eps: 1)
+    message = "^Q: ratio 1 has no geometric limit$"
+    with pytest.raises(ValueError, match=message):
+        geometric_limit(q, F(1))
+    with pytest.raises(ValueError, match=message):
+        geometric_cert(q, q.metrics[0], F(1), c0, F(1))
+    with pytest.raises(ValueError, match=message):
+        power_limit_is_zero(q, c0, F(1))
+    assert geometric_limit(q, F(1, 3)) == F(3, 2)
+
+
+def test_suites_import_no_private_name_from_another_module():
+    assert [name for module, name in private_imports() if module == "suites.py"] == []
 
 
 def test_collector_cert_turns_a_modulus_error_into_value_rejected():

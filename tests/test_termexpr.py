@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from ordalab.cli import main
 from ordalab import (
     EvalError,
     TermError,
@@ -75,6 +76,49 @@ def test_parse_errors_carry_columns():
         parse_term_expr("pow(1/2, 3)")
     with pytest.raises(TermError):
         parse_term_expr("-3/2")  # no unary minus; write 0-3/2
+
+
+@pytest.mark.parametrize("src, char, column", [
+    ("2^¹", "¹", 3),
+    ("1/٣^n", "٣", 3),
+    ("1/n²", "²", 4),
+    ("1/２", "２", 3),
+    ("é+1", "é", 1),
+    ("Xé", "é", 2),
+    ("x·n", "·", 2),
+])
+def test_only_ascii_digits_and_letters_lex(src, char, column):
+    with pytest.raises(TermError) as err:
+        parse_term_expr(src)
+    assert str(err.value) == f"unexpected character {char!r} (column {column})"
+    assert err.value.column == column
+
+
+def test_ascii_names_keep_digits_and_underscores():
+    assert parse_term_expr("x_1+_2") == parse_term_expr("(x_1)+(_2)")
+    assert pretty(parse_term_expr("\tX1 *\n2")) == "X1*2"
+
+
+def test_a_non_ascii_digit_is_bad_input_on_the_command_line(capsys):
+    code = main(["series", "1/٣^n", "--structure", "Q", "--test", "geometric"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "unexpected character '٣' (column 3)" in err
+
+
+# short strings over the grammar's own characters and a spread of others
+_SOURCE_CHARS = st.sampled_from("0123456789nXpow_()+-*/^, ") | st.characters(
+    blacklist_categories=("Cs",))
+
+
+@given(st.text(_SOURCE_CHARS, max_size=12))
+def test_every_source_parses_or_raises_a_term_error(src):
+    try:
+        node = parse_term_expr(src)
+    except TermError as exc:
+        assert 1 <= exc.column <= len(src) + 1
+    else:
+        assert parse_term_expr(pretty(node)) == node
 
 
 def test_eval_errors():
