@@ -1,12 +1,14 @@
 """The size of ``src/ordalab``, counted one way for every change.
 
-Prints three numbers:
+Prints four numbers:
 
 * the lines of each module and their total;
 * the public names: the attributes of ``ordalab`` after import whose names
   do not start with an underscore;
 * the defaulted parameters: over every ``def``, the positional defaults
-  plus the keyword-only defaults that are not ``None``.
+  plus the keyword-only defaults that are not ``None``;
+* the private cross-module imports: the names starting with an underscore
+  that a module imports from another ``ordalab`` module.
 
 Run from the repository root:
 
@@ -47,6 +49,18 @@ def defaulted_parameters() -> int:
     return count
 
 
+def private_imports() -> list[tuple[str, str]]:
+    """(importing module, name) for every underscore name imported from
+    another ordalab module."""
+    out = []
+    for p in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("ordalab")):
+                out.extend((p.name, a.name) for a in node.names if a.name.startswith("_"))
+    return out
+
+
 def main() -> None:
     lines = module_lines()
     width = max(map(len, lines))
@@ -55,6 +69,7 @@ def main() -> None:
     print(f"{'total':<{width}}  {sum(lines.values()):>5}")
     print(f"public names: {public_names()}")
     print(f"defaulted parameters: {defaulted_parameters()}")
+    print(f"private cross-module imports: {len(private_imports())}")
 
 
 if __name__ == "__main__":
