@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from ordalab.cli import main
 from ordalab import (
     EvalError,
     TermError,
@@ -15,6 +14,7 @@ from ordalab import (
     pretty,
     seq_from_expr,
 )
+from ordalab.cli import main
 
 Q = lookup("Q")
 ZX = lookup("Z(X)")
