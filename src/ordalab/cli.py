@@ -19,7 +19,7 @@ from typing import Sequence
 from .instances import registry
 from .order import CapabilityError
 from .report import CheckRecord, exit_code, render_json_lines, render_text
-from .suites import RunConfig, SUITE_NAMES, run_algebra, run_series, run_suite
+from .suites import RunConfig, SERIES_TESTS, SUITE_NAMES, run_algebra, run_series, run_suite
 
 _CONFIG_KEYS = ("structure", "suite", "grid", "horizon", "seed")
 
@@ -77,8 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     series = sub.add_parser("series", help="run a certificate test on a term expression")
     series.add_argument("expr", help="term expression, e.g. \"1/2^n\"")
     series.add_argument("--structure", required=True)
-    series.add_argument("--test", required=True,
-                        choices=("zero-limit", "condensation", "alternating", "geometric"))
+    series.add_argument("--test", required=True, choices=SERIES_TESTS)
     series.add_argument("--grid", default=None)
     series.add_argument("--horizon", type=int, default=64)
     series.add_argument("--format", default="json", choices=("json", "text"))

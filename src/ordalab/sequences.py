@@ -120,7 +120,7 @@ class RefutationRecord:
     refuted: bool
 
 
-def _modulus_at(modulus: Callable[[Element], int], eps: Element) -> int:
+def modulus_at(modulus: Callable[[Element], int], eps: Element) -> int:
     n = modulus(eps)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"modulus must return an integer index >= 1, got {n!r}")
@@ -160,7 +160,7 @@ def verify_conv_cert(
     dists = cert._dists
     out: list[Violation] = []
     for eps in _grid_for(space, grid):
-        n0 = _modulus_at(cert.modulus, eps)
+        n0 = modulus_at(cert.modulus, eps)
         for n in range(n0, n0 + horizon + 1):
             d = dists.get(n)
             if d is None:
@@ -192,7 +192,7 @@ def verify_cauchy_cert(
     out: list[Violation] = []
     offs = _offsets(horizon)
     for eps in _grid_for(space, grid):
-        n0 = _modulus_at(cert.modulus, eps)
+        n0 = modulus_at(cert.modulus, eps)
         xs = [cert.seq(n0 + o) for o in offs]
         if grp is not None:
             lo = hi = xs[0]
@@ -221,7 +221,7 @@ def verify_cauchy_cert(
 # certificate constructors
 
 
-def _split_max(
+def split_max(
     s: StructureHandle,
     first: Callable[[Element], int],
     second: Callable[[Element], int],
@@ -233,7 +233,7 @@ def _split_max(
 
     def modulus(eps: Element) -> int:
         beta, gamma = checked_split(s, w, eps)
-        return max(_modulus_at(first, beta), _modulus_at(second, gamma))
+        return max(modulus_at(first, beta), modulus_at(second, gamma))
 
     return modulus
 
@@ -246,7 +246,7 @@ def constant_cert(space: MetricSpace, value: Element, name: str = "const") -> Co
 def conv_to_cauchy(cert: ConvCert) -> CauchyCert:
     """Convergent implies Cauchy over a dense codomain: route both sides of
     a pair through the limit, splitting eps into beta + gamma."""
-    modulus = _split_max(cert.space.codomain, cert.modulus, cert.modulus)
+    modulus = split_max(cert.space.codomain, cert.modulus, cert.modulus)
     return CauchyCert(cert.space, cert.seq, modulus)
 
 
@@ -256,7 +256,7 @@ def shift_cert(cert: ConvCert, k: int) -> ConvCert:
         raise ValueError("shift must be nonnegative")
     shifted = Seq(f"{cert.seq.name}<<{k}", lambda n: cert.seq(n + k))
     return ConvCert(cert.space, shifted, cert.limit,
-                    lambda eps: max(1, _modulus_at(cert.modulus, eps) - k))
+                    lambda eps: max(1, modulus_at(cert.modulus, eps) - k))
 
 
 def unshift_cert(cert: ConvCert, original: Seq, k: int) -> ConvCert:
@@ -272,7 +272,7 @@ def unshift_cert(cert: ConvCert, original: Seq, k: int) -> ConvCert:
                 f"(mismatch at index {n + k})"
             )
     return ConvCert(cert.space, original, cert.limit,
-                    lambda eps: _modulus_at(cert.modulus, eps) + k)
+                    lambda eps: modulus_at(cert.modulus, eps) + k)
 
 
 def negate_cert(cert: ConvCert, carrier: StructureHandle) -> ConvCert:
@@ -305,7 +305,7 @@ def add_certs(cx: ConvCert, cy: ConvCert, carrier: StructureHandle) -> ConvCert:
     """
     space = _same_space(cx.space, cy.space)
     carrier.require("group", "commutative_add")
-    modulus = _split_max(space.codomain, cx.modulus, cy.modulus)
+    modulus = split_max(space.codomain, cx.modulus, cy.modulus)
     return ConvCert(space, _sum_seq(cx, cy, carrier), carrier.op(cx.limit, cy.limit),
                     modulus)
 
@@ -317,7 +317,7 @@ def cauchy_sum(cx: CauchyCert, cy: CauchyCert, carrier: StructureHandle) -> Cauc
     and carrier only adds the terms."""
     space = _same_space(cx.space, cy.space)
     carrier.require("group", "commutative_add")
-    modulus = _split_max(space.codomain, cx.modulus, cy.modulus)
+    modulus = split_max(space.codomain, cx.modulus, cy.modulus)
     return CauchyCert(space, _sum_seq(cx, cy, carrier), modulus)
 
 
@@ -328,7 +328,7 @@ def bounded_from_cert(cert: ConvCert | CauchyCert, eps0: Element) -> Element:
     space, s = cert.space, cert.space.codomain
     if not s.is_positive(eps0):
         raise ValueError(f"{s.name}: eps0 {s.fmt(eps0)} must be positive")
-    n0 = _modulus_at(cert.modulus, eps0)
+    n0 = modulus_at(cert.modulus, eps0)
     anchor = cert.limit if isinstance(cert, ConvCert) else cert.seq(n0)
     dists = [space.distance(cert.seq(i), anchor) for i in range(1, n0)]
     bound = join_fold(s, dists + [eps0])
@@ -385,11 +385,11 @@ def zero_times_bounded(
 
     def left_modulus(eps: Element) -> int:
         e_l = shrink(eps, bound)[0]
-        return _modulus_at(c_zero.modulus, e_l)
+        return modulus_at(c_zero.modulus, e_l)
 
     def right_modulus(eps: Element) -> int:
         e_r = shrink(eps, bound)[1]
-        return _modulus_at(c_zero.modulus, e_r)
+        return modulus_at(c_zero.modulus, e_r)
 
     return (
         ConvCert(space, left_seq, ring.identity, left_modulus),
@@ -432,7 +432,7 @@ def prod_certs(
         beta, gamma = checked_split(m, split, eps)
         k_r = shrink(beta, s1)[1]       # s1 * k_r < beta
         m_l = shrink(gamma, norm_b)[0]  # m_l * norm_b < gamma
-        return max(_modulus_at(cy.modulus, k_r), _modulus_at(cx.modulus, m_l))
+        return max(modulus_at(cy.modulus, k_r), modulus_at(cx.modulus, m_l))
 
     return ConvCert(space, seq, ring.mul(a, b), modulus)
 
@@ -446,7 +446,7 @@ def subseq_rescue(
     subsequence limit.  Uses n_k >= k to reach the tail with one split.
     The index map is checked at the first 64 k, the sampling at the first 8."""
     space = _same_space(cauchy.space, csub.space)
-    modulus = _split_max(space.codomain, cauchy.modulus, csub.modulus)
+    modulus = split_max(space.codomain, cauchy.modulus, csub.modulus)
 
     prev = 0
     for k in range(1, 65):
@@ -501,7 +501,7 @@ def apart_tail(
     validate_apart_witness(witness, ng, cauchy.seq)
 
     beta = checked_split(m, w, witness.eps)[0]
-    n0 = _modulus_at(cauchy.modulus, beta)
+    n0 = modulus_at(cauchy.modulus, beta)
     gap = m.sub(witness.eps, beta)
     gamma = checked_split(m, w, gap)[0]
     for n in range(n0, n0 + 17):
@@ -557,7 +557,7 @@ def refute_distinct_limits(ca: ConvCert, cb: ConvCert) -> RefutationRecord:
     if s.eq(eps, s.identity):
         raise ValueError("the two limits coincide; nothing to refute")
     beta, gamma = checked_split(s, w, eps)
-    n = max(_modulus_at(ca.modulus, beta), _modulus_at(cb.modulus, gamma))
+    n = max(modulus_at(ca.modulus, beta), modulus_at(cb.modulus, gamma))
     d_first = space.distance(ca.seq(n), ca.limit)
     d_second = space.distance(cb.seq(n), cb.limit)
     first_within = s.lt(d_first, beta)

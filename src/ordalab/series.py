@@ -32,13 +32,13 @@ from .sequences import (
     CauchyCert,
     ConvCert,
     Seq,
-    _modulus_at,
-    _split_max,
     add_certs,
     constant_cert,
     conv_to_cauchy,
+    modulus_at,
     negate_cert,
     shift_cert,
+    split_max,
     unshift_cert,
 )
 
@@ -152,7 +152,7 @@ def tail_bound(cauchy: CauchyCert, eps: Element, m: int, n: int) -> TailCheck:
     s = cauchy.space.codomain
     if not s.is_positive(eps):
         raise ValueError(f"{s.name}: eps {s.fmt(eps)} must be positive")
-    n0 = _modulus_at(cauchy.modulus, eps)
+    n0 = modulus_at(cauchy.modulus, eps)
     if m < n0:
         raise ValueError(f"tail start {m} is below the modulus index {n0}")
     if n < m:
@@ -188,7 +188,7 @@ def alternating_cauchy(
         lambda i: x(i) if i % 2 == 1 else handle.negate(x(i)),
     )
     partials = Series(handle, signed).partials
-    return CauchyCert(space, partials, lambda eps: _modulus_at(c0.modulus, eps))
+    return CauchyCert(space, partials, lambda eps: modulus_at(c0.modulus, eps))
 
 
 def squeeze_cauchy(
@@ -216,7 +216,7 @@ def squeeze_cauchy(
     partials = Series(handle, y).partials
 
     def modulus(eps: Element) -> int:
-        return max(n1, _modulus_at(cx.modulus, eps), _modulus_at(cz.modulus, eps))
+        return max(n1, modulus_at(cx.modulus, eps), modulus_at(cz.modulus, eps))
 
     return CauchyCert(space, partials, modulus)
 
@@ -251,7 +251,7 @@ def condense(
     handle.require("ring", "total_order")
     if handle.one is None:
         raise CapabilityError(f"{handle.name} has no multiplicative identity")
-    split_max = _split_max(handle, c.modulus, c.modulus)
+    plain_modulus = split_max(handle, c.modulus, c.modulus)
     if mono.kind not in (
         MonotoneKind.DECREASING_POSITIVE,
         MonotoneKind.STRICTLY_DECREASING_POSITIVE,
@@ -267,7 +267,7 @@ def condense(
                       "certificate is not for this series' partial sums")
 
         def modulus(eps: Element) -> int:
-            ns = split_max(eps)
+            ns = plain_modulus(eps)
             k = 1
             while 2 ** (k - 1) < ns:
                 k += 1
@@ -280,7 +280,7 @@ def condense(
                       "certificate is not for this series' condensed partial sums")
 
         def modulus(eps: Element) -> int:
-            return max(1, 2 ** _modulus_at(c.modulus, eps) - 1)
+            return max(1, 2 ** modulus_at(c.modulus, eps) - 1)
 
         return CauchyCert(space, base_partials, modulus)
 
@@ -383,7 +383,7 @@ def geometric_cert(
 
     def modulus(eps: Element) -> int:
         e_l = shrink(eps, bound)[0]
-        return max(1, _modulus_at(c0.modulus, e_l) - 1)
+        return max(1, modulus_at(c0.modulus, e_l) - 1)
 
     return ConvCert(space, seq, inv, modulus)
 
@@ -506,7 +506,7 @@ def ratio_cauchy(
     cg = conv_to_cauchy(geo)
 
     def modulus(eps: Element) -> int:
-        return _modulus_at(cg.modulus, eps) + 1
+        return modulus_at(cg.modulus, eps) + 1
 
     return CauchyCert(space, partials, modulus)
 

@@ -2,10 +2,12 @@
 
 Each suite turns library verifiers into CheckRecords, and so do the
 `series` and `algebra` subcommands (run_series, run_algebra): every record
-the workbench reports is built here.  A capability the structure lacks
-makes the affected check (or the whole suite, when nothing in it can run)
-report "unverifiable" rather than failing: not being able to pose a
-question is kept distinct from answering it negatively.
+the workbench reports is built here, every certificate's through
+_Collector.cert.  An epsilon with no modulus is a violation there, a term
+that cannot be evaluated is bad input, and a missing capability makes the
+affected check (or the whole suite, when nothing in it can run)
+"unverifiable": not being able to pose a question is kept distinct from
+answering it negatively.
 
 Determinism: randomized sampling inside a suite draws from a generator
 seeded with (seed, suite, structure), so reports are byte-stable for a
@@ -176,12 +178,15 @@ class _Collector:
             status=UNVERIFIABLE, witness_values=(), paper_anchor=anchor,
         ))
 
-    def block(self, check_id: str, anchor: str, thunk):
-        """thunk() -> (violations, pass_values) or (violations, pass_values, fmt);
-        a CapabilityError marks the single check unverifiable, while a
-        ValueError (a witness rejected the stock instance) is a violation."""
+    def block(self, check_id: str, anchor: str, thunk, fmt):
+        """thunk() -> (violations, pass_values).  A term that cannot be
+        evaluated is bad input and propagates; a CapabilityError marks the
+        check unverifiable, and a ValueError (a witness rejected the stock
+        instance) is a violation."""
         try:
-            got = thunk()
+            violations, pass_values = thunk()
+        except EvalError:
+            raise
         except CapabilityError:
             self.unverifiable(check_id, anchor)
             return
@@ -189,45 +194,35 @@ class _Collector:
             self.emit(check_id, anchor,
                       [Violation("value.rejected", (str(exc),))], (), str)
             return
-        violations, pass_values = got[0], got[1]
-        fmt = got[2] if len(got) > 2 else None
         self.emit(check_id, anchor, violations, pass_values, fmt)
 
     def cert(self, check_id: str, anchor: str, build, verify, grid, horizon: int,
              fmt, lead=()):
-        """Build a certificate, verify it over the grid and window, and echo
-        its modulus at each grid epsilon after the lead values."""
+        """Build a certificate, echo its modulus at each grid epsilon after
+        the lead values, and verify it there and over the window; a modulus
+        that cannot be produced (a scan found no stable window) is a
+        violation at its epsilon: the claim fails at that scale."""
 
         def thunk():
             c = build()
-            echoes = tuple(f"N({fmt(eps)})={c.modulus(eps)}" for eps in grid)
-            return verify(c, grid, horizon), tuple(lead) + echoes, fmt
+            violations: list[Violation] = []
+            echoes: list[str] = []
+            good = []
+            for eps in grid:
+                try:
+                    n = c.modulus(eps)
+                except EvalError:
+                    raise
+                except ValueError as exc:
+                    violations.append(Violation("modulus.window", (eps,), str(exc)))
+                    continue
+                echoes.append(f"N({fmt(eps)})={n}")
+                good.append(eps)
+            if good:
+                violations.extend(verify(c, good, horizon))
+            return violations, tuple(lead) + tuple(echoes)
 
-        self.block(check_id, anchor, thunk)
-
-    def windows(self, check_id: str, anchor: str, cert, grid, horizon: int,
-                verify, fmt):
-        """Echo cert's modulus at each grid epsilon, then verify the windows.
-
-        A modulus that cannot be produced (the scan found no stable window)
-        is a violation: the claim fails at that scale.  A term that cannot be
-        evaluated is bad input, not a failed claim, and propagates."""
-        violations: list[Violation] = []
-        echoes: list[str] = []
-        good = []
-        for eps in grid:
-            try:
-                n = cert.modulus(eps)
-            except EvalError:
-                raise
-            except ValueError as exc:
-                violations.append(Violation("modulus.window", (eps,), str(exc)))
-                continue
-            echoes.append(f"N({fmt(eps)})={n}")
-            good.append(eps)
-        if good:
-            violations.extend(verify(cert, good, horizon))
-        self.emit(check_id, anchor, violations, echoes, fmt)
+        self.block(check_id, anchor, thunk, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +311,7 @@ def _suite_density(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
         def between_block():
             mid = betweenness(handle, handle.identity, handle.one, w)
             return [], (handle.fmt(mid),)
-        col.block("density.between", "order.dense-between", between_block)
+        col.block("density.between", "order.dense-between", between_block, handle.fmt)
     return col.records
 
 
@@ -389,9 +384,8 @@ def _suite_sequence(handle: StructureHandle, cfg: RunConfig, rng: random.Random)
     def shift_block():
         sh = shift_cert(c, 3)
         back = unshift_cert(sh, c.seq, 3)
-        return (verify_conv_cert(sh, grid, h) + verify_conv_cert(back, grid, h),
-                (), mfmt)
-    col.block("sequence.shift", "cauchy.shift", shift_block)
+        return verify_conv_cert(sh, grid, h) + verify_conv_cert(back, grid, h), ()
+    col.block("sequence.shift", "cauchy.shift", shift_block, mfmt)
 
     def uniqueness_block():
         other = next((u for u in pool if not handle.eq(u, v)), None)
@@ -402,9 +396,8 @@ def _suite_sequence(handle: StructureHandle, cfg: RunConfig, rng: random.Random)
         viols = [] if rec.refuted else [Violation(
             "limit.uniqueness", (rec.eps, rec.index),
             "distinct limits were not refuted")]
-        return viols, (mfmt(rec.eps), mfmt(rec.beta), mfmt(rec.gamma),
-                       str(rec.index)), mfmt
-    col.block("sequence.uniqueness", "limit.uniqueness", uniqueness_block)
+        return viols, (mfmt(rec.eps), mfmt(rec.beta), mfmt(rec.gamma), str(rec.index))
+    col.block("sequence.uniqueness", "limit.uniqueness", uniqueness_block, mfmt)
 
     def product():
         if not handle.pnorms:
@@ -423,8 +416,8 @@ def _suite_sequence(handle: StructureHandle, cfg: RunConfig, rng: random.Random)
         cc = conv_to_cauchy(constant_cert(space, w0, name="const-apart"))
         witness = ApartFromZeroWitness(eps=ng.norm(w0), selector=lambda n: n)
         gamma, n0 = apart_tail(cc, witness, ng)
-        return [], (ng.codomain.fmt(gamma), str(n0)), ng.codomain.fmt
-    col.block("sequence.apart", "norm.apart-tail", apart_block)
+        return [], (ng.codomain.fmt(gamma), str(n0))
+    col.block("sequence.apart", "norm.apart-tail", apart_block, mfmt)
 
     return col.records
 
@@ -482,13 +475,16 @@ def _alternating(handle: StructureHandle, space, terms: Seq, h: int):
     return alternating_cauchy(handle, space, terms, mono, c0)
 
 
-def _condensation_base(handle: StructureHandle, space, terms: Seq, h: int):
-    """(decrease evidence up to index 32, scanned Cauchy certificate of the
-    partial sums): what condense needs for its forward direction."""
+def _condensation(handle: StructureHandle, space, terms: Seq, h: int):
+    """(forward, backward) condensation certificates for terms, whose
+    decrease is checked up to index 32 and whose partial sums' Cauchy
+    certificate is scanned."""
     handle.require("ring", "total_order")
     mono = check_monotone(handle, terms, MonotoneKind.DECREASING_POSITIVE, 32)
     partials = Series(handle, terms).partials
-    return mono, scanned_cauchy_cert(space, partials, horizon=min(h, 16))
+    base = scanned_cauchy_cert(space, partials, horizon=min(h, 16))
+    fwd = condense(handle, space, terms, mono, base, "forward")
+    return fwd, condense(handle, space, terms, mono, fwd, "backward")
 
 
 def _suite_series(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
@@ -512,8 +508,8 @@ def _suite_series(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
         chk = tail_bound(cc, eps, n0, n0 + 5)
         viols = [] if chk.ok else [Violation(
             "series.tail", (eps, chk.m, chk.n, chk.tail_norm))]
-        return viols, (mfmt(chk.tail_norm), f"N({mfmt(eps)})={n0}"), mfmt
-    col.block("series.tail-bound", "series.tail", tail_block)
+        return viols, (mfmt(chk.tail_norm), f"N({mfmt(eps)})={n0}")
+    col.block("series.tail-bound", "series.tail", tail_block, mfmt)
 
     col.cert("series.alternating", "series.alternating",
              lambda: _alternating(handle, space, terms, h),
@@ -536,30 +532,21 @@ def _suite_condensation(handle: StructureHandle, cfg: RunConfig, rng: random.Ran
     handle.require("ring", "total_order")
     space, grid = _metric_grid(handle, cfg.grid)
     _, terms, _, symbolic = _stock_ratio(handle, space, grid)
-    mono, base = _condensation_base(handle, space, terms, cfg.horizon)
+    fwd, back = _condensation(handle, space, terms, cfg.horizon)
     mfmt = space.codomain.fmt
     # condensed partial sums reach index 2^n; symbolic terms grow linearly in
     # representation with the index, so their windows stay narrow
     fwd_h = min(cfg.horizon, 3 if symbolic else 8)
-    forward_holder: list = []
-
-    def forward():
-        forward_holder.append(condense(handle, space, terms, mono, base, "forward"))
-        return forward_holder[0]
-    col.cert("condensation.forward", "series.condensation", forward,
+    col.cert("condensation.forward", "series.condensation", lambda: fwd,
              verify_cauchy_cert, grid, fwd_h, mfmt)
-
-    def backward():
-        if not forward_holder:
-            raise CapabilityError("forward certificate unavailable")
-        return condense(handle, space, terms, mono, forward_holder[0], "backward")
-    col.cert("condensation.backward", "series.condensation", backward,
+    col.cert("condensation.backward", "series.condensation", lambda: back,
              verify_cauchy_cert, grid, cfg.horizon, mfmt)
 
     col.block("condensation.blocks", "series.condensation-blocks",
               lambda: (condensation_inequalities(
                   handle, terms, ns=range(1, 7),
-                  kls=[(k, l) for k in range(0, 4) for l in range(k, 4)]), ()))
+                  kls=[(k, l) for k in range(0, 4) for l in range(k, 4)]), ()),
+              handle.fmt)
 
     return col.records
 
@@ -580,7 +567,7 @@ def _suite_geometric(handle: StructureHandle, cfg: RunConfig, rng: random.Random
              lambda: geometric_cert(handle, space, r, c0, inv),
              verify_conv_cert, grid, h, mfmt, lead=(handle.fmt(inv),))
     col.block("geometric.power-limit", "series.power-limit",
-              lambda: (power_limit_is_zero(handle, c0, r), (), mfmt))
+              lambda: (power_limit_is_zero(handle, c0, r), ()), mfmt)
     # the modulus trusts the Archimedean witness, so the witness is checked too
     col.cert("geometric.power-modulus", "series.archimedean-power",
              lambda: archimedean_power_modulus(handle, space, r),
@@ -606,7 +593,7 @@ def _suite_bernoulli(handle: StructureHandle, cfg: RunConfig, rng: random.Random
               if rng.random() < 0.8 else handle.identity
               for _ in range(4)]
         return bernoulli_check(handle, xs, "semiring"), fmt_xs(xs)
-    col.block("bernoulli.semiring", "inequality.product-sum", semiring_block)
+    col.block("bernoulli.semiring", "inequality.product-sum", semiring_block, handle.fmt)
 
     def ring_block():
         handle.require("ring")
@@ -614,14 +601,14 @@ def _suite_bernoulli(handle: StructureHandle, cfg: RunConfig, rng: random.Random
         pool = [handle.negate(u) for u in small] + [handle.identity]
         xs = [rng.choice(pool) for _ in range(4)]
         return bernoulli_check(handle, xs, "ring"), fmt_xs(xs)
-    col.block("bernoulli.ring", "inequality.product-sum", ring_block)
+    col.block("bernoulli.ring", "inequality.product-sum", ring_block, handle.fmt)
 
     def power_block():
         handle.require("ring")
         u = rng.choice(tuple(grid) + (handle.one,))
         n = rng.randint(2, 5)
         return bernoulli_check(handle, [u] * n, "power"), fmt_xs([u] * n) + (str(n),)
-    col.block("bernoulli.power", "inequality.power", power_block)
+    col.block("bernoulli.power", "inequality.power", power_block, handle.fmt)
 
     return col.records
 
@@ -673,6 +660,7 @@ _SUITES = {
 }
 
 SUITE_NAMES = tuple(_SUITES)
+SERIES_TESTS = ("zero-limit", "condensation", "alternating", "geometric")
 
 
 def run_suite(cfg: RunConfig) -> list[CheckRecord]:
@@ -707,22 +695,20 @@ def run_series(structure: str, expr: str, test: str, grid: Sequence[str],
 
     if test == "zero-limit":
         c = scanned_conv_cert(space, seq, handle.identity, horizon=horizon)
-        col.windows("series.zero-limit", "limit.zero", c, grid, horizon,
-                    verify_conv_cert, mfmt)
+        col.cert("series.zero-limit", "limit.zero", lambda: c,
+                 verify_conv_cert, grid, horizon, mfmt)
 
     elif test == "condensation":
-        mono, base = _condensation_base(handle, space, seq, horizon)
-        fwd = condense(handle, space, seq, mono, base, "forward")
-        col.windows("series.condensation.forward", "series.condensation",
-                    fwd, grid, min(8, horizon), verify_cauchy_cert, mfmt)
-        back = condense(handle, space, seq, mono, fwd, "backward")
-        col.windows("series.condensation.backward", "series.condensation",
-                    back, grid, horizon, verify_cauchy_cert, mfmt)
+        fwd, back = _condensation(handle, space, seq, horizon)
+        col.cert("series.condensation.forward", "series.condensation", lambda: fwd,
+                 verify_cauchy_cert, grid, min(8, horizon), mfmt)
+        col.cert("series.condensation.backward", "series.condensation", lambda: back,
+                 verify_cauchy_cert, grid, horizon, mfmt)
 
     elif test == "alternating":
-        col.windows("series.alternating", "series.alternating",
-                    _alternating(handle, space, seq, horizon), grid, horizon,
-                    verify_cauchy_cert, mfmt)
+        c = _alternating(handle, space, seq, horizon)
+        col.cert("series.alternating", "series.alternating", lambda: c,
+                 verify_cauchy_cert, grid, horizon, mfmt)
 
     elif test == "geometric":
         handle.require("ring", "total_order")
@@ -738,9 +724,9 @@ def run_series(structure: str, expr: str, test: str, grid: Sequence[str],
                 )
         inv = geometric_limit(handle, r)
         c0 = scanned_conv_cert(space, seq, handle.identity, horizon=horizon)
-        col.windows("series.geometric", "series.geometric",
-                    geometric_cert(handle, space, r, c0, inv), grid, horizon,
-                    verify_conv_cert, mfmt)
+        c = geometric_cert(handle, space, r, c0, inv)
+        col.cert("series.geometric", "series.geometric", lambda: c,
+                 verify_conv_cert, grid, horizon, mfmt)
 
     else:
         raise ValueError(f"unknown series test {test!r}")

@@ -137,6 +137,13 @@ class _Parser:
             raise TermError(f"expected {what}, got {got}", t.column)
         return self.take()
 
+    def integer(self) -> int:
+        t = self.take()
+        # int() refuses longer digit strings (sys.get_int_max_str_digits)
+        if len(t.text) > 4300:
+            raise TermError("integer literal has more than 4300 digits", t.column)
+        return int(t.text)
+
     def expr(self) -> Node:
         node = self.term()
         while self.peek().kind in ("+", "-"):
@@ -157,8 +164,7 @@ class _Parser:
             self.take()
             t = self.peek()
             if t.kind == "int":
-                self.take()
-                return Pow(node, int(t.text))
+                return Pow(node, self.integer())
             if t.kind == "name" and t.text == "n":
                 self.take()
                 return Pow(node, None)
@@ -169,8 +175,7 @@ class _Parser:
     def atom(self) -> Node:
         t = self.peek()
         if t.kind == "int":
-            self.take()
-            return Lit(int(t.text))
+            return Lit(self.integer())
         if t.kind == "name":
             self.take()
             if t.text == "n":

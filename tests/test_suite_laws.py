@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from ordalab import (
+    CapabilityError,
     ConvCert,
     EvalError,
     RunConfig,
@@ -118,26 +119,31 @@ def test_ratio_one_is_refused_by_one_rule():
     assert geometric_limit(q, F(1, 3)) == F(3, 2)
 
 
-def test_suites_import_no_private_name_from_another_module():
-    assert [name for module, name in private_imports() if module == "suites.py"] == []
+def test_no_module_imports_a_private_name_from_another_module():
+    assert private_imports() == []
 
 
-def test_collector_cert_turns_a_modulus_error_into_value_rejected():
+def test_collector_cert_turns_a_modulus_error_into_a_window_violation():
     q = lookup("Q")
+    bad = F(1, 8)
 
     def modulus(eps):
-        raise ValueError("no window at this scale")
+        if eps == bad:
+            raise ValueError("no window at this scale")
+        return 1 + int(1 / eps)
 
     cert = ConvCert(q.metrics[0], Seq("1/n", lambda n: F(1, n)), F(0), modulus)
     col = _Collector("sequence", q)
     col.cert("sequence.probe", "cauchy.modulus", lambda: cert, verify_conv_cert,
              q.eps_grid, 8, q.fmt)
+    # the other scales are verified, and pass
     [rec] = col.records
     assert rec.status == "violation"
-    assert rec.witness_values == ("value.rejected", "no window at this scale")
+    assert rec.witness_values == violation_values(
+        [Violation("modulus.window", (bad,), "no window at this scale")], q.fmt)
 
 
-def test_collector_windows_records_a_failed_scan_at_its_epsilon_only():
+def test_collector_cert_records_a_failed_scan_at_its_epsilon_only():
     q = lookup("Q")
     half, quarter = F(1, 2), F(1, 4)
     verified = []
@@ -153,7 +159,7 @@ def test_collector_windows_records_a_failed_scan_at_its_epsilon_only():
 
     cert = ConvCert(q.metrics[0], Seq("1/n", lambda n: F(1, n)), F(0), modulus)
     col = _Collector("series", q)
-    col.windows("series.probe", "limit.zero", cert, (half, quarter), 8, verify, q.fmt)
+    col.cert("series.probe", "limit.zero", lambda: cert, verify, (half, quarter), 8, q.fmt)
     # the failed scan is a violation at 1/4; 1/2 alone is verified
     assert verified == [(half,)]
     expected = [Violation("modulus.window", (quarter,), "no window at this scale")]
@@ -164,7 +170,7 @@ def test_collector_windows_records_a_failed_scan_at_its_epsilon_only():
     assert rec.witness_values == violation_values(expected, q.fmt)
 
     good = ConvCert(q.metrics[0], cert.seq, F(0), lambda eps: 1 + int(1 / eps))
-    col.windows("series.good", "limit.zero", good, (half, quarter), 8, verify, q.fmt)
+    col.cert("series.good", "limit.zero", lambda: good, verify, (half, quarter), 8, q.fmt)
     assert col.records[1].status == "pass"
     assert col.records[1].witness_values == ("N(1/2)=3", "N(1/4)=5")
 
@@ -173,4 +179,25 @@ def test_collector_windows_records_a_failed_scan_at_its_epsilon_only():
 
     broken = ConvCert(q.metrics[0], cert.seq, F(0), bad_term)
     with pytest.raises(EvalError, match="division by zero"):
-        col.windows("series.bad", "limit.zero", broken, (half,), 8, verify, q.fmt)
+        col.cert("series.bad", "limit.zero", lambda: broken, verify, (half,), 8, q.fmt)
+
+
+def test_collector_cert_reports_a_capability_error_in_build_as_unverifiable():
+    q = lookup("Q")
+
+    def build():
+        raise CapabilityError("Q has no pseudonorm registered")
+
+    col = _Collector("sequence", q)
+    col.cert("sequence.probe", "cauchy.product", build, verify_conv_cert,
+             q.eps_grid, 8, q.fmt)
+    [rec] = col.records
+    assert (rec.status, rec.witness_values) == ("unverifiable", ())
+
+    def bad_term():
+        raise EvalError("division by zero", 3)
+
+    with pytest.raises(EvalError, match="at n=3"):
+        col.cert("sequence.bad", "cauchy.modulus", bad_term, verify_conv_cert,
+                 q.eps_grid, 8, q.fmt)
+    assert len(col.records) == 1

@@ -106,6 +106,27 @@ def test_a_non_ascii_digit_is_bad_input_on_the_command_line(capsys):
     assert "unexpected character '٣' (column 3)" in err
 
 
+_LONG = "1" * 4301  # one digit past int()'s default limit
+
+
+@pytest.mark.parametrize("expr, grid, column", [
+    (_LONG, "1/2", 1),
+    ("2^" + _LONG, "1/2", 3),
+    ("1/n", "1/2,1/" + _LONG, 3),
+], ids=["literal", "exponent", "grid-entry"])
+def test_an_overlong_integer_literal_is_a_term_error(capsys, expr, grid, column):
+    code = main(["series", expr, "--structure", "Q", "--test", "zero-limit",
+                 "--grid", grid])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.endswith(f"integer literal has more than 4300 digits (column {column})\n")
+
+
+def test_a_4300_digit_literal_parses_and_prints():
+    node = parse_term_expr("1/" + _LONG[1:])
+    assert parse_term_expr(pretty(node)) == node
+
+
 # short strings over the grammar's own characters and a spread of others
 _SOURCE_CHARS = st.sampled_from("0123456789nXpow_()+-*/^, ") | st.characters(
     blacklist_categories=("Cs",))
