@@ -34,6 +34,7 @@ from .order import (
     StructureHandle,
     demarr_density_witness,
     density_from_unit_interval,
+    field_invert,
     make_flags,
     total_compare,
 )
@@ -45,13 +46,6 @@ def _frac_floor_count(x: F, y: F) -> int:
     # least n >= 1 with n*x > y, for positive x in an archimedean carrier
     n = (y / x).__floor__() + 1
     return n if n >= 1 else 1
-
-
-def _field_invert(x):
-    # the inverse in Q and in Z(X), whose elements both divide the integer 1
-    if x == 0:
-        raise ValueError("0 has no multiplicative inverse")
-    return 1 / x
 
 
 def _two_fifths_shrink(zero, two_fifths):
@@ -79,7 +73,7 @@ def _build_q() -> StructureHandle:
         negate=operator.neg,
         second_op=operator.mul,
         one=F(1),
-        invert=_field_invert,
+        invert=field_invert,
         shrink=_two_fifths_shrink(F(0), F(2, 5)),
         archimedean=_frac_floor_count,
         join=max,
@@ -125,10 +119,10 @@ def _require_int(q) -> int:
 
 
 def _localized_contains(x: F, p: int) -> bool:
+    # whether the denominator is a power of p; the float logarithm is off
+    # by far less than 1/2 for any power of p that fits in memory
     den = x.denominator
-    while den % p == 0:
-        den //= p
-    return den == 1
+    return den == p ** round(math.log(den, p))
 
 
 def _build_localized(p: int) -> StructureHandle:
@@ -196,7 +190,7 @@ def _build_ratfunc() -> StructureHandle:
         negate=operator.neg,
         second_op=operator.mul,
         one=RF_ONE,
-        invert=_field_invert,
+        invert=field_invert,
         shrink=_two_fifths_shrink(RF_ZERO, two_fifths),
         join=max,
         eps_grid=halves + inverse_powers,

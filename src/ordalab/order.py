@@ -12,7 +12,9 @@ module do exactly that.  No floating point is used anywhere.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 Element = Any
@@ -47,6 +49,19 @@ def total_compare(a: Element, b: Element) -> OrderResult:
     if a == b:
         return OrderResult.EQUAL
     return OrderResult.LESS if a < b else OrderResult.GREATER
+
+
+def field_invert(x: Element) -> Element:
+    # the inverse in Q and in Z(X), whose elements both divide the integer 1
+    if x == 0:
+        raise ValueError("0 has no multiplicative inverse")
+    return 1 / x
+
+
+# Q's own comparison and operations, bound here at import, so a profiler
+# that later rebinds the module's functions does not change which handles
+# match them
+_Q_OPERATIONS = (total_compare, operator.add, operator.neg, operator.mul, field_invert)
 
 
 _FLAG_IMPLIES = {
@@ -154,9 +169,19 @@ class StructureHandle:
     # at construction, so a profiler that later wraps the module's
     # total_compare does not change which path a handle takes.
     _direct: bool = field(init=False, repr=False, compare=False)
+    # True when every operation and constant that evaluating a rational
+    # function of n reaches is Q's own, so termexpr may evaluate one over
+    # plain ints.  Fixed at construction, like _direct.
+    _int_terms: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_direct", self.compare is total_compare)
+        ops = (self.compare, self.op, self.negate, self.second_op, self.invert)
+        object.__setattr__(self, "_int_terms", (
+            self.from_rational is Fraction
+            and all(f is g for f, g in zip(ops, _Q_OPERATIONS))
+            and type(self.identity) is Fraction and self.identity == 0
+            and type(self.one) is Fraction and self.one == 1))
 
     # -- comparison shorthands ------------------------------------------
     def lt(self, a: Element, b: Element) -> bool:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable, Union
 
 from .order import StructureHandle, nat_pow, powers
@@ -262,16 +263,87 @@ def _once(term: Callable[[int], Element]) -> Callable[[int], Element]:
     return once
 
 
+def _rational_in_n(node: Node) -> bool:
+    """Whether the term is built from integer literals and n by + - * /
+    and fixed natural exponents alone: a rational function of n."""
+    if isinstance(node, (Lit, Index)):
+        return True
+    if isinstance(node, Bin):
+        return _rational_in_n(node.left) and _rational_in_n(node.right)
+    if isinstance(node, Pow):
+        return node.exponent is not None and _rational_in_n(node.base)
+    return False
+
+
+def _int_pair(node: Node) -> Callable[[int], tuple[int, int]]:
+    """A term _rational_in_n accepts as n -> (num, den): plain ints with
+    den != 0 and num/den the term's value over Q.  Nothing is reduced
+    except a base before it is raised to a power."""
+    if isinstance(node, Lit):
+        pair = (node.value, 1)
+        return lambda n: pair
+    if isinstance(node, Index):
+        return lambda n: (n, 1)
+    if isinstance(node, Pow):
+        base, k = _int_pair(node.base), node.exponent
+
+        def power(n: int) -> tuple[int, int]:
+            # reduced first: ((n/n)^k)^k stays (1, 1), not (n^(k*k), n^(k*k))
+            a, b = base(n)
+            g = gcd(a, b)
+            return (a // g) ** k, (b // g) ** k
+
+        return power
+    left, right = _int_pair(node.left), _int_pair(node.right)
+    if node.op == "+":
+        def add(n: int) -> tuple[int, int]:
+            (a, b), (c, d) = left(n), right(n)
+            return a * d + c * b, b * d
+
+        return add
+    if node.op == "-":
+        def sub(n: int) -> tuple[int, int]:
+            (a, b), (c, d) = left(n), right(n)
+            return a * d - c * b, b * d
+
+        return sub
+    if node.op == "*":
+        def mul(n: int) -> tuple[int, int]:
+            (a, b), (c, d) = left(n), right(n)
+            return a * c, b * d
+
+        return mul
+
+    def divide(n: int) -> tuple[int, int]:
+        # the denominator first, as in _compile's divide
+        c, d = right(n)
+        if c == 0:
+            raise EvalError("division by zero", n)
+        a, b = left(n)
+        return a * d, b * c
+
+    return divide
+
+
 def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
     """The term as a function of the index n >= 1, built once.
 
     Literals are converted and symbols looked up here, each operator is
     bound to its node, and pow(c, n) over a c that does not mention n
     evaluates c once it first succeeds and steps from c^k to c^(k+1) with
-    one product.  A missing capability or symbol still raises EvalError
-    only when the node is evaluated, so errors come at the same time, with
-    the same message and in the same order as a walk of the tree at each
-    index would give."""
+    one product.  Over a handle with Q's own operations, a rational
+    function of n is evaluated over ints and becomes one Fraction.  A
+    missing capability or symbol still raises EvalError only when the node
+    is evaluated, so errors come at the same time, with the same message
+    and in the same order as a walk of the tree at each index would give."""
+    if handle._int_terms and mentions_index(node) and _rational_in_n(node):
+        pair = _int_pair(node)
+
+        def rational(n: int) -> Element:
+            num, den = pair(n)
+            return Fraction(num, den)
+
+        return rational
     name = handle.name
     if isinstance(node, (Lit, Index)):
         as_element = handle.from_rational

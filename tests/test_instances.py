@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ordalab import (
     CapabilityError,
@@ -191,6 +191,33 @@ def test_localized_rings_membership():
         z13.from_rational(F(1, 2))
     with pytest.raises(ValueError):
         z13.invert(F(2, 3))
+
+
+def divides_out(den, p):
+    """The reference membership test: divide p out once per factor."""
+    while den % p == 0:
+        den //= p
+    return den == 1
+
+
+@settings(max_examples=200)
+@given(st.sampled_from((2, 3)), st.integers(0, 5000), st.data())
+def test_localized_membership_matches_dividing_out(p, k, data):
+    den = p**k * data.draw(st.sampled_from((1, p + 1, 5, 6, 7)))
+    ring = lookup(f"Z[1/{p}]")
+    expected = divides_out(den, p)
+    try:
+        ring.from_rational(F(1, den))
+        member = True
+    except ValueError:
+        member = False
+    assert member is expected
+    try:
+        ring.invert(F(den))
+        invertible = True
+    except ValueError:
+        invertible = False
+    assert invertible is expected
 
 
 def test_resolve_grid():

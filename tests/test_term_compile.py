@@ -6,15 +6,22 @@ Over generated terms, carriers and indices the two must give equal values
 of the same type, or raise the same exception type with the same message.
 pow(c, n) over a c that does not mention n evaluates c once and steps
 through its powers, so such terms are also called at indices that run up,
-down, repeat and skip.
+down, repeat and skip.  Over Q, a rational function of n is evaluated over
+plain ints; only handles with Q's own operations take that path.
 """
 
+import inspect
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordalab import EvalError, eval_term, lookup, parse_term_expr, pretty, seq_from_expr
+from ordalab import (
+    EvalError, eval_term, lookup, parse_term_expr, pretty, registry, seq_from_expr,
+)
+from ordalab import order, termexpr
 from ordalab.termexpr import Bin, Index, Lit, Pow, Sym
 from term_oracle import eval_term_reference
 
@@ -36,10 +43,15 @@ def _up_to_three(q):
 # refuses some literals: the refusal must wait for evaluation, as an index would
 HANDLES["Q up to 3"] = replace(Q, name="Q up to 3", from_rational=_up_to_three)
 INDICES = range(1, 41)
+# Q evaluates rational functions of n over ints; a run of far indices too
+FAR_INDICES = range(4090, 4101)
 
 _leaves = st.one_of(
     st.builds(Lit, st.integers(0, 6)),
     st.just(Index()),
+    # n - k vanishes at n = k: a zero divisor inside INDICES or FAR_INDICES
+    st.builds(lambda k: Bin("-", Index(), Lit(k)),
+              st.integers(1, 6) | st.integers(FAR_INDICES[0], FAR_INDICES[-1])),
     st.sampled_from((Sym("X"), Sym("Y"))),
 )
 # an index-dependent power only over a leaf, so values stay small at n = 40
@@ -71,12 +83,13 @@ def outcome(f, n):
 
 
 @settings(max_examples=200)
-@given(TERMS, st.sampled_from(sorted(HANDLES)))
+# Q, with its own path, half of the time
+@given(TERMS, st.just("Q") | st.sampled_from(sorted(HANDLES)))
 def test_compiled_terms_match_the_tree_walk(node, key):
     handle = HANDLES[key]
     # building the sequence never evaluates: every error waits for an index
     seq = seq_from_expr(pretty(node), handle)
-    for n in INDICES:
+    for n in (*INDICES, *FAR_INDICES) if key == "Q" else INDICES:
         expected = outcome(lambda i: eval_term_reference(node, handle, i), n)
         assert outcome(seq.term, n) == expected
         assert outcome(lambda i: eval_term(node, handle, i), n) == expected
@@ -175,3 +188,43 @@ def test_a_stepped_base_that_raises_raises_again_at_each_call(key, expr):
         assert got == outcome(lambda i: eval_term_reference(node, handle, i), n)
         if "division by zero" in first[2]:
             assert got == ("raised", EvalError, f"division by zero at n={n}")
+
+
+def test_only_q_evaluates_rational_functions_over_ints():
+    for key, handle in {**registry(), **HANDLES}.items():
+        assert handle._int_terms is (key == "Q"), key
+    assert replace(Q, name="Q'")._int_terms
+    assert not replace(Q, compare=lambda a, b: order.total_compare(a, b))._int_terms
+
+
+def test_wrapped_module_functions_leave_the_choice_alone(monkeypatch):
+    # wrap every public function of order and termexpr wherever an ordalab
+    # module binds it, as a layer profiler does, then build handles
+    for module in (order, termexpr):
+        for name, f in vars(module).copy().items():
+            if name.startswith("_") or not inspect.isfunction(f) or f.__module__ != module.__name__:
+                continue
+
+            def wrapper(*args, _f=f, **kwargs):
+                return _f(*args, **kwargs)
+
+            for mod_name, owner in list(sys.modules.items()):
+                if mod_name.startswith("ordalab") and owner is not None:
+                    for attr, value in list(vars(owner).items()):
+                        if value is f:
+                            monkeypatch.setattr(owner, attr, wrapper)
+    assert order.field_invert is not Q.invert
+    copy = replace(Q, name="Q'")
+    assert copy._int_terms
+    assert seq_from_expr("1/(n-2)+n^2", copy).term(4) == Fraction(33, 2)
+    assert not replace(Q, name="Q'", invert=None)._int_terms
+    assert not replace(HANDLES["Z(X)"], name="Z(X)'")._int_terms
+
+
+def test_a_power_is_raised_from_its_reduced_base():
+    # unreduced, the pair would hold 2^(64*10^6) over itself
+    node = parse_term_expr("((n/n)^1000)^1000")
+    n = 2**64
+    assert termexpr._int_pair(node)(n) == (1, 1)
+    assert outcome(seq_from_expr(pretty(node), Q).term, n) == ("value", Fraction, 1)
+    assert eval_term_reference(node, Q, n) == 1
