@@ -336,7 +336,7 @@ def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
     missing capability or symbol still raises EvalError only when the node
     is evaluated, so errors come at the same time, with the same message
     and in the same order as a walk of the tree at each index would give."""
-    if handle._int_terms and mentions_index(node) and _rational_in_n(node):
+    if handle._int_terms and _rational_in_n(node) and mentions_index(node):
         pair = _int_pair(node)
 
         def rational(n: int) -> Element:
