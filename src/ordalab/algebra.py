@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -42,9 +43,13 @@ class PseudonormedRing:
 
 
 def verify_pseudonorm(p: PseudonormedRing, sample: Sequence | None = None) -> list[Violation]:
-    """Exact check of definiteness, subadditivity, and (sub)multiplicativity."""
+    """Exact check of definiteness, subadditivity, and (sub)multiplicativity;
+    a coefficient norm over Q's own kernels is checked in integers."""
     r, m = p.ring, p.codomain
     sample = tuple(sample if sample is not None else r.sample)
+    found = p.norm.verify_integers(p, sample) if type(p.norm) is _CoefficientNorm else None
+    if found is not None:
+        return found
     out: list[Violation] = []
     normed = []
     for a in sample:
@@ -114,18 +119,12 @@ class FinDimAlgebra:
     @cached_property
     def _integer_terms(self) -> tuple | None:
         """(d, terms) with _terms' constants as integers over their common
-        denominator d, or None when products must go through the handle.
-
-        The integer path needs a field that compares with total_compare,
-        whose elements are numbers under Python's own + and * (as in every
-        such handle the registry holds), and constants and a zero that are
-        Fractions, so that its results are the Fractions the handle's
-        arithmetic would give.
+        denominator d, or None when products must go through the handle:
+        the integer path needs a field with Q's own kernels (_int_terms) and
+        Fraction constants, to give the Fractions the handle would.
         """
-        f = self.field
         consts = [g for plane in self.gamma for row in plane for g in row]
-        if not (f._direct and type(f.identity) is Fraction
-                and all(type(g) is Fraction for g in consts)):
+        if not (self.field._int_terms and all(type(g) is Fraction for g in consts)):
             return None
         d = math.lcm(*(g.denominator for g in consts))
         return d, tuple(
@@ -153,15 +152,18 @@ class FinDimAlgebra:
         return tuple(out)
 
     def _multiply_integers(self, table, a, b) -> tuple:
-        # a_i = x/da, b_j = ys[j]/db and gamma[i][j][k] = g/d, so every
+        # a_i = xs[i]/da, b_j = ys[j]/db and gamma[i][j][k] = g/d, so every
         # coefficient of the product is an integer over d*da*db
         d, terms = table
-        da = math.lcm(*(c.denominator for c in a))
-        db = math.lcm(*(c.denominator for c in b))
-        ys = [c.numerator * (db // c.denominator) for c in b]
+        da, (xs,) = _integers((a,))
+        db, (ys,) = _integers((b,))
+        den = d * da * db
+        return tuple(Fraction(v, den) for v in self._products(terms, xs, ys))
+
+    def _products(self, terms, xs, ys) -> list:
+        """For each k, the integer sum_ij xs[i]*ys[j]*g over (k, g) in terms[i][j]."""
         acc = [0] * self.n
-        for i, ai in enumerate(a):
-            x = ai.numerator * (da // ai.denominator)
+        for i, x in enumerate(xs):
             if not x:
                 continue
             row = terms[i]
@@ -171,12 +173,67 @@ class FinDimAlgebra:
                 scale = x * y
                 for k, g in row[j]:
                     acc[k] += scale * g
-        den = d * da * db
-        return tuple(Fraction(v, den) for v in acc)
+        return acc
 
     def fmt(self, a) -> str:
         names = self.basis if self.basis else tuple(f"e{i+1}" for i in range(self.n))
         return "(" + ", ".join(f"{self.field.fmt(c)}{n}" for c, n in zip(a, names)) + ")"
+
+
+def _integers(vectors) -> tuple[int, list]:
+    """(D, xs): Fraction vectors as integer vectors over one denominator D."""
+    big_d = math.lcm(*(c.denominator for v in vectors for c in v))
+    return big_d, [[c.numerator * (big_d // c.denominator) for c in v] for v in vectors]
+
+
+class _CoefficientNorm:
+    """a -> scale * sum_i |a_i| under alg's base norm; scale None (that
+    is, 1) is the plain sum."""
+
+    def __init__(self, alg: FinDimAlgebra, scale: Element):
+        self.alg, self.scale = alg, scale
+
+    def __call__(self, a):
+        m = self.alg.codomain
+        acc = m.identity
+        for c in a:
+            acc = m.op(acc, self.alg.base_norm(c))
+        return acc if self.scale is None else m.mul(self.scale, acc)
+
+    def verify_integers(self, p: PseudonormedRing, sample: tuple) -> list[Violation] | None:
+        """verify_pseudonorm(p, sample) over integers; None unless the field has
+        Q's kernels, the base norm is abs, p's codomain is the field and the
+        sample holds n-tuples of Fractions.  With a = x/D, b = y/D, gamma =
+        g/d and s = sn/sd, |a| = s*X/D for X = sum|x_i| and |ab| = s*P/(D^2*d)
+        for P = sum_k |sum_ij x_i*y_j*g_ijk|; each law scales to integers."""
+        alg = self.alg
+        if not (alg._integer_terms and alg.base_norm is abs
+                and p.codomain is alg.codomain is alg.field
+                and all(type(v) is tuple and len(v) == alg.n for v in sample)
+                and all(type(c) is Fraction for v in sample for c in v)):
+            return None
+        d, terms = alg._integer_terms
+        sn, sd = (1, 1) if self.scale is None else (self.scale.numerator, self.scale.denominator)
+        big_d, xs = _integers(sample)
+        sums = [sum(map(abs, x)) for x in xs]
+        out: list[Violation] = []
+        for a, t in zip(sample, sums):
+            if sn * t < 0:
+                out.append(Violation("pseudonorm.nonneg", (a, Fraction(sn * t, sd * big_d))))
+            if (t == 0) != (sn * t == 0):
+                out.append(Violation("pseudonorm.definite", (a, Fraction(sn * t, sd * big_d))))
+        law = "pseudonorm.multiplicative" if p.strict else "pseudonorm.submultiplicative"
+        # |ab| and |a|*|b| as integers over one denominator
+        left, right, den = sn * sd, sn * sn * d, sd * sd * big_d * big_d * d
+        for a, x, tx in zip(sample, xs, sums):
+            for b, y, ty in zip(sample, xs, sums):
+                if sn * sum(map(abs, map(operator.sub, x, y))) > sn * (tx + ty):
+                    out.append(Violation("pseudonorm.subadditive", (a, b)))
+                prod = left * sum(map(abs, alg._products(terms, x, y)))
+                bound = right * tx * ty
+                if (prod != bound) if p.strict else (prod > bound):
+                    out.append(Violation(law, (a, b, Fraction(prod, den), Fraction(bound, den))))
+        return out
 
 
 def element_handle(alg: FinDimAlgebra) -> StructureHandle:
@@ -224,28 +281,19 @@ def albert_pseudonorm(alg: FinDimAlgebra) -> PseudonormedRing:
             f"{alg.name}: all structure constants vanish; the product is "
             "trivial and the scaled norm would not be definite"
         )
-    scale = nat_mul(m, alg.n, big_m)
     base = coefficient_pseudonorm(alg)
     return replace(base, name=f"{alg.name}.scaled-coefficient",
-                   norm=lambda a: m.mul(scale, base.norm(a)))
+                   norm=_CoefficientNorm(alg, nat_mul(m, alg.n, big_m)))
 
 
 def coefficient_pseudonorm(alg: FinDimAlgebra) -> PseudonormedRing:
     """The unscaled coefficient sum  a -> sum_i |a_i|  (not submultiplicative
     in general; kept as the designed counterexample to the scaling)."""
-    m = alg.codomain
-
-    def norm(a):
-        acc = m.identity
-        for c in a:
-            acc = m.op(acc, alg.base_norm(c))
-        return acc
-
     return PseudonormedRing(
         name=f"{alg.name}.coefficient",
         ring=element_handle(alg),
-        codomain=m,
-        norm=norm,
+        codomain=alg.codomain,
+        norm=_CoefficientNorm(alg, None),
         strict=False,
     )
 
@@ -309,13 +357,12 @@ def load_algebra_table(source: str | dict) -> FinDimAlgebra:
     basis = tuple(basis)
     if basis and len(basis) != n:
         raise ValueError("basis names must match n")
-    from .metric import absolute_value
-
+    # abs gives |c| as absolute_value(field, c) does, Fraction for Fraction
     return FinDimAlgebra(
         name=str(name),
         field=field,
         codomain=field,
-        base_norm=lambda c: absolute_value(field, c),
+        base_norm=abs,
         gamma=table,
         basis=basis,
     )

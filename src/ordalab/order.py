@@ -164,9 +164,9 @@ class StructureHandle:
     metrics: tuple = ()
     norms: tuple = ()
     pnorms: tuple = ()
-    # True when compare is total_compare: Python's comparisons realize the
-    # order, so the shorthands below use them and skip OrderResult.  Fixed
-    # at construction, so a profiler that later wraps the module's
+    # True when compare is total_compare as bound at import: Python's
+    # comparisons realize the order, so the shorthands below use them and
+    # skip OrderResult.  A profiler that later wraps the module's
     # total_compare does not change which path a handle takes.
     _direct: bool = field(init=False, repr=False, compare=False)
     # True when every operation and constant that evaluating a rational
@@ -175,7 +175,7 @@ class StructureHandle:
     _int_terms: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_direct", self.compare is total_compare)
+        object.__setattr__(self, "_direct", self.compare is _Q_OPERATIONS[0])
         ops = (self.compare, self.op, self.negate, self.second_op, self.invert)
         object.__setattr__(self, "_int_terms", (
             self.from_rational is Fraction

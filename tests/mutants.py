@@ -1,0 +1,97 @@
+"""Apply named source mutations to a copy of ``src/`` and run the tests
+named beside each one; print which mutants the tests catch.
+
+Each mutant replaces one exact piece of text, which must occur once, in one
+module of a temporary copy of ``src/``. The tests named beside it then run
+under pytest with that copy first on ``PYTHONPATH``; the mutant is caught
+when they fail. Before any mutant, the named tests must pass on the
+unmutated copy. Nothing in the repository is written. Exits 1 when a
+mutant survives and 2 when the baseline fails or a mutation's text is
+missing.
+
+A change to a fast path adds the mutants its tests should catch.
+
+Run from the repository root:
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file name under src/ordalab
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids under tests/
+
+
+NORM_TESTS = ("test_fast_paths.py::test_integer_norm_checks_match_the_reference",)
+
+MUTANTS = (
+    Mutant("integer norm check: > becomes >= in the submultiplicative comparison",
+           "algebra.py", "else (prod > bound)", "else (prod >= bound)", NORM_TESTS),
+    Mutant("integer norm check: den(s) dropped",
+           "algebra.py", "left, right, den = sn * sd,", "left, right, den = sn,", NORM_TESTS),
+    Mutant("integer norm check: D^2 becomes D in the product's denominator",
+           "algebra.py", "sd * sd * big_d * big_d * d", "sd * sd * big_d * d", NORM_TESTS),
+    Mutant("integer norm check: the strict branch ignored",
+           "algebra.py", "if (prod != bound) if p.strict else (prod > bound):",
+           "if prod > bound:", NORM_TESTS),
+    Mutant("_direct compares with the module global total_compare",
+           "order.py", '"_direct", self.compare is _Q_OPERATIONS[0])',
+           '"_direct", self.compare is total_compare)',
+           ("test_fast_paths.py::test_a_wrapped_total_compare_leaves_the_direct_path_alone",)),
+)
+
+
+def tests_pass(src: Path, tests, workdir: Path) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+            *(str(ROOT / "tests" / t) for t in tests)]
+    done = subprocess.run(argv, cwd=workdir, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="ordalab-mutants-") as tmp:
+        workdir = Path(tmp)
+        src = workdir / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        named = sorted({t for m in MUTANTS for t in m.tests})
+        if not tests_pass(src, named, workdir):
+            print("the named tests fail on the unmutated source")
+            return 2
+        caught = 0
+        for m in MUTANTS:
+            path = src / "ordalab" / m.module
+            text = path.read_text(encoding="utf-8")
+            if text.count(m.old) != 1:
+                print(f"{m.name}: the text to mutate does not occur once in {m.module}")
+                return 2
+            path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+            try:
+                hit = not tests_pass(src, m.tests, workdir)
+            finally:
+                path.write_text(text, encoding="utf-8")
+            caught += hit
+            print(f"{'caught  ' if hit else 'SURVIVED'} {m.name}")
+        print(f"caught {caught}/{len(MUTANTS)}")
+        return 0 if caught == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

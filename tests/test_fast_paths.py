@@ -9,15 +9,16 @@
 * ``FinDimAlgebra.multiply`` over Fractions accumulates integers over one
   denominator; the reference is the same table over a copy of ``Q`` whose
   compare is a wrapper, which sends products through the handle.
-* ``verify_pseudonorm`` computes each sample norm once; the reference is
-  the old loop in ``tests/pseudonorm_oracle.py``.
+* ``verify_pseudonorm`` computes each sample norm once, and decides a
+  coefficient norm over ``Q`` in integers; the reference is the old loop
+  in ``tests/pseudonorm_oracle.py``.
 """
 
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ordalab import (
     OrderResult,
@@ -26,6 +27,7 @@ from ordalab import (
     coefficient_pseudonorm,
     load_algebra_table,
     lookup,
+    order,
     registry,
     shipped_algebras,
     total_compare,
@@ -98,6 +100,12 @@ def test_only_total_compare_takes_the_direct_path():
     for key, h in reg.items():
         assert h._direct is (key in DIRECT_KEYS), key
     assert replace(reg["Q"], name="Q'")._direct
+
+
+def test_a_wrapped_total_compare_leaves_the_direct_path_alone(monkeypatch):
+    q = lookup("Q")
+    monkeypatch.setattr(order, "total_compare", lambda a, b: total_compare(a, b))
+    assert replace(q, name="Q'")._direct
 
 
 def equal_copy(x):
@@ -260,3 +268,62 @@ def test_a_failing_norm_raises_where_the_reference_raises():
     with pytest.raises(ValueError, match="no norm at 2"):
         verify_pseudonorm_reference(pn, sample)
     assert fast_calls == calls == [F(1), F(-1), F(2)]
+
+
+def same_violations(got, want):
+    """Equal violations in the same order, with values of the same types."""
+    return got == want and [[type(x) for x in v.values] for v in got] == [
+        [type(x) for x in v.values] for v in want]
+
+
+@st.composite
+def tables_and_samples(draw):
+    n = draw(st.integers(1, 4))
+    gamma = [str(draw(constants)) for _ in range(n ** 3)]
+    vector = st.lists(coefficients, min_size=n, max_size=n).map(tuple)
+    return n, gamma, draw(st.lists(vector, max_size=6))
+
+
+# Q(sqrt10), whose unscaled norm violates on this sample; an empty sample;
+# e1*e1 = e1/2, whose scaled norm (scale n*M = 1/2) is multiplicative
+@example((2, [1, 0, 0, 1, 0, 1, 10, 0], [(F(0), F(1)), (F(1), F(1)), (F(0), F(0))]))
+@example((2, [1, 0, 0, 1, 0, 1, 10, 0], []))
+@example((1, ["1/2"], [(F(1),), (F(-2, 3),), (F(0),)]))
+@given(tables_and_samples())
+def test_integer_norm_checks_match_the_reference(case):
+    n, gamma, sample = case
+    alg = load_algebra_table({"name": "T", "n": n, "gamma": gamma})
+    pns = [coefficient_pseudonorm(alg)]
+    if any(F(g) for g in gamma):
+        pns.append(albert_pseudonorm(alg))
+    for pn in pns + [replace(pn, strict=True) for pn in pns]:
+        assert pn.norm.verify_integers(pn, tuple(sample)) is not None
+        got = verify_pseudonorm(pn, sample)
+        assert same_violations(got, verify_pseudonorm_reference(pn, sample))
+
+
+def test_other_norms_keep_the_generic_loop():
+    alg = shipped_algebras()["Q(sqrt10)"]
+    q = generic_copy(alg.field)
+    sample = ((F(0), F(1)), (F(1), F(1)), (F(1, 2), F(0)), (F(0), F(0)))
+    ints = ((0, 1), (1, 1), (0, 0))
+    plain = coefficient_pseudonorm(alg)
+    calls = []
+
+    def closure(a):
+        calls.append(a)
+        return plain.norm(a)
+
+    cases = [
+        (replace(plain, norm=closure), sample),
+        (coefficient_pseudonorm(replace(alg, base_norm=lambda c: abs(c))), sample),
+        (coefficient_pseudonorm(replace(alg, field=q, codomain=q)), sample),
+        (albert_pseudonorm(replace(alg, field=q, codomain=q)), sample),
+        (plain, ints),
+        (albert_pseudonorm(alg), ints),
+    ]
+    for pn, s in cases:
+        if pn.norm is not closure:
+            assert pn.norm.verify_integers(pn, s) is None
+        assert same_violations(verify_pseudonorm(pn, s), verify_pseudonorm_reference(pn, s))
+    assert calls
