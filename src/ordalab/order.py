@@ -419,8 +419,25 @@ def demarr_density_witness(s: StructureHandle) -> Split:
 # law verifiers (exact; return lists of Violation, empty means pass)
 
 
-def _pairs_lt(s: StructureHandle, sample: Sequence[Element], strict: bool):
-    rel = s.lt if strict else s.le
+def once(f: Callable[[Element, Element], Element]) -> Callable[[Element, Element], Element]:
+    """f memoised on the identities of its two arguments, for the length of
+    one law check.  An entry keeps its arguments alive, so their ids are not
+    reused while the memo is; the checks take a handle's operations to be
+    functions of their arguments."""
+    memo: dict = {}
+
+    def f_once(x: Element, y: Element) -> Element:
+        key = (id(x), id(y))
+        if key in memo:
+            return memo[key][0]
+        value = f(x, y)
+        memo[key] = (value, x, y)
+        return value
+
+    return f_once
+
+
+def _pairs_lt(rel: Callable[[Element, Element], bool], sample: Sequence[Element]):
     for a in sample:
         for b in sample:
             if a is not b and rel(a, b):
@@ -438,14 +455,17 @@ def verify_compatibility(s: StructureHandle) -> list[Violation]:
     sample = tuple(s.sample)
     strict = s.flags.group
     rel = s.lt if strict else s.le
+    # each sample pair is compared once, for the cone (positive under a
+    # group, nonnegative otherwise) and the pairs of both laws
+    pair_rel = once(rel)
     # (law prefix, operation, elements c to combine with, wording)
-    laws = [("op", s.op, sample, "with")]
+    laws = [("op", once(s.op), sample, "with")]
     if s.second_op is not None:
-        cone = [c for c in sample if (s.is_positive(c) if strict else s.is_nonnegative(c))]
-        laws.append(("mul", s.second_op, cone, "scaled by"))
+        cone = [c for c in sample if pair_rel(s.identity, c)]
+        laws.append(("mul", once(s.second_op), cone, "scaled by"))
     out: list[Violation] = []
     for prefix, f, others, wording in laws:
-        for a, b in _pairs_lt(s, sample, strict):
+        for a, b in _pairs_lt(pair_rel, sample):
             for c in others:
                 for side, x, y in (("right", (a, c), (b, c)), ("left", (c, a), (c, b))):
                     fx, fy = f(*x), f(*y)
@@ -461,22 +481,23 @@ def verify_compatibility(s: StructureHandle) -> list[Violation]:
 def verify_monoid(s: StructureHandle) -> list[Violation]:
     """Identity and (if flagged) associativity/commutativity of op."""
     sample = tuple(s.sample)
+    op = once(s.op)
     out: list[Violation] = []
     if s.flags.unital:
         for a in sample:
-            if not (s.eq(s.op(s.identity, a), a) and s.eq(s.op(a, s.identity), a)):
+            if not (s.eq(op(s.identity, a), a) and s.eq(op(a, s.identity), a)):
                 out.append(Violation("op.identity", (a,)))
     if s.flags.associative:
         small = sample[:6]
         for a in small:
             for b in small:
                 for c in small:
-                    if not s.eq(s.op(s.op(a, b), c), s.op(a, s.op(b, c))):
+                    if not s.eq(s.op(op(a, b), c), s.op(a, op(b, c))):
                         out.append(Violation("op.associative", (a, b, c)))
     if s.flags.commutative_add:
         for a in sample:
             for b in sample:
-                if not s.eq(s.op(a, b), s.op(b, a)):
+                if not s.eq(op(a, b), op(b, a)):
                     out.append(Violation("op.commutative", (a, b)))
     return out
 
@@ -500,20 +521,21 @@ def verify_hemiring(s: StructureHandle) -> list[Violation]:
     out: list[Violation] = []
     if not s.flags.hemiring or s.second_op is None:
         return [Violation("hemiring.capability", (), f"{s.name} is not a hemiring")]
+    add, mul = once(s.op), once(s.second_op)
     small = sample[:6]
     for a in small:
-        za = s.second_op(s.identity, a)
-        az = s.second_op(a, s.identity)
+        za = mul(s.identity, a)
+        az = mul(a, s.identity)
         if not (s.eq(za, s.identity) and s.eq(az, s.identity)):
             out.append(Violation("hemiring.zero-absorbs", (a,)))
         for b in small:
             for c in small:
-                lhs = s.second_op(a, s.op(b, c))
-                rhs = s.op(s.second_op(a, b), s.second_op(a, c))
+                lhs = mul(a, add(b, c))
+                rhs = add(mul(a, b), mul(a, c))
                 if not s.eq(lhs, rhs):
                     out.append(Violation("hemiring.distributive-left", (a, b, c)))
-                lhs = s.second_op(s.op(a, b), c)
-                rhs = s.op(s.second_op(a, c), s.second_op(b, c))
+                lhs = mul(add(a, b), c)
+                rhs = add(mul(a, c), mul(b, c))
                 if not s.eq(lhs, rhs):
                     out.append(Violation("hemiring.distributive-right", (a, b, c)))
     return out

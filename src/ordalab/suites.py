@@ -34,6 +34,7 @@ from .order import (
     betweenness,
     n_split,
     nat_mul,
+    once,
     powers,
     shrink_witness,
     split_witness,
@@ -258,6 +259,9 @@ def _suite_axioms(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
 
 
 def _order_violations(handle: StructureHandle, sample) -> list[Violation]:
+    # each comparison once per pair of element objects; a < b exactly when
+    # compare gives LESS, which total_compare keeps for the direct handles
+    compare = once(handle.compare)
     out: list[Violation] = []
     mirror = {
         OrderResult.LESS: OrderResult.GREATER,
@@ -266,34 +270,35 @@ def _order_violations(handle: StructureHandle, sample) -> list[Violation]:
         OrderResult.INCOMPARABLE: OrderResult.INCOMPARABLE,
     }
     for a in sample:
-        if handle.compare(a, a) is not OrderResult.EQUAL:
+        if compare(a, a) is not OrderResult.EQUAL:
             out.append(Violation("order.reflexive", (a,)))
         for b in sample:
-            r = handle.compare(a, b)
-            if handle.compare(b, a) is not mirror[r]:
+            r = compare(a, b)
+            if compare(b, a) is not mirror[r]:
                 out.append(Violation("order.mirror", (a, b)))
             if handle.flags.total_order and r is OrderResult.INCOMPARABLE:
                 out.append(Violation("order.total", (a, b)))
     small = sample[:6]
+    less = OrderResult.LESS
     for a in small:
         for b in small:
             for c in small:
-                if handle.lt(a, b) and handle.lt(b, c) and not handle.lt(a, c):
+                if compare(a, b) is less and compare(b, c) is less and compare(a, c) is not less:
                     out.append(Violation("order.transitive", (a, b, c)))
     return out
 
 
 def _join_violations(handle: StructureHandle, sample) -> list[Violation]:
     out: list[Violation] = []
-    join = handle.join
+    join, le = handle.join, once(handle.le)
     for a in sample:
         for b in sample:
             j = join(a, b)
-            if not (handle.le(a, j) and handle.le(b, j)):
+            if not (le(a, j) and le(b, j)):
                 out.append(Violation("join.upper-bound", (a, b, j)))
                 continue
             for c in sample:
-                if handle.le(a, c) and handle.le(b, c) and not handle.le(j, c):
+                if le(a, c) and le(b, c) and not le(j, c):
                     out.append(Violation("join.least", (a, b, c, j)))
     return out
 

@@ -38,6 +38,12 @@ class Mutant(NamedTuple):
 
 
 NORM_TESTS = ("test_fast_paths.py::test_integer_norm_checks_match_the_reference",)
+LAW_TESTS = ("test_fast_paths.py::test_memoised_law_checks_match_the_reference",)
+COUNT_TESTS = (
+    "test_fast_paths.py::test_memoised_law_checks_call_nothing_twice_with_the_same_objects",
+    "test_fast_paths.py::test_law_checks_make_each_call_once_per_pair_of_sample_elements",
+)
+TERM_TESTS = ("test_term_compile.py::test_compiled_terms_match_the_tree_walk",)
 
 MUTANTS = (
     Mutant("integer norm check: > becomes >= in the submultiplicative comparison",
@@ -53,6 +59,38 @@ MUTANTS = (
            "order.py", '"_direct", self.compare is _Q_OPERATIONS[0])',
            '"_direct", self.compare is total_compare)',
            ("test_fast_paths.py::test_a_wrapped_total_compare_leaves_the_direct_path_alone",)),
+    Mutant("law memo keyed on the first argument alone",
+           "order.py", "key = (id(x), id(y))", "key = id(x)", LAW_TESTS),
+    Mutant("compatibility: the left side f(c, a) becomes f(a, c)",
+           "order.py", '("left", (c, a), (c, b))', '("left", (a, c), (c, b))', LAW_TESTS),
+    Mutant("metric symmetry: dist(y, x) becomes dist(x, y)",
+           "metric.py", "if not m.eq(dxy, dist(y, x)):", "if not m.eq(dxy, dist(x, y)):",
+           LAW_TESTS),
+    Mutant("norm: norm(a - b) reused for norm(a + b)",
+           "metric.py", "if not m.le(ng.norm(g.op(a, b)), bound):",
+           "if not m.le(diff, bound):", LAW_TESTS),
+    Mutant("metric: distances taken without the memo",
+           "metric.py", "dist = once(space.distance)", "dist = space.distance", COUNT_TESTS),
+    Mutant("compatibility: sample pairs compared without the memo",
+           "order.py", "pair_rel = once(rel)", "pair_rel = rel", COUNT_TESTS),
+    Mutant("hemiring: products of sample pairs taken without the memo",
+           "order.py", "add, mul = once(s.op), once(s.second_op)",
+           "add, mul = once(s.op), s.second_op", COUNT_TESTS),
+    Mutant("integer terms: the sign of a difference flipped",
+           "termexpr.py", "return a * d - c * b, b * d", "return a * d + c * b, b * d",
+           TERM_TESTS),
+    Mutant("integer terms: no zero-divisor test at far indices",
+           "termexpr.py", "if c == 0:", "if c == 0 and n < 4000:", TERM_TESTS),
+    Mutant("integer terms: a power raised from its unreduced base",
+           "termexpr.py", "g = gcd(a, b)", "g = 1",
+           ("test_term_compile.py::test_a_power_is_raised_from_its_reduced_base",)),
+    Mutant("_int_terms: the selection tuple without invert",
+           "order.py", "ops = (self.compare, self.op, self.negate, self.second_op, self.invert)",
+           "ops = (self.compare, self.op, self.negate, self.second_op)",
+           ("test_term_compile.py::test_wrapped_module_functions_leave_the_choice_alone",)),
+    Mutant("Z[1/p] membership: the logarithm truncated, not rounded",
+           "instances.py", "p ** round(math.log(den, p))", "p ** int(math.log(den, p))",
+           ("test_instances.py::test_localized_membership_matches_dividing_out",)),
 )
 
 

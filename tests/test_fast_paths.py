@@ -12,25 +12,43 @@
 * ``verify_pseudonorm`` computes each sample norm once, and decides a
   coefficient norm over ``Q`` in integers; the reference is the old loop
   in ``tests/pseudonorm_oracle.py``.
+* The law verifiers of the axioms and metric suites compute each
+  operation, comparison, distance and norm value once per pair of argument
+  objects; the references are the old loops in ``tests/law_oracle.py``,
+  and call counters hold the once-per-pair property itself.
 """
 
+import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import law_oracle
 from ordalab import (
+    MetricSpace,
+    NormedGroup,
     OrderResult,
     PseudonormedRing,
+    StructureFlags,
+    StructureHandle,
     albert_pseudonorm,
     coefficient_pseudonorm,
     load_algebra_table,
     lookup,
     order,
     registry,
+    sample_triples,
     shipped_algebras,
+    suites,
     total_compare,
+    verify_compatibility,
+    verify_hemiring,
+    verify_metric,
+    verify_monoid,
+    verify_norm,
     verify_pseudonorm,
 )
 from ordalab.poly import RatFunc, poly_scale
@@ -327,3 +345,222 @@ def test_other_norms_keep_the_generic_loop():
             assert pn.norm.verify_integers(pn, s) is None
         assert same_violations(verify_pseudonorm(pn, s), verify_pseudonorm_reference(pn, s))
     assert calls
+
+
+# -- law verifiers that compute each value once ---------------------------
+
+class Elt:
+    """An element of a small random carrier, equal by its index, so that a
+    sample can hold one object twice or two equal objects."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k):
+        self.k = k
+
+    def __eq__(self, other):
+        return isinstance(other, Elt) and self.k == other.k
+
+    def __hash__(self):
+        return hash(self.k)
+
+    def __repr__(self):
+        return f"e{self.k}"
+
+
+FLAG_NAMES = ("unital", "associative", "commutative_add", "group", "hemiring",
+              "total_order")
+
+
+@st.composite
+def carriers(draw, fresh=False):
+    """A handle over at most four indices whose op, second_op, negate,
+    compare, join, distance and norm read random tables, with a metric
+    space and a normed group on it.  Every call is logged with its
+    arguments.  Under fresh, every result is a new object and the sample
+    holds no object twice (it may hold equal ones)."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    pool = [Elt(k) for k in range(n)]
+    element = st.one_of(st.sampled_from(pool), index.map(Elt))
+    log = []
+
+    def square(values):
+        return draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+
+    def binary(name, values, as_result):
+        t = square(values)
+
+        def f(x, y):
+            log.append((name, x, y))
+            return as_result(t[x.k][y.k])
+
+        return f
+
+    # results are new objects, or the pool's own
+    as_elt = Elt if fresh or draw(st.booleans()) else pool.__getitem__
+    negations = draw(st.lists(index, min_size=n, max_size=n))
+    norms = draw(st.lists(st.integers(-2, 4), min_size=n, max_size=n))
+
+    def norm(x):
+        log.append(("norm", x))
+        return norms[x.k]
+
+    sample = tuple(draw(st.lists(element, max_size=8, unique_by=id if fresh else None)))
+    h = StructureHandle(
+        name="T",
+        flags=StructureFlags(**{f: draw(st.booleans()) for f in FLAG_NAMES}),
+        op=binary("op", index, as_elt),
+        compare=binary("compare", st.sampled_from(OrderResult), lambda r: r),
+        identity=draw(element),
+        negate=lambda x: as_elt(negations[x.k]),
+        second_op=draw(st.none() | st.just(binary("mul", index, as_elt))),
+        join=binary("join", index, as_elt),
+        sample=sample,
+        fmt=repr,
+    )
+    z = lookup("Z")
+    codomain = draw(st.sampled_from((z, generic_copy(z), replace(z, negate=None))))
+    space = MetricSpace("T.d", codomain, binary("distance", st.integers(-2, 4), int),
+                        points=sample)
+    triples = draw(st.lists(st.tuples(*[st.sampled_from(sample)] * 3), max_size=12)
+                   if sample else st.just([]))
+    return h, space, triples, NormedGroup("T.n", h, codomain, norm), log
+
+
+def law_checks(h, space, triples, ng):
+    """(name, memoised verifier, reference) for every law check that
+    applies, each a thunk."""
+    sample = tuple(h.sample)
+    checks = [
+        ("monoid", lambda: verify_monoid(h), lambda: law_oracle.verify_monoid(h)),
+        ("hemiring", lambda: verify_hemiring(h), lambda: law_oracle.verify_hemiring(h)),
+        ("compatibility", lambda: verify_compatibility(h),
+         lambda: law_oracle.verify_compatibility(h)),
+        ("order", lambda: suites._order_violations(h, sample),
+         lambda: law_oracle.order_violations(h, sample)),
+    ]
+    if h.join is not None:
+        checks.append(("join", lambda: suites._join_violations(h, sample),
+                       lambda: law_oracle.join_violations(h, sample)))
+    if space is not None:
+        checks.append(("metric", lambda: verify_metric(space, triples),
+                       lambda: law_oracle.verify_metric(space, triples)))
+    if ng is not None:
+        checks.append(("norm", lambda: verify_norm(ng), lambda: law_oracle.verify_norm(ng)))
+    return checks
+
+
+def first_calls(log):
+    """The calls in the order each (callable, argument values) first occurs."""
+    return list(dict.fromkeys(log))
+
+
+@given(carriers())
+def test_memoised_law_checks_match_the_reference(case):
+    h, space, triples, ng, log = case
+    for name, fast, slow in law_checks(h, space, triples, ng):
+        log.clear()
+        got = fast()
+        fast_calls, log[:] = first_calls(log), []
+        assert same_violations(got, slow()), name
+        assert fast_calls == first_calls(log), name
+
+
+def registered_cases():
+    """Each registered handle, then each of its spaces with the metric
+    suite's triples, then each of its norms."""
+    for key, h in registry().items():
+        yield pytest.param(h, None, [], None, id=key)
+        for space in h.metrics:
+            pts = tuple(space.points)
+            triples = list(itertools.product(pts[:4], repeat=3))
+            triples += sample_triples(pts, 48, random.Random(key))
+            yield pytest.param(h, space, triples, None, id=f"{key}:metric:{space.name}")
+        for ng in h.norms:
+            yield pytest.param(h, None, [], ng, id=f"{key}:norm:{ng.name}")
+
+
+@pytest.mark.parametrize("h,space,triples,ng", registered_cases())
+def test_memoised_law_checks_match_the_reference_on_registered_handles(h, space, triples, ng):
+    for name, fast, slow in law_checks(h, space, triples, ng):
+        assert same_violations(fast(), slow()), name
+
+
+class CallCounter:
+    """Wraps f and records its arguments, keeping them alive so that no id
+    is reused during a check."""
+
+    def __init__(self, f):
+        self.f, self.args = f, []
+
+    def __call__(self, *args):
+        self.args.append(args)
+        return self.f(*args)
+
+
+def repeats(calls):
+    """How many calls repeat an earlier one's argument objects."""
+    keys = [tuple(map(id, c)) for c in calls]
+    return len(keys) - len(set(keys))
+
+
+# the callables whose values each check keeps
+MEMOISED = {
+    "monoid": ("op",),
+    "hemiring": ("op", "mul"),
+    "compatibility": ("op", "mul", "compare"),
+    "order": ("compare",),
+    "join": ("compare",),
+    "metric": ("distance",),
+    "norm": ("norm",),
+}
+
+
+@given(carriers(fresh=True))
+def test_memoised_law_checks_call_nothing_twice_with_the_same_objects(case):
+    # every result is a new object and no sample object occurs twice, so a
+    # repeated call can only be a value the check should have kept
+    h, space, triples, ng, log = case
+    for name, fast, _ in law_checks(h, space, triples, ng):
+        log.clear()
+        fast()
+        for f in MEMOISED[name]:
+            assert repeats([c for c in log if c[0] == f]) == 0, (name, f)
+
+
+@pytest.mark.parametrize("key", sorted(registry()))
+def test_law_checks_make_each_call_once_per_pair_of_sample_elements(key):
+    # the bounds count the memoised calls once per pair of sample elements
+    # (k of them in the cubic loops over the first six) and the others once
+    # per use; the loops before the memo made from 1.5 to 18 times as many
+    h = registry()[key]
+    sample = tuple(h.sample)
+    n, k = len(sample), min(len(sample), 6)
+    checks = [
+        (verify_monoid, {"op": 2 * n + n * n + 2 * k ** 3}),
+        (verify_compatibility, {"op": n * n, "second_op": n * n}),
+        (lambda c: suites._order_violations(c, sample), {"compare": n * n}),
+    ]
+    if h.flags.hemiring and h.second_op is not None:
+        checks.append((verify_hemiring, {"op": k * k + 2 * k ** 3,
+                                         "second_op": 2 * k + k * k + 2 * k ** 3}))
+    if h.join is not None:
+        checks.append((lambda c: suites._join_violations(c, sample),
+                       {"compare": 3 * n * n + n ** 3}))
+    for check, bounds in checks:
+        ops = {name: CallCounter(getattr(h, name)) for name in bounds
+               if getattr(h, name) is not None}
+        check(replace(h, **ops))
+        for name, counter in ops.items():
+            assert len(counter.args) <= bounds[name], (check, name)
+    for space in h.metrics:
+        d = CallCounter(space.distance)
+        pts = tuple(space.points)
+        verify_metric(replace(space, distance=d), itertools.product(pts, repeat=3))
+        assert repeats(d.args) == 0 and len(d.args) <= len(pts) ** 2
+    for ng in h.norms:
+        norm = CallCounter(ng.norm)
+        verify_norm(replace(ng, norm=norm))
+        assert len(norm.args) <= 2 * n + 2 * n * n
