@@ -489,6 +489,7 @@ def verify_monoid(s: StructureHandle) -> list[Violation]:
                 out.append(Violation("op.identity", (a,)))
     if s.flags.associative:
         small = sample[:6]
+        # the outer sums are new per triple, so only the inner ones are kept
         for a in small:
             for b in small:
                 for c in small:
