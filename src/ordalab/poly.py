@@ -52,6 +52,11 @@ def poly_sub(p: Poly, q: Poly) -> Poly:
 def poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ()
+    # a constant factor scales the other; canonical pairs often have one
+    if len(q) == 1:
+        return poly_scale(p, q[0])
+    if len(p) == 1:
+        return poly_scale(q, p[0])
     out = [0] * (len(p) + len(q) - 1)
     terms = [(j, b) for j, b in enumerate(q) if b]
     for i, a in enumerate(p):
@@ -215,6 +220,9 @@ class RatFunc:
         return cls((q.numerator,), (q.denominator,))
 
     # -- arithmetic -----------------------------------------------------
+    # Henrici's method (Knuth, TAOCP vol. 2, 4.5.1): products and powers of
+    # canonical pairs are put into canonical form without the constructor;
+    # a sum is the only result that can still cancel.
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -223,10 +231,15 @@ class RatFunc:
             return self
         if not self.num:
             return other
-        return RatFunc(
-            poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
-            poly_mul(self.den, other.den),
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            return RatFunc(poly_add(a, c), b)
+        g = _zgcd(b, d)
+        if g == (1,):
+            # any factor of b d divides exactly one of b and d, and not a d + c b
+            return _make(poly_add(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d))
+        bg, dg = poly_div_exact(b, g), poly_div_exact(d, g)
+        return RatFunc(poly_add(poly_mul(a, dg), poly_mul(c, bg)), poly_mul(bg, d))
 
     __radd__ = __add__
 
@@ -249,7 +262,9 @@ class RatFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
+        if not self.num or not other.num:
+            return RF_ZERO
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -259,7 +274,9 @@ class RatFunc:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(poly_mul(self.num, other.den), poly_mul(self.den, other.num))
+        if not self.num:
+            return self
+        return _product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -270,15 +287,17 @@ class RatFunc:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = RatFunc((1,))
-        base = self
+        # powers of a coprime pair are coprime, and the denominator's lead
+        # stays positive
+        num, den = (1,), (1,)
+        base_num, base_den = self.num, self.den
         while n:
             if n & 1:
-                out = out * base
+                num, den = poly_mul(num, base_num), poly_mul(den, base_den)
             n >>= 1
             if n:
-                base = base * base
-        return out
+                base_num, base_den = poly_mul(base_num, base_num), poly_mul(base_den, base_den)
+        return _make(num, den)
 
     # -- order ----------------------------------------------------------
     def sign(self) -> int:
@@ -332,6 +351,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals, and so must hash as, the Fraction it stands for
+        if len(self.den) == 1 and len(self.num) <= 1:
+            return hash(Fraction(self.num[0] if self.num else 0, self.den[0]))
         return hash((self.num, self.den))
 
     # -- rendering ------------------------------------------------------
@@ -370,6 +392,31 @@ def _canonical(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if den[-1] < 0:
         num, den = poly_neg(num), poly_neg(den)
     return num, den
+
+
+def _zgcd(p: Poly, q: Poly) -> Poly:
+    """gcd of nonzero p and q in Z[X]: the gcd of their contents times the
+    primitive gcd; a constant side needs only the integer gcd."""
+    c = gcd(poly_content(p), poly_content(q))
+    if len(p) == 1 or len(q) == 1:
+        return (c,)
+    return poly_scale(poly_gcd(p, q), c)
+
+
+def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
+    """(a/b)(c/d) for coprime pairs a, b and c, d, all nonzero, with b's lead
+    positive.  Cancelling a against d and c against b leaves a coprime pair
+    (Gauss's lemma); a negative lead of d is moved to the numerator."""
+    g = _zgcd(a, d)
+    if g != (1,):
+        a, d = poly_div_exact(a, g), poly_div_exact(d, g)
+    g = _zgcd(c, b)
+    if g != (1,):
+        c, b = poly_div_exact(c, g), poly_div_exact(b, g)
+    num, den = poly_mul(a, c), poly_mul(b, d)
+    if den[-1] < 0:
+        num, den = poly_neg(num), poly_neg(den)
+    return _make(num, den)
 
 
 def _make(num: Poly, den: Poly) -> RatFunc:

@@ -5,9 +5,11 @@ Each mutant replaces one exact piece of text, which must occur once, in one
 module of a temporary copy of ``src/``. The tests named beside it then run
 under pytest with that copy first on ``PYTHONPATH``; the mutant is caught
 when they fail. Before any mutant, the named tests must pass on the
-unmutated copy. Nothing in the repository is written. Exits 1 when a
-mutant survives and 2 when the baseline fails or a mutation's text is
-missing.
+unmutated copy. The mutants run on as many worker processes as there are
+CPUs (at most one per mutant), each with its own copy of ``src/``, and the
+results print in list order. Nothing in the repository is written. Exits 1
+when a mutant survives and 2 when the baseline fails or a mutation's text
+is missing.
 
 A change to a fast path adds the mutants its tests should catch.
 
@@ -19,10 +21,12 @@ Run from the repository root:
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -44,6 +48,11 @@ COUNT_TESTS = (
     "test_fast_paths.py::test_law_checks_make_each_call_once_per_pair_of_sample_elements",
 )
 TERM_TESTS = ("test_term_compile.py::test_compiled_terms_match_the_tree_walk",)
+ARITH_TESTS = ("test_poly_kernel.py::test_arithmetic_matches_the_schoolbook_pair",)
+COLLECTOR_TESTS = (
+    "test_suite_laws.py::test_collector_cert_records_a_failed_scan_at_its_epsilon_only",
+    "test_suite_laws.py::test_collector_cert_reports_a_capability_error_in_build_as_unverifiable",
+)
 
 MUTANTS = (
     Mutant("integer norm check: > becomes >= in the submultiplicative comparison",
@@ -80,7 +89,8 @@ MUTANTS = (
            "termexpr.py", "return a * d - c * b, b * d", "return a * d + c * b, b * d",
            TERM_TESTS),
     Mutant("integer terms: no zero-divisor test at far indices",
-           "termexpr.py", "if c == 0:", "if c == 0 and n < 4000:", TERM_TESTS),
+           "termexpr.py", "if c == 0:", "if c == 0 and n < 4000:",
+           (*TERM_TESTS, "test_term_compile.py::test_a_zero_divisor_at_a_far_index_names_that_index")),
     Mutant("integer terms: a power raised from its unreduced base",
            "termexpr.py", "g = gcd(a, b)", "g = 1",
            ("test_term_compile.py::test_a_power_is_raised_from_its_reduced_base",)),
@@ -91,6 +101,36 @@ MUTANTS = (
     Mutant("Z[1/p] membership: the logarithm truncated, not rounded",
            "instances.py", "p ** round(math.log(den, p))", "p ** int(math.log(den, p))",
            ("test_instances.py::test_localized_membership_matches_dividing_out",)),
+    Mutant("RatFunc product: the cancellation of c against b skipped",
+           "poly.py", "    g = _zgcd(c, b)\n    if g != (1,):", "    g = _zgcd(c, b)\n    if False:",
+           ARITH_TESTS),
+    Mutant("RatFunc quotient: a negative lead of the divisor's numerator left below",
+           "poly.py", "num, den = poly_neg(num), poly_neg(den)\n    return _make(num, den)",
+           "return _make(num, den)", ARITH_TESTS),
+    Mutant("RatFunc gcd in Z[X]: the gcd of the contents left out",
+           "poly.py", "return poly_scale(poly_gcd(p, q), c)", "return poly_gcd(p, q)",
+           ARITH_TESTS),
+    Mutant("RatFunc sum: the shared-factor sum wrapped as canonical",
+           "poly.py", "return RatFunc(poly_add(poly_mul(a, dg), poly_mul(c, bg)), poly_mul(bg, d))",
+           "return _make(poly_add(poly_mul(a, dg), poly_mul(c, bg)), poly_mul(bg, d))",
+           ARITH_TESTS),
+    Mutant("RatFunc sum: the equal-denominator sum wrapped as canonical",
+           "poly.py", "return RatFunc(poly_add(a, c), b)", "return _make(poly_add(a, c), b)",
+           ARITH_TESTS),
+    Mutant("poly_mul: a constant left factor taken as 1",
+           "poly.py", "return poly_scale(q, p[0])", "return q", ARITH_TESTS),
+    Mutant("RatFunc hash: a constant hashed as its pair of tuples",
+           "poly.py", "if len(self.den) == 1 and len(self.num) <= 1:", "if False:",
+           ("test_poly_kernel.py::test_constant_quotients_hash_as_the_numbers_they_equal",)),
+    Mutant("collector: block without the EvalError re-raise",
+           "suites.py", "violations, pass_values = thunk()\n        except EvalError:\n            raise\n",
+           "violations, pass_values = thunk()\n", COLLECTOR_TESTS),
+    Mutant("collector: the modulus echoed one index late",
+           "suites.py", 'echoes.append(f"N({fmt(eps)})={n}")', 'echoes.append(f"N({fmt(eps)})={n + 1}")',
+           (COLLECTOR_TESTS[0], "test_golden.py::test_golden_bytes[series-Q-zero-limit]")),
+    Mutant("term parser: the literal limit one digit late",
+           "termexpr.py", "if len(t.text) > 4300:", "if len(t.text) > 4301:",
+           ("test_termexpr.py::test_an_overlong_integer_literal_is_a_term_error",)),
 )
 
 
@@ -103,30 +143,47 @@ def tests_pass(src: Path, tests, workdir: Path) -> bool:
     return done.returncode == 0
 
 
+def mutate(m: Mutant, copies: queue.Queue, workdir: Path):
+    """Apply m to a free copy of src/, run its tests, and put the copy back
+    unmutated; True when the tests catch it, None when the text is missing."""
+    src = copies.get()
+    try:
+        path = src / "ordalab" / m.module
+        text = path.read_text(encoding="utf-8")
+        if text.count(m.old) != 1:
+            return None
+        path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+        try:
+            return not tests_pass(src, m.tests, workdir)
+        finally:
+            path.write_text(text, encoding="utf-8")
+    finally:
+        copies.put(src)
+
+
 def main() -> int:
+    workers = min(os.cpu_count() or 1, len(MUTANTS))
     with tempfile.TemporaryDirectory(prefix="ordalab-mutants-") as tmp:
         workdir = Path(tmp)
-        src = workdir / "src"
-        shutil.copytree(ROOT / "src", src,
-                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        copies: queue.Queue = queue.Queue()
+        for k in range(workers):
+            src = workdir / f"src-{k}"
+            shutil.copytree(ROOT / "src", src,
+                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            copies.put(src)
         named = sorted({t for m in MUTANTS for t in m.tests})
-        if not tests_pass(src, named, workdir):
+        if not tests_pass(workdir / "src-0", named, workdir):
             print("the named tests fail on the unmutated source")
             return 2
-        caught = 0
-        for m in MUTANTS:
-            path = src / "ordalab" / m.module
-            text = path.read_text(encoding="utf-8")
-            if text.count(m.old) != 1:
+        # each worker thread drives one pytest process at a time
+        with ThreadPoolExecutor(workers) as pool:
+            hits = list(pool.map(lambda m: mutate(m, copies, workdir), MUTANTS))
+        for m, hit in zip(MUTANTS, hits):
+            if hit is None:
                 print(f"{m.name}: the text to mutate does not occur once in {m.module}")
                 return 2
-            path.write_text(text.replace(m.old, m.new), encoding="utf-8")
-            try:
-                hit = not tests_pass(src, m.tests, workdir)
-            finally:
-                path.write_text(text, encoding="utf-8")
-            caught += hit
             print(f"{'caught  ' if hit else 'SURVIVED'} {m.name}")
+        caught = sum(hits)
         print(f"caught {caught}/{len(MUTANTS)}")
         return 0 if caught == len(MUTANTS) else 1
 

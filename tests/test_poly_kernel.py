@@ -180,3 +180,108 @@ def test_cmp_sign_pins():
     assert (2 * X)._cmp_sign(X + 5) == 1  # degrees tie, leads differ
     assert RF_ZERO._cmp_sign(RF_ZERO) == 0
     assert RF_ZERO._cmp_sign(-X) == 1
+
+
+# ---------------------------------------------------------------------------
+# arithmetic against the schoolbook pair, canonicalized by the oracle
+
+small_dense = st.lists(small, min_size=1, max_size=4).map(poly).filter(bool)
+contents = st.sampled_from((1, 2, 6, -3))
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two quotients whose denominators are equal, divide one another, share
+    a factor or are coprime, with contents that often share a factor too.
+    The second may also be zero, the negation of the first, have a numerator
+    that shares the first's denominator, or be chosen so that their sum
+    cancels."""
+    kinds = ("equal", "divides", "shares", "coprime", "zero", "negated", "crossed", "cancels")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "equal":
+        b = d = draw(dense)
+    elif kind == "divides":
+        b = draw(dense)
+        d = poly_mul(b, draw(small_dense))
+    elif kind == "shares":
+        b, d = draw(sharing_pairs())
+    else:
+        b, d = draw(dense), draw(dense)
+    k = draw(contents)
+    b, d = poly_mul(b, (k * draw(contents),)), poly_mul(d, (k * draw(contents),))
+    x = RatFunc(draw(dense), b)
+    if kind == "zero":
+        return x, RF_ZERO
+    if kind == "negated":
+        return x, -x
+    if kind == "crossed":
+        return x, RatFunc(poly_mul(b, draw(small_dense)), d)
+    y = RatFunc(draw(dense), d)
+    return (x, y - x) if kind == "cancels" else (x, y)
+
+
+def _pow(p, n):
+    out = (1,)
+    for _ in range(n):
+        out = poly_mul(out, p)
+    return out
+
+
+def _assert_canonical_result(r, school):
+    assert (r.num, r.den) == oracle_canonical(*school)
+    again = RatFunc(r.num, r.den)
+    assert (again.num, again.den) == (r.num, r.den)
+    assert r.den[-1] > 0
+
+
+def _schoolbook(x, y):
+    a, b, c, d = x.num, x.den, y.num, y.den
+    pairs = {
+        "+": (poly_add(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d)),
+        "-": (poly_sub(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d)),
+        "*": (poly_mul(a, c), poly_mul(b, d)),
+    }
+    if c:
+        pairs["/"] = (poly_mul(a, d), poly_mul(b, c))
+    return pairs
+
+
+@given(operand_pairs())
+def test_arithmetic_matches_the_schoolbook_pair(xy):
+    x, y = xy
+    for u, v in ((x, y), (y, x)):
+        for op, school in _schoolbook(u, v).items():
+            r = {"+": u + v, "-": u - v, "*": u * v}[op] if op != "/" else u / v
+            _assert_canonical_result(r, school)
+    assert x - x == RF_ZERO and x + (-x) == RF_ZERO
+
+
+@given(st.one_of(st.just(RF_ZERO), st.builds(RatFunc, small_dense, small_dense)),
+       st.integers(min_value=0, max_value=6))
+def test_powers_match_the_schoolbook_pair(x, n):
+    _assert_canonical_result(x**n, (_pow(x.num, n), _pow(x.den, n)))
+
+
+def test_arithmetic_pins():
+    quarter = RatFunc((1,), (4,))
+    r = RatFunc((1,), (2, 2)) + quarter  # contents share 2, primitive parts are coprime
+    assert (r.num, r.den) == ((3, 1), (4, 4))
+    r = RatFunc((1,), (-1, 1)) - RatFunc((2,), (-1, 0, 1))  # the sum cancels X - 1
+    assert (r.num, r.den) == ((1,), (1, 1))
+    r = RatFunc((1,), (2, 2)) * RatFunc((2,), (0, 1))  # a constant cancels a content
+    assert (r.num, r.den) == ((1,), (0, 1, 1))
+    r = X / (-X - 1)  # a divisor whose numerator leads negative
+    assert (r.num, r.den) == ((0, -1), (1, 1))
+    r = quarter / RatFunc((-2,), (3,))
+    assert (r.num, r.den) == ((-3,), (8,))
+    assert RF_ZERO**0 == RF_ONE and RF_ZERO**3 == RF_ZERO and (RF_ZERO / X) == RF_ZERO
+    assert (X * RF_ZERO).den == (1,)
+
+
+def test_constant_quotients_hash_as_the_numbers_they_equal():
+    half = RatFunc.from_fraction(F(1, 2))
+    for r, q in ((RF_ONE, 1), (RF_ZERO, 0), (half, F(1, 2)), (RatFunc((-6,), (4,)), F(-3, 2))):
+        assert r == q and hash(r) == hash(q)
+    assert len({RatFunc((1,)), 1}) == 1
+    assert len({half, F(1, 2), RatFunc((2,), (4,))}) == 1
+    assert hash(X) == hash(RatFunc((0, 1)))

@@ -95,6 +95,15 @@ def test_compiled_terms_match_the_tree_walk(node, key):
         assert outcome(lambda i: eval_term(node, handle, i), n) == expected
 
 
+def test_a_zero_divisor_at_a_far_index_names_that_index():
+    # the generated terms reach such a divisor only now and then
+    for expr in ("1/(n-4095)", "(n+1)/(n^2-4095*n)", "3/(2*n-8190)^2"):
+        term = seq_from_expr(expr, Q).term
+        assert outcome(term, 4095) == ("raised", EvalError, "division by zero at n=4095")
+        assert outcome(term, 4096) == outcome(
+            lambda i: eval_term_reference(parse_term_expr(expr), Q, i), 4096)
+
+
 def test_the_denominator_is_evaluated_first():
     # the numerator would fail on the undefined symbol; a zero denominator
     # is reported first, with its index
