@@ -116,28 +116,7 @@ class FinDimAlgebra:
             for plane in self.gamma
         )
 
-    @cached_property
-    def _integer_terms(self) -> tuple | None:
-        """(d, terms) with _terms' constants as integers over their common
-        denominator d, or None when products must go through the handle:
-        the integer path needs a field with Q's own kernels (_int_terms) and
-        Fraction constants, to give the Fractions the handle would.
-        """
-        consts = [g for plane in self.gamma for row in plane for g in row]
-        if not (self.field._int_terms and all(type(g) is Fraction for g in consts)):
-            return None
-        d = math.lcm(*(g.denominator for g in consts))
-        return d, tuple(
-            tuple(tuple((k, g.numerator * (d // g.denominator)) for k, g in row)
-                  for row in plane)
-            for plane in self._terms
-        )
-
     def multiply(self, a, b):
-        table = self._integer_terms
-        if (table is not None and all(type(c) is Fraction for c in a)
-                and all(type(c) is Fraction for c in b)):
-            return self._multiply_integers(table, a, b)
         f = self.field
         out = [f.identity] * self.n
         for i, ai in enumerate(a):
@@ -151,39 +130,9 @@ class FinDimAlgebra:
                     out[k] = f.op(out[k], f.mul(scale, g))
         return tuple(out)
 
-    def _multiply_integers(self, table, a, b) -> tuple:
-        # a_i = xs[i]/da, b_j = ys[j]/db and gamma[i][j][k] = g/d, so every
-        # coefficient of the product is an integer over d*da*db
-        d, terms = table
-        da, (xs,) = _integers((a,))
-        db, (ys,) = _integers((b,))
-        den = d * da * db
-        return tuple(Fraction(v, den) for v in self._products(terms, xs, ys))
-
-    def _products(self, terms, xs, ys) -> list:
-        """For each k, the integer sum_ij xs[i]*ys[j]*g over (k, g) in terms[i][j]."""
-        acc = [0] * self.n
-        for i, x in enumerate(xs):
-            if not x:
-                continue
-            row = terms[i]
-            for j, y in enumerate(ys):
-                if not y:
-                    continue
-                scale = x * y
-                for k, g in row[j]:
-                    acc[k] += scale * g
-        return acc
-
     def fmt(self, a) -> str:
         names = self.basis if self.basis else tuple(f"e{i+1}" for i in range(self.n))
         return "(" + ", ".join(f"{self.field.fmt(c)}{n}" for c, n in zip(a, names)) + ")"
-
-
-def _integers(vectors) -> tuple[int, list]:
-    """(D, xs): Fraction vectors as integer vectors over one denominator D."""
-    big_d = math.lcm(*(c.denominator for v in vectors for c in v))
-    return big_d, [[c.numerator * (big_d // c.denominator) for c in v] for v in vectors]
 
 
 class _CoefficientNorm:
@@ -202,19 +151,30 @@ class _CoefficientNorm:
 
     def verify_integers(self, p: PseudonormedRing, sample: tuple) -> list[Violation] | None:
         """verify_pseudonorm(p, sample) over integers; None unless the field has
-        Q's kernels, the base norm is abs, p's codomain is the field and the
-        sample holds n-tuples of Fractions.  With a = x/D, b = y/D, gamma =
-        g/d and s = sn/sd, |a| = s*X/D for X = sum|x_i| and |ab| = s*P/(D^2*d)
-        for P = sum_k |sum_ij x_i*y_j*g_ijk|; each law scales to integers."""
+        Q's kernels and Fraction constants, the base norm is abs, p's codomain
+        is the field and the sample holds n-tuples of Fractions.  With a = x/D,
+        b = y/D, gamma = g/d and s = sn/sd, |a| = s*X/D for X = sum|x_i| and
+        |ab| = s*P/(D^2*d) for P = sum_k |sum_ij x_i*y_j*g_ijk|; each law
+        scales to integers."""
         alg = self.alg
-        if not (alg._integer_terms and alg.base_norm is abs
+        consts = [g for plane in alg.gamma for row in plane for g in row]
+        if not (alg.field._int_terms and all(type(g) is Fraction for g in consts)
+                and alg.base_norm is abs
                 and p.codomain is alg.codomain is alg.field
                 and all(type(v) is tuple and len(v) == alg.n for v in sample)
                 and all(type(c) is Fraction for v in sample for c in v)):
             return None
-        d, terms = alg._integer_terms
+        # the nonzero constants as integers g over their common denominator d
+        d = math.lcm(*(g.denominator for g in consts))
+        terms = tuple(
+            tuple(tuple((k, g.numerator * (d // g.denominator)) for k, g in row)
+                  for row in plane)
+            for plane in alg._terms
+        )
         sn, sd = (1, 1) if self.scale is None else (self.scale.numerator, self.scale.denominator)
-        big_d, xs = _integers(sample)
+        # the sample as integer vectors over one denominator D
+        big_d = math.lcm(*(c.denominator for v in sample for c in v))
+        xs = [[c.numerator * (big_d // c.denominator) for c in v] for v in sample]
         sums = [sum(map(abs, x)) for x in xs]
         out: list[Violation] = []
         for a, t in zip(sample, sums):
@@ -229,11 +189,26 @@ class _CoefficientNorm:
             for b, y, ty in zip(sample, xs, sums):
                 if sn * sum(map(abs, map(operator.sub, x, y))) > sn * (tx + ty):
                     out.append(Violation("pseudonorm.subadditive", (a, b)))
-                prod = left * sum(map(abs, alg._products(terms, x, y)))
+                prod = left * sum(map(abs, self._products(terms, x, y)))
                 bound = right * tx * ty
                 if (prod != bound) if p.strict else (prod > bound):
                     out.append(Violation(law, (a, b, Fraction(prod, den), Fraction(bound, den))))
         return out
+
+    def _products(self, terms, xs, ys) -> list:
+        """For each k, the integer sum_ij xs[i]*ys[j]*g over (k, g) in terms[i][j]."""
+        acc = [0] * self.alg.n
+        for i, x in enumerate(xs):
+            if not x:
+                continue
+            row = terms[i]
+            for j, y in enumerate(ys):
+                if not y:
+                    continue
+                scale = x * y
+                for k, g in row[j]:
+                    acc[k] += scale * g
+        return acc
 
 
 def element_handle(alg: FinDimAlgebra) -> StructureHandle:

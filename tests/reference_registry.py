@@ -1,0 +1,49 @@
+"""The bundled registry with every fast path turned off, for differential tests.
+
+``reference_registry()`` rebuilds each handle with its ``compare``, ``op``,
+``negate``, ``second_op``, ``invert`` and ``from_rational`` wrapped in plain
+functions.  A wrapper is not the function the handle's selections test by
+identity, so ``_direct`` (Python's comparisons for ``lt/le/eq``),
+``_int_terms`` (rational terms of n over ints) and the integer check of a
+coefficient pseudonorm are all off.  The metric spaces, norms and
+pseudonorms are built again on the wrapped handles and then copied with
+``dataclasses.replace``, which drops ``MetricSpace._group`` and so the
+spread-decided Cauchy windows and bound-decided scans.
+
+``use_reference_registry()`` installs it as the registry that ``lookup``
+and the CLI read, for the length of a ``with`` block.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from dataclasses import replace
+
+from ordalab import instances, registry
+
+WRAPPED = ("compare", "op", "negate", "second_op", "invert", "from_rational")
+
+
+def _plain(f):
+    return None if f is None else lambda *args: f(*args)
+
+
+def reference_registry() -> dict:
+    reg = {
+        key: replace(h, metrics=(), norms=(), pnorms=(),
+                     **{name: _plain(getattr(h, name)) for name in WRAPPED})
+        for key, h in registry().items()
+    }
+    instances._attach_spaces(reg)
+    return {key: replace(h, metrics=tuple(replace(sp) for sp in h.metrics))
+            for key, h in reg.items()}
+
+
+@contextlib.contextmanager
+def use_reference_registry(reg: dict):
+    fast = registry()
+    instances._REGISTRY = reg
+    try:
+        yield
+    finally:
+        instances._REGISTRY = fast

@@ -16,40 +16,59 @@ from __future__ import annotations
 import json
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 
-def main() -> int:
+def load_pins() -> dict:
+    """The pinned seeds and ops of ``perfbench/pins.json``."""
     import check
+
+    with open(check.PINS_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def pinned_ops(pinned: dict):
+    """Yield (op, call) for every op of the pinned seeds' rounds, once per
+    label; call() runs the op through the benchmark's runner and returns
+    its exit code and report bytes."""
     from run import Runner
     from workloads import WORKLOADS, round_ops
 
-    with open(check.PINS_PATH, encoding="utf-8") as fh:
-        pinned = json.load(fh)
-    pins = pinned["ops"]
     seen: set[str] = set()
-    mismatches = 0
     for workload in WORKLOADS:
         for seed in pinned["seeds"]:
             ops = round_ops(workload, seed)
             with tempfile.TemporaryDirectory(prefix="ordalab-replay-") as workdir:
-                runner = Runner(ops, Path(workdir), pins)
+                runner = Runner(ops, Path(workdir), pinned["ops"])
                 for i, op in enumerate(ops):
                     if op.label in seen:  # shared by an earlier round
                         continue
                     seen.add(op.label)
-                    try:
-                        rc, out = runner.call(i)
-                    except Exception as exc:  # report the op, go on with the rest
-                        error = f"raised {type(exc).__name__}: {exc}"
-                    else:
-                        error = check.check_op(op, rc, out, pins)
-                    if error is not None:
-                        mismatches += 1
-                        print(f"{op.label}: {error}")
+                    yield op, partial(runner.call, i)
+
+
+def main() -> int:
+    import check
+
+    pinned = load_pins()
+    pins = pinned["ops"]
+    seen: set[str] = set()
+    mismatches = 0
+    for op, call in pinned_ops(pinned):
+        seen.add(op.label)
+        try:
+            rc, out = call()
+        except Exception as exc:  # report the op, go on with the rest
+            error = f"raised {type(exc).__name__}: {exc}"
+        else:
+            error = check.check_op(op, rc, out, pins)
+        if error is not None:
+            mismatches += 1
+            print(f"{op.label}: {error}")
     unreplayed = sorted(set(pins) - seen)
     for label in unreplayed:
         print(f"{label}: pinned but in no round of the pinned seeds")
