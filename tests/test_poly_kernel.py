@@ -52,8 +52,7 @@ def sparse_polys(top):
     )
 
 
-sparse = sparse_polys(256)
-polys = st.one_of(dense, sparse)
+polys = st.one_of(dense, sparse_polys(256))
 
 
 @st.composite
@@ -195,8 +194,9 @@ def test_cmp_sign_pins():
 small_dense = st.lists(small, min_size=1, max_size=4).map(poly).filter(bool)
 contents = st.sampled_from((1, 2, 6, -3))
 # A sum or product doubles the degree, and the oracle's Euclid over Fraction
-# coefficients on the doubled degree of a factor near 256 took up to a
-# minute a run; shared factors up to degree 24 keep it within a second.
+# coefficients on the doubled degree of a shared factor near 256 took the
+# test up to a minute a run; with shared factors up to degree 24 it stays
+# near a second.
 low_polys = st.one_of(dense, sparse_polys(24))
 
 
