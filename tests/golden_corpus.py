@@ -60,6 +60,9 @@ def _cases() -> list[tuple[str, list[str]]]:
         ("violation-Q-harmonic-fine-grid",
          _series("1/n", "Q", "zero-limit", "--grid", "1/2,1/10000")),
         ("violation-Q-squares-condensation", _series("1/n^2", "Q", "condensation")),
+        # a term whose size falls below 1/4096 before n = 1000 and climbs back
+        # to 1/4000 at n = 2000
+        ("series-Q-rising-tail-zero-limit", _series("(1000-n)/n^2", "Q", "zero-limit")),
         # a term with no value in the carrier: 2 has no inverse in Z
         ("series-Z-no-inverse-zero-limit", _series("1/2^n", "Z", "zero-limit")),
         # a structure-constant table (README's mini-i)
