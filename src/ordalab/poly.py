@@ -12,7 +12,8 @@ same sign.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import merge
+from math import gcd, prod
 
 Poly = tuple  # int coefficients, ascending, no trailing zeros
 
@@ -72,6 +73,25 @@ def poly_scale(p: Poly, c: int) -> Poly:
     if c == 1:
         return p
     return tuple(a * c for a in p)
+
+
+def poly_pow(p: Poly, k: int) -> Poly:
+    """p^k for a natural k, by repeated squaring."""
+    out = (1,)
+    while k:
+        if k & 1:
+            out = poly_mul(out, p)
+        k >>= 1
+        if k:
+            p = poly_mul(p, p)
+    return out
+
+
+def poly_eval(p: Poly, x: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def poly_lead(p: Poly) -> int:
@@ -141,6 +161,86 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
             a, b = b, poly_primitive(_pseudo_rem(a, b))
         g = (0,) * min(vp, vq) + (a if not b else (1,))
     return poly_neg(g) if poly_lead(g) < 0 else g
+
+
+def _sturm_chain(p: Poly) -> list[Poly]:
+    """A Sturm sequence for the squarefree part of p, of degree >= 1.
+
+    p, p', then each remainder of the last two negated, until one divides
+    the one before: that last member g is gcd(p, p') up to a factor, and
+    every member is divided by it.  Members are scaled by positive factors
+    only, which keeps every sign."""
+    chain = [p, _derivative(p)]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        # each step of _pseudo_rem scales by lead(b); dividing by -b when
+        # that lead is negative gives the same remainder times a positive factor
+        r = _pseudo_rem(a, b if b[-1] > 0 else poly_neg(b))
+        if not r:
+            g = poly_primitive(b)
+            return [poly_div_exact(q, g) for q in chain]
+        chain.append(poly_neg(poly_primitive(r)))
+    return chain
+
+
+def _derivative(p: Poly) -> Poly:
+    return tuple(i * p[i] for i in range(1, len(p)))
+
+
+def _sign_changes(values: list[int]) -> int:
+    # zeros skipped
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _variations(chain: list[Poly], x: int) -> int:
+    return _sign_changes([poly_eval(q, x) for q in chain])
+
+
+def real_root_floors(p: Poly):
+    """For nonzero p, the integers k >= 0 such that p has a real root in
+    (k, k+1], largest first.
+
+    Sturm's theorem counts the distinct roots of p's squarefree part in
+    (a, b] as the drop in sign changes of its chain from a to b, and the
+    changes at +infinity are those of the leading coefficients.  The search
+    doubles an integer bound until no root lies above it, then bisects the
+    integers down to each interval: O(log r) chain evaluations a root, r
+    the largest root."""
+    if len(p) < 2:
+        return
+    chain = _sturm_chain(poly_primitive(p))
+    v_inf = _sign_changes([q[-1] for q in chain])
+    hi = 1
+    while _variations(chain, hi) > v_inf:
+        hi *= 2
+    v_hi, v_zero = v_inf, _variations(chain, 0)
+    while v_zero > v_hi:  # a root in (0, hi]
+        lo, v_lo, top = 0, v_zero, hi
+        while top - lo > 1:  # a root in (lo, top], none in (top, hi]
+            mid = (lo + top) // 2
+            v_mid = _variations(chain, mid)
+            if v_mid > v_hi:
+                lo, v_lo = mid, v_mid
+            else:
+                top = mid
+        yield lo
+        hi, v_hi = lo, v_lo
+
+
+def tail_start(*factors: Poly) -> int:
+    """The least N >= 1 with p(n) > 0 at every integer n >= N, for p the
+    product of the factors, all nonzero, with a positive leading
+    coefficient.
+
+    The last integer m with p(m) <= 0 has p(m+1) > 0, so a real root of a
+    factor lies in [m, m+1): m is k or k+1 for a root interval (k, k+1].
+    Those candidates are tested exactly, largest first."""
+    for k in merge(*map(real_root_floors, factors), reverse=True):
+        for m in (k + 1, k):
+            if m >= 1 and prod(poly_eval(f, m) for f in factors) <= 0:
+                return m + 1
+    return 1
 
 
 def poly_div_exact(p: Poly, q: Poly) -> Poly:
@@ -289,15 +389,7 @@ class RatFunc:
             raise ValueError("exponent must be a nonnegative integer")
         # powers of a coprime pair are coprime, and the denominator's lead
         # stays positive
-        num, den = (1,), (1,)
-        base_num, base_den = self.num, self.den
-        while n:
-            if n & 1:
-                num, den = poly_mul(num, base_num), poly_mul(den, base_den)
-            n >>= 1
-            if n:
-                base_num, base_den = poly_mul(base_num, base_num), poly_mul(base_den, base_den)
-        return _make(num, den)
+        return _make(poly_pow(self.num, n), poly_pow(self.den, n))
 
     # -- order ----------------------------------------------------------
     def sign(self) -> int:

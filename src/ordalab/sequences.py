@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .algebra import PseudonormedRing
@@ -29,6 +30,7 @@ from .order import (
     shrink_witness,
     split_witness,
 )
+from .poly import poly_add, poly_scale, poly_sub, tail_start
 
 Element = Any
 
@@ -54,6 +56,24 @@ class Seq:
         if n not in self._cache:
             self._cache[n] = self.term(n)
         return self._cache[n]
+
+
+class RationalTerm:
+    """The term function of a rational function of n over Q.
+
+    pair(n) gives ints (num, den), den != 0, whose quotient is the term at
+    n.  polys() gives integer polynomials (P, Q) with P(n)/Q(n) the term at
+    every n >= 1, or None when a divisor vanishes at a positive integer or
+    the degree passes the compiler's bound.  zero_limit_cert reads the
+    polynomials, and the alternating test's partial sums read the pairs."""
+
+    def __init__(self, pair: Callable[[int], tuple[int, int]],
+                 polys: Callable[[], tuple | None]):
+        self.pair, self.polys = pair, polys
+
+    def __call__(self, n: int) -> Fraction:
+        num, den = self.pair(n)
+        return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -648,6 +668,38 @@ def scan_window_start(
     return None
 
 
+def _no_window(seq: Seq, s: StructureHandle) -> Callable[[Element], str]:
+    return lambda eps: (f"{seq.name}: no index window up to {_MAX_INDEX} stays "
+                        f"below {s.fmt(eps)}; the claimed limit fails at this scale")
+
+
+def zero_limit_cert(
+    handle: StructureHandle, space: MetricSpace, seq: Seq, horizon: int
+) -> ConvCert:
+    """Certificate for seq -> 0 in space.
+
+    Over Q with the absolute value, a RationalTerm P/Q with deg P < deg Q
+    and polynomials to read gets a proved modulus: for eps = a/b, N(eps) is
+    the least N with (a Q(n) - b P(n)) (a Q(n) + b P(n)) > 0, that is
+    |P(n)/Q(n)| < eps, at every n >= N (poly.tail_start).  Any other
+    sequence gets the scanned certificate with this horizon.  Either way an
+    epsilon whose N would lie past _MAX_INDEX raises the scan's ValueError."""
+    grp = space._group
+    polys = (seq.term.polys() if type(seq.term) is RationalTerm and handle._int_terms
+             and grp is not None and grp._int_terms else None)
+    if polys is None or len(polys[0]) >= len(polys[1]):
+        return scanned_conv_cert(space, seq, handle.identity, horizon)
+    num, den = polys
+
+    def least(eps: Element, start: int) -> int | None:
+        aq, bp = poly_scale(den, eps.numerator), poly_scale(num, eps.denominator)
+        n = tail_start(poly_sub(aq, bp), poly_add(aq, bp))
+        return n if n <= _MAX_INDEX else None
+
+    modulus = _scanned_modulus(space.codomain, least, _no_window(seq, space.codomain))
+    return ConvCert(space, seq, handle.identity, modulus)
+
+
 def scanned_conv_cert(
     space: MetricSpace, seq: Seq, limit: Element, horizon: int = 64
 ) -> ConvCert:
@@ -666,8 +718,7 @@ def scanned_conv_cert(
         s,
         lambda eps, start: scan_window_start(space, seq, limit, eps, horizon, _MAX_INDEX,
                                              start=start, dists=dists),
-        lambda eps: f"{seq.name}: no index window up to {_MAX_INDEX} stays "
-                    f"below {s.fmt(eps)}; the claimed limit fails at this scale",
+        _no_window(seq, s),
     )
     cert = ConvCert(space, seq, limit, modulus)
     object.__setattr__(cert, "_dists", dists)

@@ -13,7 +13,9 @@ verifier samples.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from .metric import MetricSpace, NormedGroup, absolute_value
@@ -31,6 +33,7 @@ from .order import (
 from .sequences import (
     CauchyCert,
     ConvCert,
+    RationalTerm,
     Seq,
     add_certs,
     constant_cert,
@@ -174,7 +177,9 @@ def alternating_cauchy(
 ) -> CauchyCert:
     """Alternating series with strictly decreasing positive terms: the
     partial sums of x_1 - x_2 + x_3 - ... are Cauchy with the modulus of
-    the terms' own convergence to zero (pair gaps collapse below x_{m+1})."""
+    the terms' own convergence to zero (pair gaps collapse below x_{m+1}).
+    Over Q's own operations the partial sums of a RationalTerm are added
+    over its integer pairs by binary splitting."""
     handle.require("ring", "total_order")
     if mono.kind is not MonotoneKind.STRICTLY_DECREASING_POSITIVE:
         raise ValueError("alternating series needs strictly decreasing positive terms")
@@ -183,12 +188,44 @@ def alternating_cauchy(
         raise ValueError(f"{c0.seq.name} does not carry a zero limit")
     _sample_agree(c0.seq, x, 8, "zero-limit certificate is for a different sequence")
 
-    signed = Seq(
-        f"alt({x.name})",
-        lambda i: x(i) if i % 2 == 1 else handle.negate(x(i)),
-    )
-    partials = Series(handle, signed).partials
+    name = f"alt({x.name})"
+    if type(x.term) is RationalTerm and handle._int_terms:
+        partials = Seq(f"sum({name})", _alternating_sums(x.term.pair))
+    else:
+        signed = Seq(name, lambda i: x(i) if i % 2 == 1 else handle.negate(x(i)))
+        partials = Series(handle, signed).partials
     return CauchyCert(space, partials, lambda eps: modulus_at(c0.modulus, eps))
+
+
+def _signed_block(pair: Callable[[int], tuple[int, int]], lo: int, hi: int) -> tuple[int, int]:
+    """The sum of (-1)^(i+1) num_i/den_i over lo <= i <= hi, with
+    (num_i, den_i) = pair(i), as an unreduced integer pair, by binary
+    splitting: the halves are summed apart and added once.  Leaves are
+    evaluated in index order."""
+    if lo == hi:
+        num, den = pair(lo)
+        return (num if lo % 2 else -num), den
+    mid = (lo + hi) // 2
+    a, b = _signed_block(pair, lo, mid)
+    c, d = _signed_block(pair, mid + 1, hi)
+    return a * d + c * b, b * d
+
+
+def _alternating_sums(pair: Callable[[int], tuple[int, int]]) -> Callable[[int], Fraction]:
+    """n -> x_1 - x_2 + ... +- x_n for the integer pairs of a RationalTerm:
+    the block past the largest index already summed below n is added by
+    binary splitting, in any order of queries."""
+    done = [0]  # indices summed, ascending
+    sums = {0: Fraction(0)}
+
+    def partial(n: int) -> Fraction:
+        m = done[bisect_left(done, n) - 1]
+        num, den = _signed_block(pair, m + 1, n)
+        sums[n] = sums[m] + Fraction(num, den)
+        insort(done, n)
+        return sums[n]
+
+    return partial
 
 
 def squeeze_cauchy(

@@ -63,6 +63,7 @@ from .sequences import (
     unshift_cert,
     verify_cauchy_cert,
     verify_conv_cert,
+    zero_limit_cert,
 )
 from .series import (
     MonotoneKind,
@@ -473,10 +474,11 @@ def _stock_ratio(handle: StructureHandle, space, grid):
 
 def _alternating(handle: StructureHandle, space, terms: Seq, h: int):
     """The alternating test's Cauchy certificate for terms, whose strict
-    decrease is checked up to index 32 and whose zero limit is scanned."""
+    decrease is checked up to index 32 and whose zero limit is certified by
+    zero_limit_cert."""
     handle.require("ring", "total_order")
     mono = check_monotone(handle, terms, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
-    c0 = scanned_conv_cert(space, terms, handle.identity, horizon=h)
+    c0 = zero_limit_cert(handle, space, terms, h)
     return alternating_cauchy(handle, space, terms, mono, c0)
 
 
@@ -699,7 +701,7 @@ def run_series(structure: str, expr: str, test: str, grid: Sequence[str],
     col = _Collector("series", handle)
 
     if test == "zero-limit":
-        c = scanned_conv_cert(space, seq, handle.identity, horizon=horizon)
+        c = zero_limit_cert(handle, space, seq, horizon)
         col.cert("series.zero-limit", "limit.zero", lambda: c,
                  verify_conv_cert, grid, horizon, mfmt)
 

@@ -24,7 +24,8 @@ from math import gcd
 from typing import Any, Callable, Union
 
 from .order import StructureHandle, nat_pow, powers
-from .sequences import Seq
+from .poly import Poly, poly, poly_add, poly_eval, poly_mul, poly_pow, poly_sub, real_root_floors
+from .sequences import RationalTerm, Seq
 
 Element = Any
 
@@ -325,6 +326,56 @@ def _int_pair(node: Node) -> Callable[[int], tuple[int, int]]:
     return divide
 
 
+# The highest degree _polys builds; a term past it keeps the index walks.
+_MAX_DEGREE = 32
+
+
+def _degree(node: Node) -> int:
+    # a bound on the degrees of both polynomials _poly_pair builds
+    if isinstance(node, Lit):
+        return 0
+    if isinstance(node, Index):
+        return 1
+    if isinstance(node, Pow):
+        return node.exponent * _degree(node.base)
+    return _degree(node.left) + _degree(node.right)
+
+
+def _poly_pair(node: Node, divisors: list) -> tuple[Poly, Poly]:
+    """_int_pair's walk over integer polynomials in n in place of ints,
+    with no reduction: (P, Q) and, appended to divisors, the numerator of
+    every divisor's pair."""
+    if isinstance(node, Lit):
+        return poly((node.value,)), (1,)
+    if isinstance(node, Index):
+        return (0, 1), (1,)
+    if isinstance(node, Pow):
+        a, b = _poly_pair(node.base, divisors)
+        return poly_pow(a, node.exponent), poly_pow(b, node.exponent)
+    (a, b), (c, d) = _poly_pair(node.left, divisors), _poly_pair(node.right, divisors)
+    if node.op == "*":
+        return poly_mul(a, c), poly_mul(b, d)
+    if node.op == "/":
+        divisors.append(c)
+        return poly_mul(a, d), poly_mul(b, c)
+    cross = poly_add if node.op == "+" else poly_sub
+    return cross(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d)
+
+
+def _polys(node: Node) -> tuple[Poly, Poly] | None:
+    """The term as P(n)/Q(n) for every n >= 1, or None past _MAX_DEGREE or
+    when a divisor vanishes at a positive integer: there _int_pair raises,
+    and only the index walk names the index."""
+    if _degree(node) > _MAX_DEGREE:
+        return None
+    divisors: list = []
+    num, den = _poly_pair(node, divisors)
+    for c in divisors:
+        if not c or any(poly_eval(c, k + 1) == 0 for k in real_root_floors(c)):
+            return None
+    return num, den
+
+
 def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
     """The term as a function of the index n >= 1, built once.
 
@@ -332,18 +383,13 @@ def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
     bound to its node, and pow(c, n) over a c that does not mention n
     evaluates c once it first succeeds and steps from c^k to c^(k+1) with
     one product.  Over a handle with Q's own operations, a rational
-    function of n is evaluated over ints and becomes one Fraction.  A
-    missing capability or symbol still raises EvalError only when the node
-    is evaluated, so errors come at the same time, with the same message
-    and in the same order as a walk of the tree at each index would give."""
+    function of n is a RationalTerm: evaluated over ints into one Fraction,
+    with its polynomials in n built on request.  A missing capability or
+    symbol still raises EvalError only when the node is evaluated, so
+    errors come at the same time, with the same message and in the same
+    order as a walk of the tree at each index would give."""
     if handle._int_terms and _rational_in_n(node) and mentions_index(node):
-        pair = _int_pair(node)
-
-        def rational(n: int) -> Element:
-            num, den = pair(n)
-            return Fraction(num, den)
-
-        return rational
+        return RationalTerm(_int_pair(node), lambda: _polys(node))
     name = handle.name
     if isinstance(node, (Lit, Index)):
         as_element = handle.from_rational

@@ -134,6 +134,27 @@ MUTANTS = (
     Mutant("collector: the modulus echoed one index late",
            "suites.py", 'echoes.append(f"N({fmt(eps)})={n}")', 'echoes.append(f"N({fmt(eps)})={n + 1}")',
            (COLLECTOR_TESTS[0], "test_golden.py::test_golden_bytes[series-Q-zero-limit]")),
+    Mutant("Sturm chain: a remainder by a member that leads negative left unfixed",
+           "poly.py", "r = _pseudo_rem(a, b if b[-1] > 0 else poly_neg(b))",
+           "r = _pseudo_rem(a, b)",
+           ("test_rational_moduli.py::test_tail_start_matches_brute_force",)),
+    Mutant("proved modulus: the floor candidate k taken for k+1",
+           "poly.py", "for m in (k + 1, k):", "for m in (k + 1, k + 1):",
+           ("test_rational_moduli.py::test_the_rising_tail_gets_its_true_modulus",
+            "test_golden.py::test_golden_bytes[series-Q-rising-tail-zero-limit]")),
+    Mutant("proved modulus: the positive-integer-root gate on divisors dropped",
+           "termexpr.py", "if not c or any(poly_eval(c, k + 1) == 0 for k in real_root_floors(c)):",
+           "if not c:",
+           ("test_rational_moduli.py::test_proved_moduli_are_the_least_tails",
+            "test_golden.py::test_golden_bytes[violation-Q-shifted-harmonic]")),
+    Mutant("proved modulus: the _MAX_INDEX cap dropped",
+           "sequences.py", "return n if n <= _MAX_INDEX else None", "return n",
+           ("test_rational_moduli.py::test_a_proved_modulus_past_the_index_cap_raises_the_scan_message",
+            "test_golden.py::test_golden_bytes[violation-Q-harmonic-fine-grid]")),
+    Mutant("block partial sums: even leaves added with the wrong sign",
+           "series.py", "return (num if lo % 2 else -num), den", "return num, den",
+           ("test_rational_moduli.py::test_block_partial_sums_match_the_series_partials",
+            "test_rational_moduli.py::test_the_alternating_test_sums_rational_terms_in_blocks")),
     Mutant("term parser: the literal limit one digit late",
            "termexpr.py", "if len(t.text) > 4300:", "if len(t.text) > 4301:",
            ("test_termexpr.py::test_an_overlong_integer_literal_is_a_term_error",)),
