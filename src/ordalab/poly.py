@@ -12,7 +12,6 @@ same sign.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import merge
 from math import gcd, prod
 
 Poly = tuple  # int coefficients, ascending, no trailing zeros
@@ -234,13 +233,16 @@ def tail_start(*factors: Poly) -> int:
     coefficient.
 
     The last integer m with p(m) <= 0 has p(m+1) > 0, so a real root of a
-    factor lies in [m, m+1): m is k or k+1 for a root interval (k, k+1].
-    Those candidates are tested exactly, largest first."""
-    for k in merge(*map(real_root_floors, factors), reverse=True):
-        for m in (k + 1, k):
-            if m >= 1 and prod(poly_eval(f, m) for f in factors) <= 0:
-                return m + 1
-    return 1
+    factor lies in [m, m+1): m is k or k+1 for a root interval (k, k+1] of
+    that factor.  Each factor's candidates are tested exactly, largest
+    first, up to the first with p(m) <= 0."""
+    def bad(m: int) -> bool:
+        return m >= 1 and prod(poly_eval(f, m) for f in factors) <= 0
+
+    last = 0
+    for f in factors:
+        last = max(last, next((m for k in real_root_floors(f) for m in (k + 1, k) if bad(m)), 0))
+    return last + 1
 
 
 def poly_div_exact(p: Poly, q: Poly) -> Poly:
