@@ -139,7 +139,7 @@ MUTANTS = (
            "r = _pseudo_rem(a, b)",
            ("test_rational_moduli.py::test_tail_start_matches_brute_force",)),
     Mutant("proved modulus: the floor candidate k taken for k+1",
-           "poly.py", "for m in (k + 1, k):", "for m in (k + 1, k + 1):",
+           "poly.py", "for m in (k + 1, k) if", "for m in (k + 1, k + 1) if",
            ("test_rational_moduli.py::test_the_rising_tail_gets_its_true_modulus",
             "test_golden.py::test_golden_bytes[series-Q-rising-tail-zero-limit]")),
     Mutant("proved modulus: the positive-integer-root gate on divisors dropped",
