@@ -14,19 +14,21 @@ encode.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .algebra import PseudonormedRing
-from .metric import MetricSpace, NormedGroup
+from .metric import MetricSpace, NormedGroup, absolute_value
 from .order import (
     CapabilityError,
     StructureHandle,
     Violation,
     checked_split,
     join_fold,
+    nat_pow,
+    powers,
     shrink_witness,
     split_witness,
 )
@@ -76,6 +78,33 @@ class RationalTerm:
         return Fraction(num, den)
 
 
+class PowerTerm:
+    """The term function n -> c * r^n of a term whose syntax is c·r^n, with
+    c and r free of n and evaluated once, when the term is compiled.
+
+    The powers step from r^k to r^(k+1) with one product through handle's
+    operations, and c = 1 is not multiplied in.  termexpr builds one only
+    over a handle whose first metric space has a _group, so the reference
+    registry, which drops _group, keeps the general closures.  Moduli,
+    partial sums and monotonicity read c and r instead of scanning or
+    summing: zero_limit_cert, sums_conv_cert, sums_cauchy_cert, and in the
+    series module check_monotone, Series and alternating_cauchy."""
+
+    def __init__(self, handle: StructureHandle, c: Element, r: Element):
+        self.c, self.r = c, r
+        self._power = powers(handle, r)
+        self._mul = None if handle.eq(c, handle.one) else handle.second_op
+
+    def __call__(self, n: int) -> Element:
+        power = self._power(n)
+        return power if self._mul is None else self._mul(self.c, power)
+
+    def falls(self, s: StructureHandle) -> bool:
+        """Whether 0 < c and 0 < r < 1 in s: the terms are positive and
+        strictly decrease at every index."""
+        return s.is_positive(self.c) and s.is_positive(self.r) and s.lt(self.r, s.one)
+
+
 @dataclass(frozen=True)
 class ConvCert:
     """Claim: seq converges to limit in space, with an explicit modulus.
@@ -89,10 +118,11 @@ class ConvCert:
     seq: Seq
     limit: Element
     modulus: Callable[[Element], int]
-    # d(seq(n), limit) by index n, filled lazily by verify_conv_cert and, for
-    # a scanned certificate on a space without a _group, by the scans behind
-    # its modulus.  Not an init field, so dataclasses.replace never carries
-    # a table to a new limit.
+    # d(seq(n), limit) by index n, filled lazily by verify_conv_cert (on a
+    # space with a _group, only at the indices it reports or that several
+    # windows read) and, for a scanned certificate on a space without a
+    # _group, by the scans behind its modulus.  Not an init field, so dataclasses.replace never carries a
+    # table to a new limit.
     _dists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -174,16 +204,34 @@ def verify_conv_cert(
     horizon: int = 64,
 ) -> list[Violation]:
     """Check d(seq(n), limit) < eps for every grid eps and every index in
-    [N(eps), N(eps)+horizon].  Empty result = consistent at this scale."""
+    [N(eps), N(eps)+horizon].  Empty result = consistent at this scale.
+    The moduli are read first, in grid order.
+
+    On a space with an ordered abelian _group, as in scan_window_start, an
+    index is within eps exactly when limit - eps < x_n < limit + eps.  An
+    index that only one epsilon's window reads is decided so, and takes a
+    distance only when it is reported; an index that several windows read
+    takes its distance once, into the certificate's table, since one
+    distance and a compare per window cost less than two compares per
+    window there (over Z(X) most of all)."""
     _nonnegative_horizon(horizon)
     space, s = cert.space, cert.space.codomain
+    grp = space._group
     dists = cert._dists
+    grid = _grid_for(space, grid)
+    starts = [modulus_at(cert.modulus, eps) for eps in grid]
+    reads = Counter(n for n0 in starts for n in range(n0, n0 + horizon + 1))
     out: list[Violation] = []
-    for eps in _grid_for(space, grid):
-        n0 = modulus_at(cert.modulus, eps)
+    for eps, n0 in zip(grid, starts):
+        if grp is not None:
+            lo, hi = grp.sub(cert.limit, eps), grp.op(cert.limit, eps)
         for n in range(n0, n0 + horizon + 1):
             d = dists.get(n)
             if d is None:
+                if grp is not None and reads[n] == 1:
+                    x = cert.seq(n)
+                    if grp.lt(lo, x) and grp.lt(x, hi):
+                        continue
                 d = dists[n] = space.distance(cert.seq(n), cert.limit)
             if not s.lt(d, eps):
                 out.append(Violation(
@@ -625,6 +673,35 @@ def _scanned_modulus(
     return modulus
 
 
+def _least_index(holds: Callable[[int], bool], start: int) -> int | None:
+    """The least n >= start with holds(n), for a holds that fails below some
+    index and holds from it on, or None when that index passes _MAX_INDEX:
+    doubling from start, then bisection."""
+    lo, hi = start - 1, start
+    while not holds(hi):
+        if hi >= _MAX_INDEX:
+            return None
+        lo, hi = hi, min(2 * hi, _MAX_INDEX)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _galloped(
+    s: StructureHandle,
+    below: Callable[[Element], Callable[[int], bool]],
+    message: Callable[[Element], str],
+) -> Callable[[Element], int]:
+    """The modulus whose N(eps) is the least index n with below(eps)(n),
+    where the predicate fails and then holds for good, cached and resumed
+    as _scanned_modulus does; past _MAX_INDEX it raises the scan's error."""
+    return _scanned_modulus(s, lambda eps, start: _least_index(below(eps), start), message)
+
+
 def scan_window_start(
     space: MetricSpace,
     seq: Seq,
@@ -678,14 +755,26 @@ def zero_limit_cert(
 ) -> ConvCert:
     """Certificate for seq -> 0 in space.
 
-    Over Q with the absolute value, a RationalTerm P/Q with deg P < deg Q
-    and polynomials to read gets a proved modulus: for eps = a/b, N(eps) is
-    the least N with (a Q(n) - b P(n)) (a Q(n) + b P(n)) > 0, that is
-    |P(n)/Q(n)| < eps, at every n >= N (poly.tail_start).  Any other
-    sequence gets the scanned certificate with this horizon.  Either way an
-    epsilon whose N would lie past _MAX_INDEX raises the scan's ValueError."""
+    On a space with a _group, a PowerTerm c r^n with 0 < |r| < 1 gets a
+    proved modulus: |c r^n| strictly decreases, so N(eps) is the least N
+    with |c| |r|^N < eps, found by galloping.  Over Q with the absolute
+    value, a RationalTerm P/Q with deg P < deg Q and polynomials to read
+    gets one too: for eps = a/b, N(eps) is the least N with
+    (a Q(n) - b P(n)) (a Q(n) + b P(n)) > 0, that is |P(n)/Q(n)| < eps, at
+    every n >= N (poly.tail_start).  Any other sequence gets the scanned
+    certificate with this horizon.  Either way an epsilon whose N would lie
+    past _MAX_INDEX raises the scan's ValueError."""
     grp = space._group
-    polys = (seq.term.polys() if type(seq.term) is RationalTerm and handle._int_terms
+    t = seq.term
+    if type(t) is PowerTerm and grp is not None:
+        size, ratio = absolute_value(grp, t.c), absolute_value(grp, t.r)
+        if grp.is_positive(ratio) and grp.lt(ratio, grp.one):
+            def below(eps: Element) -> Callable[[int], bool]:
+                return lambda n: grp.lt(grp.mul(size, nat_pow(grp, ratio, n)), eps)
+
+            return ConvCert(space, seq, handle.identity,
+                            _galloped(grp, below, _no_window(seq, grp)))
+    polys = (t.polys() if type(t) is RationalTerm and handle._int_terms
              and grp is not None and grp._int_terms else None)
     if polys is None or len(polys[0]) >= len(polys[1]):
         return scanned_conv_cert(space, seq, handle.identity, horizon)
@@ -698,6 +787,54 @@ def zero_limit_cert(
 
     modulus = _scanned_modulus(space.codomain, least, _no_window(seq, space.codomain))
     return ConvCert(space, seq, handle.identity, modulus)
+
+
+def _power_sums(grp: StructureHandle, t: PowerTerm, scale: Element,
+                message: Callable[[Element], str]) -> Callable[[Element], int]:
+    """The galloped modulus of a gap scale * r^(N+1) / (1 - r) that falls
+    with N: the least N with scale * r^(N+1) < eps * (1 - r).  Both sides
+    are multiplied by 1 - r > 0, which need not be a unit (r = 1/3 leaves
+    2/3 in Z[1/3])."""
+    one_less = grp.sub(grp.one, t.r)
+
+    def below(eps: Element) -> Callable[[int], bool]:
+        bound = grp.mul(eps, one_less)
+        return lambda n: grp.lt(grp.mul(scale, nat_pow(grp, t.r, n + 1)), bound)
+
+    return _galloped(grp, below, message)
+
+
+def sums_conv_cert(
+    space: MetricSpace, sums: Seq, terms: Seq, limit: Element, horizon: int
+) -> ConvCert:
+    """Certificate that sums, the partial sums of terms, converge to limit,
+    with the window starts of scanned_conv_cert(space, sums, limit,
+    horizon).
+
+    On a space with a _group, a PowerTerm c r^n with 0 < c and 0 < r < 1
+    whose limit is c r / (1 - r) needs no scan: L - S_N = c r^(N+1) / (1 - r)
+    falls with N, so N(eps) is the least N with c r^(N+1) < eps (1 - r)."""
+    grp, t = space._group, terms.term
+    if (type(t) is PowerTerm and grp is not None and t.falls(grp)
+            and grp.eq(grp.mul(limit, grp.sub(grp.one, t.r)), grp.mul(t.c, t.r))):
+        return ConvCert(space, sums, limit, _power_sums(grp, t, t.c, _no_window(sums, grp)))
+    return scanned_conv_cert(space, sums, limit, horizon)
+
+
+def sums_cauchy_cert(space: MetricSpace, sums: Seq, terms: Seq, horizon: int) -> CauchyCert:
+    """Cauchy certificate for sums, the partial sums of terms, with the
+    window starts of scanned_cauchy_cert(space, sums, horizon).
+
+    On a space with a _group and for horizon h >= 1, a PowerTerm c r^n with
+    0 < c and 0 < r < 1 needs no scan: the sums increase, so the widest gap
+    in [N, N+h] is S_(N+h) - S_N = c r^(N+1) (1 - r^h) / (1 - r), which
+    falls with N, and N(eps) is the least N with
+    c r^(N+1) (1 - r^h) < eps (1 - r)."""
+    grp, t = space._group, terms.term
+    if type(t) is PowerTerm and grp is not None and horizon >= 1 and t.falls(grp):
+        scale = grp.mul(t.c, grp.sub(grp.one, nat_pow(grp, t.r, horizon)))
+        return CauchyCert(space, sums, _power_sums(grp, t, scale, _no_cluster(sums, grp)))
+    return scanned_cauchy_cert(space, sums, horizon)
 
 
 def scanned_conv_cert(
@@ -797,8 +934,12 @@ def scanned_cauchy_cert(space: MetricSpace, seq: Seq, horizon: int = 64) -> Cauc
         s,
         lambda eps, start: scan_cauchy_window_start(space, seq, eps, horizon, _MAX_INDEX,
                                                     start=start),
-        lambda eps: f"{seq.name}: no index window up to {_MAX_INDEX} keeps "
-                    f"pairwise gaps below {s.fmt(eps)}; the values fail to "
-                    f"cluster at this scale",
+        _no_cluster(seq, s),
     )
     return CauchyCert(space, seq, modulus)
+
+
+def _no_cluster(seq: Seq, s: StructureHandle) -> Callable[[Element], str]:
+    return lambda eps: (f"{seq.name}: no index window up to {_MAX_INDEX} keeps "
+                        f"pairwise gaps below {s.fmt(eps)}; the values fail to "
+                        f"cluster at this scale")

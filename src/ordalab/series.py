@@ -33,6 +33,7 @@ from .order import (
 from .sequences import (
     CauchyCert,
     ConvCert,
+    PowerTerm,
     RationalTerm,
     Seq,
     add_certs,
@@ -48,7 +49,38 @@ from .sequences import (
 Element = Any
 
 
+def _unit_inverse(handle: StructureHandle, x: Element) -> Element | None:
+    """x^-1 when x is a unit of handle, else None."""
+    if handle.invert is None:
+        return None
+    try:
+        return handle.invert(x)
+    except ValueError:  # 0, or 2/3 in Z[1/3]
+        return None
+
+
+def _stepped_or_closed(step: Callable[[Element, int], Element],
+                       closed: Callable[[int], Element]) -> Callable[[int], Element]:
+    """n -> the sum s_n: step(s_(n-1), n) where s_(n-1) is known, which is
+    cheaper, and closed(n) otherwise, so a probe far out sums nothing."""
+    sums: dict = {}
+
+    def partial(n: int) -> Element:
+        prev = sums.get(n - 1)
+        sums[n] = closed(n) if prev is None else step(prev, n)
+        return sums[n]
+
+    return partial
+
+
 def _partials(handle: StructureHandle, terms: Seq) -> Seq:
+    t = terms.term
+    inv = _unit_inverse(handle, handle.sub(handle.one, t.r)) if type(t) is PowerTerm else None
+    if inv is not None:
+        # c r + ... + c r^n = c r (1 - r^n) / (1 - r) = (x_1 - x_(n+1)) / (1 - r)
+        return Seq(f"sum({terms.name})", _stepped_or_closed(
+            lambda prev, n: handle.op(prev, terms(n)),
+            lambda n: handle.mul(handle.sub(terms(1), terms(n + 1)), inv)))
     acc: list = []
 
     def partial(n: int) -> Element:
@@ -63,7 +95,10 @@ def _partials(handle: StructureHandle, terms: Seq) -> Seq:
 
 @dataclass(frozen=True)
 class Series:
-    """Terms x_1, x_2, ... with derived partial sums s_n = x_1 + ... + x_n."""
+    """Terms x_1, x_2, ... with derived partial sums s_n = x_1 + ... + x_n,
+    added one index at a time.  For a PowerTerm c r^n whose 1 - r is a unit
+    of handle, a sum whose predecessor is not known yet comes in closed
+    form instead, so a probe far out adds nothing."""
 
     handle: StructureHandle
     terms: Seq
@@ -100,9 +135,14 @@ def check_monotone(
     handle: StructureHandle, x: Seq, kind: MonotoneKind, up_to: int
 ) -> MonotoneEvidence:
     """Verify positivity and (strict) decrease up to an index; raise on the
-    first failure, otherwise package the evidence."""
+    first failure, otherwise package the evidence.  A PowerTerm c r^n with
+    0 < c and 0 < r < 1 is positive and strictly decreasing at every index,
+    and gets its evidence at once; any other term, and every failure, takes
+    the walk."""
     if up_to < 1:
         raise ValueError("evidence must cover at least index 1")
+    if type(x.term) is PowerTerm and x.term.falls(handle):
+        return MonotoneEvidence(kind, up_to)
     strict = kind is MonotoneKind.STRICTLY_DECREASING_POSITIVE
     rel = handle.lt if strict else handle.le
     for n in range(1, up_to + 1):
@@ -179,7 +219,8 @@ def alternating_cauchy(
     partial sums of x_1 - x_2 + x_3 - ... are Cauchy with the modulus of
     the terms' own convergence to zero (pair gaps collapse below x_{m+1}).
     Over Q's own operations the partial sums of a RationalTerm are added
-    over its integer pairs by binary splitting."""
+    over its integer pairs by binary splitting, and those of a PowerTerm
+    c r^n whose 1 + r is a unit are c r (1 - (-r)^n) / (1 + r)."""
     handle.require("ring", "total_order")
     if mono.kind is not MonotoneKind.STRICTLY_DECREASING_POSITIVE:
         raise ValueError("alternating series needs strictly decreasing positive terms")
@@ -189,8 +230,15 @@ def alternating_cauchy(
     _sample_agree(c0.seq, x, 8, "zero-limit certificate is for a different sequence")
 
     name = f"alt({x.name})"
+    inv = (_unit_inverse(handle, handle.op(handle.one, x.term.r))
+           if type(x.term) is PowerTerm else None)
     if type(x.term) is RationalTerm and handle._int_terms:
         partials = Seq(f"sum({name})", _alternating_sums(x.term.pair))
+    elif inv is not None:
+        # c r - c r^2 + ... = c r (1 - (-r)^n) / (1 + r) = (x_1 - (-1)^n x_(n+1)) / (1 + r)
+        partials = Seq(f"sum({name})", _stepped_or_closed(
+            lambda prev, n: (handle.op if n % 2 else handle.sub)(prev, x(n)),
+            lambda n: handle.mul((handle.op if n % 2 else handle.sub)(x(1), x(n + 1)), inv)))
     else:
         signed = Seq(name, lambda i: x(i) if i % 2 == 1 else handle.negate(x(i)))
         partials = Series(handle, signed).partials
@@ -303,12 +351,13 @@ def condense(
         _sample_agree(c.seq, base_partials, 6,
                       "certificate is not for this series' partial sums")
 
+        found: dict = {}
+
         def modulus(eps: Element) -> int:
-            ns = plain_modulus(eps)
-            k = 1
-            while 2 ** (k - 1) < ns:
-                k += 1
-            return k
+            # the least k with 2^(k-1) >= N, split once per epsilon
+            if eps not in found:
+                found[eps] = (plain_modulus(eps) - 1).bit_length() + 1
+            return found[eps]
 
         return CauchyCert(space, cond_partials, modulus)
 

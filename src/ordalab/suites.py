@@ -50,6 +50,7 @@ from .report import PASS, UNVERIFIABLE, VIOLATION, CheckRecord, violation_values
 from .sequences import (
     ApartFromZeroWitness,
     ConvCert,
+    PowerTerm,
     Seq,
     add_certs,
     apart_tail,
@@ -57,9 +58,9 @@ from .sequences import (
     conv_to_cauchy,
     prod_certs,
     refute_distinct_limits,
-    scanned_cauchy_cert,
-    scanned_conv_cert,
     shift_cert,
+    sums_cauchy_cert,
+    sums_conv_cert,
     unshift_cert,
     verify_cauchy_cert,
     verify_conv_cert,
@@ -431,14 +432,20 @@ def _suite_sequence(handle: StructureHandle, cfg: RunConfig, rng: random.Random)
 _SERIES_BASES = (Fraction(1, 2), Fraction(2, 3), Fraction(1, 3))
 
 
+def _powers_of(handle: StructureHandle, space, r: Element):
+    """n -> r^n: a PowerTerm on a space with a _group, where its shape
+    decides moduli, sums and monotonicity, and stepped powers elsewhere."""
+    return PowerTerm(handle, handle.one, r) if space._group is not None else powers(handle, r)
+
+
 def _stock_ratio(handle: StructureHandle, space, grid):
     """The first stock ratio 0 < r < 1 whose terms' sizes vanish at every
     grid scale and whose (1 - r)^-1 exists.
 
-    Rational bases q come first, with terms q^n embedded whole; structures
-    whose order ranks every rational above some grid bound (an
-    infinitesimal scale) fall through to inverses of their published
-    symbols, with powers as terms.  Returns (r, terms, inverse, symbolic):
+    Rational bases q come first; structures whose order ranks every
+    rational above some grid bound (an infinitesimal scale) fall through to
+    inverses of their published symbols.  The terms are the powers r^n
+    (_powers_of).  Returns (r, terms, inverse, symbolic):
     symbolic terms double in representation size under index doubling,
     which callers use to keep windows small.
     """
@@ -453,20 +460,19 @@ def _stock_ratio(handle: StructureHandle, space, grid):
         try:
             if kind == "rational":
                 label, r = str(payload), handle.from_rational(payload)
-                term_at = lambda n, q=payload: handle.from_rational(q ** n)
             else:
                 r = handle.invert(handle.symbols[payload])
                 label = handle.fmt(r)
-                term_at = powers(handle, r)
             if not (handle.lt(handle.identity, r) and handle.lt(r, handle.one)):
                 continue
-            sizes = tuple(space.distance(term_at(k), handle.identity) for k in range(1, 33))
+            terms = Seq(f"geo-terms({label})", _powers_of(handle, space, r))
+            sizes = tuple(space.distance(terms(k), handle.identity) for k in range(1, 33))
             if not all(any(m.lt(d, eps) for d in sizes) for eps in grid):
                 continue
             inv = geometric_limit(handle, r)
         except (ValueError, TypeError):
             continue
-        return r, Seq(f"geo-terms({label})", term_at), inv, kind == "symbol"
+        return r, terms, inv, kind == "symbol"
     raise CapabilityError(
         f"{handle.name} hosts no stock ratio whose powers vanish at every grid scale"
     )
@@ -485,11 +491,11 @@ def _alternating(handle: StructureHandle, space, terms: Seq, h: int):
 def _condensation(handle: StructureHandle, space, terms: Seq, h: int):
     """(forward, backward) condensation certificates for terms, whose
     decrease is checked up to index 32 and whose partial sums' Cauchy
-    certificate is scanned."""
+    certificate has the scanned window starts (sums_cauchy_cert)."""
     handle.require("ring", "total_order")
     mono = check_monotone(handle, terms, MonotoneKind.DECREASING_POSITIVE, 32)
     partials = Series(handle, terms).partials
-    base = scanned_cauchy_cert(space, partials, horizon=min(h, 16))
+    base = sums_cauchy_cert(space, partials, terms, min(h, 16))
     fwd = condense(handle, space, terms, mono, base, "forward")
     return fwd, condense(handle, space, terms, mono, fwd, "backward")
 
@@ -500,7 +506,7 @@ def _suite_series(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
     h = cfg.horizon
     r, terms, inv, _ = _stock_ratio(handle, space, grid)
     partials = Series(handle, terms).partials
-    c = scanned_conv_cert(space, partials, handle.mul(r, inv), horizon=h)
+    c = sums_conv_cert(space, partials, terms, handle.mul(r, inv), h)
     mfmt = space.codomain.fmt
 
     col.cert("series.partials-converge", "series.partial-sums", lambda: c,
@@ -567,8 +573,8 @@ def _suite_geometric(handle: StructureHandle, cfg: RunConfig, rng: random.Random
     h = cfg.horizon
     mfmt = space.codomain.fmt
     r, _, inv, _ = _stock_ratio(handle, space, grid)
-    c0 = scanned_conv_cert(space, Seq(f"pow({handle.fmt(r)})", powers(handle, r)),
-                           handle.identity, horizon=h)
+    c0 = zero_limit_cert(handle, space,
+                         Seq(f"pow({handle.fmt(r)})", _powers_of(handle, space, r)), h)
 
     col.cert("geometric.certificate", "series.geometric",
              lambda: geometric_cert(handle, space, r, c0, inv),
@@ -722,15 +728,17 @@ def run_series(structure: str, expr: str, test: str, grid: Sequence[str],
         if handle.invert is None:
             raise CapabilityError(f"{handle.name} has no multiplicative inverses")
         r = seq(1)
-        power = powers(handle, r)
-        for k in range(1, 7):
-            if not handle.eq(seq(k), power(k)):
-                raise ValueError(
-                    f"{seq.name} is not the power sequence of {handle.fmt(r)} "
-                    f"(index {k})"
-                )
+        # a PowerTerm with c = 1 is the power sequence of r = x_1 by its syntax
+        if not (type(seq.term) is PowerTerm and handle.eq(seq.term.c, handle.one)):
+            power = powers(handle, r)
+            for k in range(1, 7):
+                if not handle.eq(seq(k), power(k)):
+                    raise ValueError(
+                        f"{seq.name} is not the power sequence of {handle.fmt(r)} "
+                        f"(index {k})"
+                    )
         inv = geometric_limit(handle, r)
-        c0 = scanned_conv_cert(space, seq, handle.identity, horizon=horizon)
+        c0 = zero_limit_cert(handle, space, seq, horizon)
         c = geometric_cert(handle, space, r, c0, inv)
         col.cert("series.geometric", "series.geometric", lambda: c,
                  verify_conv_cert, grid, horizon, mfmt)

@@ -25,7 +25,7 @@ from typing import Any, Callable, Union
 
 from .order import StructureHandle, nat_pow, powers
 from .poly import Poly, poly, poly_add, poly_eval, poly_mul, poly_pow, poly_sub, real_root_floors
-from .sequences import RationalTerm, Seq
+from .sequences import PowerTerm, RationalTerm, Seq
 
 Element = Any
 
@@ -376,6 +376,37 @@ def _polys(node: Node) -> tuple[Poly, Poly] | None:
     return num, den
 
 
+def _power_parts(node: Node) -> tuple[Node | None, Node, bool] | None:
+    """(c, b, divides) when the term is pow(b, n) or b^n (c None),
+    c*pow(b, n) or c/b^n, with c and b free of n: the term c*r^n with r = b,
+    or r = 1/b when divides."""
+    c, power = None, node
+    if isinstance(node, Bin) and node.op in ("*", "/") and not mentions_index(node.left):
+        c, power = node.left, node.right
+    if not isinstance(power, Pow) or power.exponent is not None or mentions_index(power.base):
+        return None
+    return c, power.base, c is not None and node.op == "/"
+
+
+def _power_term(node: Node, handle: StructureHandle) -> PowerTerm | None:
+    """The term as a PowerTerm, when its syntax is c*r^n, handle's first
+    metric space has a _group, and c and r evaluate now; else None, and the
+    term keeps the general closures with their errors."""
+    parts = _power_parts(node)
+    if (parts is None or handle.second_op is None or handle.one is None
+            or not handle.metrics or handle.metrics[0]._group is None):
+        return None
+    c, base, divides = parts
+    try:
+        r = _compile(base, handle)(1)
+        if divides:
+            r = handle.invert(r)
+        c = handle.one if c is None else _compile(c, handle)(1)
+    except Exception:  # whatever the closures raise, they raise again per index
+        return None
+    return PowerTerm(handle, c, r)
+
+
 def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
     """The term as a function of the index n >= 1, built once.
 
@@ -384,12 +415,16 @@ def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
     evaluates c once it first succeeds and steps from c^k to c^(k+1) with
     one product.  Over a handle with Q's own operations, a rational
     function of n is a RationalTerm: evaluated over ints into one Fraction,
-    with its polynomials in n built on request.  A missing capability or
+    with its polynomials in n built on request.  A term c*r^n whose c and r
+    evaluate is a PowerTerm (_power_term).  A missing capability or
     symbol still raises EvalError only when the node is evaluated, so
     errors come at the same time, with the same message and in the same
     order as a walk of the tree at each index would give."""
     if handle._int_terms and _rational_in_n(node) and mentions_index(node):
         return RationalTerm(_int_pair(node), lambda: _polys(node))
+    power = _power_term(node, handle)
+    if power is not None:
+        return power
     name = handle.name
     if isinstance(node, (Lit, Index)):
         as_element = handle.from_rational

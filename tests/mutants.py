@@ -51,7 +51,20 @@ COUNT_TESTS = (
     "test_fast_paths.py::test_law_checks_make_each_call_once_per_pair_of_sample_elements",
 )
 TERM_TESTS = ("test_term_compile.py::test_compiled_terms_match_the_tree_walk",)
+STEPPED_TESTS = (
+    "test_term_compile.py::test_stepped_terms_match_the_tree_walk_in_any_order",
+    "test_term_compile.py::test_stock_stepped_terms_match_the_tree_walk_in_any_order",
+)
 ARITH_TESTS = ("test_poly_kernel.py::test_arithmetic_matches_the_schoolbook_pair",)
+POWER_TESTS = tuple(f"test_power_terms.py::test_{name}" for name in (
+    "galloped_zero_limit_moduli_match_the_scan",
+    "galloped_cauchy_windows_match_the_scan",
+    "galloped_partial_sum_limits_match_the_scan",
+    "moduli_past_the_index_cap_and_wrong_limits_raise_the_scan_messages",
+    "decided_monotonicity_matches_the_walk",
+    "closed_form_sums_match_the_series_partials",
+    "closed_form_alternating_sums_match_the_series_partials",
+))
 COLLECTOR_TESTS = (
     "test_suite_laws.py::test_collector_cert_records_a_failed_scan_at_its_epsilon_only",
     "test_suite_laws.py::test_collector_cert_reports_a_capability_error_in_build_as_unverifiable",
@@ -155,6 +168,44 @@ MUTANTS = (
            "series.py", "return (num if lo % 2 else -num), den", "return num, den",
            ("test_rational_moduli.py::test_block_partial_sums_match_the_series_partials",
             "test_rational_moduli.py::test_the_alternating_test_sums_rational_terms_in_blocks")),
+    Mutant("galloping: the bisection returns the end below the least index",
+           "sequences.py", "            lo = mid\n    return hi\n", "            lo = mid\n    return max(lo, 1)\n",
+           (POWER_TESTS[0], POWER_TESTS[1])),
+    Mutant("zero limit of c r^n: |c| dropped from |c| |r|^N",
+           "sequences.py", "grp.lt(grp.mul(size, nat_pow(grp, ratio, n)), eps)",
+           "grp.lt(nat_pow(grp, ratio, n), eps)", (POWER_TESTS[0],)),
+    Mutant("Cauchy window of c r^n: c dropped from the gap",
+           "sequences.py", "scale = grp.mul(t.c, grp.sub(grp.one, nat_pow(grp, t.r, horizon)))",
+           "scale = grp.sub(grp.one, nat_pow(grp, t.r, horizon))", (POWER_TESTS[1],)),
+    Mutant("power sums: the eps (1 - r) side left unscaled",
+           "sequences.py", "bound = grp.mul(eps, one_less)", "bound = eps",
+           (POWER_TESTS[1], POWER_TESTS[2])),
+    Mutant("power sums: a wrong limit accepted",
+           "sequences.py", "and grp.eq(grp.mul(limit, grp.sub(grp.one, t.r)), grp.mul(t.c, t.r))):",
+           "):", (POWER_TESTS[2], POWER_TESTS[3])),
+    Mutant("monotone gate: r = 1 accepted",
+           "sequences.py", "s.lt(self.r, s.one)", "s.le(self.r, s.one)",
+           (POWER_TESTS[4], "test_power_terms.py::test_a_ratio_of_one_takes_the_walk")),
+    Mutant("closed-form sums: x_(n+1) read as x_n",
+           "series.py", "handle.mul(handle.sub(terms(1), terms(n + 1)), inv)",
+           "handle.mul(handle.sub(terms(1), terms(n)), inv)", (POWER_TESTS[5],)),
+    Mutant("closed-form alternating sums: the sign of x_(n+1) flipped",
+           "series.py", "handle.mul((handle.op if n % 2 else handle.sub)(x(1), x(n + 1)), inv)",
+           "handle.mul((handle.sub if n % 2 else handle.op)(x(1), x(n + 1)), inv)",
+           (POWER_TESTS[6],)),
+    Mutant("power term: c/p^n compiled without inverting p",
+           "termexpr.py", "            r = handle.invert(r)\n", "            pass\n", STEPPED_TESTS),
+    Mutant("power term: c = 1 multiplied in and any other c left out",
+           "sequences.py", "self._mul = None if handle.eq(c, handle.one) else handle.second_op",
+           "self._mul = handle.second_op if handle.eq(c, handle.one) else None", STEPPED_TESTS),
+    Mutant("bound-decided verifier: the upper bound dropped",
+           "sequences.py", "if grp.lt(lo, x) and grp.lt(x, hi):", "if grp.lt(lo, x):",
+           ("test_spread.py::test_bound_decided_verifier_matches_the_reference[Q]",
+            "test_spread.py::test_bound_decided_verifier_matches_the_reference[Z(X)]")),
+    Mutant("forward condensation modulus: 2^(k-1) >= N taken for 2^(k-1) > N",
+           "series.py", "found[eps] = (plain_modulus(eps) - 1).bit_length() + 1",
+           "found[eps] = plain_modulus(eps).bit_length() + 1",
+           ("test_golden.py::test_golden_bytes[series-Q-condensation]",)),
     Mutant("term parser: the literal limit one digit late",
            "termexpr.py", "if len(t.text) > 4300:", "if len(t.text) > 4301:",
            ("test_termexpr.py::test_an_overlong_integer_literal_is_a_term_error",)),

@@ -66,12 +66,15 @@ def series_argv(draw):
     if key == "Z(X)":
         a, b = draw(st.integers(1, 2)), draw(st.integers(-2, 2))
         shift = f"{b:+d}" if b else ""
-        term = f"{c}/(X^{a}{shift})^n"
+        term = draw(st.sampled_from((f"{c}/(X^{a}{shift})^n", f"{c}/(X{shift})^n",
+                                     f"{c}*pow(1/({abs(b)}-X), n)")))
         if test == "condensation":  # its backward modulus probes 2^horizon
             horizon = min(horizon, 3)
     else:
+        # power terms c*r^n, with a negative ratio now and then
         powers = [f"{c}/2^n", f"{c}/3^n", draw(st.sampled_from(
-            ("pow(1/2, n)", "pow(2/3, n)", "pow(3/4, n)", "pow(1/3, n)")))]
+            ("pow(1/2, n)", "pow(2/3, n)", "pow(3/4, n)", "pow(1/3, n)"))),
+            f"{c}*pow({draw(st.sampled_from(('1/2', '2/3', '1/3', '(0-1)/2', '(0-2)/3')))}, n)"]
         # condensation of a divergent term scans without bound
         k = draw(st.integers(1 if test != "condensation" else 2, 4))
         term = draw(st.sampled_from(powers + [f"{c}/n^{k}", f"1/(n+{c})^{k}"]))

@@ -6,7 +6,9 @@ values of a window are pairwise within eps exactly when max - min is below
 eps.  ``verify_cauchy_cert`` then takes one distance per clean window, and
 ``scan_cauchy_window_start`` keeps deques of suffix maxima and minima and
 takes none.  Likewise x is within eps of a limit L exactly when
-L - eps < x < L + eps, so ``scan_window_start`` takes no distance there.
+L - eps < x < L + eps, so ``scan_window_start`` takes no distance there,
+and ``verify_conv_cert`` takes one only for an index it reports or that
+several windows read.
 The references in ``tests/scan_oracle.py`` compare every pair and take
 every distance; the fast paths must agree with them on every answer, every
 violation and its order, and every evaluation error.  Other spaces keep the
@@ -21,6 +23,7 @@ from hypothesis import given, strategies as st
 
 from ordalab import (
     CauchyCert,
+    ConvCert,
     EvalError,
     Seq,
     absolute_value_metric,
@@ -295,6 +298,21 @@ def test_scanned_convergence_certificates_match_the_references(key):
 
 
 @pytest.mark.parametrize("key", sorted(CARRIERS))
+def test_bound_decided_verifier_matches_the_reference(key):
+    """Moduli drawn at will, so that windows overlap or not and fail
+    anywhere: the violations, their distances and their order are the
+    reference's, which takes every distance."""
+    @given(conv_cases(key), st.lists(st.integers(1, 40), min_size=6, max_size=6))
+    def check(case, starts):
+        space, seq, limit, queries, horizon = case
+        cert = ConvCert(space, seq, limit, lambda eps: starts[queries.index(eps)])
+        got = verify_conv_cert(cert, queries, horizon)
+        assert [v.values for v in got] == verify_conv_cert_reference(cert, queries, horizon)
+
+    check()
+
+
+@pytest.mark.parametrize("key", sorted(CARRIERS))
 def test_a_term_failing_mid_scan_fails_at_the_same_index(key):
     handle = CARRIERS[key][0]
     space, limit = handle.metrics[0], LIMITS[key][0]
@@ -324,9 +342,17 @@ def test_the_bound_scan_takes_no_distance():
     cert = scanned_conv_cert(space, seq, F(1), 16)
     assert [cert.modulus(eps) for eps in grid] == [3, 65, 9]
     assert log == []
-    # the verifier keeps its table: one distance per index it reads
+    # the verifier decides by the same bounds an index one window reads, and
+    # takes one distance for each index that several windows read
     assert verify_conv_cert(cert, grid, 16) == []
-    assert len(log) == len(set(range(3, 20)) | set(range(65, 82)) | set(range(9, 26)))
+    assert len(log) == len(set(range(9, 20)))
+    log.clear()
+    # and each index it reports takes one, the distance the violation carries
+    early = replace(cert, modulus=lambda eps: 1)
+    got = verify_conv_cert(early, (F(1, 8),), 16)
+    assert [v.values[1] for v in got] == list(range(1, 9))
+    assert len(log) == 8
+    assert [v.values for v in got] == verify_conv_cert_reference(early, (F(1, 8),), 16)
 
 
 def test_a_space_without_a_group_takes_distances():

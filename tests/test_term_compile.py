@@ -173,6 +173,10 @@ def test_stepped_terms_match_the_tree_walk_in_any_order(data, key):
     ("Z(X)", "3/(X^2+1)^n"),
     ("Z(X)", "(2*X)/(X^3+2)^n+n/(X+1)"),
     ("Q", "pow(2/3,n)*n+(1/4)^2"),
+    # power terms c*r^n
+    ("Q", "3*pow(0-2/3,n)"),
+    ("Z[1/2]", "5/(0-2)^n"),
+    ("Z(X)", "X*pow(1/(X-1),n)"),
 ])
 def test_stock_stepped_terms_match_the_tree_walk_in_any_order(key, expr):
     assert_every_order_matches(parse_term_expr(expr), HANDLES[key])
