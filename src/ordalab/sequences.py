@@ -32,7 +32,7 @@ from .order import (
     shrink_witness,
     split_witness,
 )
-from .poly import poly_add, poly_scale, poly_sub, tail_start
+from .poly import Poly, poly_add, poly_scale, poly_sub, tail_start
 
 Element = Any
 
@@ -61,21 +61,27 @@ class Seq:
 
 
 class RationalTerm:
-    """The term function of a rational function of n over Q.
+    """The term function of a rational function of n over Q, given as its
+    unreduced integer polynomials num = P and den = Q in n, with Q(n) != 0
+    at every n >= 1 (termexpr._polys).  pair(n) gives the ints
+    (P(n), Q(n)), evaluated by Horner's rule, and the term at n is their
+    quotient.  zero_limit_cert reads the polynomials, and the alternating
+    test's partial sums read the pairs."""
 
-    pair(n) gives ints (num, den), den != 0, whose quotient is the term at
-    n.  polys() gives integer polynomials (P, Q) with P(n)/Q(n) the term at
-    every n >= 1, or None when a divisor vanishes at a positive integer or
-    the degree passes the compiler's bound.  zero_limit_cert reads the
-    polynomials, and the alternating test's partial sums read the pairs."""
+    def __init__(self, num: Poly, den: Poly):
+        self.num, self.den = num, den
+        self._num_desc, self._den_desc = num[::-1], den[::-1]  # Horner's order
 
-    def __init__(self, pair: Callable[[int], tuple[int, int]],
-                 polys: Callable[[], tuple | None]):
-        self.pair, self.polys = pair, polys
+    def pair(self, n: int) -> tuple[int, int]:
+        p = q = 0
+        for c in self._num_desc:
+            p = p * n + c
+        for c in self._den_desc:
+            q = q * n + c
+        return p, q
 
     def __call__(self, n: int) -> Fraction:
-        num, den = self.pair(n)
-        return Fraction(num, den)
+        return Fraction(*self.pair(n))
 
 
 class PowerTerm:
@@ -121,8 +127,8 @@ class ConvCert:
     # d(seq(n), limit) by index n, filled lazily by verify_conv_cert (on a
     # space with a _group, only at the indices it reports or that several
     # windows read) and, for a scanned certificate on a space without a
-    # _group, by the scans behind its modulus.  Not an init field, so dataclasses.replace never carries a
-    # table to a new limit.
+    # _group, by the scans behind its modulus.  Not an init field, so
+    # dataclasses.replace never carries a table to a new limit.
     _dists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -758,8 +764,8 @@ def zero_limit_cert(
     On a space with a _group, a PowerTerm c r^n with 0 < |r| < 1 gets a
     proved modulus: |c r^n| strictly decreases, so N(eps) is the least N
     with |c| |r|^N < eps, found by galloping.  Over Q with the absolute
-    value, a RationalTerm P/Q with deg P < deg Q and polynomials to read
-    gets one too: for eps = a/b, N(eps) is the least N with
+    value, a RationalTerm P/Q with deg P < deg Q gets one too: for
+    eps = a/b, N(eps) is the least N with
     (a Q(n) - b P(n)) (a Q(n) + b P(n)) > 0, that is |P(n)/Q(n)| < eps, at
     every n >= N (poly.tail_start).  Any other sequence gets the scanned
     certificate with this horizon.  Either way an epsilon whose N would lie
@@ -774,14 +780,12 @@ def zero_limit_cert(
 
             return ConvCert(space, seq, handle.identity,
                             _galloped(grp, below, _no_window(seq, grp)))
-    polys = (t.polys() if type(t) is RationalTerm and handle._int_terms
-             and grp is not None and grp._int_terms else None)
-    if polys is None or len(polys[0]) >= len(polys[1]):
+    if not (type(t) is RationalTerm and handle._int_terms and grp is not None
+            and grp._int_terms and len(t.num) < len(t.den)):
         return scanned_conv_cert(space, seq, handle.identity, horizon)
-    num, den = polys
 
     def least(eps: Element, start: int) -> int | None:
-        aq, bp = poly_scale(den, eps.numerator), poly_scale(num, eps.denominator)
+        aq, bp = poly_scale(t.den, eps.numerator), poly_scale(t.num, eps.denominator)
         n = tail_start(poly_sub(aq, bp), poly_add(aq, bp))
         return n if n <= _MAX_INDEX else None
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Any, Callable, Union
 
 from .order import StructureHandle, nat_pow, powers
@@ -264,87 +263,30 @@ def _once(term: Callable[[int], Element]) -> Callable[[int], Element]:
     return once
 
 
-def _rational_in_n(node: Node) -> bool:
-    """Whether the term is built from integer literals and n by + - * /
-    and fixed natural exponents alone: a rational function of n."""
-    if isinstance(node, (Lit, Index)):
-        return True
-    if isinstance(node, Bin):
-        return _rational_in_n(node.left) and _rational_in_n(node.right)
-    if isinstance(node, Pow):
-        return node.exponent is not None and _rational_in_n(node.base)
-    return False
-
-
-def _int_pair(node: Node) -> Callable[[int], tuple[int, int]]:
-    """A term _rational_in_n accepts as n -> (num, den): plain ints with
-    den != 0 and num/den the term's value over Q.  Nothing is reduced
-    except a base before it is raised to a power."""
-    if isinstance(node, Lit):
-        pair = (node.value, 1)
-        return lambda n: pair
-    if isinstance(node, Index):
-        return lambda n: (n, 1)
-    if isinstance(node, Pow):
-        base, k = _int_pair(node.base), node.exponent
-
-        def power(n: int) -> tuple[int, int]:
-            # reduced first: ((n/n)^k)^k stays (1, 1), not (n^(k*k), n^(k*k))
-            a, b = base(n)
-            g = gcd(a, b)
-            return (a // g) ** k, (b // g) ** k
-
-        return power
-    left, right = _int_pair(node.left), _int_pair(node.right)
-    if node.op == "+":
-        def add(n: int) -> tuple[int, int]:
-            (a, b), (c, d) = left(n), right(n)
-            return a * d + c * b, b * d
-
-        return add
-    if node.op == "-":
-        def sub(n: int) -> tuple[int, int]:
-            (a, b), (c, d) = left(n), right(n)
-            return a * d - c * b, b * d
-
-        return sub
-    if node.op == "*":
-        def mul(n: int) -> tuple[int, int]:
-            (a, b), (c, d) = left(n), right(n)
-            return a * c, b * d
-
-        return mul
-
-    def divide(n: int) -> tuple[int, int]:
-        # the denominator first, as in _compile's divide
-        c, d = right(n)
-        if c == 0:
-            raise EvalError("division by zero", n)
-        a, b = left(n)
-        return a * d, b * c
-
-    return divide
-
-
-# The highest degree _polys builds; a term past it keeps the index walks.
+# The highest degree _polys builds; a term past it takes the general closures.
 _MAX_DEGREE = 32
 
 
-def _degree(node: Node) -> int:
-    # a bound on the degrees of both polynomials _poly_pair builds
+def _degree(node: Node) -> int | None:
+    """A bound on the degrees of both polynomials _poly_pair builds, or None
+    when the term is not a rational function of n: built from integer
+    literals and n by + - * / and fixed natural exponents alone."""
     if isinstance(node, Lit):
         return 0
     if isinstance(node, Index):
         return 1
+    if isinstance(node, Sym):
+        return None
     if isinstance(node, Pow):
-        return node.exponent * _degree(node.base)
-    return _degree(node.left) + _degree(node.right)
+        base = None if node.exponent is None else _degree(node.base)
+        return None if base is None else node.exponent * base
+    left, right = _degree(node.left), _degree(node.right)
+    return None if left is None or right is None else left + right
 
 
 def _poly_pair(node: Node, divisors: list) -> tuple[Poly, Poly]:
-    """_int_pair's walk over integer polynomials in n in place of ints,
-    with no reduction: (P, Q) and, appended to divisors, the numerator of
-    every divisor's pair."""
+    """The term as integer polynomials (P, Q) in n with no reduction, P/Q
+    its value, and, appended to divisors, the numerator of every divisor."""
     if isinstance(node, Lit):
         return poly((node.value,)), (1,)
     if isinstance(node, Index):
@@ -363,10 +305,12 @@ def _poly_pair(node: Node, divisors: list) -> tuple[Poly, Poly]:
 
 
 def _polys(node: Node) -> tuple[Poly, Poly] | None:
-    """The term as P(n)/Q(n) for every n >= 1, or None past _MAX_DEGREE or
-    when a divisor vanishes at a positive integer: there _int_pair raises,
-    and only the index walk names the index."""
-    if _degree(node) > _MAX_DEGREE:
+    """The term as P(n)/Q(n) for every n >= 1, or None when it is not a
+    rational function of n, its degree bound passes _MAX_DEGREE, or a
+    divisor vanishes at a positive integer: there the general closures
+    raise and name the index."""
+    degree = _degree(node)
+    if degree is None or degree > _MAX_DEGREE:
         return None
     divisors: list = []
     num, den = _poly_pair(node, divisors)
@@ -413,15 +357,16 @@ def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
     Literals are converted and symbols looked up here, each operator is
     bound to its node, and pow(c, n) over a c that does not mention n
     evaluates c once it first succeeds and steps from c^k to c^(k+1) with
-    one product.  Over a handle with Q's own operations, a rational
-    function of n is a RationalTerm: evaluated over ints into one Fraction,
-    with its polynomials in n built on request.  A term c*r^n whose c and r
+    one product.  Over a handle with Q's own operations, a term that
+    mentions n and has polynomials P/Q (_polys) is a RationalTerm, which
+    evaluates both over ints into one Fraction.  A term c*r^n whose c and r
     evaluate is a PowerTerm (_power_term).  A missing capability or
     symbol still raises EvalError only when the node is evaluated, so
     errors come at the same time, with the same message and in the same
     order as a walk of the tree at each index would give."""
-    if handle._int_terms and _rational_in_n(node) and mentions_index(node):
-        return RationalTerm(_int_pair(node), lambda: _polys(node))
+    polys = _polys(node) if handle._int_terms and mentions_index(node) else None
+    if polys is not None:
+        return RationalTerm(*polys)
     power = _power_term(node, handle)
     if power is not None:
         return power
@@ -495,7 +440,7 @@ def eval_term(node: Node, handle: StructureHandle, n: int) -> Element:
 
     Compiles the term for this one call; seq_from_expr compiles once per
     sequence."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"index must be a positive integer, got {n!r}")
     return _compile(node, handle)(n)
 

@@ -104,15 +104,14 @@ MUTANTS = (
     Mutant("hemiring: products of sample pairs taken without the memo",
            "order.py", "add, mul = once(s.op), once(s.second_op)",
            "add, mul = once(s.op), s.second_op", COUNT_TESTS),
-    Mutant("integer terms: the sign of a difference flipped",
-           "termexpr.py", "return a * d - c * b, b * d", "return a * d + c * b, b * d",
+    Mutant("rational terms: a difference of polynomials taken as their sum",
+           "termexpr.py", 'cross = poly_add if node.op == "+" else poly_sub', "cross = poly_add",
            TERM_TESTS),
-    Mutant("integer terms: no zero-divisor test at far indices",
-           "termexpr.py", "if c == 0:", "if c == 0 and n < 4000:",
-           (*TERM_TESTS, "test_term_compile.py::test_a_zero_divisor_at_a_far_index_names_that_index")),
-    Mutant("integer terms: a power raised from its unreduced base",
-           "termexpr.py", "g = gcd(a, b)", "g = 1",
-           ("test_term_compile.py::test_a_power_is_raised_from_its_reduced_base",)),
+    Mutant("rational terms: the denominator evaluated at the next index",
+           "sequences.py", "q = q * n + c", "q = q * (n + 1) + c", TERM_TESTS),
+    Mutant("rational terms: a symbol read as degree 0",
+           "termexpr.py", "if isinstance(node, Sym):\n        return None",
+           "if isinstance(node, Sym):\n        return 0", TERM_TESTS),
     Mutant("_int_terms: the selection tuple without invert",
            "order.py", "ops = (self.compare, self.op, self.negate, self.second_op, self.invert)",
            "ops = (self.compare, self.op, self.negate, self.second_op)",
@@ -159,6 +158,7 @@ MUTANTS = (
            "termexpr.py", "if not c or any(poly_eval(c, k + 1) == 0 for k in real_root_floors(c)):",
            "if not c:",
            ("test_rational_moduli.py::test_proved_moduli_are_the_least_tails",
+            "test_term_compile.py::test_a_zero_divisor_at_a_far_index_names_that_index",
             "test_golden.py::test_golden_bytes[violation-Q-shifted-harmonic]")),
     Mutant("proved modulus: the _MAX_INDEX cap dropped",
            "sequences.py", "return n if n <= _MAX_INDEX else None", "return n",

@@ -7,7 +7,11 @@ of the same type, or raise the same exception type with the same message.
 pow(c, n) over a c that does not mention n evaluates c once and steps
 through its powers, so such terms are also called at indices that run up,
 down, repeat and skip.  Over Q, a rational function of n is evaluated over
-plain ints; only handles with Q's own operations take that path.
+plain ints: a term that mentions n and is built from integer literals and
+n by + - * / and fixed natural exponents compiles once to its integer
+polynomials P/Q, evaluated by Horner's rule, unless its degree bound passes
+``_MAX_DEGREE`` or a divisor vanishes at a positive integer; those terms,
+and every handle without Q's own operations, take the general closures.
 """
 
 import inspect
@@ -16,13 +20,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ordalab import (
     EvalError, eval_term, lookup, parse_term_expr, pretty, registry, seq_from_expr,
 )
 from ordalab import order, termexpr
-from ordalab.termexpr import Bin, Index, Lit, Pow, Sym
+from ordalab.sequences import RationalTerm
+from ordalab.termexpr import Bin, Index, Lit, Pow, Sym, mentions_index
 from term_oracle import eval_term_reference
 
 Q = lookup("Q")
@@ -85,10 +90,17 @@ def outcome(f, n):
 @settings(max_examples=200)
 # Q, with its own path, half of the time
 @given(TERMS, st.just("Q") | st.sampled_from(sorted(HANDLES)))
+# degree bounds 40 and 36, past _MAX_DEGREE: the general closures over Q
+@example(parse_term_expr("1/n^40"), "Q")
+@example(parse_term_expr("1/(n^8+n^7+n^6+n^5+n^4+n^3+n^2+n+1)"), "Q")
 def test_compiled_terms_match_the_tree_walk(node, key):
     handle = HANDLES[key]
     # building the sequence never evaluates: every error waits for an index
     seq = seq_from_expr(pretty(node), handle)
+    if key == "Q":
+        # a term that mentions n is a RationalTerm exactly when it has polynomials
+        assert (type(seq.term) is RationalTerm) is (
+            mentions_index(node) and termexpr._polys(node) is not None)
     for n in (*INDICES, *FAR_INDICES) if key == "Q" else INDICES:
         expected = outcome(lambda i: eval_term_reference(node, handle, i), n)
         assert outcome(seq.term, n) == expected
@@ -235,9 +247,9 @@ def test_wrapped_module_functions_leave_the_choice_alone(monkeypatch):
 
 
 def test_a_power_is_raised_from_its_reduced_base():
-    # unreduced, the pair would hold 2^(64*10^6) over itself
+    # past _MAX_DEGREE the term takes the closures, whose Fractions are
+    # reduced: unreduced, the power would hold 2^(64*10^6) over itself
     node = parse_term_expr("((n/n)^1000)^1000")
     n = 2**64
-    assert termexpr._int_pair(node)(n) == (1, 1)
     assert outcome(seq_from_expr(pretty(node), Q).term, n) == ("value", Fraction, 1)
     assert eval_term_reference(node, Q, n) == 1

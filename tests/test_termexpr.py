@@ -149,6 +149,13 @@ def test_eval_errors():
         eval_term(parse_term_expr("1/(n-2)"), Q, 2)
 
 
+@pytest.mark.parametrize("n", [0, -1, 1.5, True])
+def test_eval_term_takes_only_a_positive_integer_index(n):
+    # True is an int subclass, but not the index 1
+    with pytest.raises(ValueError, match="^index must be a positive integer, got "):
+        eval_term(parse_term_expr("1/(n+1)"), Q, n)
+
+
 def test_a_missing_inverse_is_an_eval_error():
     with pytest.raises(EvalError, match="^2 has no inverse among the integers$"):
         eval_term(parse_term_expr("1/2^n"), lookup("Z"), 1)
