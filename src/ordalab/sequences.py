@@ -63,10 +63,10 @@ class Seq:
 class RationalTerm:
     """The term function of a rational function of n over Q, given as its
     unreduced integer polynomials num = P and den = Q in n, with Q(n) != 0
-    at every n >= 1 (termexpr._polys).  pair(n) gives the ints
+    at every n >= 1 (termexpr._facts).  pair(n) gives the ints
     (P(n), Q(n)), evaluated by Horner's rule, and the term at n is their
-    quotient.  zero_limit_cert reads the polynomials, and the alternating
-    test's partial sums read the pairs."""
+    quotient.  zero_limit_cert reads the polynomials, and partial sums,
+    plain and alternating, read the pairs."""
 
     def __init__(self, num: Poly, den: Poly):
         self.num, self.den = num, den

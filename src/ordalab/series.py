@@ -59,53 +59,78 @@ def _unit_inverse(handle: StructureHandle, x: Element) -> Element | None:
         return None
 
 
-def _stepped_or_closed(step: Callable[[Element, int], Element],
-                       closed: Callable[[int], Element]) -> Callable[[int], Element]:
-    """n -> the sum s_n: step(s_(n-1), n) where s_(n-1) is known, which is
-    cheaper, and closed(n) otherwise, so a probe far out sums nothing."""
-    sums: dict = {}
+class _PartialSums:
+    """The term function n -> s_n = x_1 + x_2 + ... + x_n, or x_1 - x_2 +
+    ... +- x_n when alternating.
 
-    def partial(n: int) -> Element:
-        prev = sums.get(n - 1)
-        sums[n] = closed(n) if prev is None else step(prev, n)
+    s_n is the largest sum already known below n plus the block of terms
+    between them, and is kept.  A one-term block adds +-x_n.  A longer
+    block is skipped according to x's shape: summed by binary splitting
+    over a RationalTerm's integer pairs under Q's own operations; for a
+    PowerTerm c r^n whose 1 - r (1 + r when alternating) is a unit, s_n
+    comes in closed form; otherwise the terms are added one at a time, and
+    each sum is kept."""
+
+    def __init__(self, handle: StructureHandle, x: Seq, alternating: bool):
+        self.handle, self.x, self.alternating = handle, x, alternating
+        self.sums: dict = {}
+        self.known: list = []  # the indices of sums, ascending
+        t = x.term
+        self.pair = t.pair if type(t) is RationalTerm and handle._int_terms else None
+        shift = handle.op if alternating else handle.sub  # 1 + r, or 1 - r
+        self.inv = (_unit_inverse(handle, shift(handle.one, t.r))
+                    if type(t) is PowerTerm else None)
+
+    def _block(self, lo: int, hi: int) -> tuple[int, int]:
+        """The sum of the signed terms lo..hi as an unreduced integer pair,
+        by binary splitting: the halves are summed apart and added once.
+        Leaves are evaluated in index order."""
+        if lo == hi:
+            num, den = self.pair(lo)
+            return (-num if self.alternating and lo % 2 == 0 else num), den
+        mid = (lo + hi) // 2
+        a, b = self._block(lo, mid)
+        c, d = self._block(mid + 1, hi)
+        return a * d + c * b, b * d
+
+    def __call__(self, n: int) -> Element:
+        sums, known, h, x = self.sums, self.known, self.handle, self.x
+        if n in sums:
+            return sums[n]
+        i = bisect_left(known, n)
+        m = known[i - 1] if i else 0
+        if n - m > 1 and self.pair is not None:
+            block = Fraction(*self._block(m + 1, n))
+            sums[n] = block if m == 0 else sums[m] + block
+        elif n - m > 1 and self.inv is not None:
+            # c r +- ... = (x_1 - x_(n+1)) / (1 - r), or (x_1 - (-1)^n x_(n+1)) / (1 + r)
+            flip = h.op if self.alternating and n % 2 else h.sub
+            sums[n] = h.mul(flip(x(1), x(n + 1)), self.inv)
+        else:
+            s = sums.get(m)  # None at m = 0
+            for k in range(m + 1, n + 1):
+                add = h.sub if self.alternating and k % 2 == 0 else h.op
+                s = sums[k] = x(k) if s is None else add(s, x(k))
+                insort(known, k)
+            return s
+        insort(known, n)
         return sums[n]
-
-    return partial
-
-
-def _partials(handle: StructureHandle, terms: Seq) -> Seq:
-    t = terms.term
-    inv = _unit_inverse(handle, handle.sub(handle.one, t.r)) if type(t) is PowerTerm else None
-    if inv is not None:
-        # c r + ... + c r^n = c r (1 - r^n) / (1 - r) = (x_1 - x_(n+1)) / (1 - r)
-        return Seq(f"sum({terms.name})", _stepped_or_closed(
-            lambda prev, n: handle.op(prev, terms(n)),
-            lambda n: handle.mul(handle.sub(terms(1), terms(n + 1)), inv)))
-    acc: list = []
-
-    def partial(n: int) -> Element:
-        while len(acc) < n:
-            k = len(acc) + 1
-            t = terms(k)
-            acc.append(t if k == 1 else handle.op(acc[-1], t))
-        return acc[n - 1]
-
-    return Seq(f"sum({terms.name})", partial)
 
 
 @dataclass(frozen=True)
 class Series:
     """Terms x_1, x_2, ... with derived partial sums s_n = x_1 + ... + x_n,
-    added one index at a time.  For a PowerTerm c r^n whose 1 - r is a unit
-    of handle, a sum whose predecessor is not known yet comes in closed
-    form instead, so a probe far out adds nothing."""
+    each the largest sum already known below n plus the block of terms
+    between them (_PartialSums): a probe far out sums a RationalTerm's block
+    by binary splitting and takes a PowerTerm's sum in closed form."""
 
     handle: StructureHandle
     terms: Seq
     partials: Seq = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "partials", _partials(self.handle, self.terms))
+        object.__setattr__(self, "partials", Seq(
+            f"sum({self.terms.name})", _PartialSums(self.handle, self.terms, False)))
 
 
 def terms_from_partials(handle: StructureHandle, partials: Seq) -> Seq:
@@ -218,9 +243,9 @@ def alternating_cauchy(
     """Alternating series with strictly decreasing positive terms: the
     partial sums of x_1 - x_2 + x_3 - ... are Cauchy with the modulus of
     the terms' own convergence to zero (pair gaps collapse below x_{m+1}).
-    Over Q's own operations the partial sums of a RationalTerm are added
-    over its integer pairs by binary splitting, and those of a PowerTerm
-    c r^n whose 1 + r is a unit are c r (1 - (-r)^n) / (1 + r)."""
+    The partial sums follow the rule of Series (_PartialSums): a block of a
+    RationalTerm's terms is summed by binary splitting, and a PowerTerm
+    c r^n whose 1 + r is a unit gives c r (1 - (-r)^n) / (1 + r)."""
     handle.require("ring", "total_order")
     if mono.kind is not MonotoneKind.STRICTLY_DECREASING_POSITIVE:
         raise ValueError("alternating series needs strictly decreasing positive terms")
@@ -229,51 +254,8 @@ def alternating_cauchy(
         raise ValueError(f"{c0.seq.name} does not carry a zero limit")
     _sample_agree(c0.seq, x, 8, "zero-limit certificate is for a different sequence")
 
-    name = f"alt({x.name})"
-    inv = (_unit_inverse(handle, handle.op(handle.one, x.term.r))
-           if type(x.term) is PowerTerm else None)
-    if type(x.term) is RationalTerm and handle._int_terms:
-        partials = Seq(f"sum({name})", _alternating_sums(x.term.pair))
-    elif inv is not None:
-        # c r - c r^2 + ... = c r (1 - (-r)^n) / (1 + r) = (x_1 - (-1)^n x_(n+1)) / (1 + r)
-        partials = Seq(f"sum({name})", _stepped_or_closed(
-            lambda prev, n: (handle.op if n % 2 else handle.sub)(prev, x(n)),
-            lambda n: handle.mul((handle.op if n % 2 else handle.sub)(x(1), x(n + 1)), inv)))
-    else:
-        signed = Seq(name, lambda i: x(i) if i % 2 == 1 else handle.negate(x(i)))
-        partials = Series(handle, signed).partials
+    partials = Seq(f"sum(alt({x.name}))", _PartialSums(handle, x, True))
     return CauchyCert(space, partials, lambda eps: modulus_at(c0.modulus, eps))
-
-
-def _signed_block(pair: Callable[[int], tuple[int, int]], lo: int, hi: int) -> tuple[int, int]:
-    """The sum of (-1)^(i+1) num_i/den_i over lo <= i <= hi, with
-    (num_i, den_i) = pair(i), as an unreduced integer pair, by binary
-    splitting: the halves are summed apart and added once.  Leaves are
-    evaluated in index order."""
-    if lo == hi:
-        num, den = pair(lo)
-        return (num if lo % 2 else -num), den
-    mid = (lo + hi) // 2
-    a, b = _signed_block(pair, lo, mid)
-    c, d = _signed_block(pair, mid + 1, hi)
-    return a * d + c * b, b * d
-
-
-def _alternating_sums(pair: Callable[[int], tuple[int, int]]) -> Callable[[int], Fraction]:
-    """n -> x_1 - x_2 + ... +- x_n for the integer pairs of a RationalTerm:
-    the block past the largest index already summed below n is added by
-    binary splitting, in any order of queries."""
-    done = [0]  # indices summed, ascending
-    sums = {0: Fraction(0)}
-
-    def partial(n: int) -> Fraction:
-        m = done[bisect_left(done, n) - 1]
-        num, den = _signed_block(pair, m + 1, n)
-        sums[n] = sums[m] + Fraction(num, den)
-        insort(done, n)
-        return sums[n]
-
-    return partial
 
 
 def squeeze_cauchy(
@@ -610,7 +592,7 @@ def abs_conv_cauchy(
     m = ng.codomain
     m.require("group", "total_order", "commutative_add")
     split_witness(m, None)
-    norm_partials = _partials(m, Seq(f"norm({x.name})", lambda i: ng.norm(x(i))))
+    norm_partials = Series(m, Seq(f"norm({x.name})", lambda i: ng.norm(x(i)))).partials
     _sample_agree(c_abs.seq, norm_partials, 6,
                   "certificate is not for this sequence's norm sums")
 

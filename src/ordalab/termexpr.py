@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Any, Callable, Union
 
 from .order import StructureHandle, nat_pow, powers
-from .poly import Poly, poly, poly_add, poly_eval, poly_mul, poly_pow, poly_sub, real_root_floors
+from .poly import poly, poly_add, poly_eval, poly_mul, poly_pow, poly_sub, real_root_floors
 from .sequences import PowerTerm, RationalTerm, Seq
 
 Element = Any
@@ -263,111 +263,110 @@ def _once(term: Callable[[int], Element]) -> Callable[[int], Element]:
     return once
 
 
-# The highest degree _polys builds; a term past it takes the general closures.
+# The highest degree bound a node may have and still get polynomials
+# (_facts); a node past it has none, nor has any node above it.
 _MAX_DEGREE = 32
 
 
-def _degree(node: Node) -> int | None:
-    """A bound on the degrees of both polynomials _poly_pair builds, or None
-    when the term is not a rational function of n: built from integer
-    literals and n by + - * / and fixed natural exponents alone."""
-    if isinstance(node, Lit):
-        return 0
-    if isinstance(node, Index):
-        return 1
-    if isinstance(node, Sym):
+def _facts(root: Node, handle: StructureHandle) -> dict:
+    """Every node's facts by id, given once, from the leaves up: whether it
+    mentions n, and its form (d, P, Q) or None.  Only over a handle with Q's
+    own operations does a node have a form: its unreduced integer
+    polynomials P and Q in n, P/Q its value at every n >= 1, and a bound d
+    on both their degrees.  It has one when it is built from integer
+    literals and n by + - * / and fixed natural exponents, no node in it
+    has a bound past _MAX_DEGREE, and no divisor in it vanishes at a
+    positive integer, where the general closures raise and name the index."""
+    facts: dict = {}
+    int_terms = handle._int_terms
+
+    def walk(node: Node) -> tuple[bool, tuple | None]:
+        if isinstance(node, Lit):
+            mentions, form = False, ((0, poly((node.value,)), (1,)) if int_terms else None)
+        elif isinstance(node, Index):
+            mentions, form = True, ((1, (0, 1), (1,)) if int_terms else None)
+        elif isinstance(node, Sym):
+            mentions, form = False, None
+        elif isinstance(node, Pow):
+            mentions, form = walk(node.base)
+            e = node.exponent
+            if e is None:
+                mentions, form = True, None
+            elif form is not None and form[0] * e <= _MAX_DEGREE:
+                form = form[0] * e, poly_pow(form[1], e), poly_pow(form[2], e)
+            else:
+                form = None
+        elif isinstance(node, Bin):
+            (mentions, left), (right_mentions, right) = walk(node.left), walk(node.right)
+            mentions = mentions or right_mentions
+            form = None if left is None or right is None else _combine(node.op, left, right)
+        else:
+            raise TypeError(f"not a term node: {node!r}")
+        facts[id(node)] = mentions, form
+        return mentions, form
+
+    walk(root)
+    return facts
+
+
+def _combine(op: str, left: tuple, right: tuple) -> tuple | None:
+    """The form of left op right from the forms (d, P, Q) of its sides, or
+    None when its bound passes _MAX_DEGREE or it divides by a P that is 0
+    or vanishes at a positive integer."""
+    (d1, a, b), (d2, c, d) = left, right
+    if d1 + d2 > _MAX_DEGREE:
         return None
-    if isinstance(node, Pow):
-        base = None if node.exponent is None else _degree(node.base)
-        return None if base is None else node.exponent * base
-    left, right = _degree(node.left), _degree(node.right)
-    return None if left is None or right is None else left + right
-
-
-def _poly_pair(node: Node, divisors: list) -> tuple[Poly, Poly]:
-    """The term as integer polynomials (P, Q) in n with no reduction, P/Q
-    its value, and, appended to divisors, the numerator of every divisor."""
-    if isinstance(node, Lit):
-        return poly((node.value,)), (1,)
-    if isinstance(node, Index):
-        return (0, 1), (1,)
-    if isinstance(node, Pow):
-        a, b = _poly_pair(node.base, divisors)
-        return poly_pow(a, node.exponent), poly_pow(b, node.exponent)
-    (a, b), (c, d) = _poly_pair(node.left, divisors), _poly_pair(node.right, divisors)
-    if node.op == "*":
-        return poly_mul(a, c), poly_mul(b, d)
-    if node.op == "/":
-        divisors.append(c)
-        return poly_mul(a, d), poly_mul(b, c)
-    cross = poly_add if node.op == "+" else poly_sub
-    return cross(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d)
-
-
-def _polys(node: Node) -> tuple[Poly, Poly] | None:
-    """The term as P(n)/Q(n) for every n >= 1, or None when it is not a
-    rational function of n, its degree bound passes _MAX_DEGREE, or a
-    divisor vanishes at a positive integer: there the general closures
-    raise and name the index."""
-    degree = _degree(node)
-    if degree is None or degree > _MAX_DEGREE:
-        return None
-    divisors: list = []
-    num, den = _poly_pair(node, divisors)
-    for c in divisors:
+    if op == "*":
+        return d1 + d2, poly_mul(a, c), poly_mul(b, d)
+    if op == "/":
         if not c or any(poly_eval(c, k + 1) == 0 for k in real_root_floors(c)):
             return None
-    return num, den
+        return d1 + d2, poly_mul(a, d), poly_mul(b, c)
+    cross = poly_add if op == "+" else poly_sub
+    return d1 + d2, cross(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d)
 
 
-def _power_parts(node: Node) -> tuple[Node | None, Node, bool] | None:
-    """(c, b, divides) when the term is pow(b, n) or b^n (c None),
-    c*pow(b, n) or c/b^n, with c and b free of n: the term c*r^n with r = b,
-    or r = 1/b when divides."""
+def _power_term(node: Node, handle: StructureHandle, facts: dict) -> PowerTerm | None:
+    """The term as a PowerTerm c*r^n, when its syntax is pow(b, n) or b^n,
+    c*pow(b, n) or c/b^n, with c and b free of n and r = b, or r = 1/b
+    after '/'; handle's first metric space has a _group; and c and r
+    evaluate now.  Else None, and the term keeps the general closures with
+    their errors."""
     c, power = None, node
-    if isinstance(node, Bin) and node.op in ("*", "/") and not mentions_index(node.left):
+    if isinstance(node, Bin) and node.op in ("*", "/") and not facts[id(node.left)][0]:
         c, power = node.left, node.right
-    if not isinstance(power, Pow) or power.exponent is not None or mentions_index(power.base):
-        return None
-    return c, power.base, c is not None and node.op == "/"
-
-
-def _power_term(node: Node, handle: StructureHandle) -> PowerTerm | None:
-    """The term as a PowerTerm, when its syntax is c*r^n, handle's first
-    metric space has a _group, and c and r evaluate now; else None, and the
-    term keeps the general closures with their errors."""
-    parts = _power_parts(node)
-    if (parts is None or handle.second_op is None or handle.one is None
+    if (not isinstance(power, Pow) or power.exponent is not None or facts[id(power.base)][0]
+            or handle.second_op is None or handle.one is None
             or not handle.metrics or handle.metrics[0]._group is None):
         return None
-    c, base, divides = parts
     try:
-        r = _compile(base, handle)(1)
-        if divides:
+        r = _compile(power.base, handle, facts)(1)
+        if c is not None and node.op == "/":
             r = handle.invert(r)
-        c = handle.one if c is None else _compile(c, handle)(1)
+        c = handle.one if c is None else _compile(c, handle, facts)(1)
     except Exception:  # whatever the closures raise, they raise again per index
         return None
     return PowerTerm(handle, c, r)
 
 
-def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
-    """The term as a function of the index n >= 1, built once.
+def _compile(node: Node, handle: StructureHandle, facts: dict) -> Callable[[int], Element]:
+    """The term as a function of the index n >= 1, built once from the root
+    down, given the facts of its nodes (_facts).
 
-    Literals are converted and symbols looked up here, each operator is
-    bound to its node, and pow(c, n) over a c that does not mention n
-    evaluates c once it first succeeds and steps from c^k to c^(k+1) with
-    one product.  Over a handle with Q's own operations, a term that
-    mentions n and has polynomials P/Q (_polys) is a RationalTerm, which
-    evaluates both over ints into one Fraction.  A term c*r^n whose c and r
-    evaluate is a PowerTerm (_power_term).  A missing capability or
-    symbol still raises EvalError only when the node is evaluated, so
-    errors come at the same time, with the same message and in the same
-    order as a walk of the tree at each index would give."""
-    polys = _polys(node) if handle._int_terms and mentions_index(node) else None
-    if polys is not None:
-        return RationalTerm(*polys)
-    power = _power_term(node, handle)
+    The build stops at the highest node that mentions n and has a form: a
+    RationalTerm over Q's own operations, which evaluates P and Q over
+    ints into one Fraction; or at one whose syntax is c*r^n and whose c and
+    r evaluate: a PowerTerm (_power_term).  Below, literals are converted
+    and symbols looked up here, each operator is bound to its node, and
+    pow(c, n) over a c that does not mention n evaluates c once it first
+    succeeds and steps from c^k to c^(k+1) with one product.  A missing
+    capability or symbol still raises EvalError only when the node is
+    evaluated, so errors come at the same time, with the same message and
+    in the same order as a walk of the tree at each index would give."""
+    mentions, form = facts[id(node)]
+    if mentions and form is not None:
+        return RationalTerm(form[1], form[2])
+    power = _power_term(node, handle, facts)
     if power is not None:
         return power
     name = handle.name
@@ -390,17 +389,15 @@ def _compile(node: Node, handle: StructureHandle) -> Callable[[int], Element]:
         value = handle.symbols[node.name]
         return lambda n: value
     if isinstance(node, Pow):
-        base = _compile(node.base, handle)
+        base = _compile(node.base, handle, facts)
         if node.exponent is not None:
             exponent = node.exponent
             return lambda n: nat_pow(handle, base(n), exponent)
-        if mentions_index(node.base):
+        if facts[id(node.base)][0]:
             return lambda n: nat_pow(handle, base(n), n)
         stepper = _once(lambda n: powers(handle, base(n)))
         return lambda n: stepper(n)(n)
-    if not isinstance(node, Bin):
-        raise TypeError(f"not a term node: {node!r}")
-    left, right = _compile(node.left, handle), _compile(node.right, handle)
+    left, right = _compile(node.left, handle, facts), _compile(node.right, handle, facts)
     if node.op == "+":
         op = handle.op
         return lambda n: op(left(n), right(n))
@@ -442,13 +439,13 @@ def eval_term(node: Node, handle: StructureHandle, n: int) -> Element:
     sequence."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"index must be a positive integer, got {n!r}")
-    return _compile(node, handle)(n)
+    return _compile(node, handle, _facts(node, handle))(n)
 
 
 def mentions_index(node: Node) -> bool:
     """Whether the term depends on the index n: true of n and of pow(_, n)
-    anywhere in it.  The compiler steps pow(c, n) only over a c for which
-    this is false, and a grid entry for which it is true exits 2."""
+    anywhere in it, as the compiler's _facts also finds.  A grid entry for
+    which it is true exits 2."""
     if isinstance(node, Index):
         return True
     if isinstance(node, Bin):
@@ -461,4 +458,4 @@ def mentions_index(node: Node) -> bool:
 def seq_from_expr(src: str, handle: StructureHandle) -> Seq:
     """Compile source text to a 1-indexed sequence over the structure."""
     ast = parse_term_expr(src)
-    return Seq(pretty(ast), _compile(ast, handle))
+    return Seq(pretty(ast), _compile(ast, handle, _facts(ast, handle)))

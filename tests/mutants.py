@@ -65,6 +65,10 @@ POWER_TESTS = tuple(f"test_power_terms.py::test_{name}" for name in (
     "closed_form_sums_match_the_series_partials",
     "closed_form_alternating_sums_match_the_series_partials",
 ))
+BLOCK_TESTS = (
+    "test_rational_moduli.py::test_block_partial_sums_match_the_series_partials",
+    "test_rational_moduli.py::test_the_alternating_test_sums_rational_terms_in_blocks",
+)
 COLLECTOR_TESTS = (
     "test_suite_laws.py::test_collector_cert_records_a_failed_scan_at_its_epsilon_only",
     "test_suite_laws.py::test_collector_cert_reports_a_capability_error_in_build_as_unverifiable",
@@ -105,13 +109,18 @@ MUTANTS = (
            "order.py", "add, mul = once(s.op), once(s.second_op)",
            "add, mul = once(s.op), s.second_op", COUNT_TESTS),
     Mutant("rational terms: a difference of polynomials taken as their sum",
-           "termexpr.py", 'cross = poly_add if node.op == "+" else poly_sub', "cross = poly_add",
+           "termexpr.py", 'cross = poly_add if op == "+" else poly_sub', "cross = poly_add",
            TERM_TESTS),
     Mutant("rational terms: the denominator evaluated at the next index",
            "sequences.py", "q = q * n + c", "q = q * (n + 1) + c", TERM_TESTS),
     Mutant("rational terms: a symbol read as degree 0",
-           "termexpr.py", "if isinstance(node, Sym):\n        return None",
-           "if isinstance(node, Sym):\n        return 0", TERM_TESTS),
+           "termexpr.py", "mentions, form = False, None", "mentions, form = False, (0, (), (1,))",
+           TERM_TESTS),
+    Mutant("rational terms: the degree bound skipped under a zero exponent",
+           "termexpr.py", "            elif form is not None and",
+           "            elif e == 0:\n                form = 0, (1,), (1,)\n"
+           "            elif form is not None and",
+           ("test_term_compile.py::test_a_zero_exponent_keeps_the_degree_bound_of_its_base",)),
     Mutant("_int_terms: the selection tuple without invert",
            "order.py", "ops = (self.compare, self.op, self.negate, self.second_op, self.invert)",
            "ops = (self.compare, self.op, self.negate, self.second_op)",
@@ -165,9 +174,14 @@ MUTANTS = (
            ("test_rational_moduli.py::test_a_proved_modulus_past_the_index_cap_raises_the_scan_message",
             "test_golden.py::test_golden_bytes[violation-Q-harmonic-fine-grid]")),
     Mutant("block partial sums: even leaves added with the wrong sign",
-           "series.py", "return (num if lo % 2 else -num), den", "return num, den",
-           ("test_rational_moduli.py::test_block_partial_sums_match_the_series_partials",
-            "test_rational_moduli.py::test_the_alternating_test_sums_rational_terms_in_blocks")),
+           "series.py", "return (-num if self.alternating and lo % 2 == 0 else num), den",
+           "return num, den",
+           BLOCK_TESTS),
+    Mutant("block partial sums: a plain block summed with alternating signs",
+           "series.py", "return (-num if self.alternating and lo % 2 == 0 else num), den",
+           "return (-num if lo % 2 == 0 else num), den", BLOCK_TESTS),
+    Mutant("block partial sums: a block started one past the largest known sum",
+           "series.py", "self._block(m + 1, n)", "self._block(m + 2, n)", BLOCK_TESTS),
     Mutant("galloping: the bisection returns the end below the least index",
            "sequences.py", "            lo = mid\n    return hi\n", "            lo = mid\n    return max(lo, 1)\n",
            (POWER_TESTS[0], POWER_TESTS[1])),
@@ -187,12 +201,10 @@ MUTANTS = (
            "sequences.py", "s.lt(self.r, s.one)", "s.le(self.r, s.one)",
            (POWER_TESTS[4], "test_power_terms.py::test_a_ratio_of_one_takes_the_walk")),
     Mutant("closed-form sums: x_(n+1) read as x_n",
-           "series.py", "handle.mul(handle.sub(terms(1), terms(n + 1)), inv)",
-           "handle.mul(handle.sub(terms(1), terms(n)), inv)", (POWER_TESTS[5],)),
+           "series.py", "(x(1), x(n + 1))", "(x(1), x(n))", (POWER_TESTS[5],)),
     Mutant("closed-form alternating sums: the sign of x_(n+1) flipped",
-           "series.py", "handle.mul((handle.op if n % 2 else handle.sub)(x(1), x(n + 1)), inv)",
-           "handle.mul((handle.sub if n % 2 else handle.op)(x(1), x(n + 1)), inv)",
-           (POWER_TESTS[6],)),
+           "series.py", "h.op if self.alternating and n % 2 else h.sub",
+           "h.op if self.alternating and not n % 2 else h.sub", (POWER_TESTS[6],)),
     Mutant("power term: c/p^n compiled without inverting p",
            "termexpr.py", "            r = handle.invert(r)\n", "            pass\n", STEPPED_TESTS),
     Mutant("power term: c = 1 multiplied in and any other c left out",

@@ -5,9 +5,10 @@ the least N with |p(n)/q(n)| < eps at every n >= N, found by Sturm root
 isolation (``poly.tail_start``).  The references here walk every index up
 to Cauchy's root bound, past which no sign can change.  Terms whose divisor
 vanishes at a positive integer, or whose degrees do not give a zero limit,
-must keep the scanned certificate and its errors.  The alternating test
-sums a rational term's pairs in blocks by binary splitting; the reference
-is ``Series(...).partials``, one addition an index.
+must keep the scanned certificate and its errors.  Partial sums, plain
+and alternating, add a rational term's pairs in blocks by binary
+splitting; the reference is ``Series(...).partials`` over a plain copy of
+the term, one addition an index.
 """
 
 import random
@@ -20,7 +21,7 @@ from ordalab import lookup, pretty, seq_from_expr
 from ordalab.poly import tail_start
 from ordalab.sequences import RationalTerm, Seq, scanned_conv_cert, zero_limit_cert
 from ordalab.series import (
-    MonotoneKind, Series, _alternating_sums, alternating_cauchy, check_monotone,
+    MonotoneKind, Series, _PartialSums, alternating_cauchy, check_monotone,
 )
 from ordalab.termexpr import Bin, Index, Lit, Pow
 
@@ -195,15 +196,21 @@ def _signed(seq):
     return Seq(f"alt({seq.name})", lambda i: seq(i) if i % 2 else -seq(i))
 
 
+def _plain(seq):
+    """The same values behind a term function that no consumer reads."""
+    return Seq(seq.name, lambda n: seq(n))
+
+
 @given(numerators, denominators,
-       st.lists(st.integers(1, 120), min_size=1, max_size=8), st.booleans())
-def test_block_partial_sums_match_the_series_partials(num, den, indices, ascending):
+       st.lists(st.integers(1, 120), min_size=1, max_size=8), st.booleans(), st.booleans())
+def test_block_partial_sums_match_the_series_partials(num, den, indices, ascending, alternating):
     src = _source(num, den)
-    reference = Series(Q, _signed(seq_from_expr(src, Q))).partials
+    plain = _plain(seq_from_expr(src, Q))
+    reference = Series(Q, _signed(plain) if alternating else plain).partials
     seq = seq_from_expr(src, Q)
     if type(seq.term) is not RationalTerm:
         return  # a term that does not mention n
-    blocks = _alternating_sums(seq.term.pair)
+    blocks = _PartialSums(Q, seq, alternating)
     if ascending:
         indices = sorted(indices)
     for n in indices:
@@ -230,4 +237,4 @@ def test_the_alternating_test_sums_rational_terms_in_blocks():
     for n in indices:
         assert cert.seq(n) == reference(n)
     assert cert.seq.name == reference.name == "sum(alt(1/(n+3)))"
-    assert cert.seq.term.__qualname__.startswith("_alternating_sums")
+    assert type(cert.seq.term) is _PartialSums and cert.seq.term.pair is not None

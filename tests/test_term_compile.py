@@ -6,12 +6,15 @@ Over generated terms, carriers and indices the two must give equal values
 of the same type, or raise the same exception type with the same message.
 pow(c, n) over a c that does not mention n evaluates c once and steps
 through its powers, so such terms are also called at indices that run up,
-down, repeat and skip.  Over Q, a rational function of n is evaluated over
-plain ints: a term that mentions n and is built from integer literals and
-n by + - * / and fixed natural exponents compiles once to its integer
-polynomials P/Q, evaluated by Horner's rule, unless its degree bound passes
-``_MAX_DEGREE`` or a divisor vanishes at a positive integer; those terms,
-and every handle without Q's own operations, take the general closures.
+down, repeat and skip.  Compiling is one walk that gives every node its
+facts from the leaves up, then one build from the root.  Over Q, a rational
+function of n is evaluated over plain ints: a term that mentions n and is
+built from integer literals and n by + - * / and fixed natural exponents
+compiles to its integer polynomials P/Q, evaluated by Horner's rule, unless
+the degree bound of a node in it passes ``_MAX_DEGREE`` or a divisor
+vanishes at a positive integer; those terms, and every handle without Q's
+own operations, take the general closures.  The facts walk builds each
+node's polynomials once, so compile work grows linearly with the term.
 """
 
 import inspect
@@ -26,6 +29,7 @@ from ordalab import (
     EvalError, eval_term, lookup, parse_term_expr, pretty, registry, seq_from_expr,
 )
 from ordalab import order, termexpr
+from ordalab.poly import poly_mul
 from ordalab.sequences import RationalTerm
 from ordalab.termexpr import Bin, Index, Lit, Pow, Sym, mentions_index
 from term_oracle import eval_term_reference
@@ -90,21 +94,57 @@ def outcome(f, n):
 @settings(max_examples=200)
 # Q, with its own path, half of the time
 @given(TERMS, st.just("Q") | st.sampled_from(sorted(HANDLES)))
-# degree bounds 40 and 36, past _MAX_DEGREE: the general closures over Q
+# degree bounds 40 and 36, past _MAX_DEGREE, and a zero power of a base
+# past it: the general closures over Q
 @example(parse_term_expr("1/n^40"), "Q")
 @example(parse_term_expr("1/(n^8+n^7+n^6+n^5+n^4+n^3+n^2+n+1)"), "Q")
+@example(parse_term_expr("(n^40)^0"), "Q")
 def test_compiled_terms_match_the_tree_walk(node, key):
     handle = HANDLES[key]
     # building the sequence never evaluates: every error waits for an index
     seq = seq_from_expr(pretty(node), handle)
     if key == "Q":
-        # a term that mentions n is a RationalTerm exactly when it has polynomials
-        assert (type(seq.term) is RationalTerm) is (
-            mentions_index(node) and termexpr._polys(node) is not None)
+        # a term that mentions n is a RationalTerm exactly when the facts
+        # walk gives it polynomials
+        mentions, form = termexpr._facts(node, handle)[id(node)]
+        assert mentions is mentions_index(node)
+        assert (type(seq.term) is RationalTerm) is (mentions and form is not None)
     for n in (*INDICES, *FAR_INDICES) if key == "Q" else INDICES:
         expected = outcome(lambda i: eval_term_reference(node, handle, i), n)
         assert outcome(seq.term, n) == expected
         assert outcome(lambda i: eval_term(node, handle, i), n) == expected
+
+
+def test_a_zero_exponent_keeps_the_degree_bound_of_its_base():
+    # n^40 and n^100000000 pass _MAX_DEGREE, so their zeroth powers take the
+    # closures; the second compiles at once and is not evaluated here
+    for expr in ("(n^40)^0", "(n^100000000)^0"):
+        assert type(seq_from_expr(expr, Q).term) is not RationalTerm, expr
+
+
+def test_compile_work_grows_linearly(monkeypatch):
+    """The nested term (...((n+1/(n-1))+1/(n-2))+...+1/(n-k)) has k
+    divisors that vanish at a positive integer: twice the divisors make at
+    most twice the polynomial products."""
+    count = 0
+
+    def counting(p, q):
+        nonlocal count
+        count += 1
+        return poly_mul(p, q)
+
+    monkeypatch.setattr(termexpr, "poly_mul", counting)
+
+    def products(k):
+        nonlocal count
+        src = "n"
+        for j in range(1, k + 1):
+            src = f"({src}+1/(n-{j}))"
+        count = 0
+        assert type(seq_from_expr(src, Q).term) is not RationalTerm
+        return count
+
+    assert 0 < products(32) <= 2 * products(16)
 
 
 def test_a_zero_divisor_at_a_far_index_names_that_index():
