@@ -69,7 +69,8 @@ class _PartialSums:
     over a RationalTerm's integer pairs under Q's own operations; for a
     PowerTerm c r^n whose 1 - r (1 + r when alternating) is a unit, s_n
     comes in closed form; otherwise the terms are added one at a time, and
-    each sum is kept."""
+    each sum is kept.  The dict of sums is also the cache of the Seq whose
+    term this is, so each sum is stored once."""
 
     def __init__(self, handle: StructureHandle, x: Seq, alternating: bool):
         self.handle, self.x, self.alternating = handle, x, alternating
@@ -121,16 +122,17 @@ class _PartialSums:
 class Series:
     """Terms x_1, x_2, ... with derived partial sums s_n = x_1 + ... + x_n,
     each the largest sum already known below n plus the block of terms
-    between them (_PartialSums): a probe far out sums a RationalTerm's block
-    by binary splitting and takes a PowerTerm's sum in closed form."""
+    between them (_PartialSums).  A probe far out sums a RationalTerm's
+    block by binary splitting under Q's own operations, and takes the sum
+    of a PowerTerm c r^n whose 1 - r is a unit in closed form."""
 
     handle: StructureHandle
     terms: Seq
     partials: Seq = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "partials", Seq(
-            f"sum({self.terms.name})", _PartialSums(self.handle, self.terms, False)))
+        sums = _PartialSums(self.handle, self.terms, False)
+        object.__setattr__(self, "partials", Seq(f"sum({self.terms.name})", sums, sums.sums))
 
 
 def terms_from_partials(handle: StructureHandle, partials: Seq) -> Seq:
@@ -254,7 +256,8 @@ def alternating_cauchy(
         raise ValueError(f"{c0.seq.name} does not carry a zero limit")
     _sample_agree(c0.seq, x, 8, "zero-limit certificate is for a different sequence")
 
-    partials = Seq(f"sum(alt({x.name}))", _PartialSums(handle, x, True))
+    sums = _PartialSums(handle, x, True)
+    partials = Seq(f"sum(alt({x.name}))", sums, sums.sums)
     return CauchyCert(space, partials, lambda eps: modulus_at(c0.modulus, eps))
 
 
