@@ -53,7 +53,7 @@ class Seq:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, n: int) -> Element:
-        if n < 1:
+        if n < 1 or n is True:  # True is an int, but not the index 1
             raise ValueError(f"sequence index must be >= 1, got {n}")
         if n not in self._cache:
             self._cache[n] = self.term(n)
@@ -63,7 +63,7 @@ class Seq:
 class RationalTerm:
     """The term function of a rational function of n over Q, given as its
     unreduced integer polynomials num = P and den = Q in n, with Q(n) != 0
-    at every n >= 1 (termexpr._facts).  pair(n) gives the ints
+    at every n >= 1 (termexpr._Facts.form).  pair(n) gives the ints
     (P(n), Q(n)), evaluated by Horner's rule, and the term at n is their
     quotient.  zero_limit_cert reads the polynomials, and partial sums,
     plain and alternating, read the pairs."""

@@ -13,7 +13,7 @@ verifier samples.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
@@ -70,7 +70,8 @@ class _PartialSums:
     PowerTerm c r^n whose 1 - r (1 + r when alternating) is a unit, s_n
     comes in closed form; otherwise the terms are added one at a time, and
     each sum is kept.  The dict of sums is also the cache of the Seq whose
-    term this is, so each sum is stored once."""
+    term this is, so each sum is stored once, and that Seq calls it only
+    for an index it holds no sum for."""
 
     def __init__(self, handle: StructureHandle, x: Seq, alternating: bool):
         self.handle, self.x, self.alternating = handle, x, alternating
@@ -96,26 +97,26 @@ class _PartialSums:
 
     def __call__(self, n: int) -> Element:
         sums, known, h, x = self.sums, self.known, self.handle, self.x
-        if n in sums:
-            return sums[n]
         i = bisect_left(known, n)
         m = known[i - 1] if i else 0
         if n - m > 1 and self.pair is not None:
             block = Fraction(*self._block(m + 1, n))
-            sums[n] = block if m == 0 else sums[m] + block
+            s = block if m == 0 else sums[m] + block
         elif n - m > 1 and self.inv is not None:
             # c r +- ... = (x_1 - x_(n+1)) / (1 - r), or (x_1 - (-1)^n x_(n+1)) / (1 + r)
             flip = h.op if self.alternating and n % 2 else h.sub
-            sums[n] = h.mul(flip(x(1), x(n + 1)), self.inv)
+            s = h.mul(flip(x(1), x(n + 1)), self.inv)
         else:
             s = sums.get(m)  # None at m = 0
             for k in range(m + 1, n + 1):
                 add = h.sub if self.alternating and k % 2 == 0 else h.op
                 s = sums[k] = x(k) if s is None else add(s, x(k))
-                insort(known, k)
+            # a one-index run goes in as a tuple: a range is slower to insert
+            known[i:i] = range(m + 1, n + 1) if n - m > 1 else (n,)
             return s
-        insort(known, n)
-        return sums[n]
+        sums[n] = s
+        known.insert(i, n)
+        return s
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Union
 
-from .order import StructureHandle, nat_pow, powers
+from .order import StructureHandle, nat_pow
 from .poly import poly, poly_add, poly_eval, poly_mul, poly_pow, poly_sub, real_root_floors
 from .sequences import PowerTerm, RationalTerm, Seq
 
@@ -250,63 +250,62 @@ def _raiser(reason: str) -> Callable[[int], Element]:
     return term
 
 
-def _once(term: Callable[[int], Element]) -> Callable[[int], Element]:
-    # its first value serves every later index.  A failure is not kept, so
-    # each call raises it again, naming its own index.
-    value: list = []
-
-    def once(n: int) -> Element:
-        if not value:
-            value.append(term(n))
-        return value[0]
-
-    return once
-
-
-# The highest degree bound a node may have and still get polynomials
-# (_facts); a node past it has none, nor has any node above it.
+# The highest degree bound a node may have and still have a form
+# (_Facts.form); a node past it has none, nor has any node above it.
 _MAX_DEGREE = 32
 
 
-def _facts(root: Node, handle: StructureHandle) -> dict:
-    """Every node's facts by id, given once, from the leaves up: whether it
-    mentions n, and its form (d, P, Q) or None.  Only over a handle with Q's
-    own operations does a node have a form: its unreduced integer
-    polynomials P and Q in n, P/Q its value at every n >= 1, and a bound d
-    on both their degrees.  It has one when it is built from integer
-    literals and n by + - * / and fixed natural exponents, no node in it
-    has a bound past _MAX_DEGREE, and no divisor in it vanishes at a
-    positive integer, where the general closures raise and name the index."""
-    facts: dict = {}
-    int_terms = handle._int_terms
+class _Facts:
+    """The facts of one term's nodes, by id, for one compile.
 
-    def walk(node: Node) -> tuple[bool, tuple | None]:
-        if isinstance(node, Lit):
-            mentions, form = False, ((0, poly((node.value,)), (1,)) if int_terms else None)
-        elif isinstance(node, Index):
-            mentions, form = True, ((1, (0, 1), (1,)) if int_terms else None)
-        elif isinstance(node, Sym):
-            mentions, form = False, None
+    One walk from the leaves up records in mentions whether each node
+    mentions n.  A node's form (d, P, Q) is built by form only when asked
+    for, and kept: its unreduced integer polynomials P and Q in n, P/Q its
+    value at every n >= 1, and a bound d on both their degrees."""
+
+    def __init__(self, root: Node):
+        self.mentions: dict = {}
+        self._forms: dict = {}
+        self._walk(root)
+
+    def _walk(self, node: Node) -> bool:
+        if isinstance(node, Bin):
+            mentions = self._walk(node.left) | self._walk(node.right)  # walks both, as or would not
         elif isinstance(node, Pow):
-            mentions, form = walk(node.base)
-            e = node.exponent
-            if e is None:
-                mentions, form = True, None
-            elif form is not None and form[0] * e <= _MAX_DEGREE:
-                form = form[0] * e, poly_pow(form[1], e), poly_pow(form[2], e)
-            else:
-                form = None
-        elif isinstance(node, Bin):
-            (mentions, left), (right_mentions, right) = walk(node.left), walk(node.right)
-            mentions = mentions or right_mentions
-            form = None if left is None or right is None else _combine(node.op, left, right)
+            mentions = self._walk(node.base) or node.exponent is None
+        elif isinstance(node, (Lit, Index, Sym)):
+            mentions = type(node) is Index
         else:
             raise TypeError(f"not a term node: {node!r}")
-        facts[id(node)] = mentions, form
-        return mentions, form
+        self.mentions[id(node)] = mentions
+        return mentions
 
-    walk(root)
-    return facts
+    def form(self, node: Node) -> tuple | None:
+        """node's form, or None.  A node has one when it is built from
+        integer literals and n by + - * / and fixed natural exponents, no
+        node in it has a bound past _MAX_DEGREE, and no divisor in it
+        vanishes at a positive integer, where the general closures raise
+        and name the index.  A Bin whose left side has no form does not
+        build its right side's, and pow(b, n) does not build b's."""
+        forms = self._forms
+        if id(node) in forms:
+            return forms[id(node)]
+        form = None
+        if isinstance(node, Lit):
+            form = 0, poly((node.value,)), (1,)
+        elif isinstance(node, Index):
+            form = 1, (0, 1), (1,)
+        elif isinstance(node, Pow) and node.exponent is not None:
+            e, base = node.exponent, self.form(node.base)
+            if base is not None and base[0] * e <= _MAX_DEGREE:
+                form = base[0] * e, poly_pow(base[1], e), poly_pow(base[2], e)
+        elif isinstance(node, Bin):
+            left = self.form(node.left)
+            right = None if left is None else self.form(node.right)
+            if right is not None:
+                form = _combine(node.op, left, right)
+        forms[id(node)] = form
+        return form
 
 
 def _combine(op: str, left: tuple, right: tuple) -> tuple | None:
@@ -326,16 +325,16 @@ def _combine(op: str, left: tuple, right: tuple) -> tuple | None:
     return d1 + d2, cross(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d)
 
 
-def _power_term(node: Node, handle: StructureHandle, facts: dict) -> PowerTerm | None:
+def _power_term(node: Node, handle: StructureHandle, facts: _Facts) -> PowerTerm | None:
     """The term as a PowerTerm c*r^n, when its syntax is pow(b, n) or b^n,
     c*pow(b, n) or c/b^n, with c and b free of n and r = b, or r = 1/b
     after '/'; handle's first metric space has a _group; and c and r
     evaluate now.  Else None, and the term keeps the general closures with
     their errors."""
-    c, power = None, node
-    if isinstance(node, Bin) and node.op in ("*", "/") and not facts[id(node.left)][0]:
+    c, power, mentions = None, node, facts.mentions
+    if isinstance(node, Bin) and node.op in ("*", "/") and not mentions[id(node.left)]:
         c, power = node.left, node.right
-    if (not isinstance(power, Pow) or power.exponent is not None or facts[id(power.base)][0]
+    if (not isinstance(power, Pow) or power.exponent is not None or mentions[id(power.base)]
             or handle.second_op is None or handle.one is None
             or not handle.metrics or handle.metrics[0]._group is None):
         return None
@@ -349,22 +348,23 @@ def _power_term(node: Node, handle: StructureHandle, facts: dict) -> PowerTerm |
     return PowerTerm(handle, c, r)
 
 
-def _compile(node: Node, handle: StructureHandle, facts: dict) -> Callable[[int], Element]:
+def _compile(node: Node, handle: StructureHandle, facts: _Facts) -> Callable[[int], Element]:
     """The term as a function of the index n >= 1, built once from the root
-    down, given the facts of its nodes (_facts).
+    down, given the facts of its nodes (_Facts).
 
-    The build stops at the highest node that mentions n and has a form: a
-    RationalTerm over Q's own operations, which evaluates P and Q over
-    ints into one Fraction; or at one whose syntax is c*r^n and whose c and
-    r evaluate: a PowerTerm (_power_term).  Below, literals are converted
-    and symbols looked up here, each operator is bound to its node, and
-    pow(c, n) over a c that does not mention n evaluates c once it first
-    succeeds and steps from c^k to c^(k+1) with one product.  A missing
-    capability or symbol still raises EvalError only when the node is
-    evaluated, so errors come at the same time, with the same message and
-    in the same order as a walk of the tree at each index would give."""
-    mentions, form = facts[id(node)]
-    if mentions and form is not None:
+    The build stops at the highest node that mentions n and, over a handle
+    with Q's own operations, has a form: a RationalTerm, which evaluates P
+    and Q over ints into one Fraction; or at one whose syntax is c*r^n and
+    whose c and r evaluate: a PowerTerm (_power_term).  Only such a node
+    asks for its form, so an index-free subterm has none built unless a
+    node above it needs it.  Below, literals are converted and symbols
+    looked up here, and each operator is bound to its node; pow(b, n) takes
+    b^n by square-and-multiply at each index.  A missing capability or
+    symbol still raises EvalError only when the node is evaluated, so
+    errors come at the same time, with the same message and in the same
+    order as a walk of the tree at each index would give."""
+    form = facts.form(node) if facts.mentions[id(node)] and handle._int_terms else None
+    if form is not None:
         return RationalTerm(form[1], form[2])
     power = _power_term(node, handle, facts)
     if power is not None:
@@ -389,14 +389,10 @@ def _compile(node: Node, handle: StructureHandle, facts: dict) -> Callable[[int]
         value = handle.symbols[node.name]
         return lambda n: value
     if isinstance(node, Pow):
-        base = _compile(node.base, handle, facts)
-        if node.exponent is not None:
-            exponent = node.exponent
-            return lambda n: nat_pow(handle, base(n), exponent)
-        if facts[id(node.base)][0]:
+        base, exponent = _compile(node.base, handle, facts), node.exponent
+        if exponent is None:
             return lambda n: nat_pow(handle, base(n), n)
-        stepper = _once(lambda n: powers(handle, base(n)))
-        return lambda n: stepper(n)(n)
+        return lambda n: nat_pow(handle, base(n), exponent)
     left, right = _compile(node.left, handle, facts), _compile(node.right, handle, facts)
     if node.op == "+":
         op = handle.op
@@ -439,23 +435,17 @@ def eval_term(node: Node, handle: StructureHandle, n: int) -> Element:
     sequence."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"index must be a positive integer, got {n!r}")
-    return _compile(node, handle, _facts(node, handle))(n)
+    return _compile(node, handle, _Facts(node))(n)
 
 
 def mentions_index(node: Node) -> bool:
     """Whether the term depends on the index n: true of n and of pow(_, n)
-    anywhere in it, as the compiler's _facts also finds.  A grid entry for
-    which it is true exits 2."""
-    if isinstance(node, Index):
-        return True
-    if isinstance(node, Bin):
-        return mentions_index(node.left) or mentions_index(node.right)
-    if isinstance(node, Pow):
-        return node.exponent is None or mentions_index(node.base)
-    return False
+    anywhere in it, read from the compiler's facts walk (_Facts).  A grid
+    entry for which it is true exits 2."""
+    return _Facts(node).mentions[id(node)]
 
 
 def seq_from_expr(src: str, handle: StructureHandle) -> Seq:
     """Compile source text to a 1-indexed sequence over the structure."""
     ast = parse_term_expr(src)
-    return Seq(pretty(ast), _compile(ast, handle, _facts(ast, handle)))
+    return Seq(pretty(ast), _compile(ast, handle, _Facts(ast)))

@@ -114,13 +114,18 @@ MUTANTS = (
     Mutant("rational terms: the denominator evaluated at the next index",
            "sequences.py", "q = q * n + c", "q = q * (n + 1) + c", TERM_TESTS),
     Mutant("rational terms: a symbol read as degree 0",
-           "termexpr.py", "mentions, form = False, None", "mentions, form = False, (0, (), (1,))",
+           "termexpr.py", "if isinstance(node, Lit):\n            form = 0, poly((node.value,)), (1,)",
+           "if isinstance(node, Sym):\n            form = 0, (), (1,)\n"
+           "        elif isinstance(node, Lit):\n            form = 0, poly((node.value,)), (1,)",
            TERM_TESTS),
     Mutant("rational terms: the degree bound skipped under a zero exponent",
-           "termexpr.py", "            elif form is not None and",
-           "            elif e == 0:\n                form = 0, (1,), (1,)\n"
-           "            elif form is not None and",
+           "termexpr.py", "            if base is not None and base[0] * e <= _MAX_DEGREE:",
+           "            if e == 0:\n                form = 0, (1,), (1,)\n"
+           "            elif base is not None and base[0] * e <= _MAX_DEGREE:",
            ("test_term_compile.py::test_a_zero_exponent_keeps_the_degree_bound_of_its_base",)),
+    Mutant("rational terms: a Bin's form built from its left side only",
+           "termexpr.py", "right = None if left is None else self.form(node.right)",
+           "right = left", TERM_TESTS),
     Mutant("_int_terms: the selection tuple without invert",
            "order.py", "ops = (self.compare, self.op, self.negate, self.second_op, self.invert)",
            "ops = (self.compare, self.op, self.negate, self.second_op)",
@@ -182,6 +187,12 @@ MUTANTS = (
            "return (-num if lo % 2 == 0 else num), den", BLOCK_TESTS),
     Mutant("block partial sums: a block started one past the largest known sum",
            "series.py", "self._block(m + 1, n)", "self._block(m + 2, n)", BLOCK_TESTS),
+    Mutant("partial sums: the stepped run inserted one position late",
+           "series.py", "known[i:i] =", "known[i + 1:i + 1] =",
+           BLOCK_TESTS),
+    Mutant("Seq: True taken as the index 1",
+           "sequences.py", "if n < 1 or n is True:", "if n < 1:",
+           ("test_termexpr.py::test_a_sequence_takes_only_a_positive_integer_index",)),
     Mutant("galloping: the bisection returns the end below the least index",
            "sequences.py", "            lo = mid\n    return hi\n", "            lo = mid\n    return max(lo, 1)\n",
            (POWER_TESTS[0], POWER_TESTS[1])),

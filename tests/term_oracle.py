@@ -2,7 +2,8 @@
 
 This is the evaluator that ``ordalab.termexpr``'s compiled closures
 replace: it dispatches on the node type and converts every literal again at
-each index.  It is kept only as a differential oracle for the tests.
+each index.  It is kept only as a differential oracle for the tests, with
+a recursive reference for the compiler's record of which nodes mention n.
 """
 
 from fractions import Fraction
@@ -65,3 +66,15 @@ def eval_term_reference(node, handle, n):
         raise TypeError(f"not a term node: {node!r}")
 
     return go(node)
+
+
+def mentions_index_reference(node):
+    """Whether the term depends on the index n: true of n and of pow(_, n)
+    anywhere in it."""
+    if isinstance(node, Index):
+        return True
+    if isinstance(node, Bin):
+        return mentions_index_reference(node.left) or mentions_index_reference(node.right)
+    if isinstance(node, Pow):
+        return node.exponent is None or mentions_index_reference(node.base)
+    return False

@@ -210,7 +210,9 @@ def test_block_partial_sums_match_the_series_partials(num, den, indices, ascendi
     seq = seq_from_expr(src, Q)
     if type(seq.term) is not RationalTerm:
         return  # a term that does not mention n
-    blocks = _PartialSums(Q, seq, alternating)
+    # through a Seq, as Series and alternating_cauchy call it: an index may repeat
+    sums = _PartialSums(Q, seq, alternating)
+    blocks = Seq(src, sums, sums.sums)
     if ascending:
         indices = sorted(indices)
     for n in indices:
@@ -224,6 +226,7 @@ def test_block_partial_sums_match_the_series_partials(num, den, indices, ascendi
         except ValueError as exc:
             got = type(exc), str(exc)
         assert got == want, (src, n)
+    assert sums.known == sorted(sums.sums)
 
 
 def test_the_alternating_test_sums_rational_terms_in_blocks():

@@ -4,17 +4,19 @@
 is the per-index walk of the syntax tree kept in ``tests/term_oracle.py``.
 Over generated terms, carriers and indices the two must give equal values
 of the same type, or raise the same exception type with the same message.
-pow(c, n) over a c that does not mention n evaluates c once and steps
-through its powers, so such terms are also called at indices that run up,
-down, repeat and skip.  Compiling is one walk that gives every node its
-facts from the leaves up, then one build from the root.  Over Q, a rational
-function of n is evaluated over plain ints: a term that mentions n and is
-built from integer literals and n by + - * / and fixed natural exponents
-compiles to its integer polynomials P/Q, evaluated by Horner's rule, unless
-the degree bound of a node in it passes ``_MAX_DEGREE`` or a divisor
-vanishes at a positive integer; those terms, and every handle without Q's
-own operations, take the general closures.  The facts walk builds each
-node's polynomials once, so compile work grows linearly with the term.
+pow(c, n) over a c that does not mention n is a power term c^n or, where
+none can be built, a closure; such terms are also called at indices that
+run up, down, repeat and skip.  Compiling is one walk that records, from
+the leaves up, which nodes mention n, then one build from the root.  Over
+Q, a rational function of n is evaluated over plain ints: a term that
+mentions n and is built from integer literals and n by + - * / and fixed
+natural exponents compiles to its integer polynomials P/Q, evaluated by
+Horner's rule, unless the degree bound of a node in it passes
+``_MAX_DEGREE`` or a divisor vanishes at a positive integer; those terms,
+and every handle without Q's own operations, take the general closures.
+A node's polynomials are built once, and only when a node that mentions n
+asks for them, so compile work grows linearly with the term and an
+index-free term builds none.
 """
 
 import inspect
@@ -31,8 +33,8 @@ from ordalab import (
 from ordalab import order, termexpr
 from ordalab.poly import poly_mul
 from ordalab.sequences import RationalTerm
-from ordalab.termexpr import Bin, Index, Lit, Pow, Sym, mentions_index
-from term_oracle import eval_term_reference
+from ordalab.termexpr import Bin, Index, Lit, Pow, Sym
+from term_oracle import eval_term_reference, mentions_index_reference
 
 Q = lookup("Q")
 # the carriers terms are written over, a few that lack literals, subtraction
@@ -82,6 +84,16 @@ def _terms(depth):
 TERMS = _terms(3)
 
 
+def _nodes(node):
+    """node and every node below it."""
+    yield node
+    if isinstance(node, Bin):
+        yield from _nodes(node.left)
+        yield from _nodes(node.right)
+    elif isinstance(node, Pow):
+        yield from _nodes(node.base)
+
+
 def outcome(f, n):
     """The value and its type, or the exception type and message."""
     try:
@@ -103,12 +115,13 @@ def test_compiled_terms_match_the_tree_walk(node, key):
     handle = HANDLES[key]
     # building the sequence never evaluates: every error waits for an index
     seq = seq_from_expr(pretty(node), handle)
+    facts = termexpr._Facts(node)
+    for sub in _nodes(node):
+        assert facts.mentions[id(sub)] is mentions_index_reference(sub)
     if key == "Q":
-        # a term that mentions n is a RationalTerm exactly when the facts
-        # walk gives it polynomials
-        mentions, form = termexpr._facts(node, handle)[id(node)]
-        assert mentions is mentions_index(node)
-        assert (type(seq.term) is RationalTerm) is (mentions and form is not None)
+        # a term that mentions n is a RationalTerm exactly when it has a form
+        mentions = facts.mentions[id(node)]
+        assert (type(seq.term) is RationalTerm) is (mentions and facts.form(node) is not None)
     for n in (*INDICES, *FAR_INDICES) if key == "Q" else INDICES:
         expected = outcome(lambda i: eval_term_reference(node, handle, i), n)
         assert outcome(seq.term, n) == expected
@@ -122,10 +135,9 @@ def test_a_zero_exponent_keeps_the_degree_bound_of_its_base():
         assert type(seq_from_expr(expr, Q).term) is not RationalTerm, expr
 
 
-def test_compile_work_grows_linearly(monkeypatch):
-    """The nested term (...((n+1/(n-1))+1/(n-2))+...+1/(n-k)) has k
-    divisors that vanish at a positive integer: twice the divisors make at
-    most twice the polynomial products."""
+@pytest.fixture
+def products(monkeypatch):
+    """products(build): the polynomial products termexpr makes in build()."""
     count = 0
 
     def counting(p, q):
@@ -135,16 +147,39 @@ def test_compile_work_grows_linearly(monkeypatch):
 
     monkeypatch.setattr(termexpr, "poly_mul", counting)
 
-    def products(k):
+    def made_by(build):
         nonlocal count
+        count = 0
+        build()
+        return count
+
+    return made_by
+
+
+def test_compile_work_grows_linearly(products):
+    """The nested term (...((n+1/(n-1))+1/(n-2))+...+1/(n-k)) has k
+    divisors that vanish at a positive integer: twice the divisors make at
+    most twice the polynomial products."""
+
+    def nested(k):
         src = "n"
         for j in range(1, k + 1):
             src = f"({src}+1/(n-{j}))"
-        count = 0
         assert type(seq_from_expr(src, Q).term) is not RationalTerm
-        return count
+        return src
 
-    assert 0 < products(32) <= 2 * products(16)
+    assert 0 < products(lambda: nested(32)) <= 2 * products(lambda: nested(16))
+
+
+def test_only_a_node_that_mentions_n_builds_polynomials(products):
+    """A form is built only where a node that mentions n asks for it: an
+    index-free term, the base of pow(b, n) and the other side of a product
+    whose first side has none build no polynomials."""
+    for expr in ("pow(1/3, n)", "3*pow(2/5, n)"):
+        assert products(lambda: seq_from_expr(expr, Q)) == 0, expr
+    grid_entry = parse_term_expr("1/1099511627776")
+    assert products(lambda: eval_term(grid_entry, Q, 1)) == 0
+    assert products(lambda: seq_from_expr("1/(n+8)", Q)) == 5
 
 
 def test_a_zero_divisor_at_a_far_index_names_that_index():

@@ -156,6 +156,14 @@ def test_eval_term_takes_only_a_positive_integer_index(n):
         eval_term(parse_term_expr("1/(n+1)"), Q, n)
 
 
+def test_a_sequence_takes_only_a_positive_integer_index():
+    # seq(True) returned x_1 and cached it under the key True
+    seq = seq_from_expr("1/(n+1)", Q)
+    with pytest.raises(ValueError, match="^sequence index must be >= 1, got True$"):
+        seq(True)
+    assert seq._cache == {} and seq(1) == F(1, 2)
+
+
 def test_a_missing_inverse_is_an_eval_error():
     with pytest.raises(EvalError, match="^2 has no inverse among the integers$"):
         eval_term(parse_term_expr("1/2^n"), lookup("Z"), 1)
