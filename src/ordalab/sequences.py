@@ -14,6 +14,7 @@ encode.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,8 +94,8 @@ class PowerTerm:
     over a handle whose first metric space has a _group, so the reference
     registry, which drops _group, keeps the general closures.  Moduli,
     partial sums and monotonicity read c and r instead of scanning or
-    summing: zero_limit_cert, sums_conv_cert, sums_cauchy_cert, and in the
-    series module check_monotone, Series and alternating_cauchy."""
+    summing: zero_limit_cert, sums_conv_cert, sums_cauchy_cert, PartialSums
+    and, in the series module, check_monotone."""
 
     def __init__(self, handle: StructureHandle, c: Element, r: Element):
         self.c, self.r = c, r
@@ -109,6 +110,99 @@ class PowerTerm:
         """Whether 0 < c and 0 < r < 1 in s: the terms are positive and
         strictly decrease at every index."""
         return s.is_positive(self.c) and s.is_positive(self.r) and s.lt(self.r, s.one)
+
+
+def _unit_inverse(handle: StructureHandle, x: Element) -> Element | None:
+    """x^-1 when x is a unit of handle, else None."""
+    if handle.invert is None:
+        return None
+    try:
+        return handle.invert(x)
+    except ValueError:  # 0, or 2/3 in Z[1/3]
+        return None
+
+
+class PartialSums:
+    """The term function n -> s_n = x_1 + x_2 + ... + x_n, or x_1 - x_2 +
+    ... +- x_n when alternating: the term of series.Series(...).partials
+    and of series.alternating_cauchy's sums.
+
+    s_n is the largest sum already known below n plus the block of terms
+    between them, and is kept.  A one-term block adds +-x_n.  A longer
+    block is skipped according to x's shape: summed by binary splitting
+    over a RationalTerm's integer pairs under Q's own operations; for a
+    PowerTerm c r^n whose 1 - r (1 + r when alternating) is a unit, s_n
+    comes in closed form; otherwise the terms are added one at a time, and
+    each sum is kept.  The dict of sums is also the cache of the Seq whose
+    term this is, so each sum is stored once, and that Seq calls it only
+    for an index it holds no sum for.  window gives the values of a Cauchy
+    window, from the gaps when the sums are far below it."""
+
+    def __init__(self, handle: StructureHandle, x: Seq, alternating: bool):
+        self.handle, self.x, self.alternating = handle, x, alternating
+        self.sums: dict = {}
+        self.known: list = []  # the indices of sums, ascending
+        t = x.term
+        self.pair = t.pair if type(t) is RationalTerm and handle._int_terms else None
+        shift = handle.op if alternating else handle.sub  # 1 + r, or 1 - r
+        self.inv = (_unit_inverse(handle, shift(handle.one, t.r))
+                    if type(t) is PowerTerm else None)
+
+    def _block(self, lo: int, hi: int) -> tuple[int, int]:
+        """The sum of the signed terms lo..hi as an unreduced integer pair,
+        by binary splitting: the halves are summed apart and added once.
+        Leaves are evaluated in index order."""
+        if lo == hi:
+            num, den = self.pair(lo)
+            return (-num if self.alternating and lo % 2 == 0 else num), den
+        mid = (lo + hi) // 2
+        a, b = self._block(lo, mid)
+        c, d = self._block(mid + 1, hi)
+        return a * d + c * b, b * d
+
+    def __call__(self, n: int) -> Element:
+        sums, known, h, x = self.sums, self.known, self.handle, self.x
+        i = bisect_left(known, n)
+        m = known[i - 1] if i else 0
+        if n - m > 1 and self.pair is not None:
+            block = Fraction(*self._block(m + 1, n))
+            s = block if m == 0 else sums[m] + block
+        elif n - m > 1 and self.inv is not None:
+            # c r +- ... = (x_1 - x_(n+1)) / (1 - r), or (x_1 - (-1)^n x_(n+1)) / (1 + r)
+            flip = h.op if self.alternating and n % 2 else h.sub
+            s = h.mul(flip(x(1), x(n + 1)), self.inv)
+        else:
+            s = sums.get(m)  # None at m = 0
+            for k in range(m + 1, n + 1):
+                add = h.sub if self.alternating and k % 2 == 0 else h.op
+                s = sums[k] = x(k) if s is None else add(s, x(k))
+            # a one-index run goes in as a tuple: a range is slower to insert
+            known[i:i] = range(m + 1, n + 1) if n - m > 1 else (n,)
+            return s
+        sums[n] = s
+        known.insert(i, n)
+        return s
+
+    def window(self, n: int, offs: Sequence[int]) -> list:
+        """The values at n + o for the ascending offsets offs, from 0, up
+        to one shift of them all.  With a RationalTerm's pairs, and the
+        largest known sum at or below n more than offs[-1] below n, they
+        are s_(n+o) - s_n, added up from blocks of at most offs[-1] terms
+        between consecutive offsets and kept nowhere: a far window costs
+        its own terms, not the prefix below it.  Otherwise they are the
+        sums themselves, taken from the dict or made and kept as by a
+        call."""
+        sums, known = self.sums, self.known
+        i = bisect_right(known, n)
+        if self.pair is None or n - (known[i - 1] if i else 0) <= offs[-1]:
+            return [sums[n + o] if n + o in sums else self(n + o) for o in offs]
+        out, num, den, last = [], 0, 1, n
+        for o in offs:
+            if n + o > last:
+                a, b = self._block(last + 1, n + o)
+                num, den, last = num * b + a * den, den * b, n + o
+            out.append(Fraction(num, den))
+        return out
 
 
 @dataclass(frozen=True)
@@ -249,6 +343,18 @@ def verify_conv_cert(
     return out
 
 
+def window_values(cert: CauchyCert, n: int, offs: Sequence[int]) -> list:
+    """The values of cert.seq at n + o for the ascending offsets offs, from
+    0.  On a space with an ordered abelian _group the distance is |x - y|,
+    which a shift of every value leaves alone, so partial sums give them
+    up to one shift (PartialSums.window); any other sequence or space gives
+    the values themselves."""
+    t = cert.seq.term
+    if type(t) is PartialSums and cert.space._group is not None:
+        return t.window(n, offs)
+    return [cert.seq(n + o) for o in offs]
+
+
 def verify_cauchy_cert(
     cert: CauchyCert,
     grid: Sequence[Element] | None = None,
@@ -260,14 +366,16 @@ def verify_cauchy_cert(
     On a space with an ordered abelian _group (absolute_value_metric on Q,
     Z, Z[1/2], Z[1/3], Z(X)) the values are pairwise within eps exactly
     when their min and max are, so a clean window costs one distance; a
-    window that fails, and any other space, walks the pairs."""
+    window that fails, and any other space, walks the pairs.  The values
+    come from window_values, so a window of partial sums far past every
+    known sum reads its gaps."""
     space, s = cert.space, cert.space.codomain
     grp = space._group
     out: list[Violation] = []
     offs = _offsets(horizon)
     for eps in _grid_for(space, grid):
         n0 = modulus_at(cert.modulus, eps)
-        xs = [cert.seq(n0 + o) for o in offs]
+        xs = window_values(cert, n0, offs)
         if grp is not None:
             lo = hi = xs[0]
             for x in xs:

@@ -13,9 +13,7 @@ verifier samples.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from .metric import MetricSpace, NormedGroup, absolute_value
@@ -33,8 +31,8 @@ from .order import (
 from .sequences import (
     CauchyCert,
     ConvCert,
+    PartialSums,
     PowerTerm,
-    RationalTerm,
     Seq,
     add_certs,
     constant_cert,
@@ -44,86 +42,17 @@ from .sequences import (
     shift_cert,
     split_max,
     unshift_cert,
+    window_values,
 )
 
 Element = Any
-
-
-def _unit_inverse(handle: StructureHandle, x: Element) -> Element | None:
-    """x^-1 when x is a unit of handle, else None."""
-    if handle.invert is None:
-        return None
-    try:
-        return handle.invert(x)
-    except ValueError:  # 0, or 2/3 in Z[1/3]
-        return None
-
-
-class _PartialSums:
-    """The term function n -> s_n = x_1 + x_2 + ... + x_n, or x_1 - x_2 +
-    ... +- x_n when alternating.
-
-    s_n is the largest sum already known below n plus the block of terms
-    between them, and is kept.  A one-term block adds +-x_n.  A longer
-    block is skipped according to x's shape: summed by binary splitting
-    over a RationalTerm's integer pairs under Q's own operations; for a
-    PowerTerm c r^n whose 1 - r (1 + r when alternating) is a unit, s_n
-    comes in closed form; otherwise the terms are added one at a time, and
-    each sum is kept.  The dict of sums is also the cache of the Seq whose
-    term this is, so each sum is stored once, and that Seq calls it only
-    for an index it holds no sum for."""
-
-    def __init__(self, handle: StructureHandle, x: Seq, alternating: bool):
-        self.handle, self.x, self.alternating = handle, x, alternating
-        self.sums: dict = {}
-        self.known: list = []  # the indices of sums, ascending
-        t = x.term
-        self.pair = t.pair if type(t) is RationalTerm and handle._int_terms else None
-        shift = handle.op if alternating else handle.sub  # 1 + r, or 1 - r
-        self.inv = (_unit_inverse(handle, shift(handle.one, t.r))
-                    if type(t) is PowerTerm else None)
-
-    def _block(self, lo: int, hi: int) -> tuple[int, int]:
-        """The sum of the signed terms lo..hi as an unreduced integer pair,
-        by binary splitting: the halves are summed apart and added once.
-        Leaves are evaluated in index order."""
-        if lo == hi:
-            num, den = self.pair(lo)
-            return (-num if self.alternating and lo % 2 == 0 else num), den
-        mid = (lo + hi) // 2
-        a, b = self._block(lo, mid)
-        c, d = self._block(mid + 1, hi)
-        return a * d + c * b, b * d
-
-    def __call__(self, n: int) -> Element:
-        sums, known, h, x = self.sums, self.known, self.handle, self.x
-        i = bisect_left(known, n)
-        m = known[i - 1] if i else 0
-        if n - m > 1 and self.pair is not None:
-            block = Fraction(*self._block(m + 1, n))
-            s = block if m == 0 else sums[m] + block
-        elif n - m > 1 and self.inv is not None:
-            # c r +- ... = (x_1 - x_(n+1)) / (1 - r), or (x_1 - (-1)^n x_(n+1)) / (1 + r)
-            flip = h.op if self.alternating and n % 2 else h.sub
-            s = h.mul(flip(x(1), x(n + 1)), self.inv)
-        else:
-            s = sums.get(m)  # None at m = 0
-            for k in range(m + 1, n + 1):
-                add = h.sub if self.alternating and k % 2 == 0 else h.op
-                s = sums[k] = x(k) if s is None else add(s, x(k))
-            # a one-index run goes in as a tuple: a range is slower to insert
-            known[i:i] = range(m + 1, n + 1) if n - m > 1 else (n,)
-            return s
-        sums[n] = s
-        known.insert(i, n)
-        return s
 
 
 @dataclass(frozen=True)
 class Series:
     """Terms x_1, x_2, ... with derived partial sums s_n = x_1 + ... + x_n,
     each the largest sum already known below n plus the block of terms
-    between them (_PartialSums).  A probe far out sums a RationalTerm's
+    between them (PartialSums).  A probe far out sums a RationalTerm's
     block by binary splitting under Q's own operations, and takes the sum
     of a PowerTerm c r^n whose 1 - r is a unit in closed form."""
 
@@ -132,7 +61,7 @@ class Series:
     partials: Seq = field(init=False)
 
     def __post_init__(self):
-        sums = _PartialSums(self.handle, self.terms, False)
+        sums = PartialSums(self.handle, self.terms, False)
         object.__setattr__(self, "partials", Seq(f"sum({self.terms.name})", sums, sums.sums))
 
 
@@ -219,7 +148,9 @@ class TailCheck:
 
 def tail_bound(cauchy: CauchyCert, eps: Element, m: int, n: int) -> TailCheck:
     """Check that the tail x_{m+1}+...+x_n (as the partial-sum difference)
-    has distance below eps, for indices at or past the modulus."""
+    has distance below eps, for indices at or past the modulus.  The two
+    sums are read as a window (window_values), so far partial sums of a
+    rational term give just the block of terms m+1..n."""
     s = cauchy.space.codomain
     if not s.is_positive(eps):
         raise ValueError(f"{s.name}: eps {s.fmt(eps)} must be positive")
@@ -228,7 +159,8 @@ def tail_bound(cauchy: CauchyCert, eps: Element, m: int, n: int) -> TailCheck:
         raise ValueError(f"tail start {m} is below the modulus index {n0}")
     if n < m:
         raise ValueError(f"tail end {n} precedes tail start {m}")
-    d = cauchy.space.distance(cauchy.seq(n), cauchy.seq(m))
+    at_m, at_n = window_values(cauchy, m, (0, n - m))
+    d = cauchy.space.distance(at_n, at_m)
     return TailCheck(ok=s.lt(d, eps), eps=eps, m=m, n=n, bound_index=n0, tail_norm=d)
 
 
@@ -246,7 +178,7 @@ def alternating_cauchy(
     """Alternating series with strictly decreasing positive terms: the
     partial sums of x_1 - x_2 + x_3 - ... are Cauchy with the modulus of
     the terms' own convergence to zero (pair gaps collapse below x_{m+1}).
-    The partial sums follow the rule of Series (_PartialSums): a block of a
+    The partial sums follow the rule of Series (PartialSums): a block of a
     RationalTerm's terms is summed by binary splitting, and a PowerTerm
     c r^n whose 1 + r is a unit gives c r (1 - (-r)^n) / (1 + r)."""
     handle.require("ring", "total_order")
@@ -257,7 +189,7 @@ def alternating_cauchy(
         raise ValueError(f"{c0.seq.name} does not carry a zero limit")
     _sample_agree(c0.seq, x, 8, "zero-limit certificate is for a different sequence")
 
-    sums = _PartialSums(handle, x, True)
+    sums = PartialSums(handle, x, True)
     partials = Seq(f"sum(alt({x.name}))", sums, sums.sums)
     return CauchyCert(space, partials, lambda eps: modulus_at(c0.modulus, eps))
 
@@ -293,11 +225,21 @@ def squeeze_cauchy(
 
 
 def condensed_terms(handle: StructureHandle, x: Seq) -> Seq:
-    """Term j of the condensed series: 2^(j-1) copies of x at index 2^(j-1)."""
-    return Seq(
-        f"cond({x.name})",
-        lambda j: nat_mul(handle, 2 ** (j - 1), x(2 ** (j - 1))),
-    )
+    """Term j of the condensed series, 2^(j-1) x_(2^(j-1)): the sum of
+    2^(j-1) ones times x at index 2^(j-1), one product in place of j-1
+    doublings of a term whose size grows with 2^j.  The two agree in any
+    unital ring; without a second operation or a one this raises
+    CapabilityError here, not at a term."""
+    if handle.second_op is None:
+        raise CapabilityError(f"{handle.name} has no second operation")
+    if handle.one is None:
+        raise CapabilityError(f"{handle.name} has no multiplicative identity")
+
+    def term(j: int) -> Element:
+        k = 2 ** (j - 1)
+        return handle.mul(nat_mul(handle, k, handle.one), x(k))
+
+    return Seq(f"cond({x.name})", term)
 
 
 def condense(
@@ -370,14 +312,17 @@ def condensation_inequalities(
 
       2^n x_(2^n)  <=  2 * (x_(2^(n-1)+1) + ... + x_(2^n))          (forward)
       x_(2^k) + ... + x_(2^(l+1)-1)  <=  sum_{i=k..l} 2^i x_(2^i)   (backward)
+
+    2^i x_(2^i) is condensed term i + 1 (condensed_terms).
     """
     handle.require("ring", "total_order")
+    cond = condensed_terms(handle, x)
     out: list[Violation] = []
     for n in ns:
         if n < 1:
             raise ValueError("forward block index must be >= 1")
         block = fold_op(handle, [x(i) for i in range(2 ** (n - 1) + 1, 2 ** n + 1)])
-        lhs = nat_mul(handle, 2 ** n, x(2 ** n))
+        lhs = cond(n + 1)
         rhs = nat_mul(handle, 2, block)
         if not handle.le(lhs, rhs):
             out.append(Violation("condensation.forward-block", (n, lhs, rhs)))
@@ -385,7 +330,7 @@ def condensation_inequalities(
         if k < 0 or l < k:
             raise ValueError("backward block needs 0 <= k <= l")
         lhs = fold_op(handle, [x(i) for i in range(2 ** k, 2 ** (l + 1))])
-        rhs = fold_op(handle, [nat_mul(handle, 2 ** i, x(2 ** i)) for i in range(k, l + 1)])
+        rhs = fold_op(handle, [cond(i + 1) for i in range(k, l + 1)])
         if not handle.le(lhs, rhs):
             out.append(Violation("condensation.backward-block", (k, l, lhs, rhs)))
     return out

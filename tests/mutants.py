@@ -69,6 +69,14 @@ BLOCK_TESTS = (
     "test_rational_moduli.py::test_block_partial_sums_match_the_series_partials",
     "test_rational_moduli.py::test_the_alternating_test_sums_rational_terms_in_blocks",
 )
+WINDOW_TESTS = (
+    "test_rational_moduli.py::test_window_values_match_the_series_partials_up_to_a_shift",
+    "test_rational_moduli.py::test_tail_bound_reads_far_partial_sums_from_their_gap",
+)
+CONDENSED_TESTS = (
+    "test_series.py::test_condensed_terms_match_the_doubling_path",
+    "test_series.py::test_condensed_terms_pins",
+)
 COLLECTOR_TESTS = (
     "test_suite_laws.py::test_collector_cert_records_a_failed_scan_at_its_epsilon_only",
     "test_suite_laws.py::test_collector_cert_reports_a_capability_error_in_build_as_unverifiable",
@@ -179,17 +187,30 @@ MUTANTS = (
            ("test_rational_moduli.py::test_a_proved_modulus_past_the_index_cap_raises_the_scan_message",
             "test_golden.py::test_golden_bytes[violation-Q-harmonic-fine-grid]")),
     Mutant("block partial sums: even leaves added with the wrong sign",
-           "series.py", "return (-num if self.alternating and lo % 2 == 0 else num), den",
+           "sequences.py", "return (-num if self.alternating and lo % 2 == 0 else num), den",
            "return num, den",
            BLOCK_TESTS),
     Mutant("block partial sums: a plain block summed with alternating signs",
-           "series.py", "return (-num if self.alternating and lo % 2 == 0 else num), den",
+           "sequences.py", "return (-num if self.alternating and lo % 2 == 0 else num), den",
            "return (-num if lo % 2 == 0 else num), den", BLOCK_TESTS),
     Mutant("block partial sums: a block started one past the largest known sum",
-           "series.py", "self._block(m + 1, n)", "self._block(m + 2, n)", BLOCK_TESTS),
+           "sequences.py", "self._block(m + 1, n)", "self._block(m + 2, n)", BLOCK_TESTS),
     Mutant("partial sums: the stepped run inserted one position late",
-           "series.py", "known[i:i] =", "known[i + 1:i + 1] =",
+           "sequences.py", "known[i:i] =", "known[i + 1:i + 1] =",
            BLOCK_TESTS),
+    Mutant("window blocks: the sign of a block that starts at an even index flipped",
+           "sequences.py", "num, den, last = num * b + a * den, den * b, n + o",
+           "num, den, last = num * b + (-a if self.alternating and last % 2 else a) * den, "
+           "den * b, n + o", WINDOW_TESTS),
+    Mutant("window blocks: a block summed from the last index read, not the one after",
+           "sequences.py", "self._block(last + 1, n + o)", "self._block(last, n + o)",
+           WINDOW_TESTS),
+    Mutant("window blocks: the relative values stored into the sums",
+           "sequences.py", "out.append(Fraction(num, den))",
+           "out.append(sums.setdefault(n + o, Fraction(num, den)))", WINDOW_TESTS),
+    Mutant("condensed terms: 2^j ones in place of 2^(j-1)",
+           "series.py", "handle.mul(nat_mul(handle, k, handle.one), x(k))",
+           "handle.mul(nat_mul(handle, 2 * k, handle.one), x(k))", CONDENSED_TESTS),
     Mutant("Seq: True taken as the index 1",
            "sequences.py", "if n < 1 or n is True:", "if n < 1:",
            ("test_termexpr.py::test_a_sequence_takes_only_a_positive_integer_index",)),
@@ -212,9 +233,9 @@ MUTANTS = (
            "sequences.py", "s.lt(self.r, s.one)", "s.le(self.r, s.one)",
            (POWER_TESTS[4], "test_power_terms.py::test_a_ratio_of_one_takes_the_walk")),
     Mutant("closed-form sums: x_(n+1) read as x_n",
-           "series.py", "(x(1), x(n + 1))", "(x(1), x(n))", (POWER_TESTS[5],)),
+           "sequences.py", "(x(1), x(n + 1))", "(x(1), x(n))", (POWER_TESTS[5],)),
     Mutant("closed-form alternating sums: the sign of x_(n+1) flipped",
-           "series.py", "h.op if self.alternating and n % 2 else h.sub",
+           "sequences.py", "h.op if self.alternating and n % 2 else h.sub",
            "h.op if self.alternating and not n % 2 else h.sub", (POWER_TESTS[6],)),
     Mutant("power term: c/p^n compiled without inverting p",
            "termexpr.py", "            r = handle.invert(r)\n", "            pass\n", STEPPED_TESTS),

@@ -3,12 +3,13 @@
 This is the evaluator that ``ordalab.termexpr``'s compiled closures
 replace: it dispatches on the node type and converts every literal again at
 each index.  It is kept only as a differential oracle for the tests, with
-a recursive reference for the compiler's record of which nodes mention n.
+a recursive reference for the compiler's record of which nodes mention n
+and the doubling path that ``series.condensed_terms`` replaced.
 """
 
 from fractions import Fraction
 
-from ordalab.order import nat_pow
+from ordalab.order import nat_mul, nat_pow
 from ordalab.termexpr import Bin, EvalError, Index, Lit, Pow, Sym
 
 
@@ -78,3 +79,9 @@ def mentions_index_reference(node):
     if isinstance(node, Pow):
         return node.exponent is None or mentions_index_reference(node.base)
     return False
+
+
+def condensed_term_reference(handle, x, j):
+    """Term j of the condensed series as 2^(j-1) copies of x_(2^(j-1)),
+    added up by doubling the term itself."""
+    return nat_mul(handle, 2 ** (j - 1), x(2 ** (j - 1)))

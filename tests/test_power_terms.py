@@ -21,6 +21,7 @@ from hypothesis import given, strategies as st
 
 from ordalab import cli, lookup, seq_from_expr
 from ordalab.sequences import (
+    PartialSums,
     PowerTerm,
     Seq,
     scanned_cauchy_cert,
@@ -29,9 +30,7 @@ from ordalab.sequences import (
     sums_conv_cert,
     zero_limit_cert,
 )
-from ordalab.series import (
-    MonotoneKind, Series, _PartialSums, alternating_cauchy, check_monotone,
-)
+from ordalab.series import MonotoneKind, Series, alternating_cauchy, check_monotone
 from reference_registry import reference_registry, use_reference_registry
 
 KEYS = ("Q", "Z[1/2]", "Z[1/3]", "Z(X)")
@@ -260,7 +259,7 @@ def test_c_over_3_to_the_n_in_z13_keeps_its_pinned_report():
     seq = _compiled("Z[1/3]", "4/3^n")
     assert seq.term.r == F(1, 3)
     sums = Series(handle, seq).partials.term
-    assert type(sums) is _PartialSums and sums.inv is None
+    assert type(sums) is PartialSums and sums.inv is None
     argv = ["series", "4/3^n", "--structure", "Z[1/3]", "--test", "condensation",
             "--grid", "1/9,1/243,1/2187,1/6561", "--horizon", "64"]
     assert _report(argv) == (0, (

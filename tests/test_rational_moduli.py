@@ -8,20 +8,23 @@ vanishes at a positive integer, or whose degrees do not give a zero limit,
 must keep the scanned certificate and its errors.  Partial sums, plain
 and alternating, add a rational term's pairs in blocks by binary
 splitting; the reference is ``Series(...).partials`` over a plain copy of
-the term, one addition an index.
+the term, one addition an index.  A Cauchy window far past every known sum
+reads the sums relative to its first index, from blocks of its own terms.
 """
 
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ordalab import lookup, pretty, seq_from_expr
+from ordalab import cli, lookup, pretty, seq_from_expr
 from ordalab.poly import tail_start
-from ordalab.sequences import RationalTerm, Seq, scanned_conv_cert, zero_limit_cert
+from ordalab.sequences import (
+    CauchyCert, PartialSums, RationalTerm, Seq, _offsets, scanned_conv_cert, zero_limit_cert,
+)
 from ordalab.series import (
-    MonotoneKind, Series, _PartialSums, alternating_cauchy, check_monotone,
+    MonotoneKind, Series, TailCheck, alternating_cauchy, check_monotone, tail_bound,
 )
 from ordalab.termexpr import Bin, Index, Lit, Pow
 
@@ -211,7 +214,7 @@ def test_block_partial_sums_match_the_series_partials(num, den, indices, ascendi
     if type(seq.term) is not RationalTerm:
         return  # a term that does not mention n
     # through a Seq, as Series and alternating_cauchy call it: an index may repeat
-    sums = _PartialSums(Q, seq, alternating)
+    sums = PartialSums(Q, seq, alternating)
     blocks = Seq(src, sums, sums.sums)
     if ascending:
         indices = sorted(indices)
@@ -240,4 +243,62 @@ def test_the_alternating_test_sums_rational_terms_in_blocks():
     for n in indices:
         assert cert.seq(n) == reference(n)
     assert cert.seq.name == reference.name == "sum(alt(1/(n+3)))"
-    assert type(cert.seq.term) is _PartialSums and cert.seq.term.pair is not None
+    assert type(cert.seq.term) is PartialSums and cert.seq.term.pair is not None
+
+
+@settings(max_examples=200)  # cheap examples, most with one or two windows
+@given(numerators, denominators.filter(lambda den: not _vanishes(den)), st.booleans(),
+       st.lists(st.integers(1, 400), max_size=4),
+       st.lists(st.tuples(st.integers(1, 400), st.integers(0, 64)), min_size=1, max_size=6),
+       st.booleans())
+def test_window_values_match_the_series_partials_up_to_a_shift(
+        num, den, alternating, known, windows, ascending):
+    src = _source(num, den)
+    plain = _plain(seq_from_expr(src, Q))
+    reference = Series(Q, _signed(plain) if alternating else plain).partials
+    seq = seq_from_expr(src, Q)
+    if type(seq.term) is not RationalTerm:
+        return  # a term that does not mention n
+    sums = PartialSums(Q, seq, alternating)
+    blocks = Seq(src, sums, sums.sums)
+    for n in known:  # sums known before the windows are read
+        assert blocks(n) == reference(n)
+    for n, horizon in sorted(windows, reverse=not ascending):
+        offs = _offsets(horizon)
+        got = sums.window(n, offs)
+        want = [reference(n + o) for o in offs]
+        assert [v - got[0] for v in got] == [v - want[0] for v in want], (src, n, horizon)
+        # a window keeps only true sums, and the Seq still reads them
+        assert sums.known == sorted(sums.sums)
+        assert all(s == reference(k) for k, s in sums.sums.items())
+        assert blocks(n + offs[-1]) == want[-1]
+
+
+def test_tail_bound_reads_far_partial_sums_from_their_gap():
+    x = seq_from_expr("1/(n+8)", Q)
+    mono = check_monotone(Q, x, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
+    alt = alternating_cauchy(Q, SPACE, x, mono, zero_limit_cert(Q, SPACE, x, 8))
+    plain = CauchyCert(SPACE, Series(Q, x).partials, lambda eps: 4001)
+    ref_alt, ref_plain = Series(Q, _signed(x)).partials, Series(Q, x).partials
+    for cert, ref, eps, m, n in ((alt, ref_alt, F(1, 4096), 4089, 4094),
+                                 (alt, ref_alt, F(1, 4096), 4200, 4200),
+                                 (plain, ref_plain, F(1, 100), 4001, 4040),
+                                 (plain, ref_plain, F(1, 1000), 4100, 4164)):
+        d = abs(ref(n) - ref(m))
+        want = TailCheck(ok=d < eps, eps=eps, m=m, n=n,
+                         bound_index=cert.modulus(eps), tail_norm=d)
+        assert tail_bound(cert, eps, m, n) == want
+        assert cert.seq._cache == {}  # the gap, with no prefix sum kept
+    assert not tail_bound(plain, F(1, 1000), 4100, 4164).ok
+
+
+def test_the_alternating_op_reads_its_far_windows_from_gaps(monkeypatch, capsys):
+    """Each window near N(1/4096) = 4089 costs its 64 terms, not the
+    binary-split prefix below it (4,220 pair calls when it did)."""
+    calls = []
+    pair = RationalTerm.pair
+    monkeypatch.setattr(RationalTerm, "pair", lambda self, n: calls.append(n) or pair(self, n))
+    assert cli.main(["series", "1/(n+8)", "--structure", "Q", "--test", "alternating",
+                     "--grid", "1/4,1/8,1/16,1/64,1/1024,1/4096"]) == 0
+    assert '"status":"pass"' in capsys.readouterr().out.replace(" ", "")
+    assert len(calls) < 1000

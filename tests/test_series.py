@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ordalab import (
     CapabilityError,
@@ -25,12 +26,14 @@ from ordalab import (
     ratio_cauchy,
     scanned_cauchy_cert,
     scanned_conv_cert,
+    seq_from_expr,
     terms_from_partials,
     terms_vanish,
     verify_cauchy_cert,
     verify_conv_cert,
 )
 from ordalab.poly import RF_ONE, X
+from term_oracle import condensed_term_reference
 
 Q = lookup("Q")
 SPACE = Q.metrics[0]
@@ -85,6 +88,62 @@ def test_condensed_terms_pins():
         assert cond(j) == F(1)
     cond2 = condensed_terms(Q, halves())
     assert cond2(3) == 4 * F(1, 2**4)
+
+
+@st.composite
+def condensable_terms(draw):
+    """A carrier and a term over it: rational in n, or c r^n with r a unit.
+    Over Z(X), whose powers of a ratio grow with n, a power term is
+    condensed only up to term 6 (index 32)."""
+    key = draw(st.sampled_from(("Q", "Z[1/2]", "Z[1/3]", "Z(X)")))
+    a, b = draw(st.integers(1, 9)), draw(st.integers(0, 9))
+    if key == "Q":
+        shapes = (f"{a}/(n+{b})", f"{a}*pow({b}/{a + b + 1}, n)", f"(n-{b})/(n^2+{a})")
+    elif key == "Z(X)":
+        shapes = (f"{a}/(X+n+{b})", f"(X-{b})/(n^2+{a})", f"{a}*n*X/(X^2+n)",
+                  f"{a}*pow(1/(X+{b}), n)")
+    else:
+        p = int(key[-2])
+        shapes = (f"{a}/{p}^n", f"(n-{b})/{p}^n", f"{a}*pow({p + 1}/{p}, n)",
+                  f"n^2-{b}*n")
+    src = draw(st.sampled_from(shapes))
+    return key, src, 6 if key == "Z(X)" and "pow" in src else 12
+
+
+@given(condensable_terms())
+def test_condensed_terms_match_the_doubling_path(case):
+    key, src, top = case
+    handle = lookup(key)
+    x = seq_from_expr(src, handle)
+    cond = condensed_terms(handle, x)
+    for j in range(1, top + 1):
+        want = condensed_term_reference(handle, x, j)
+        assert handle.eq(cond(j), want), (key, src, j)
+        assert handle.fmt(cond(j)) == handle.fmt(want), (key, src, j)
+
+
+def test_a_condensed_term_is_one_product_not_a_doubling_of_its_term():
+    x = seq_from_expr("pow(2/3, n)", Q)
+    far = x(8192)
+    doubled = []
+
+    def op(a, b):
+        if a == b and a and (a / far).denominator == 1:
+            doubled.append(a / far)  # a multiple of x_8192 added to itself
+        return Q.op(a, b)
+
+    assert condensed_terms(replace(Q, op=op), x)(14) == 8192 * far
+    assert doubled == []  # 2, 4, ..., 4096: 13 doublings of x_8192 by nat_mul
+
+
+def test_condensed_terms_need_a_second_operation_and_a_one():
+    # raised when the sequence is built, before any term is evaluated
+    with pytest.raises(CapabilityError, match="lex has no second operation"):
+        condensed_terms(lookup("lex"), Seq("x", lambda n: 1 / 0))
+    with pytest.raises(CapabilityError, match="Q has no multiplicative identity"):
+        condensed_terms(replace(Q, one=None), halves())
+    with pytest.raises(CapabilityError, match="no multiplicative identity"):
+        condensation_inequalities(replace(Q, one=None), halves(), ns=[1], kls=[])
 
 
 def test_condense_both_directions():
