@@ -64,10 +64,10 @@ class Seq:
 class RationalTerm:
     """The term function of a rational function of n over Q, given as its
     unreduced integer polynomials num = P and den = Q in n, with Q(n) != 0
-    at every n >= 1 (termexpr._Facts.form).  pair(n) gives the ints
-    (P(n), Q(n)), evaluated by Horner's rule, and the term at n is their
-    quotient.  zero_limit_cert reads the polynomials, and partial sums,
-    plain and alternating, read the pairs."""
+    at every n >= 1 (termexpr._Facts.form), built only under _int_terms.
+    pair(n) gives the ints (P(n), Q(n)), by Horner's rule, and the term at
+    n is their quotient.  Through shape_fact, PartialSums reads the pairs
+    and zero_limit_cert the polynomials (zero_tail)."""
 
     def __init__(self, num: Poly, den: Poly):
         self.num, self.den = num, den
@@ -84,18 +84,27 @@ class RationalTerm:
     def __call__(self, n: int) -> Fraction:
         return Fraction(*self.pair(n))
 
+    def zero_tail(self, space: MetricSpace, message: Callable[[Element], str]):
+        """The proved modulus of P/Q -> 0 on space, when its _group has Q's
+        own operations and deg P < deg Q, else None: at eps = a/b the least
+        N with (a Q(n) - b P(n)) (a Q(n) + b P(n)) > 0 from N on (tail_start)."""
+        grp = space._group
+
+        def least(eps: Element, start: int) -> int | None:
+            aq, bp = poly_scale(self.den, eps.numerator), poly_scale(self.num, eps.denominator)
+            n = tail_start(poly_sub(aq, bp), poly_add(aq, bp))
+            return n if n <= _MAX_INDEX else None
+
+        decides = grp is not None and grp._int_terms and len(self.num) < len(self.den)
+        return _scanned_modulus(grp, least, message) if decides else None
+
 
 class PowerTerm:
     """The term function n -> c * r^n of a term whose syntax is c·r^n, with
-    c and r free of n and evaluated once, when the term is compiled.
-
-    The powers step from r^k to r^(k+1) with one product through handle's
-    operations, and c = 1 is not multiplied in.  termexpr builds one only
-    over a handle whose first metric space has a _group, so the reference
-    registry, which drops _group, keeps the general closures.  Moduli,
-    partial sums and monotonicity read c and r instead of scanning or
-    summing: zero_limit_cert, sums_conv_cert, sums_cauchy_cert, PartialSums
-    and, in the series module, check_monotone."""
+    c and r free of n and evaluated once (power_term).  The powers step
+    from r^k to r^(k+1) with one product, and c = 1 is not multiplied in.
+    Through shape_fact it decides, from c and r on the space or handle
+    given, zero_tail, sums_tail, sum_inverse and falls, and shows c."""
 
     def __init__(self, handle: StructureHandle, c: Element, r: Element):
         self.c, self.r = c, r
@@ -111,15 +120,60 @@ class PowerTerm:
         strictly decrease at every index."""
         return s.is_positive(self.c) and s.is_positive(self.r) and s.lt(self.r, s.one)
 
+    def zero_tail(self, space: MetricSpace, message: Callable[[Element], str]):
+        """The modulus of c r^n -> 0 on space, when it has a _group and
+        0 < |r| < 1, else None: |c r^n| strictly decreases, so N(eps) is
+        the least N with |c| |r|^N < eps (_power_tail)."""
+        grp = space._group
+        ratio = None if grp is None else absolute_value(grp, self.r)
+        decides = ratio is not None and grp.is_positive(ratio) and grp.lt(ratio, grp.one)
+        return (_power_tail(grp, absolute_value(grp, self.c), ratio, grp.one, message)
+                if decides else None)
 
-def _unit_inverse(handle: StructureHandle, x: Element) -> Element | None:
-    """x^-1 when x is a unit of handle, else None."""
-    if handle.invert is None:
+    def sums_tail(self, space: MetricSpace, limit: Element | None, horizon: int,
+                  message: Callable[[Element], str]):
+        """The modulus of the partial sums S_N on space, when it has a
+        _group and the terms fall, else None.  The sums rise, so the gap to
+        the limit L = c r / (1 - r) is c r^(N+1) / (1 - r), and that of a
+        Cauchy window [N, N+h] (limit None, h >= 1) c r^(N+1) (1 - r^h) / (1 - r)."""
+        grp = space._group
+        if grp is None or (limit is None and horizon < 1) or not self.falls(grp):
+            return None
+        one_less, scale = grp.sub(grp.one, self.r), grp.mul(self.c, self.r)
+        if limit is None:
+            scale = grp.mul(scale, grp.sub(grp.one, nat_pow(grp, self.r, horizon)))
+        decides = limit is None or grp.eq(grp.mul(limit, one_less), scale)
+        return _power_tail(grp, scale, self.r, one_less, message) if decides else None
+
+    def sum_inverse(self, handle: StructureHandle, alternating: bool) -> Element | None:
+        """(1 + r)^-1 when alternating, else (1 - r)^-1, when that is a unit
+        of handle, else None: PartialSums' closed form reads it."""
+        x = (handle.op if alternating else handle.sub)(handle.one, self.r)
+        try:
+            return None if handle.invert is None else handle.invert(x)
+        except ValueError:  # 0, or 2/3 in Z[1/3]
+            return None
+
+
+def shape_fact(seq: Seq, name: str, *args: Any) -> Any:
+    """Attribute name of the shape of seq's term, a RationalTerm or a
+    PowerTerm, called with args if any; None when there is none, or the
+    shape cannot decide it here, and the asker scans or walks.  The one
+    test of a term's shape by its type."""
+    t = seq.term
+    fact = getattr(t, name, None) if type(t) in (RationalTerm, PowerTerm) else None
+    return fact(*args) if args and fact is not None else fact
+
+
+def power_term(handle: StructureHandle,
+               parts: Callable[[], tuple[Element, Element]]) -> PowerTerm | None:
+    """c r^n as a PowerTerm over handle, with (c, r) = parts(), when handle
+    has a second operation, a one and a first metric space with a _group
+    (which the reference registry drops); else None, with parts not called."""
+    if (handle.second_op is None or handle.one is None or not handle.metrics
+            or handle.metrics[0]._group is None):
         return None
-    try:
-        return handle.invert(x)
-    except ValueError:  # 0, or 2/3 in Z[1/3]
-        return None
+    return PowerTerm(handle, *parts())
 
 
 class PartialSums:
@@ -142,11 +196,8 @@ class PartialSums:
         self.handle, self.x, self.alternating = handle, x, alternating
         self.sums: dict = {}
         self.known: list = []  # the indices of sums, ascending
-        t = x.term
-        self.pair = t.pair if type(t) is RationalTerm and handle._int_terms else None
-        shift = handle.op if alternating else handle.sub  # 1 + r, or 1 - r
-        self.inv = (_unit_inverse(handle, shift(handle.one, t.r))
-                    if type(t) is PowerTerm else None)
+        self.pair = shape_fact(x, "pair") if handle._int_terms else None
+        self.inv = shape_fact(x, "sum_inverse", handle, alternating)
 
     def _block(self, lo: int, hi: int) -> tuple[int, int]:
         """The sum of the signed terms lo..hi as an unreduced integer pair,
@@ -787,33 +838,32 @@ def _scanned_modulus(
     return modulus
 
 
-def _least_index(holds: Callable[[int], bool], start: int) -> int | None:
-    """The least n >= start with holds(n), for a holds that fails below some
-    index and holds from it on, or None when that index passes _MAX_INDEX:
-    doubling from start, then bisection."""
-    lo, hi = start - 1, start
-    while not holds(hi):
-        if hi >= _MAX_INDEX:
-            return None
-        lo, hi = hi, min(2 * hi, _MAX_INDEX)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _power_tail(grp: StructureHandle, scale: Element, ratio: Element, d: Element,
+                message: Callable[[Element], str]) -> Callable[[Element], int]:
+    """The modulus whose N(eps) is the least N with scale * ratio^N <
+    eps * d (scale >= 0, d > 0, 0 < ratio < 1): doubling from the start
+    _scanned_modulus resumes at, then bisection; past _MAX_INDEX it raises
+    ValueError(message(eps)).  d is not inverted: 2/3 is no unit of Z[1/3]."""
+    def least(eps: Element, start: int) -> int | None:
+        bound = grp.mul(eps, d)
 
+        def holds(n: int) -> bool:
+            return grp.lt(grp.mul(scale, nat_pow(grp, ratio, n)), bound)
 
-def _galloped(
-    s: StructureHandle,
-    below: Callable[[Element], Callable[[int], bool]],
-    message: Callable[[Element], str],
-) -> Callable[[Element], int]:
-    """The modulus whose N(eps) is the least index n with below(eps)(n),
-    where the predicate fails and then holds for good, cached and resumed
-    as _scanned_modulus does; past _MAX_INDEX it raises the scan's error."""
-    return _scanned_modulus(s, lambda eps, start: _least_index(below(eps), start), message)
+        lo, hi = start - 1, start
+        while not holds(hi):
+            if hi >= _MAX_INDEX:
+                return None
+            lo, hi = hi, min(2 * hi, _MAX_INDEX)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if holds(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    return _scanned_modulus(grp, least, message)
 
 
 def scan_window_start(
@@ -867,53 +917,13 @@ def _no_window(seq: Seq, s: StructureHandle) -> Callable[[Element], str]:
 def zero_limit_cert(
     handle: StructureHandle, space: MetricSpace, seq: Seq, horizon: int
 ) -> ConvCert:
-    """Certificate for seq -> 0 in space.
-
-    On a space with a _group, a PowerTerm c r^n with 0 < |r| < 1 gets a
-    proved modulus: |c r^n| strictly decreases, so N(eps) is the least N
-    with |c| |r|^N < eps, found by galloping.  Over Q with the absolute
-    value, a RationalTerm P/Q with deg P < deg Q gets one too: for
-    eps = a/b, N(eps) is the least N with
-    (a Q(n) - b P(n)) (a Q(n) + b P(n)) > 0, that is |P(n)/Q(n)| < eps, at
-    every n >= N (poly.tail_start).  Any other sequence gets the scanned
-    certificate with this horizon.  Either way an epsilon whose N would lie
-    past _MAX_INDEX raises the scan's ValueError."""
-    grp = space._group
-    t = seq.term
-    if type(t) is PowerTerm and grp is not None:
-        size, ratio = absolute_value(grp, t.c), absolute_value(grp, t.r)
-        if grp.is_positive(ratio) and grp.lt(ratio, grp.one):
-            def below(eps: Element) -> Callable[[int], bool]:
-                return lambda n: grp.lt(grp.mul(size, nat_pow(grp, ratio, n)), eps)
-
-            return ConvCert(space, seq, handle.identity,
-                            _galloped(grp, below, _no_window(seq, grp)))
-    if not (type(t) is RationalTerm and handle._int_terms and grp is not None
-            and grp._int_terms and len(t.num) < len(t.den)):
+    """Certificate for seq -> 0 in space, with the modulus its term's shape
+    proves (zero_tail), else the scanned one with this horizon.  Either way
+    an epsilon whose N would lie past _MAX_INDEX raises the scan's error."""
+    modulus = shape_fact(seq, "zero_tail", space, _no_window(seq, space.codomain))
+    if modulus is None:
         return scanned_conv_cert(space, seq, handle.identity, horizon)
-
-    def least(eps: Element, start: int) -> int | None:
-        aq, bp = poly_scale(t.den, eps.numerator), poly_scale(t.num, eps.denominator)
-        n = tail_start(poly_sub(aq, bp), poly_add(aq, bp))
-        return n if n <= _MAX_INDEX else None
-
-    modulus = _scanned_modulus(space.codomain, least, _no_window(seq, space.codomain))
     return ConvCert(space, seq, handle.identity, modulus)
-
-
-def _power_sums(grp: StructureHandle, t: PowerTerm, scale: Element,
-                message: Callable[[Element], str]) -> Callable[[Element], int]:
-    """The galloped modulus of a gap scale * r^(N+1) / (1 - r) that falls
-    with N: the least N with scale * r^(N+1) < eps * (1 - r).  Both sides
-    are multiplied by 1 - r > 0, which need not be a unit (r = 1/3 leaves
-    2/3 in Z[1/3])."""
-    one_less = grp.sub(grp.one, t.r)
-
-    def below(eps: Element) -> Callable[[int], bool]:
-        bound = grp.mul(eps, one_less)
-        return lambda n: grp.lt(grp.mul(scale, nat_pow(grp, t.r, n + 1)), bound)
-
-    return _galloped(grp, below, message)
 
 
 def sums_conv_cert(
@@ -921,32 +931,23 @@ def sums_conv_cert(
 ) -> ConvCert:
     """Certificate that sums, the partial sums of terms, converge to limit,
     with the window starts of scanned_conv_cert(space, sums, limit,
-    horizon).
-
-    On a space with a _group, a PowerTerm c r^n with 0 < c and 0 < r < 1
-    whose limit is c r / (1 - r) needs no scan: L - S_N = c r^(N+1) / (1 - r)
-    falls with N, so N(eps) is the least N with c r^(N+1) < eps (1 - r)."""
-    grp, t = space._group, terms.term
-    if (type(t) is PowerTerm and grp is not None and t.falls(grp)
-            and grp.eq(grp.mul(limit, grp.sub(grp.one, t.r)), grp.mul(t.c, t.r))):
-        return ConvCert(space, sums, limit, _power_sums(grp, t, t.c, _no_window(sums, grp)))
-    return scanned_conv_cert(space, sums, limit, horizon)
+    horizon), proved by the shape of terms (sums_tail) or scanned."""
+    modulus = shape_fact(terms, "sums_tail", space, limit, horizon,
+                         _no_window(sums, space.codomain))
+    if modulus is None:
+        return scanned_conv_cert(space, sums, limit, horizon)
+    return ConvCert(space, sums, limit, modulus)
 
 
 def sums_cauchy_cert(space: MetricSpace, sums: Seq, terms: Seq, horizon: int) -> CauchyCert:
     """Cauchy certificate for sums, the partial sums of terms, with the
-    window starts of scanned_cauchy_cert(space, sums, horizon).
-
-    On a space with a _group and for horizon h >= 1, a PowerTerm c r^n with
-    0 < c and 0 < r < 1 needs no scan: the sums increase, so the widest gap
-    in [N, N+h] is S_(N+h) - S_N = c r^(N+1) (1 - r^h) / (1 - r), which
-    falls with N, and N(eps) is the least N with
-    c r^(N+1) (1 - r^h) < eps (1 - r)."""
-    grp, t = space._group, terms.term
-    if type(t) is PowerTerm and grp is not None and horizon >= 1 and t.falls(grp):
-        scale = grp.mul(t.c, grp.sub(grp.one, nat_pow(grp, t.r, horizon)))
-        return CauchyCert(space, sums, _power_sums(grp, t, scale, _no_cluster(sums, grp)))
-    return scanned_cauchy_cert(space, sums, horizon)
+    window starts of scanned_cauchy_cert(space, sums, horizon), proved by
+    the shape of terms (sums_tail) or scanned."""
+    modulus = shape_fact(terms, "sums_tail", space, None, horizon,
+                         _no_cluster(sums, space.codomain))
+    if modulus is None:
+        return scanned_cauchy_cert(space, sums, horizon)
+    return CauchyCert(space, sums, modulus)
 
 
 def scanned_conv_cert(

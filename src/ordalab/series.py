@@ -32,13 +32,13 @@ from .sequences import (
     CauchyCert,
     ConvCert,
     PartialSums,
-    PowerTerm,
     Seq,
     add_certs,
     constant_cert,
     conv_to_cauchy,
     modulus_at,
     negate_cert,
+    shape_fact,
     shift_cert,
     split_max,
     unshift_cert,
@@ -52,9 +52,9 @@ Element = Any
 class Series:
     """Terms x_1, x_2, ... with derived partial sums s_n = x_1 + ... + x_n,
     each the largest sum already known below n plus the block of terms
-    between them (PartialSums).  A probe far out sums a RationalTerm's
+    between them (PartialSums).  A probe far out sums a rational term's
     block by binary splitting under Q's own operations, and takes the sum
-    of a PowerTerm c r^n whose 1 - r is a unit in closed form."""
+    of c r^n whose 1 - r is a unit in closed form."""
 
     handle: StructureHandle
     terms: Seq
@@ -92,13 +92,13 @@ def check_monotone(
     handle: StructureHandle, x: Seq, kind: MonotoneKind, up_to: int
 ) -> MonotoneEvidence:
     """Verify positivity and (strict) decrease up to an index; raise on the
-    first failure, otherwise package the evidence.  A PowerTerm c r^n with
-    0 < c and 0 < r < 1 is positive and strictly decreasing at every index,
-    and gets its evidence at once; any other term, and every failure, takes
-    the walk."""
+    first failure, otherwise package the evidence.  Terms whose shape
+    falls in handle (c r^n with 0 < c and 0 < r < 1, through shape_fact)
+    are positive and strictly decrease at every index, and get their
+    evidence at once; any other term, and every failure, takes the walk."""
     if up_to < 1:
         raise ValueError("evidence must cover at least index 1")
-    if type(x.term) is PowerTerm and x.term.falls(handle):
+    if shape_fact(x, "falls", handle):
         return MonotoneEvidence(kind, up_to)
     strict = kind is MonotoneKind.STRICTLY_DECREASING_POSITIVE
     rel = handle.lt if strict else handle.le
@@ -179,8 +179,8 @@ def alternating_cauchy(
     partial sums of x_1 - x_2 + x_3 - ... are Cauchy with the modulus of
     the terms' own convergence to zero (pair gaps collapse below x_{m+1}).
     The partial sums follow the rule of Series (PartialSums): a block of a
-    RationalTerm's terms is summed by binary splitting, and a PowerTerm
-    c r^n whose 1 + r is a unit gives c r (1 - (-r)^n) / (1 + r)."""
+    rational term's terms is summed by binary splitting, and c r^n whose
+    1 + r is a unit gives c r (1 - (-r)^n) / (1 + r)."""
     handle.require("ring", "total_order")
     if mono.kind is not MonotoneKind.STRICTLY_DECREASING_POSITIVE:
         raise ValueError("alternating series needs strictly decreasing positive terms")

@@ -50,14 +50,15 @@ from .report import PASS, UNVERIFIABLE, VIOLATION, CheckRecord, violation_values
 from .sequences import (
     ApartFromZeroWitness,
     ConvCert,
-    PowerTerm,
     Seq,
     add_certs,
     apart_tail,
     constant_cert,
     conv_to_cauchy,
+    power_term,
     prod_certs,
     refute_distinct_limits,
+    shape_fact,
     shift_cert,
     sums_cauchy_cert,
     sums_conv_cert,
@@ -432,12 +433,6 @@ def _suite_sequence(handle: StructureHandle, cfg: RunConfig, rng: random.Random)
 _SERIES_BASES = (Fraction(1, 2), Fraction(2, 3), Fraction(1, 3))
 
 
-def _powers_of(handle: StructureHandle, space, r: Element):
-    """n -> r^n: a PowerTerm on a space with a _group, where its shape
-    decides moduli, sums and monotonicity, and stepped powers elsewhere."""
-    return PowerTerm(handle, handle.one, r) if space._group is not None else powers(handle, r)
-
-
 def _stock_ratio(handle: StructureHandle, space, grid):
     """The first stock ratio 0 < r < 1 whose terms' sizes vanish at every
     grid scale and whose (1 - r)^-1 exists.
@@ -445,7 +440,7 @@ def _stock_ratio(handle: StructureHandle, space, grid):
     Rational bases q come first; structures whose order ranks every
     rational above some grid bound (an infinitesimal scale) fall through to
     inverses of their published symbols.  The terms are the powers r^n
-    (_powers_of).  Returns (r, terms, inverse, symbolic):
+    (power_term, else stepped).  Returns (r, terms, inverse, symbolic):
     symbolic terms double in representation size under index doubling,
     which callers use to keep windows small.
     """
@@ -465,7 +460,8 @@ def _stock_ratio(handle: StructureHandle, space, grid):
                 label = handle.fmt(r)
             if not (handle.lt(handle.identity, r) and handle.lt(r, handle.one)):
                 continue
-            terms = Seq(f"geo-terms({label})", _powers_of(handle, space, r))
+            terms = Seq(f"geo-terms({label})",
+                        power_term(handle, lambda: (handle.one, r)) or powers(handle, r))
             sizes = tuple(space.distance(terms(k), handle.identity) for k in range(1, 33))
             if not all(any(m.lt(d, eps) for d in sizes) for eps in grid):
                 continue
@@ -572,9 +568,8 @@ def _suite_geometric(handle: StructureHandle, cfg: RunConfig, rng: random.Random
     space, grid = _metric_grid(handle, cfg.grid)
     h = cfg.horizon
     mfmt = space.codomain.fmt
-    r, _, inv, _ = _stock_ratio(handle, space, grid)
-    c0 = zero_limit_cert(handle, space,
-                         Seq(f"pow({handle.fmt(r)})", _powers_of(handle, space, r)), h)
+    r, terms, inv, _ = _stock_ratio(handle, space, grid)
+    c0 = zero_limit_cert(handle, space, Seq(f"pow({handle.fmt(r)})", terms.term), h)
 
     col.cert("geometric.certificate", "series.geometric",
              lambda: geometric_cert(handle, space, r, c0, inv),
@@ -728,8 +723,9 @@ def run_series(structure: str, expr: str, test: str, grid: Sequence[str],
         if handle.invert is None:
             raise CapabilityError(f"{handle.name} has no multiplicative inverses")
         r = seq(1)
-        # a PowerTerm with c = 1 is the power sequence of r = x_1 by its syntax
-        if not (type(seq.term) is PowerTerm and handle.eq(seq.term.c, handle.one)):
+        # a power term with c = 1 is the power sequence of r = x_1 by its syntax
+        c = shape_fact(seq, "c")
+        if c is None or not handle.eq(c, handle.one):
             power = powers(handle, r)
             for k in range(1, 7):
                 if not handle.eq(seq(k), power(k)):

@@ -24,7 +24,7 @@ from typing import Any, Callable, Union
 
 from .order import StructureHandle, nat_pow
 from .poly import poly, poly_add, poly_eval, poly_mul, poly_pow, poly_sub, real_root_floors
-from .sequences import PowerTerm, RationalTerm, Seq
+from .sequences import PowerTerm, RationalTerm, Seq, power_term
 
 Element = Any
 
@@ -328,24 +328,24 @@ def _combine(op: str, left: tuple, right: tuple) -> tuple | None:
 def _power_term(node: Node, handle: StructureHandle, facts: _Facts) -> PowerTerm | None:
     """The term as a PowerTerm c*r^n, when its syntax is pow(b, n) or b^n,
     c*pow(b, n) or c/b^n, with c and b free of n and r = b, or r = 1/b
-    after '/'; handle's first metric space has a _group; and c and r
-    evaluate now.  Else None, and the term keeps the general closures with
-    their errors."""
+    after '/', that power_term builds for handle with c and r evaluated
+    now.  Else None, and the term keeps the general closures and errors."""
     c, power, mentions = None, node, facts.mentions
     if isinstance(node, Bin) and node.op in ("*", "/") and not mentions[id(node.left)]:
         c, power = node.left, node.right
-    if (not isinstance(power, Pow) or power.exponent is not None or mentions[id(power.base)]
-            or handle.second_op is None or handle.one is None
-            or not handle.metrics or handle.metrics[0]._group is None):
+    if not isinstance(power, Pow) or power.exponent is not None or mentions[id(power.base)]:
         return None
-    try:
+
+    def parts() -> tuple[Element, Element]:
         r = _compile(power.base, handle, facts)(1)
         if c is not None and node.op == "/":
             r = handle.invert(r)
-        c = handle.one if c is None else _compile(c, handle, facts)(1)
+        return (handle.one if c is None else _compile(c, handle, facts)(1)), r
+
+    try:
+        return power_term(handle, parts)
     except Exception:  # whatever the closures raise, they raise again per index
         return None
-    return PowerTerm(handle, c, r)
 
 
 def _compile(node: Node, handle: StructureHandle, facts: _Facts) -> Callable[[int], Element]:

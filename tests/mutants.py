@@ -214,24 +214,39 @@ MUTANTS = (
     Mutant("Seq: True taken as the index 1",
            "sequences.py", "if n < 1 or n is True:", "if n < 1:",
            ("test_termexpr.py::test_a_sequence_takes_only_a_positive_integer_index",)),
-    Mutant("galloping: the bisection returns the end below the least index",
-           "sequences.py", "            lo = mid\n    return hi\n", "            lo = mid\n    return max(lo, 1)\n",
-           (POWER_TESTS[0], POWER_TESTS[1])),
+    Mutant("power tail: the bisection returns the end below the least index",
+           "sequences.py", "                lo = mid\n        return hi\n",
+           "                lo = mid\n        return max(lo, 1)\n", (POWER_TESTS[0], POWER_TESTS[1])),
     Mutant("zero limit of c r^n: |c| dropped from |c| |r|^N",
-           "sequences.py", "grp.lt(grp.mul(size, nat_pow(grp, ratio, n)), eps)",
-           "grp.lt(nat_pow(grp, ratio, n), eps)", (POWER_TESTS[0],)),
-    Mutant("Cauchy window of c r^n: c dropped from the gap",
-           "sequences.py", "scale = grp.mul(t.c, grp.sub(grp.one, nat_pow(grp, t.r, horizon)))",
-           "scale = grp.sub(grp.one, nat_pow(grp, t.r, horizon))", (POWER_TESTS[1],)),
-    Mutant("power sums: the eps (1 - r) side left unscaled",
-           "sequences.py", "bound = grp.mul(eps, one_less)", "bound = eps",
+           "sequences.py", "_power_tail(grp, absolute_value(grp, self.c), ratio, grp.one, message)",
+           "_power_tail(grp, grp.one, ratio, grp.one, message)", (POWER_TESTS[0],)),
+    Mutant("power sums: c dropped from the gap",
+           "sequences.py", "one_less, scale = grp.sub(grp.one, self.r), grp.mul(self.c, self.r)",
+           "one_less, scale = grp.sub(grp.one, self.r), self.r", (POWER_TESTS[1], POWER_TESTS[2])),
+    Mutant("power sums: the Cauchy window's scale without 1 - r^h",
+           "sequences.py", "scale = grp.mul(scale, grp.sub(grp.one, nat_pow(grp, self.r, horizon)))",
+           "scale = grp.mul(scale, grp.one)", (POWER_TESTS[1],)),
+    Mutant("power tail: the eps (1 - r) side left unscaled",
+           "sequences.py", "bound = grp.mul(eps, d)", "bound = eps",
            (POWER_TESTS[1], POWER_TESTS[2])),
     Mutant("power sums: a wrong limit accepted",
-           "sequences.py", "and grp.eq(grp.mul(limit, grp.sub(grp.one, t.r)), grp.mul(t.c, t.r))):",
-           "):", (POWER_TESTS[2], POWER_TESTS[3])),
-    Mutant("monotone gate: r = 1 accepted",
+           "sequences.py", "decides = limit is None or grp.eq(grp.mul(limit, one_less), scale)",
+           "decides = True", (POWER_TESTS[2], POWER_TESTS[3])),
+    Mutant("falls: r < 1 taken as r <= 1",
            "sequences.py", "s.lt(self.r, s.one)", "s.le(self.r, s.one)",
            (POWER_TESTS[4], "test_power_terms.py::test_a_ratio_of_one_takes_the_walk")),
+    Mutant("shape facts: a rational zero tail answered on a space without a _group",
+           "sequences.py", "decides = grp is not None and grp._int_terms",
+           "grp = space.codomain\n        decides = grp is not None and grp._int_terms",
+           ("test_rational_moduli.py::"
+            "test_terms_without_a_zero_limit_and_other_carriers_keep_the_scan",)),
+    Mutant("shape facts: the accessor answers for a PartialSums term",
+           "sequences.py", "type(t) in (RationalTerm, PowerTerm)",
+           "type(t) in (RationalTerm, PowerTerm, PartialSums)", (BLOCK_TESTS[0],)),
+    Mutant("power_term: the _group gate dropped",
+           "sequences.py", "or not handle.metrics\n            or handle.metrics[0]._group is None):",
+           "or not handle.metrics):",
+           ("test_power_terms.py::test_the_syntax_c_times_r_to_the_n_compiles_to_a_power_term",)),
     Mutant("closed-form sums: x_(n+1) read as x_n",
            "sequences.py", "(x(1), x(n + 1))", "(x(1), x(n))", (POWER_TESTS[5],)),
     Mutant("closed-form alternating sums: the sign of x_(n+1) flipped",

@@ -12,6 +12,7 @@ the term, one addition an index.  A Cauchy window far past every known sum
 reads the sums relative to its first index, from blocks of its own terms.
 """
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -27,6 +28,7 @@ from ordalab.series import (
     MonotoneKind, Series, TailCheck, alternating_cauchy, check_monotone, tail_bound,
 )
 from ordalab.termexpr import Bin, Index, Lit, Pow
+from reference_registry import reference_registry
 
 Q = lookup("Q")
 SPACE = Q.metrics[0]
@@ -167,6 +169,23 @@ def test_terms_without_a_zero_limit_and_other_carriers_keep_the_scan():
     seq = seq_from_expr("1/2^n", z2)
     assert type(seq.term) is not RationalTerm
     assert zero_limit_cert(z2, z2.metrics[0], seq, 4).modulus(F(1, 8)) == 4
+    # a space without a _group: the scan's window starts and its message
+    foreign = dataclasses.replace(SPACE)
+    for src, eps in (("(1000-n)/n^2", F(1, 4096)), ("1/n", F(1, 10000))):
+        seq = seq_from_expr(src, Q)
+        assert type(seq.term) is RationalTerm
+        cert = zero_limit_cert(Q, foreign, seq, 64)
+        assert _outcome(cert, eps) == _outcome(scanned_conv_cert(foreign, seq, F(0), 64), eps)
+    assert zero_limit_cert(Q, foreign, seq_from_expr("(1000-n)/n^2", Q), 64).modulus(
+        F(1, 4096)) == 832
+    # a handle without Q's own operations adds a rational term's sums one at a time
+    plain_q = reference_registry()["Q"]
+    x = seq_from_expr("1/(n+3)", Q)
+    for alternating in (False, True):
+        sums = PartialSums(plain_q, x, alternating)
+        assert sums.pair is None
+        assert sums(40) == Series(Q, _signed(x) if alternating else x).partials(40)
+        assert sums.known == list(range(1, 41))
 
 
 factor_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=5).map(tuple)
@@ -204,15 +223,18 @@ def _plain(seq):
     return Seq(seq.name, lambda n: seq(n))
 
 
-@given(numerators, denominators,
-       st.lists(st.integers(1, 120), min_size=1, max_size=8), st.booleans(), st.booleans())
-def test_block_partial_sums_match_the_series_partials(num, den, indices, ascending, alternating):
+@given(numerators, denominators, st.lists(st.integers(1, 120), min_size=1, max_size=8),
+       st.booleans(), st.booleans(), st.booleans())
+def test_block_partial_sums_match_the_series_partials(
+        num, den, indices, ascending, alternating, nested):
     src = _source(num, den)
     plain = _plain(seq_from_expr(src, Q))
-    reference = Series(Q, _signed(plain) if alternating else plain).partials
     seq = seq_from_expr(src, Q)
     if type(seq.term) is not RationalTerm:
         return  # a term that does not mention n
+    if nested:  # partial sums have no shape: their sums are added one at a time
+        plain, seq = Series(Q, plain).partials, Series(Q, seq).partials
+    reference = Series(Q, _signed(plain) if alternating else plain).partials
     # through a Seq, as Series and alternating_cauchy call it: an index may repeat
     sums = PartialSums(Q, seq, alternating)
     blocks = Seq(src, sums, sums.sums)

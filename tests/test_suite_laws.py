@@ -5,6 +5,7 @@ with deliberately broken witnesses on a copy of the rationals.  Each suite
 calls its law's public verifier one target at a time.
 """
 
+import ast
 import dataclasses
 import random
 from fractions import Fraction as F
@@ -30,7 +31,7 @@ from ordalab.series import (
     power_limit_is_zero,
 )
 from ordalab.suites import _Collector, _suite_density, _suite_geometric, _suite_shrink
-from src_size import private_imports
+from src_size import PACKAGE, private_imports
 
 
 def _by_id(records):
@@ -121,6 +122,46 @@ def test_ratio_one_is_refused_by_one_rule():
 
 def test_no_module_imports_a_private_name_from_another_module():
     assert private_imports() == []
+
+
+SHAPES = {"RationalTerm", "PowerTerm"}
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _calls(node, name):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def shape_type_tests():
+    """(module, line) for each place a module other than sequences and
+    termexpr names a term shape class, and each test of a term's type
+    against one in sequences outside the accessor shape_fact."""
+    out = []
+    for p in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(p.read_text(encoding="utf-8"))
+        if p.name not in ("sequences.py", "termexpr.py"):
+            out += [(p.name, n.lineno) for n in ast.walk(tree)
+                    if isinstance(n, ast.Name) and n.id in SHAPES
+                    or isinstance(n, ast.ImportFrom) and SHAPES & {a.name for a in n.names}]
+        if p.name != "sequences.py":
+            continue
+        accessor = {id(n) for f in ast.walk(tree)
+                    if isinstance(f, ast.FunctionDef) and f.name == "shape_fact"
+                    for n in ast.walk(f)}
+        for n in ast.walk(tree):
+            operands = [n.left, *n.comparators] if isinstance(n, ast.Compare) else []
+            typed = (any(_calls(o, "type") for o in operands)
+                     or _calls(n, "isinstance") or _calls(n, "issubclass"))
+            if typed and SHAPES & _names(n) and id(n) not in accessor:
+                out.append((p.name, n.lineno))
+    return out
+
+
+def test_only_the_accessor_tests_a_term_shape_by_its_type():
+    assert shape_type_tests() == []
 
 
 def test_collector_cert_turns_a_modulus_error_into_a_window_violation():
