@@ -35,6 +35,9 @@ from .order import (
     demarr_density_witness,
     density_from_unit_interval,
     field_invert,
+    frac_add,
+    frac_mul,
+    frac_neg,
     make_flags,
     total_compare,
 )
@@ -67,11 +70,11 @@ def _build_q() -> StructureHandle:
     base = StructureHandle(
         name="Q",
         flags=make_flags(field=True, total_order=True),
-        op=operator.add,
+        op=frac_add,
         compare=total_compare,
         identity=F(0),
-        negate=operator.neg,
-        second_op=operator.mul,
+        negate=frac_neg,
+        second_op=frac_mul,
         one=F(1),
         invert=field_invert,
         shrink=_two_fifths_shrink(F(0), F(2, 5)),
@@ -156,11 +159,11 @@ def _build_localized(p: int) -> StructureHandle:
     base = StructureHandle(
         name=name,
         flags=make_flags(ring=True, semiring=True, total_order=True),
-        op=operator.add,
+        op=frac_add,
         compare=total_compare,
         identity=F(0),
-        negate=operator.neg,
-        second_op=operator.mul,
+        negate=frac_neg,
+        second_op=frac_mul,
         one=F(1),
         invert=invert,
         shrink=shrink,

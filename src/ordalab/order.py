@@ -12,9 +12,9 @@ module do exactly that.  No floating point is used anywhere.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 Element = Any
@@ -58,10 +58,64 @@ def field_invert(x: Element) -> Element:
     return 1 / x
 
 
+# The Fraction kernel: a + b, a * b and -a by the gcd steps of Fraction's
+# own _add and _mul, with the coprime result written into the slots
+# _numerator and _denominator, skipping the numeric tower and the
+# normalising constructor.  Any operand that is not exactly a Fraction
+# (an int, a bool, a subclass) takes Python's operator.
+
+_new = object.__new__
+
+
+def frac_add(a: Element, b: Element) -> Element:
+    if type(a) is not Fraction or type(b) is not Fraction:
+        return a + b
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g = gcd(da, db)
+    if g == 1:
+        n, d = na * db + da * nb, da * db
+    else:
+        s = da // g
+        n = na * (db // g) + nb * s
+        g2 = gcd(n, g)
+        if g2 == 1:
+            d = s * db
+        else:
+            n, d = n // g2, s * (db // g2)
+    x = _new(Fraction)
+    x._numerator, x._denominator = n, d
+    return x
+
+
+def frac_mul(a: Element, b: Element) -> Element:
+    if type(a) is not Fraction or type(b) is not Fraction:
+        return a * b
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na, db = na // g1, db // g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb, da = nb // g2, da // g2
+    x = _new(Fraction)
+    x._numerator, x._denominator = na * nb, da * db
+    return x
+
+
+def frac_neg(a: Element) -> Element:
+    if type(a) is not Fraction:
+        return -a
+    x = _new(Fraction)
+    x._numerator, x._denominator = -a._numerator, a._denominator
+    return x
+
+
 # Q's own comparison and operations, bound here at import, so a profiler
 # that later rebinds the module's functions does not change which handles
 # match them
-_Q_OPERATIONS = (total_compare, operator.add, operator.neg, operator.mul, field_invert)
+_Q_OPERATIONS = (total_compare, frac_add, frac_neg, frac_mul, field_invert)
 
 
 _FLAG_IMPLIES = {
@@ -184,18 +238,27 @@ class StructureHandle:
             and type(self.one) is Fraction and self.one == 1))
 
     # -- comparison shorthands ------------------------------------------
+    # On the direct path two Fractions compare their integer pairs, whose
+    # denominators are positive and, being coprime, unique: cross products
+    # for the order, equal pairs for equality.
     def lt(self, a: Element, b: Element) -> bool:
         if self._direct:
+            if type(a) is Fraction and type(b) is Fraction:
+                return a._numerator * b._denominator < b._numerator * a._denominator
             return a < b
         return self.compare(a, b) is OrderResult.LESS
 
     def le(self, a: Element, b: Element) -> bool:
         if self._direct:
+            if type(a) is Fraction and type(b) is Fraction:
+                return a._numerator * b._denominator <= b._numerator * a._denominator
             return a <= b
         return self.compare(a, b) in (OrderResult.LESS, OrderResult.EQUAL)
 
     def eq(self, a: Element, b: Element) -> bool:
         if self._direct:
+            if type(a) is Fraction and type(b) is Fraction:
+                return a._numerator == b._numerator and a._denominator == b._denominator
             return a == b
         return self.compare(a, b) is OrderResult.EQUAL
 

@@ -77,6 +77,8 @@ CONDENSED_TESTS = (
     "test_series.py::test_condensed_terms_match_the_doubling_path",
     "test_series.py::test_condensed_terms_pins",
 )
+KERNEL_TESTS = ("test_fast_paths.py::test_the_fraction_kernel_matches_fractions_own_operators",)
+REFERENCE_TESTS = ("test_reference_reports.py::test_reports_match_under_the_reference_registry",)
 COLLECTOR_TESTS = (
     "test_suite_laws.py::test_collector_cert_records_a_failed_scan_at_its_epsilon_only",
     "test_suite_laws.py::test_collector_cert_reports_a_capability_error_in_build_as_unverifiable",
@@ -99,6 +101,22 @@ MUTANTS = (
            "order.py", '"_direct", self.compare is _Q_OPERATIONS[0])',
            '"_direct", self.compare is total_compare)',
            ("test_fast_paths.py::test_a_wrapped_total_compare_leaves_the_direct_path_alone",)),
+    Mutant("Fraction kernel: frac_add's second gcd reduction skipped",
+           "order.py", "            n, d = n // g2, s * (db // g2)\n", "            d = s * db\n",
+           KERNEL_TESTS),
+    Mutant("Fraction kernel: frac_mul's second gcd skipped",
+           "order.py", "    if g2 > 1:\n        nb, da = nb // g2, da // g2\n", "",
+           REFERENCE_TESTS),
+    Mutant("Fraction kernel: lt crosses each numerator with its own denominator",
+           "order.py", "a._numerator * b._denominator < b._numerator * a._denominator",
+           "a._numerator * a._denominator < b._numerator * b._denominator",
+           KERNEL_TESTS),
+    Mutant("Fraction kernel: le decided with <",
+           "order.py", "a._numerator * b._denominator <= b._numerator * a._denominator",
+           "a._numerator * b._denominator < b._numerator * a._denominator", KERNEL_TESTS),
+    Mutant("Fraction kernel: eq reads the numerators only",
+           "order.py", "a._numerator == b._numerator and a._denominator == b._denominator",
+           "a._numerator == b._numerator", KERNEL_TESTS),
     Mutant("law memo keyed on the first argument alone",
            "order.py", "key = (id(x), id(y))", "key = id(x)", LAW_TESTS),
     Mutant("compatibility: the left side f(c, a) becomes f(a, c)",

@@ -3,12 +3,16 @@
 ``reference_registry()`` rebuilds each handle with its ``compare``, ``op``,
 ``negate``, ``second_op``, ``invert`` and ``from_rational`` wrapped in plain
 functions.  A wrapper is not the function the handle's selections test by
-identity, so ``_direct`` (Python's comparisons for ``lt/le/eq``),
-``_int_terms`` (rational terms of n over ints) and the integer check of a
-coefficient pseudonorm are all off.  The metric spaces, norms and
-pseudonorms are built again on the wrapped handles and then copied with
-``dataclasses.replace``, which drops ``MetricSpace._group`` and so the
-spread-decided Cauchy windows and bound-decided scans.
+identity, so ``_direct`` (Python's comparisons, and the integer pairs of
+two ``Fraction``s, for ``lt/le/eq``), ``_int_terms`` (rational terms of n
+over ints) and the integer check of a coefficient pseudonorm are all off.
+The ``Fraction`` kernel of ``order`` (``frac_add``, ``frac_mul``,
+``frac_neg``) is first replaced by the Python operator it stands for
+(``a + b``, ``a * b``, ``-a``), so a report under the reference never runs
+the kernel.  The metric spaces, norms and pseudonorms are built again
+on the wrapped handles and then copied with ``dataclasses.replace``, which
+drops ``MetricSpace._group`` and so the spread-decided Cauchy windows and
+bound-decided scans.
 
 ``use_reference_registry()`` installs it as the registry that ``lookup``
 and the CLI read, for the length of a ``with`` block.
@@ -17,14 +21,19 @@ and the CLI read, for the length of a ``with`` block.
 from __future__ import annotations
 
 import contextlib
+import operator
 from dataclasses import replace
 
-from ordalab import instances, registry
+from ordalab import instances, order, registry
 
 WRAPPED = ("compare", "op", "negate", "second_op", "invert", "from_rational")
+# each kernel function and the Python operator that replaces it
+PLAIN = {order.frac_add: operator.add, order.frac_mul: operator.mul,
+         order.frac_neg: operator.neg}
 
 
 def _plain(f):
+    f = PLAIN.get(f, f)
     return None if f is None else lambda *args: f(*args)
 
 

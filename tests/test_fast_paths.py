@@ -3,6 +3,10 @@
 * ``StructureHandle.lt/le/eq`` on a handle that compares with
   ``total_compare`` use Python's comparisons; the reference is the handle's
   four-valued ``compare``.
+* ``Q``, ``Z[1/2]`` and ``Z[1/3]`` add, multiply and negate with the
+  ``Fraction`` kernel of ``order``, and their ``lt/le/eq`` compare two
+  ``Fraction``s on their integer pairs; the references are ``Fraction``'s
+  own operators and comparisons.
 * ``Z(X)`` and ``lex`` compare with ``total_compare``, join with ``max``,
   and ``Z(X)`` inverts with ``Q``'s inverse; the references are the
   closures these replaced, kept in ``tests/order_oracle.py``.
@@ -16,6 +20,7 @@
 """
 
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -121,6 +126,79 @@ def test_a_wrapped_total_compare_leaves_the_direct_path_alone(monkeypatch):
     q = lookup("Q")
     monkeypatch.setattr(order, "total_compare", lambda a, b: total_compare(a, b))
     assert replace(q, name="Q'")._direct
+
+
+class Sub(F):
+    """A Fraction subclass whose sums, products and negations stay in the
+    subclass, so a result's type shows that the kernel left the operands to
+    Python's operators."""
+
+    def __add__(a, b):
+        return Sub(F(a) + b)
+
+    def __mul__(a, b):
+        return Sub(F(a) * b)
+
+    def __neg__(a):
+        return Sub(-F(a))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def kernel_operands(p):
+    """Fractions of Z[1/p] (of Q when p is None), zero, ints and bools, small
+    and of 30 digits and more, and now and then a Sub."""
+    ints = st.one_of(st.integers(-40, 40), st.integers(-10**40, 10**40))
+    if p is None:
+        dens = st.one_of(st.integers(1, 30), st.integers(1, 10**40))
+    else:
+        dens = st.one_of(st.integers(0, 4), st.integers(0, 90)).map(lambda e: p ** e)
+    fracs = st.one_of(st.just(F(0)), st.builds(F, ints, dens))
+    return st.one_of(fracs, fracs, fracs, ints, st.booleans(), fracs.map(Sub))
+
+
+def same(got, want):
+    """got is want's value, type, hash and repr, and a Fraction's pair is
+    canonical: coprime, with a positive denominator."""
+    assert type(got) is type(want)
+    assert (got == want, hash(got), repr(got)) == (True, hash(want), repr(want))
+    if isinstance(want, F):
+        n, d = got.numerator, got.denominator
+        assert (n, d) == (want.numerator, want.denominator)
+        assert d > 0 and math.gcd(n, d) == 1
+
+
+@pytest.mark.parametrize("key,p", [("Q", None), ("Z[1/2]", 2), ("Z[1/3]", 3)])
+@example(data=None)
+@given(data=st.data())
+def test_the_fraction_kernel_matches_fractions_own_operators(key, p, data):
+    h = lookup(key)
+    assert (h.op, h.negate, h.second_op) == (order.frac_add, order.frac_neg, order.frac_mul)
+    if data is None:
+        # sums and products whose second gcd reduces, a sum that is 0, bools
+        cases = [(F(1, 6), F(1, 3)), (F(1, 4), F(1, 4)), (F(1, 2), F(2, 3)),
+                 (F(3, 4), F(-3, 4)), (True, F(1, 2)), (F(0), Sub(1, 2))]
+    else:
+        pool = kernel_operands(p)
+        a = data.draw(pool)
+        # b: a itself, its negation, any operand, or one over a's denominator
+        b = data.draw(st.one_of(st.just(a), st.just(-a), pool,
+                                pool.map(lambda x: F(x.numerator, a.denominator))))
+        cases = [(a, b)]
+    for a, b in cases:
+        for x, y in ((a, b), (b, a)):
+            same(order.frac_add(x, y), x + y)
+            same(order.frac_mul(x, y), x * y)
+            assert h.lt(x, y) is (x < y)
+            assert h.le(x, y) is (x <= y)
+            assert h.eq(x, y) is (x == y)
+        same(order.frac_neg(a), -a)
+
+
+def test_the_fraction_kernel_relies_on_two_slots():
+    # the kernel reads and writes these slots; a Fraction with others (a
+    # cached hash, say) would need its results built another way
+    assert F.__slots__ == ("_numerator", "_denominator")
 
 
 def equal_copy(x):

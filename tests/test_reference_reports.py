@@ -15,9 +15,9 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from ordalab import cli, registry
+from ordalab import cli, order, registry
 from ordalab.suites import SERIES_TESTS, SUITE_NAMES
-from reference_registry import WRAPPED, reference_registry, use_reference_registry
+from reference_registry import PLAIN, WRAPPED, reference_registry, use_reference_registry
 
 REFERENCE = reference_registry()
 STRUCTURES = sorted(registry())
@@ -37,6 +37,8 @@ def test_the_reference_registry_turns_every_fast_path_off():
                 x.name for x in getattr(fast[key], attr)], (key, attr)
         assert all(sp._group is None for sp in h.metrics), key
     assert any(sp._group is not None for h in fast.values() for sp in h.metrics)
+    # every function of the Fraction kernel has a Python operator to stand in
+    assert set(PLAIN) == {f for name, f in vars(order).items() if name.startswith("frac_")}
 
 
 @st.composite
