@@ -518,17 +518,15 @@ def verify_compatibility(s: StructureHandle) -> list[Violation]:
     sample = tuple(s.sample)
     strict = s.flags.group
     rel = s.lt if strict else s.le
-    # each sample pair is compared once, for the cone (positive under a
-    # group, nonnegative otherwise) and the pairs of both laws
-    pair_rel = once(rel)
-    # (law prefix, operation, elements c to combine with, wording)
+    # (law prefix, operation, elements c to combine with, wording); the
+    # cone is positive under a group, nonnegative otherwise
     laws = [("op", once(s.op), sample, "with")]
     if s.second_op is not None:
-        cone = [c for c in sample if pair_rel(s.identity, c)]
+        cone = [c for c in sample if rel(s.identity, c)]
         laws.append(("mul", once(s.second_op), cone, "scaled by"))
     out: list[Violation] = []
     for prefix, f, others, wording in laws:
-        for a, b in _pairs_lt(pair_rel, sample):
+        for a, b in _pairs_lt(rel, sample):
             for c in others:
                 for side, x, y in (("right", (a, c), (b, c)), ("left", (c, a), (c, b))):
                     fx, fy = f(*x), f(*y)

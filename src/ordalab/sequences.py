@@ -28,6 +28,7 @@ from .order import (
     Violation,
     checked_split,
     join_fold,
+    nat_mul,
     nat_pow,
     powers,
     shrink_witness,
@@ -54,8 +55,9 @@ class Seq:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, n: int) -> Element:
-        if n < 1 or n is True:  # True is an int, but not the index 1
-            raise ValueError(f"sequence index must be >= 1, got {n}")
+        if type(n) is not int or n < 1:  # True is an int, but not the index 1
+            what = ">= 1" if isinstance(n, int) else "an integer >= 1"
+            raise ValueError(f"sequence index must be {what}, got {n!r}")
         if n not in self._cache:
             self._cache[n] = self.term(n)
         return self._cache[n]
@@ -104,7 +106,8 @@ class PowerTerm:
     c and r free of n and evaluated once (power_term).  The powers step
     from r^k to r^(k+1) with one product, and c = 1 is not multiplied in.
     Through shape_fact it decides, from c and r on the space or handle
-    given, zero_tail, sums_tail, sum_inverse and falls, and shows c."""
+    given, zero_tail, sums_tail, sum_inverse, positive, falls and bounds,
+    and shows c."""
 
     def __init__(self, handle: StructureHandle, c: Element, r: Element):
         self.c, self.r = c, r
@@ -115,10 +118,20 @@ class PowerTerm:
         power = self._power(n)
         return power if self._mul is None else self._mul(self.c, power)
 
+    def positive(self, s: StructureHandle) -> bool:
+        """Whether 0 < c and 0 < r in s: every term is positive."""
+        return s.is_positive(self.c) and s.is_positive(self.r)
+
     def falls(self, s: StructureHandle) -> bool:
         """Whether 0 < c and 0 < r < 1 in s: the terms are positive and
         strictly decrease at every index."""
-        return s.is_positive(self.c) and s.is_positive(self.r) and s.lt(self.r, s.one)
+        return self.positive(s) and s.lt(self.r, s.one)
+
+    def bounds(self, space: MetricSpace, n0: int, h: int) -> tuple[int, int] | None:
+        """(n0 + h, n0) when the terms fall in space's _group: the indices
+        of the least and the greatest value of [n0, n0+h]; else None."""
+        grp = space._group
+        return (n0 + h, n0) if grp is not None and self.falls(grp) else None
 
     def zero_tail(self, space: MetricSpace, message: Callable[[Element], str]):
         """The modulus of c r^n -> 0 on space, when it has a _group and
@@ -156,12 +169,14 @@ class PowerTerm:
 
 
 def shape_fact(seq: Seq, name: str, *args: Any) -> Any:
-    """Attribute name of the shape of seq's term, a RationalTerm or a
-    PowerTerm, called with args if any; None when there is none, or the
-    shape cannot decide it here, and the asker scans or walks.  The one
-    test of a term's shape by its type."""
+    """Attribute name of the shape of seq's term, a RationalTerm, a
+    PowerTerm, the PartialSums of a term or a CondensedTerm, called with
+    args if any; None when there is none, or the shape cannot decide it
+    here, and the asker scans or walks.  The one test of a term's shape by
+    its type."""
     t = seq.term
-    fact = getattr(t, name, None) if type(t) in (RationalTerm, PowerTerm) else None
+    fact = (getattr(t, name, None)
+            if type(t) in (RationalTerm, PowerTerm, PartialSums, CondensedTerm) else None)
     return fact(*args) if args and fact is not None else fact
 
 
@@ -189,14 +204,16 @@ class PartialSums:
     comes in closed form; otherwise the terms are added one at a time, and
     each sum is kept.  The dict of sums is also the cache of the Seq whose
     term this is, so each sum is stored once, and that Seq calls it only
-    for an index it holds no sum for.  window gives the values of a Cauchy
-    window, from the gaps when the sums are far below it."""
+    for an index it holds no sum for.  Through shape_fact, window gives
+    the values of a Cauchy window, from the gaps when the sums are far
+    below it, and bounds the two sums that bound a window's."""
 
     def __init__(self, handle: StructureHandle, x: Seq, alternating: bool):
         self.handle, self.x, self.alternating = handle, x, alternating
         self.sums: dict = {}
         self.known: list = []  # the indices of sums, ascending
-        self.pair = shape_fact(x, "pair") if handle._int_terms else None
+        # not a fact of the sums: shape_fact answers pair only for a term
+        self._pair = shape_fact(x, "pair") if handle._int_terms else None
         self.inv = shape_fact(x, "sum_inverse", handle, alternating)
 
     def _block(self, lo: int, hi: int) -> tuple[int, int]:
@@ -204,7 +221,7 @@ class PartialSums:
         by binary splitting: the halves are summed apart and added once.
         Leaves are evaluated in index order."""
         if lo == hi:
-            num, den = self.pair(lo)
+            num, den = self._pair(lo)
             return (-num if self.alternating and lo % 2 == 0 else num), den
         mid = (lo + hi) // 2
         a, b = self._block(lo, mid)
@@ -215,7 +232,7 @@ class PartialSums:
         sums, known, h, x = self.sums, self.known, self.handle, self.x
         i = bisect_left(known, n)
         m = known[i - 1] if i else 0
-        if n - m > 1 and self.pair is not None:
+        if n - m > 1 and self._pair is not None:
             block = Fraction(*self._block(m + 1, n))
             s = block if m == 0 else sums[m] + block
         elif n - m > 1 and self.inv is not None:
@@ -245,7 +262,7 @@ class PartialSums:
         call."""
         sums, known = self.sums, self.known
         i = bisect_right(known, n)
-        if self.pair is None or n - (known[i - 1] if i else 0) <= offs[-1]:
+        if self._pair is None or n - (known[i - 1] if i else 0) <= offs[-1]:
             return [sums[n + o] if n + o in sums else self(n + o) for o in offs]
         out, num, den, last = [], 0, 1, n
         for o in offs:
@@ -254,6 +271,37 @@ class PartialSums:
                 num, den, last = num * b + a * den, den * b, n + o
             out.append(Fraction(num, den))
         return out
+
+    def bounds(self, space: MetricSpace, n0: int, h: int) -> tuple[int, int] | None:
+        """Two indices whose sums bound, in space's _group, every sum of
+        [n0, n0+h]: n0 and n0 + h when the terms are positive, so the sums
+        rise; n0 and n0 + 1 for the alternating sums of falling terms, by
+        Leibniz's bound (each later sum lies between two consecutive ones);
+        else None."""
+        grp = space._group
+        if grp is None:
+            return None
+        if self.alternating:
+            return (n0, n0 + 1) if shape_fact(self.x, "falls", grp) else None
+        return (n0, n0 + h) if shape_fact(self.x, "positive", grp) else None
+
+
+class CondensedTerm:
+    """Term j of the condensed series of x, 2^(j-1) x_(2^(j-1)): the sum of
+    2^(j-1) ones times x at index 2^(j-1), one product in place of j-1
+    doublings of a term whose size grows with 2^j (series.condensed_terms).
+    Through shape_fact it is positive where x is: 2^(j-1) ones are
+    positive in an ordered ring."""
+
+    def __init__(self, handle: StructureHandle, x: Seq):
+        self.handle, self.x = handle, x
+
+    def __call__(self, j: int) -> Element:
+        h, k = self.handle, 2 ** (j - 1)
+        return h.mul(nat_mul(h, k, h.one), self.x(k))
+
+    def positive(self, s: StructureHandle) -> bool:
+        return bool(shape_fact(self.x, "positive", s))
 
 
 @dataclass(frozen=True)
@@ -359,23 +407,36 @@ def verify_conv_cert(
     The moduli are read first, in grid order.
 
     On a space with an ordered abelian _group, as in scan_window_start, an
-    index is within eps exactly when limit - eps < x_n < limit + eps.  An
-    index that only one epsilon's window reads is decided so, and takes a
-    distance only when it is reported; an index that several windows read
-    takes its distance once, into the certificate's table, since one
-    distance and a compare per window cost less than two compares per
-    window there (over Z(X) most of all)."""
+    index is within eps exactly when limit - eps < x_n < limit + eps.  A
+    window whose term shape names two indices that bound all its values
+    (the fact bounds: falling powers, the sums of positive terms, the
+    alternating sums of falling terms, condensed sums) passes when those
+    two values are within; that interval holds every value between them.
+    Every other window is walked: an index that only one walked window
+    reads is decided by the two compares, and takes a distance only when
+    it is reported; an index that several read takes its distance once,
+    into the certificate's table, since one distance and a compare per
+    window cost less than two compares per window there (over Z(X) most of
+    all).  So a violation is always found, and reported, by the walk."""
     _nonnegative_horizon(horizon)
     space, s = cert.space, cert.space.codomain
     grp = space._group
     dists = cert._dists
     grid = _grid_for(space, grid)
     starts = [modulus_at(cert.modulus, eps) for eps in grid]
-    reads = Counter(n for n0 in starts for n in range(n0, n0 + horizon + 1))
-    out: list[Violation] = []
+    walks = []  # (eps, N(eps), limit - eps, limit + eps) of each window walked
     for eps, n0 in zip(grid, starts):
+        lo = hi = None
         if grp is not None:
             lo, hi = grp.sub(cert.limit, eps), grp.op(cert.limit, eps)
+            ends = shape_fact(cert.seq, "bounds", space, n0, horizon)
+            if ends is not None and all(grp.lt(lo, x) and grp.lt(x, hi)
+                                        for x in map(cert.seq, ends)):
+                continue
+        walks.append((eps, n0, lo, hi))
+    reads = Counter(n for _, n0, _, _ in walks for n in range(n0, n0 + horizon + 1))
+    out: list[Violation] = []
+    for eps, n0, lo, hi in walks:
         for n in range(n0, n0 + horizon + 1):
             d = dists.get(n)
             if d is None:
@@ -400,10 +461,8 @@ def window_values(cert: CauchyCert, n: int, offs: Sequence[int]) -> list:
     which a shift of every value leaves alone, so partial sums give them
     up to one shift (PartialSums.window); any other sequence or space gives
     the values themselves."""
-    t = cert.seq.term
-    if type(t) is PartialSums and cert.space._group is not None:
-        return t.window(n, offs)
-    return [cert.seq(n + o) for o in offs]
+    xs = shape_fact(cert.seq, "window", n, offs) if cert.space._group is not None else None
+    return [cert.seq(n + o) for o in offs] if xs is None else xs
 
 
 def verify_cauchy_cert(
@@ -415,17 +474,26 @@ def verify_cauchy_cert(
     [N(eps), N(eps)+horizon] for every grid eps.
 
     On a space with an ordered abelian _group (absolute_value_metric on Q,
-    Z, Z[1/2], Z[1/3], Z(X)) the values are pairwise within eps exactly
-    when their min and max are, so a clean window costs one distance; a
-    window that fails, and any other space, walks the pairs.  The values
-    come from window_values, so a window of partial sums far past every
-    known sum reads its gaps."""
+    Z, Z[1/2], Z[1/3], Z(X)) a window whose term shape names two indices
+    that bound all its values (the fact bounds: falling powers, the sums
+    of positive terms, the alternating sums of falling terms, condensed
+    sums) passes when those two values are within eps, reading just them.
+    Any other window reads its sampled values, which are pairwise within
+    eps exactly when their min and max are, so a clean window costs one
+    distance; a window that fails, and any other space, walks the pairs,
+    and only the walk reports.  The values come from window_values, so a
+    window of partial sums far past every known sum reads its gaps."""
     space, s = cert.space, cert.space.codomain
     grp = space._group
     out: list[Violation] = []
     offs = _offsets(horizon)
     for eps in _grid_for(space, grid):
         n0 = modulus_at(cert.modulus, eps)
+        ends = shape_fact(cert.seq, "bounds", space, n0, horizon)
+        if ends is not None:
+            i, j = sorted(ends)
+            if s.lt(space.distance(*window_values(cert, i, (0, j - i))), eps):
+                continue
         xs = window_values(cert, n0, offs)
         if grp is not None:
             lo = hi = xs[0]

@@ -30,6 +30,7 @@ from .order import (
 )
 from .sequences import (
     CauchyCert,
+    CondensedTerm,
     ConvCert,
     PartialSums,
     Seq,
@@ -225,21 +226,16 @@ def squeeze_cauchy(
 
 
 def condensed_terms(handle: StructureHandle, x: Seq) -> Seq:
-    """Term j of the condensed series, 2^(j-1) x_(2^(j-1)): the sum of
-    2^(j-1) ones times x at index 2^(j-1), one product in place of j-1
-    doublings of a term whose size grows with 2^j.  The two agree in any
-    unital ring; without a second operation or a one this raises
-    CapabilityError here, not at a term."""
+    """The condensed series of x, whose term j is 2^(j-1) x_(2^(j-1))
+    (sequences.CondensedTerm): the sum of 2^(j-1) ones times x at index
+    2^(j-1), which agrees with j-1 doublings in any unital ring; without a
+    second operation or a one this raises CapabilityError here, not at a
+    term."""
     if handle.second_op is None:
         raise CapabilityError(f"{handle.name} has no second operation")
     if handle.one is None:
         raise CapabilityError(f"{handle.name} has no multiplicative identity")
-
-    def term(j: int) -> Element:
-        k = 2 ** (j - 1)
-        return handle.mul(nat_mul(handle, k, handle.one), x(k))
-
-    return Seq(f"cond({x.name})", term)
+    return Seq(f"cond({x.name})", CondensedTerm(handle, x))
 
 
 def condense(

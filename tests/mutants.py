@@ -77,6 +77,16 @@ CONDENSED_TESTS = (
     "test_series.py::test_condensed_terms_match_the_doubling_path",
     "test_series.py::test_condensed_terms_pins",
 )
+FACT_TESTS = (
+    "test_window_facts.py::test_decided_cauchy_windows_match_the_walk",
+    "test_window_facts.py::test_decided_convergence_windows_match_the_walk",
+)
+
+
+def edge(case: str) -> str:
+    return f"test_window_facts.py::test_windows_at_the_edge_of_a_bound_are_walked[{case}]"
+
+
 KERNEL_TESTS = ("test_fast_paths.py::test_the_fraction_kernel_matches_fractions_own_operators",)
 REFERENCE_TESTS = ("test_reference_reports.py::test_reports_match_under_the_reference_registry",)
 COLLECTOR_TESTS = (
@@ -129,8 +139,6 @@ MUTANTS = (
            "if not m.le(diff, bound):", LAW_TESTS),
     Mutant("metric: distances taken without the memo",
            "metric.py", "dist = once(space.distance)", "dist = space.distance", COUNT_TESTS),
-    Mutant("compatibility: sample pairs compared without the memo",
-           "order.py", "pair_rel = once(rel)", "pair_rel = rel", COUNT_TESTS),
     Mutant("hemiring: products of sample pairs taken without the memo",
            "order.py", "add, mul = once(s.op), once(s.second_op)",
            "add, mul = once(s.op), s.second_op", COUNT_TESTS),
@@ -227,11 +235,39 @@ MUTANTS = (
            "sequences.py", "out.append(Fraction(num, den))",
            "out.append(sums.setdefault(n + o, Fraction(num, den)))", WINDOW_TESTS),
     Mutant("condensed terms: 2^j ones in place of 2^(j-1)",
-           "series.py", "handle.mul(nat_mul(handle, k, handle.one), x(k))",
-           "handle.mul(nat_mul(handle, 2 * k, handle.one), x(k))", CONDENSED_TESTS),
+           "sequences.py", "h.mul(nat_mul(h, k, h.one), self.x(k))",
+           "h.mul(nat_mul(h, 2 * k, h.one), self.x(k))", CONDENSED_TESTS),
     Mutant("Seq: True taken as the index 1",
-           "sequences.py", "if n < 1 or n is True:", "if n < 1:",
+           "sequences.py", "if type(n) is not int or n < 1:", "if not isinstance(n, int) or n < 1:",
            ("test_termexpr.py::test_a_sequence_takes_only_a_positive_integer_index",)),
+    Mutant("Seq: a non-integral index taken",
+           "sequences.py", "if type(n) is not int or n < 1:", "if n < 1 or n is True:",
+           ("test_termexpr.py::test_a_sequence_refuses_a_non_integral_index",)),
+    Mutant("window bounds: a falling power's far end read at n0 + h - 1",
+           "sequences.py", "return (n0 + h, n0) if", "return (n0 + h - 1, n0) if",
+           (edge("power-far-end"), edge("power-far-end-cauchy"))),
+    Mutant("window bounds: the sums' far end read at n0 + h - 1",
+           "sequences.py", "return (n0, n0 + h) if", "return (n0, n0 + h - 1) if",
+           (edge("sums-far-end"), edge("sums-far-end-cauchy"), edge("condensed-far-end"))),
+    Mutant("window bounds: Leibniz read at n0 + 2",
+           "sequences.py", "return (n0, n0 + 1) if", "return (n0, n0 + 2) if",
+           (edge("leibniz"),)),
+    Mutant("window bounds: the falls gate of a power dropped",
+           "sequences.py", "if grp is not None and self.falls(grp) else None",
+           "if grp is not None else None", (edge("no-fall"), edge("no-fall-cauchy"))),
+    Mutant("window bounds: positivity trusted for alternating sums",
+           "sequences.py", '(n0, n0 + 1) if shape_fact(self.x, "falls", grp)',
+           '(n0, n0 + 1) if shape_fact(self.x, "positive", grp)',
+           (edge("rising"), edge("rising-cauchy"))),
+    Mutant("decided convergence window: <= at the lower end",
+           "sequences.py", "all(grp.lt(lo, x) and grp.lt(x, hi)",
+           "all(grp.le(lo, x) and grp.lt(x, hi)", (edge("limit-minus-eps"),)),
+    Mutant("decided convergence window: <= at the upper end",
+           "sequences.py", "all(grp.lt(lo, x) and grp.lt(x, hi)",
+           "all(grp.lt(lo, x) and grp.le(x, hi)", (edge("limit-plus-eps"),)),
+    Mutant("decided Cauchy window: a distance of eps passed",
+           "sequences.py", "if s.lt(space.distance(*window_values(",
+           "if s.le(space.distance(*window_values(", (edge("distance-eps"),)),
     Mutant("power tail: the bisection returns the end below the least index",
            "sequences.py", "                lo = mid\n        return hi\n",
            "                lo = mid\n        return max(lo, 1)\n", (POWER_TESTS[0], POWER_TESTS[1])),
@@ -258,9 +294,9 @@ MUTANTS = (
            "grp = space.codomain\n        decides = grp is not None and grp._int_terms",
            ("test_rational_moduli.py::"
             "test_terms_without_a_zero_limit_and_other_carriers_keep_the_scan",)),
-    Mutant("shape facts: the accessor answers for a PartialSums term",
-           "sequences.py", "type(t) in (RationalTerm, PowerTerm)",
-           "type(t) in (RationalTerm, PowerTerm, PartialSums)", (BLOCK_TESTS[0],)),
+    Mutant("shape facts: partial sums answer pair for their terms",
+           "sequences.py", "self._pair = shape_fact(x, \"pair\")",
+           "self._pair = self.pair = shape_fact(x, \"pair\")", (BLOCK_TESTS[0],)),
     Mutant("power_term: the _group gate dropped",
            "sequences.py", "or not handle.metrics\n            or handle.metrics[0]._group is None):",
            "or not handle.metrics):",

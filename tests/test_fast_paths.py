@@ -561,7 +561,7 @@ def repeats(calls):
 MEMOISED = {
     "monoid": ("op",),
     "hemiring": ("op", "mul"),
-    "compatibility": ("op", "mul", "compare"),
+    "compatibility": ("op", "mul"),
     "order": ("compare",),
     "join": ("compare",),
     "metric": ("distance",),

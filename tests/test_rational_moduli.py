@@ -183,7 +183,7 @@ def test_terms_without_a_zero_limit_and_other_carriers_keep_the_scan():
     x = seq_from_expr("1/(n+3)", Q)
     for alternating in (False, True):
         sums = PartialSums(plain_q, x, alternating)
-        assert sums.pair is None
+        assert sums._pair is None
         assert sums(40) == Series(Q, _signed(x) if alternating else x).partials(40)
         assert sums.known == list(range(1, 41))
 
@@ -265,7 +265,7 @@ def test_the_alternating_test_sums_rational_terms_in_blocks():
     for n in indices:
         assert cert.seq(n) == reference(n)
     assert cert.seq.name == reference.name == "sum(alt(1/(n+3)))"
-    assert type(cert.seq.term) is PartialSums and cert.seq.term.pair is not None
+    assert type(cert.seq.term) is PartialSums and cert.seq.term._pair is not None
 
 
 @settings(max_examples=200)  # cheap examples, most with one or two windows

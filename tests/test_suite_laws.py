@@ -125,6 +125,8 @@ def test_no_module_imports_a_private_name_from_another_module():
 
 
 SHAPES = {"RationalTerm", "PowerTerm"}
+# shapes that series builds as well, whose type only the accessor tests
+BUILT_SHAPES = {"PartialSums", "CondensedTerm"}
 
 
 def _names(node):
@@ -138,7 +140,8 @@ def _calls(node, name):
 def shape_type_tests():
     """(module, line) for each place a module other than sequences and
     termexpr names a term shape class, and each test of a term's type
-    against one in sequences outside the accessor shape_fact."""
+    against one, or against PartialSums or CondensedTerm, in sequences
+    outside the accessor shape_fact."""
     out = []
     for p in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(p.read_text(encoding="utf-8"))
@@ -155,7 +158,7 @@ def shape_type_tests():
             operands = [n.left, *n.comparators] if isinstance(n, ast.Compare) else []
             typed = (any(_calls(o, "type") for o in operands)
                      or _calls(n, "isinstance") or _calls(n, "issubclass"))
-            if typed and SHAPES & _names(n) and id(n) not in accessor:
+            if typed and (SHAPES | BUILT_SHAPES) & _names(n) and id(n) not in accessor:
                 out.append((p.name, n.lineno))
     return out
 

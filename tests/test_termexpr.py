@@ -1,5 +1,6 @@
 """The term-expression grammar: parsing, pretty-printing, evaluation."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -162,6 +163,16 @@ def test_a_sequence_takes_only_a_positive_integer_index():
     with pytest.raises(ValueError, match="^sequence index must be >= 1, got True$"):
         seq(True)
     assert seq._cache == {} and seq(1) == F(1, 2)
+
+
+@pytest.mark.parametrize("n", [F(5, 2), F(2), 2.5, 2.0])
+def test_a_sequence_refuses_a_non_integral_index(n):
+    # seq(5/2) returned 2/5 and cached it under the key 5/2, and seq(2.5)
+    # failed deep inside with a TypeError
+    seq = seq_from_expr("1/n", Q)
+    with pytest.raises(ValueError, match=f"^sequence index must be an integer >= 1, got {re.escape(repr(n))}$"):
+        seq(n)
+    assert seq._cache == {} and seq(2) == F(1, 2)
 
 
 def test_a_missing_inverse_is_an_eval_error():

@@ -12,7 +12,13 @@ code.  Then, module by module, every statement (or ``except`` clause) of a
 ``def`` that some op entered is printed the same way when no op executed
 any line of it that holds code of its own, outside the statements and
 functions nested in it: a branch no workload takes, or a test that is never
-true.  Nothing is written.
+true.  Last, every operand of a condition that some op evaluated is
+printed when no op took it: the body or the ``else`` of an ``if`` whose
+test ran, either side of an ``x if c else y`` whose ``c`` ran, and each
+operand after the first of an ``and``/``or`` whose first operand ran.  An
+operand is taken when an instruction whose source span lies inside it
+runs (per-opcode tracing), so a path folded into one line of conditions
+shows.  The three counts close the output.  Nothing is written.
 
 Run from the repository root (a few minutes):
 
@@ -25,7 +31,7 @@ import ast
 import inspect
 import os
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 from replay_pins import ROOT, load_pins, pinned_ops
@@ -90,12 +96,62 @@ def function_statements() -> dict:
     return out
 
 
+def _span(first, last=None) -> tuple:
+    last = last or first
+    return first.lineno, first.col_offset, last.end_lineno, last.end_col_offset
+
+
+def branch_operands() -> list:
+    """(file, line, kind, the span whose running reaches the condition,
+    the spans of its operands that may go untaken) for every if statement,
+    conditional expression and and/or in the package."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.If):
+                operands = [("body", _span(node.body[0], node.body[-1]))]
+                if node.orelse:
+                    operands.append(("else", _span(node.orelse[0], node.orelse[-1])))
+                out.append((str(path), node.lineno, "if", _span(node.test), operands))
+            elif isinstance(node, ast.IfExp):
+                out.append((str(path), node.lineno, "if-else", _span(node.test),
+                            [("body", _span(node.body)), ("else", _span(node.orelse))]))
+            elif isinstance(node, ast.BoolOp):
+                word = "and" if isinstance(node.op, ast.And) else "or"
+                out.append((str(path), node.lineno, word, _span(node.values[0]),
+                            [(f"operand {i + 1}", _span(v))
+                             for i, v in enumerate(node.values[1:], 1)]))
+    return out
+
+
+def ran_spans(ran: set) -> dict:
+    """file -> start line -> the source spans (line, column, end line, end
+    column) of the instructions that ran, from (code, offset) pairs."""
+    positions: dict = {}
+    out: dict = defaultdict(lambda: defaultdict(set))
+    for code, offset in ran:
+        if code not in positions:
+            positions[code] = list(code.co_positions())
+        line, end, col, end_col = positions[code][offset // 2]
+        if line is not None and col is not None:
+            out[code.co_filename][line].add((line, col, end, end_col))
+    return out
+
+
+def _inside(spans: dict, span: tuple) -> bool:
+    line, col, end, end_col = span
+    return any((line, col) <= (a, c) and (b, d) <= (end, end_col)
+               for k in range(line, end + 1) for a, c, b, d in spans.get(k, ()))
+
+
 def main() -> int:
     prefix = str(PACKAGE) + os.sep
-    entered, executed = set(), set()
+    entered, executed, ran = set(), set(), set()
 
     def lines(frame, event, arg):
-        if event == "line":
+        if event == "opcode":
+            ran.add((frame.f_code, frame.f_lasti))
+        elif event == "line":
             executed.add((frame.f_code.co_filename, frame.f_lineno))
         return lines
 
@@ -103,6 +159,7 @@ def main() -> int:
         code = frame.f_code
         if code.co_filename.startswith(prefix):
             entered.add(_key(code))
+            frame.f_trace_opcodes = True
             return lines
         return None
 
@@ -137,6 +194,21 @@ def main() -> int:
     per_module = ", ".join(f"{name} {k}" for name, k in sorted(unexecuted.items()))
     print(f"{sum(unexecuted.values())} statements of entered functions executed by none "
           f"of {ops} ops ({per_module})")
+
+    spans = ran_spans(ran)
+    untaken: Counter = Counter()
+    for path, line, kind, reach, operands in sorted(branch_operands()):
+        if not _inside(spans[path], reach):
+            continue  # no op evaluated the condition
+        for name, span in operands:
+            if not _inside(spans[path], span):
+                print(f"{Path(path).name}:{line} {kind}: {name}")
+                untaken[Path(path).name] += 1
+    per_module = ", ".join(f"{name} {k}" for name, k in sorted(untaken.items()))
+    print(f"{sum(untaken.values())} operands of conditions that ops evaluated taken by none "
+          f"of {ops} ops ({per_module})")
+    print(f"untaken by {ops} ops: {len(missed)} functions, {sum(unexecuted.values())} "
+          f"statements, {sum(untaken.values())} branch operands")
     return 0
 
 
