@@ -77,22 +77,18 @@ CONDENSED_TESTS = (
     "test_series.py::test_condensed_terms_match_the_doubling_path",
     "test_series.py::test_condensed_terms_pins",
 )
-FACT_TESTS = (
-    "test_window_facts.py::test_decided_cauchy_windows_match_the_walk",
-    "test_window_facts.py::test_decided_convergence_windows_match_the_walk",
-)
-
-
-def edge(case: str) -> str:
-    return f"test_window_facts.py::test_windows_at_the_edge_of_a_bound_are_walked[{case}]"
-
-
 KERNEL_TESTS = ("test_fast_paths.py::test_the_fraction_kernel_matches_fractions_own_operators",)
 REFERENCE_TESTS = ("test_reference_reports.py::test_reports_match_under_the_reference_registry",)
 COLLECTOR_TESTS = (
     "test_suite_laws.py::test_collector_cert_records_a_failed_scan_at_its_epsilon_only",
     "test_suite_laws.py::test_collector_cert_reports_a_capability_error_in_build_as_unverifiable",
 )
+
+
+def edge(case: str) -> str:
+    """The node id of one case of the window-fact edge test."""
+    return f"test_window_facts.py::test_windows_at_the_edge_of_a_bound_are_walked[{case}]"
+
 
 MUTANTS = (
     Mutant("integer norm check: > becomes >= in the submultiplicative comparison",
