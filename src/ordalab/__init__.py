@@ -12,7 +12,6 @@ from .algebra import (
     albert_pseudonorm,
     coefficient_pseudonorm,
     element_handle,
-    is_prime,
     load_algebra_table,
     padic_norm,
     padic_valuation,
@@ -103,10 +102,9 @@ from .series import (
     ratio_cauchy,
     squeeze_cauchy,
     tail_bound,
-    terms_from_partials,
     terms_vanish,
 )
-from .suites import RunConfig, SUITE_NAMES, resolve_grid, run_suite
+from .suites import RunConfig, SUITE_NAMES, run_suite
 from .termexpr import (
     EvalError,
     TermError,

@@ -399,9 +399,12 @@ class RatFunc:
         lead = poly_lead(self.num)
         return (lead > 0) - (lead < 0)
 
-    def _cmp_sign(self, other) -> int:
-        # sign of self - other, read off the leading term of the cross
-        # product a.num * b.den - b.num * a.den; denominators lead positive
+    def _cmp_sign(self, other) -> int | None:
+        # sign of self - other (None for a foreign operand), read off the
+        # leading term of a.num * b.den - b.num * a.den; denominators lead positive
+        other = _coerce(other)
+        if other is NotImplemented:
+            return None
         a, b = self.num, other.num
         size_a, size_b = len(a) + len(other.den), len(b) + len(self.den)
         if not a or not b:
@@ -415,28 +418,20 @@ class RatFunc:
         return (lead > 0) - (lead < 0)
 
     def __lt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_sign(other) < 0
+        sign = self._cmp_sign(other)
+        return NotImplemented if sign is None else sign < 0
 
     def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_sign(other) <= 0
+        sign = self._cmp_sign(other)
+        return NotImplemented if sign is None else sign <= 0
 
     def __gt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_sign(other) > 0
+        sign = self._cmp_sign(other)
+        return NotImplemented if sign is None else sign > 0
 
     def __ge__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_sign(other) >= 0
+        sign = self._cmp_sign(other)
+        return NotImplemented if sign is None else sign >= 0
 
     def __eq__(self, other):
         other = _coerce(other)

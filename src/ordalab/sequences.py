@@ -191,6 +191,12 @@ def power_term(handle: StructureHandle,
     return PowerTerm(handle, *parts())
 
 
+def power_seq(handle: StructureHandle, r: Element, name: str) -> Seq:
+    """The sequence n -> r^n named name, the one builder of a power sequence:
+    a PowerTerm with c = 1 where power_term admits handle, else powers'."""
+    return Seq(name, power_term(handle, lambda: (handle.one, r)) or powers(handle, r))
+
+
 class PartialSums:
     """The term function n -> s_n = x_1 + x_2 + ... + x_n, or x_1 - x_2 +
     ... +- x_n when alternating: the term of series.Series(...).partials
@@ -528,13 +534,18 @@ def split_max(
     second: Callable[[Element], int],
 ) -> Callable[[Element], int]:
     """The modulus eps -> max(first(beta), second(gamma)) over the split
-    eps -> (beta, gamma) of s's density witness: one triangle step charges
-    a part to each side.  Raises CapabilityError now if s is not dense."""
+    eps -> (beta, gamma) of s's density witness, one part charged to each
+    side of a triangle step; each eps is split once, however often it is
+    read.  Raises CapabilityError now if s is not dense."""
     w = split_witness(s, None)
+    found: dict = {}
 
     def modulus(eps: Element) -> int:
-        beta, gamma = checked_split(s, w, eps)
-        return max(modulus_at(first, beta), modulus_at(second, gamma))
+        n = found.get(eps)
+        if n is None:
+            beta, gamma = checked_split(s, w, eps)
+            n = found[eps] = max(modulus_at(first, beta), modulus_at(second, gamma))
+        return n
 
     return modulus
 

@@ -24,7 +24,6 @@ from .order import (
     fold_op,
     nat_mul,
     nat_pow,
-    powers,
     shrink_witness,
     split_witness,
 )
@@ -39,6 +38,7 @@ from .sequences import (
     conv_to_cauchy,
     modulus_at,
     negate_cert,
+    power_seq,
     shape_fact,
     shift_cert,
     split_max,
@@ -260,7 +260,8 @@ def condense(
     handle.require("ring", "total_order")
     if handle.one is None:
         raise CapabilityError(f"{handle.name} has no multiplicative identity")
-    plain_modulus = split_max(handle, c.modulus, c.modulus)
+    # only the forward modulus splits eps: backward needs no density witness
+    plain_modulus = split_max(handle, c.modulus, c.modulus) if direction == "forward" else None
     if mono.kind not in (
         MonotoneKind.DECREASING_POSITIVE,
         MonotoneKind.STRICTLY_DECREASING_POSITIVE,
@@ -275,13 +276,9 @@ def condense(
         _sample_agree(c.seq, base_partials, 6,
                       "certificate is not for this series' partial sums")
 
-        found: dict = {}
-
         def modulus(eps: Element) -> int:
-            # the least k with 2^(k-1) >= N, split once per epsilon
-            if eps not in found:
-                found[eps] = (plain_modulus(eps) - 1).bit_length() + 1
-            return found[eps]
+            # the least k with 2^(k-1) >= N
+            return (plain_modulus(eps) - 1).bit_length() + 1
 
         return CauchyCert(space, cond_partials, modulus)
 
@@ -375,13 +372,13 @@ def geometric_cert(
         )
     if not handle.eq(c0.limit, handle.identity):
         raise ValueError(f"{c0.seq.name} does not carry a zero limit")
-    power = powers(handle, r)
+    power = power_seq(handle, r, f"pow({handle.fmt(r)})")
     _sample_agree(c0.seq, power, 6, "power certificate is for a different ratio")
     shrink = shrink_witness(handle)
 
     # terms r^(i-1); the closed form below reads r^(n+1) as term n + 2, so
     # both walks share the term cache and step through the powers once
-    terms = Seq(f"pow({handle.fmt(r)})", lambda i: power(i - 1))
+    terms = Seq(power.name, lambda i: handle.one if i == 1 else power(i - 1))
     partials = Series(handle, terms).partials
     seq = Seq(f"geom({handle.fmt(r)})", lambda n: partials(n + 1))
 
@@ -437,7 +434,7 @@ def archimedean_power_modulus(
     if not handle.lt(mag, handle.one):
         raise ValueError(f"{handle.name}: need -1 < r < 1, got {handle.fmt(r)}")
 
-    seq = Seq(f"pow({handle.fmt(r)})", powers(handle, r))
+    seq = power_seq(handle, r, f"pow({handle.fmt(r)})")
     if handle.eq(r, handle.identity):
         return constant_cert(space, handle.identity, name=seq.name)
 

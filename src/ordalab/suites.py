@@ -35,7 +35,6 @@ from .order import (
     n_split,
     nat_mul,
     once,
-    powers,
     shrink_witness,
     split_witness,
     verify_archimedean,
@@ -55,7 +54,7 @@ from .sequences import (
     apart_tail,
     constant_cert,
     conv_to_cauchy,
-    power_term,
+    power_seq,
     prod_certs,
     refute_distinct_limits,
     shape_fact,
@@ -440,7 +439,7 @@ def _stock_ratio(handle: StructureHandle, space, grid):
     Rational bases q come first; structures whose order ranks every
     rational above some grid bound (an infinitesimal scale) fall through to
     inverses of their published symbols.  The terms are the powers r^n
-    (power_term, else stepped).  Returns (r, terms, inverse, symbolic):
+    (power_seq).  Returns (r, terms, inverse, symbolic):
     symbolic terms double in representation size under index doubling,
     which callers use to keep windows small.
     """
@@ -460,8 +459,7 @@ def _stock_ratio(handle: StructureHandle, space, grid):
                 label = handle.fmt(r)
             if not (handle.lt(handle.identity, r) and handle.lt(r, handle.one)):
                 continue
-            terms = Seq(f"geo-terms({label})",
-                        power_term(handle, lambda: (handle.one, r)) or powers(handle, r))
+            terms = power_seq(handle, r, f"geo-terms({label})")
             sizes = tuple(space.distance(terms(k), handle.identity) for k in range(1, 33))
             if not all(any(m.lt(d, eps) for d in sizes) for eps in grid):
                 continue
@@ -568,8 +566,8 @@ def _suite_geometric(handle: StructureHandle, cfg: RunConfig, rng: random.Random
     space, grid = _metric_grid(handle, cfg.grid)
     h = cfg.horizon
     mfmt = space.codomain.fmt
-    r, terms, inv, _ = _stock_ratio(handle, space, grid)
-    c0 = zero_limit_cert(handle, space, Seq(f"pow({handle.fmt(r)})", terms.term), h)
+    r, _, inv, _ = _stock_ratio(handle, space, grid)
+    c0 = zero_limit_cert(handle, space, power_seq(handle, r, f"pow({handle.fmt(r)})"), h)
 
     col.cert("geometric.certificate", "series.geometric",
              lambda: geometric_cert(handle, space, r, c0, inv),
@@ -726,7 +724,7 @@ def run_series(structure: str, expr: str, test: str, grid: Sequence[str],
         # a power term with c = 1 is the power sequence of r = x_1 by its syntax
         c = shape_fact(seq, "c")
         if c is None or not handle.eq(c, handle.one):
-            power = powers(handle, r)
+            power = power_seq(handle, r, seq.name)
             for k in range(1, 7):
                 if not handle.eq(seq(k), power(k)):
                     raise ValueError(

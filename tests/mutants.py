@@ -77,6 +77,8 @@ CONDENSED_TESTS = (
     "test_series.py::test_condensed_terms_match_the_doubling_path",
     "test_series.py::test_condensed_terms_pins",
 )
+POWER_SEQ_TEST = (
+    "test_powers.py::test_power_seq_is_r_to_the_n_through_a_power_term_where_the_gate_admits")
 KERNEL_TESTS = ("test_fast_paths.py::test_the_fraction_kernel_matches_fractions_own_operators",)
 REFERENCE_TESTS = ("test_reference_reports.py::test_reports_match_under_the_reference_registry",)
 COLLECTOR_TESTS = (
@@ -312,9 +314,22 @@ MUTANTS = (
            ("test_spread.py::test_bound_decided_verifier_matches_the_reference[Q]",
             "test_spread.py::test_bound_decided_verifier_matches_the_reference[Z(X)]")),
     Mutant("forward condensation modulus: 2^(k-1) >= N taken for 2^(k-1) > N",
-           "series.py", "found[eps] = (plain_modulus(eps) - 1).bit_length() + 1",
-           "found[eps] = plain_modulus(eps).bit_length() + 1",
+           "series.py", "return (plain_modulus(eps) - 1).bit_length() + 1",
+           "return plain_modulus(eps).bit_length() + 1",
            ("test_golden.py::test_golden_bytes[series-Q-condensation]",)),
+    Mutant("power_seq: the stepping closure taken where the PowerTerm gate admits",
+           "sequences.py",
+           "return Seq(name, power_term(handle, lambda: (handle.one, r)) or powers(handle, r))",
+           "return Seq(name, powers(handle, r))",
+           (POWER_SEQ_TEST,
+            "test_window_facts.py::"
+            "test_archimedean_windows_over_a_falling_ratio_read_their_two_bounds")),
+    Mutant("power_seq: r passed for c",
+           "sequences.py", "power_term(handle, lambda: (handle.one, r))",
+           "power_term(handle, lambda: (r, r))", (POWER_SEQ_TEST,)),
+    Mutant("split_max: the modulus kept under the first part of the split",
+           "sequences.py", "n = found[eps] = max(", "n = found[beta] = max(",
+           ("test_sequences.py::test_a_split_modulus_splits_each_eps_once_over_repeated_reads",)),
     Mutant("term parser: the literal limit one digit late",
            "termexpr.py", "if len(t.text) > 4300:", "if len(t.text) > 4301:",
            ("test_termexpr.py::test_an_overlong_integer_literal_is_a_term_error",)),

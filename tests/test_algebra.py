@@ -11,7 +11,6 @@ from ordalab import (
     albert_pseudonorm,
     coefficient_pseudonorm,
     element_handle,
-    is_prime,
     load_algebra_table,
     padic_norm,
     padic_valuation,
@@ -19,6 +18,7 @@ from ordalab import (
     structure_bound,
     verify_pseudonorm,
 )
+from ordalab.algebra import is_prime
 
 MINI_GAMMA = [1, 0, 0, 1, 0, 1, -1, 0]  # basis 1, i with i*i = -1
 

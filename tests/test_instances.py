@@ -15,13 +15,13 @@ from ordalab import (
     n_split,
     nat_mul,
     registry,
-    resolve_grid,
     split_witness,
     verify_archimedean,
     verify_density,
     verify_shrink,
 )
 from ordalab.poly import RF_ONE, RF_ZERO, RatFunc, X
+from ordalab.suites import resolve_grid
 from order_oracle import localized_split, module_density_witness, two_fifths_split
 from test_poly import ratfuncs
 

@@ -12,7 +12,6 @@ from ordalab import (
     OrderResult,
     absolute_value,
     fold_op,
-    is_prime,
     lookup,
     make_flags,
     nat_mul,
@@ -23,6 +22,7 @@ from ordalab import (
     verify_hemiring,
     verify_monoid,
 )
+from ordalab.algebra import is_prime
 from ordalab.order import join_fold
 from test_poly import _rf
 

@@ -188,6 +188,18 @@ def test_cmp_sign_pins():
     assert RF_ZERO._cmp_sign(-X) == 1
 
 
+def test_compares_coerce_ints_and_fractions_and_refuse_anything_else():
+    assert RF_ONE._cmp_sign(1) == 0 and (RF_ONE / X)._cmp_sign(F(1, 2)) == -1
+    assert RF_ONE._cmp_sign("1") is None and RF_ONE._cmp_sign(1.0) is None
+    assert RF_ONE < 2 and RF_ONE <= F(1) and X > 5 and -X >= F(-7, 2) - X
+    assert 2 > RF_ONE and F(1, 2) < RF_ONE and 0 <= RF_ONE / X
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(RF_ONE, "1")
+        with pytest.raises(TypeError):
+            compare(1.5, X)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic against the schoolbook pair, canonicalized by the oracle
 

@@ -5,6 +5,9 @@
 carrier with a second operation, over sample elements and over walks of
 exponents that run up, repeat, jump back and hit 0, it must give what
 ``nat_pow`` gives: an equal value of the same type, or the same exception.
+``sequences.power_seq``, the builder of every power sequence, gives the same
+values, through a ``PowerTerm`` with c = 1 where ``power_term`` admits the
+carrier and through ``powers`` elsewhere.
 """
 
 import dataclasses
@@ -16,6 +19,8 @@ from hypothesis import given, strategies as st
 from ordalab import lookup, nat_pow
 from ordalab.order import powers
 from ordalab.poly import X
+from ordalab.sequences import power_seq, power_term, shape_fact
+from reference_registry import reference_registry
 
 # every registry carrier with a second operation, and Q^2, which has none
 KEYS = ("Q", "Z", "Z[1/2]", "Z[1/3]", "Z(X)", "Q(i)", "Q^2", "G0", "Id(Z)")
@@ -103,3 +108,19 @@ def test_walking_one_to_n_takes_n_minus_one_products(key, x):
     log.clear()
     power(17)
     assert len(log) == 1
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_power_seq_is_r_to_the_n_through_a_power_term_where_the_gate_admits(key):
+    for handle in (lookup(key), reference_registry()[key]):
+        admits = power_term(handle, lambda: (handle.one, handle.one)) is not None
+        for x in handle.sample[:6]:
+            seq = power_seq(handle, x, "pow")
+            assert seq.name == "pow"
+            assert [outcome(seq, n) for n in range(1, 9)] == \
+                [outcome(lambda k: nat_pow(handle, x, k), n) for n in range(1, 9)]
+            # c = 1 under the gate; the stepping closure has no shape
+            assert shape_fact(seq, "c") == (handle.one if admits else None)
+    # the ordered carriers with an absolute-value metric take the PowerTerm
+    assert (power_term(lookup(key), lambda: (1, 1)) is not None) == \
+        (key in ("Q", "Z", "Z[1/2]", "Z[1/3]", "Z(X)"))

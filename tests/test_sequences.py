@@ -1,6 +1,7 @@
 """Convergence and Cauchy certificates: construction, transport, scanning."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -15,6 +16,7 @@ from ordalab import (
     MonotoneKind,
     Seq,
     SubseqMap,
+    absolute_value_metric,
     add_certs,
     apart_tail,
     bounded_from_cert,
@@ -360,3 +362,20 @@ def test_harmonic_modulus_really_works(n):
     for eps in (F(1, 2), F(1, 7), F(1, 50)):
         if n >= cert.modulus(eps):
             assert abs(cert.seq(n) - cert.limit) < eps
+
+
+def test_a_split_modulus_splits_each_eps_once_over_repeated_reads():
+    splits = Counter()
+
+    def density(eps):
+        splits[eps] += 1
+        return Q.density(eps)
+
+    space = absolute_value_metric(replace(Q, density=density))
+    cert = ConvCert(space, Seq("1/n", lambda n: F(1, n)), F(0), lambda eps: 1 + int(1 / eps))
+    cauchy = conv_to_cauchy(cert)
+    # the collector echoes N(eps), then the verifier reads it again
+    first = [cauchy.modulus(eps) for eps in GRID]
+    assert verify_cauchy_cert(cauchy, GRID, 8) == []
+    assert [cauchy.modulus(eps) for eps in GRID] == first
+    assert splits == Counter(GRID)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from ordalab import (
     CapabilityError,
+    CauchyCert,
     MonotoneKind,
     Seq,
     Series,
@@ -27,12 +28,12 @@ from ordalab import (
     scanned_cauchy_cert,
     scanned_conv_cert,
     seq_from_expr,
-    terms_from_partials,
     terms_vanish,
     verify_cauchy_cert,
     verify_conv_cert,
 )
 from ordalab.poly import RF_ONE, X
+from ordalab.series import terms_from_partials
 from term_oracle import condensed_term_reference
 
 Q = lookup("Q")
@@ -154,6 +155,26 @@ def test_condense_both_directions():
     assert fwd.modulus(F(1, 2)) == 3
     assert verify_cauchy_cert(fwd, GRID, 8) == []
     back = condense(Q, SPACE, x, mono, fwd, "backward")
+    assert back.modulus(F(1, 2)) == 7
+    assert verify_cauchy_cert(back, GRID, 16) == []
+
+
+def test_backward_condensation_needs_no_density_witness():
+    # Z has none: the backward modulus 2^N(eps) - 1 splits nothing
+    z = lookup("Z")
+    ones = Seq("1", lambda n: 1)
+    mono = check_monotone(z, ones, MonotoneKind.DECREASING_POSITIVE, 32)
+    cond = CauchyCert(z.metrics[0], Seq("2^n-1", lambda n: 2**n - 1), lambda eps: 3)
+    back = condense(z, z.metrics[0], ones, mono, cond, "backward")
+    assert back.seq(5) == 5 and back.modulus(1) == 7
+    with pytest.raises(CapabilityError, match="Z has no density witness"):
+        condense(z, z.metrics[0], ones, mono, cond, "forward")
+    # over Q without its witness, backward still certifies what forward gave
+    x = halves()
+    mono = check_monotone(Q, x, MonotoneKind.DECREASING_POSITIVE, 32)
+    base = scanned_cauchy_cert(SPACE, Series(Q, x).partials, horizon=16)
+    fwd = condense(Q, SPACE, x, mono, base, "forward")
+    back = condense(replace(Q, density=None), SPACE, x, mono, fwd, "backward")
     assert back.modulus(F(1, 2)) == 7
     assert verify_cauchy_cert(back, GRID, 16) == []
 

@@ -167,6 +167,27 @@ def test_only_the_accessor_tests_a_term_shape_by_its_type():
     assert shape_type_tests() == []
 
 
+def powers_uses():
+    """(module, line) for each call or import of order.powers outside order
+    and sequences, where sequences.power_seq builds every power sequence."""
+    out = []
+    for p in sorted(PACKAGE.glob("*.py")):
+        if p.name in ("order.py", "sequences.py"):
+            continue
+        for n in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+            called = isinstance(n, ast.Call) and (
+                _calls(n, "powers")
+                or isinstance(n.func, ast.Attribute) and n.func.attr == "powers")
+            imported = isinstance(n, ast.ImportFrom) and "powers" in {a.name for a in n.names}
+            if called or imported:
+                out.append((p.name, n.lineno))
+    return out
+
+
+def test_only_order_and_sequences_call_powers():
+    assert powers_uses() == []
+
+
 def test_collector_cert_turns_a_modulus_error_into_a_window_violation():
     q = lookup("Q")
     bad = F(1, 8)

@@ -34,7 +34,8 @@ from ordalab.sequences import (
     verify_conv_cert,
     zero_limit_cert,
 )
-from ordalab.series import Series, condensed_terms
+from ordalab.series import Series, archimedean_power_modulus, condensed_terms
+from reference_registry import reference_registry
 from scan_oracle import verify_cauchy_cert_reference, verify_conv_cert_reference
 from test_power_terms import HANDLES, KEYS, _compiled, _plain, power_terms, ratios, scales
 
@@ -234,3 +235,16 @@ def test_a_decided_window_reads_its_two_bounds_only():
     sums = _sequence(handle, _compiled("Q", "pow(1/2, n)"), "plain")
     assert verify_cauchy_cert(CauchyCert(space, sums, lambda e: 5), (F(1, 8),), 16) == []
     assert sorted(sums._cache) == [5, 21]
+
+
+def test_archimedean_windows_over_a_falling_ratio_read_their_two_bounds():
+    # power_seq builds the sequence: a PowerTerm decides each window from its
+    # ends, where the stepping closure of the reference registry walks it
+    h = 64
+    for handle, ends in ((HANDLES["Q"], lambda n0: (n0, n0 + h)),
+                         (reference_registry()["Q"], lambda n0: range(n0, n0 + h + 1))):
+        cert = archimedean_power_modulus(handle, handle.metrics[0], F(1, 2))
+        grid = handle.eps_grid
+        assert verify_conv_cert(cert, grid, h) == []
+        read = {n for eps in grid for n in ends(cert.modulus(eps))}
+        assert set(cert.seq._cache) == read
