@@ -52,11 +52,12 @@ def poly_sub(p: Poly, q: Poly) -> Poly:
 def poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ()
-    # a constant factor scales the other; canonical pairs often have one
-    if len(q) == 1:
-        return poly_scale(p, q[0])
-    if len(p) == 1:
-        return poly_scale(q, p[0])
+    # a monomial c X^k factor (a constant among them) shifts and scales the
+    # other; Z(X) terms are full of X^n, stored as n zeros and a 1
+    if _is_monomial(q):
+        return (0,) * (len(q) - 1) + poly_scale(p, q[-1])
+    if _is_monomial(p):
+        return (0,) * (len(p) - 1) + poly_scale(q, p[-1])
     out = [0] * (len(p) + len(q) - 1)
     terms = [(j, b) for j, b in enumerate(q) if b]
     for i, a in enumerate(p):
@@ -76,6 +77,9 @@ def poly_scale(p: Poly, c: int) -> Poly:
 
 def poly_pow(p: Poly, k: int) -> Poly:
     """p^k for a natural k, by repeated squaring."""
+    if _is_monomial(p):
+        # (c X^v)^k = c^k X^(v k); with no trailing zeros, c is the last coefficient
+        return (0,) * ((len(p) - 1) * k) + (p[-1] ** k,)
     out = (1,)
     while k:
         if k & 1:
@@ -109,11 +113,9 @@ def poly_primitive(p: Poly) -> Poly:
 
 
 def _valuation(p: Poly) -> int:
-    # exponent of the lowest nonzero term: the power of X dividing p
-    for i, c in enumerate(p):
-        if c:
-            return i
-    return 0
+    # exponent of the lowest nonzero term of a nonzero p: the power of X
+    # dividing p
+    return p.index(next(filter(None, p)))
 
 
 def _is_monomial(p: Poly) -> bool:
@@ -254,6 +256,12 @@ def poly_div_exact(p: Poly, q: Poly) -> Poly:
     v = _valuation(q)
     if _valuation(p) < v:
         raise ValueError("polynomial division is not exact")
+    if len(q) == v + 1:
+        # q = c X^v: a shift down, then each coefficient divided by c
+        c = q[-1]
+        if any(a % c for a in p[v:]):
+            raise ValueError("polynomial quotient is not integral")
+        return tuple(a // c for a in p[v:])
     r, b = list(p[v:]), q[v:]
     db = len(b) - 1
     lb = b[-1]
@@ -322,9 +330,9 @@ class RatFunc:
         return cls((q.numerator,), (q.denominator,))
 
     # -- arithmetic -----------------------------------------------------
-    # Henrici's method (Knuth, TAOCP vol. 2, 4.5.1): products and powers of
-    # canonical pairs are put into canonical form without the constructor;
-    # a sum is the only result that can still cancel.
+    # Henrici's method (Knuth, TAOCP vol. 2, 4.5.1): sums, products and
+    # powers of canonical pairs are put into canonical form without the
+    # constructor.
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -335,13 +343,21 @@ class RatFunc:
             return other
         a, b, c, d = self.num, self.den, other.num, other.den
         if b == d:
-            return RatFunc(poly_add(a, c), b)
-        g = _zgcd(b, d)
-        if g == (1,):
-            # any factor of b d divides exactly one of b and d, and not a d + c b
-            return _make(poly_add(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d))
-        bg, dg = poly_div_exact(b, g), poly_div_exact(d, g)
-        return RatFunc(poly_add(poly_mul(a, dg), poly_mul(c, bg)), poly_mul(bg, d))
+            t, g, rest = poly_add(a, c), b, (1,)
+        else:
+            g = _zgcd(b, d)
+            if g == (1,):
+                # any factor of b d divides exactly one of b and d, and not a d + c b
+                return _make(poly_add(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d))
+            bg, dg = poly_div_exact(b, g), poly_div_exact(d, g)
+            t, rest = poly_add(poly_mul(a, dg), poly_mul(c, bg)), poly_mul(bg, dg)
+        if not t:
+            return RF_ZERO
+        # t / (rest g) with t coprime to b/g and to d/g: only g2 can cancel
+        g2 = _zgcd(t, g)
+        if g2 != (1,):
+            t, g = poly_div_exact(t, g2), poly_div_exact(g, g2)
+        return _make(t, poly_mul(rest, g))
 
     __radd__ = __add__
 

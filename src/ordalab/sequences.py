@@ -922,20 +922,30 @@ def _power_tail(grp: StructureHandle, scale: Element, ratio: Element, d: Element
     """The modulus whose N(eps) is the least N with scale * ratio^N <
     eps * d (scale >= 0, d > 0, 0 < ratio < 1): doubling from the start
     _scanned_modulus resumes at, then bisection; past _MAX_INDEX it raises
-    ValueError(message(eps)).  d is not inverted: 2/3 is no unit of Z[1/3]."""
+    ValueError(message(eps)).  d is not inverted: 2/3 is no unit of Z[1/3].
+
+    Each probed power is kept: a doubling squares ratio^lo, and a bisection
+    step multiplies ratio^lo by the power of its half-width, which from
+    start 1 is a doubling's power."""
     def least(eps: Element, start: int) -> int | None:
         bound = grp.mul(eps, d)
+        held = {start: nat_pow(grp, ratio, start)}
+
+        def power(n: int) -> Element:
+            return held[n] if n in held else nat_pow(grp, ratio, n)
 
         def holds(n: int) -> bool:
-            return grp.lt(grp.mul(scale, nat_pow(grp, ratio, n)), bound)
+            return grp.lt(grp.mul(scale, held[n]), bound)
 
         lo, hi = start - 1, start
         while not holds(hi):
             if hi >= _MAX_INDEX:
                 return None
             lo, hi = hi, min(2 * hi, _MAX_INDEX)
+            held[hi] = grp.mul(held[lo], power(hi - lo))
         while hi - lo > 1:
             mid = (lo + hi) // 2
+            held[mid] = grp.mul(held[lo], power(mid - lo))
             if holds(mid):
                 hi = mid
             else:

@@ -56,6 +56,16 @@ STEPPED_TESTS = (
     "test_term_compile.py::test_stock_stepped_terms_match_the_tree_walk_in_any_order",
 )
 ARITH_TESTS = ("test_poly_kernel.py::test_arithmetic_matches_the_schoolbook_pair",)
+SUM_TESTS = (
+    "test_poly_kernel.py::test_sums_that_cancel_part_of_a_shared_factor_match_the_schoolbook_pair",
+    "test_poly_kernel.py::test_henrici_sum_pins",
+)
+MONOMIAL_TESTS = tuple(f"test_poly_kernel.py::test_{name}" for name in (
+    "monomial_products_match_the_schoolbook",
+    "monomial_powers_match_repeated_products",
+    "division_by_a_monomial_matches_the_oracle",
+    "division_by_a_monomial_refusals",
+))
 POWER_TESTS = tuple(f"test_power_terms.py::test_{name}" for name in (
     "galloped_zero_limit_moduli_match_the_scan",
     "galloped_cauchy_windows_match_the_scan",
@@ -175,14 +185,24 @@ MUTANTS = (
            "poly.py", "return poly_scale(poly_gcd(p, q), c)", "return poly_gcd(p, q)",
            ARITH_TESTS),
     Mutant("RatFunc sum: the shared-factor sum wrapped as canonical",
-           "poly.py", "return RatFunc(poly_add(poly_mul(a, dg), poly_mul(c, bg)), poly_mul(bg, d))",
-           "return _make(poly_add(poly_mul(a, dg), poly_mul(c, bg)), poly_mul(bg, d))",
-           ARITH_TESTS),
+           "poly.py", "if g2 != (1,):", "if g2 != (1,) and b == d:",
+           ARITH_TESTS + SUM_TESTS),
     Mutant("RatFunc sum: the equal-denominator sum wrapped as canonical",
-           "poly.py", "return RatFunc(poly_add(a, c), b)", "return _make(poly_add(a, c), b)",
+           "poly.py", "if g2 != (1,):", "if g2 != (1,) and b != d:",
+           ARITH_TESTS + SUM_TESTS),
+    Mutant("poly_mul: a monomial left factor's coefficient taken as 1",
+           "poly.py", "(0,) * (len(p) - 1) + poly_scale(q, p[-1])", "(0,) * (len(p) - 1) + q",
            ARITH_TESTS),
-    Mutant("poly_mul: a constant left factor taken as 1",
-           "poly.py", "return poly_scale(q, p[0])", "return q", ARITH_TESTS),
+    Mutant("poly_mul: a monomial factor's shift one too far",
+           "poly.py", "(0,) * (len(q) - 1) + poly_scale(p, q[-1])",
+           "(0,) * len(q) + poly_scale(p, q[-1])", MONOMIAL_TESTS),
+    Mutant("poly_pow: a monomial power's lead left as c",
+           "poly.py", "(p[-1] ** k,)", "(p[-1],)", MONOMIAL_TESTS),
+    Mutant("poly_div_exact: the monomial division's divisibility check dropped",
+           "poly.py", "if any(a % c for a in p[v:]):", "if False:", MONOMIAL_TESTS),
+    Mutant("_valuation: the first nonzero coefficient taken for its index",
+           "poly.py", "return p.index(next(filter(None, p)))", "return next(filter(None, p))",
+           ("test_poly_kernel.py::test_gcd_matches_oracle",) + MONOMIAL_TESTS),
     Mutant("RatFunc hash: a constant hashed as its pair of tuples",
            "poly.py", "if len(self.den) == 1 and len(self.num) <= 1:", "if False:",
            ("test_poly_kernel.py::test_constant_quotients_hash_as_the_numbers_they_equal",)),
@@ -269,6 +289,13 @@ MUTANTS = (
     Mutant("power tail: the bisection returns the end below the least index",
            "sequences.py", "                lo = mid\n        return hi\n",
            "                lo = mid\n        return max(lo, 1)\n", (POWER_TESTS[0], POWER_TESTS[1])),
+    Mutant("power tail: a bisection power multiplied from ratio^hi",
+           "sequences.py", "held[mid] = grp.mul(held[lo], power(mid - lo))",
+           "held[mid] = grp.mul(held[hi], power(mid - lo))", (POWER_TESTS[0], POWER_TESTS[1])),
+    Mutant("power tail: each doubling's power computed afresh",
+           "sequences.py", "held[hi] = grp.mul(held[lo], power(hi - lo))",
+           "held[hi] = nat_pow(grp, ratio, hi)",
+           ("test_power_terms.py::test_a_power_tail_probe_multiplies_powers_it_holds",)),
     Mutant("zero limit of c r^n: |c| dropped from |c| |r|^N",
            "sequences.py", "_power_tail(grp, absolute_value(grp, self.c), ratio, grp.one, message)",
            "_power_tail(grp, grp.one, ratio, grp.one, message)", (POWER_TESTS[0],)),

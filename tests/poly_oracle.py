@@ -18,6 +18,25 @@ from ordalab.poly import (
 )
 
 
+def oracle_mul(p: Poly, q: Poly) -> Poly:
+    """The schoolbook product: each nonzero coefficient of p times every
+    coefficient of q."""
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return poly(out)
+
+
+def oracle_pow(p: Poly, n: int) -> Poly:
+    """p^n as n schoolbook products."""
+    out = (1,)
+    for _ in range(n):
+        out = oracle_mul(out, p)
+    return out
+
+
 def _poly_divmod_frac(p, q):
     # division over the rationals; p, q are tuples of Fractions, q nonzero
     p = list(p)

@@ -24,9 +24,16 @@ from ordalab.poly import (
     poly_lead,
     poly_mul,
     poly_neg,
+    poly_pow,
     poly_sub,
 )
-from poly_oracle import oracle_canonical, oracle_div_exact, oracle_gcd
+from poly_oracle import (
+    oracle_canonical,
+    oracle_div_exact,
+    oracle_gcd,
+    oracle_mul,
+    oracle_pow,
+)
 
 small = st.integers(min_value=-12, max_value=12)
 dense = st.lists(small, min_size=1, max_size=9).map(poly).filter(bool)
@@ -110,6 +117,62 @@ def test_div_exact_refusals():
     assert poly_div_exact((), poly([3, 1])) == ()
 
 
+# ---------------------------------------------------------------------------
+# monomials c X^k: products, powers and division shift and scale
+
+coefficients = st.one_of(nonzero, st.integers(min_value=-(10**30), max_value=10**30).filter(bool))
+
+
+def _monomial(c, k):
+    return (0,) * k + (c,)
+
+
+def monomials(top):
+    """c X^k for k up to top, constants (k = 0) among them."""
+    return st.builds(_monomial, coefficients, st.one_of(st.just(0), st.integers(0, top)))
+
+
+@given(monomials(512), st.one_of(dense, monomials(512), sparse_polys(512), st.just(())))
+def test_monomial_products_match_the_schoolbook(m, p):
+    assert poly_mul(m, p) == oracle_mul(m, p)
+    assert poly_mul(p, m) == oracle_mul(p, m)
+
+
+@given(monomials(16), st.integers(min_value=0, max_value=64))
+def test_monomial_powers_match_repeated_products(m, n):
+    for c in (m, poly_neg(m)):
+        assert poly_pow(c, n) == oracle_pow(c, n)
+
+
+@st.composite
+def monomial_dividends(draw):
+    """A monomial divisor c X^v and dividends: exact multiples of it, and
+    polynomials whose valuation may fall short of v or whose coefficients c
+    need not divide."""
+    c, v = draw(st.integers(min_value=-6, max_value=6).filter(bool)), draw(st.integers(0, 512))
+    q = _monomial(c, v)
+    multiple = poly_mul(q, draw(st.one_of(dense, sparse_polys(64))))
+    shifted = (0,) * draw(st.integers(0, v + 2)) + draw(dense)
+    return q, (multiple, shifted, draw(polys))
+
+
+@given(monomial_dividends())
+def test_division_by_a_monomial_matches_the_oracle(case):
+    q, dividends = case
+    for p in dividends:
+        assert _outcome(poly_div_exact, p, q) == _outcome(oracle_div_exact, p, q)
+    assert poly_div_exact(dividends[0], q) == oracle_div_exact(dividends[0], q)
+
+
+def test_division_by_a_monomial_refusals():
+    with pytest.raises(ValueError, match="^polynomial division is not exact$"):
+        poly_div_exact(poly([0, 3, 6]), poly([0, 0, 3]))  # (3X + 6X^2) / 3X^2
+    with pytest.raises(ValueError, match="^polynomial quotient is not integral$"):
+        poly_div_exact(poly([0, 0, 3, 5]), poly([0, 0, 3]))  # (3X^2 + 5X^3) / 3X^2
+    assert poly_div_exact(poly([0, 0, 3, -6]), poly([0, 0, -3])) == (-1, 2)
+    assert poly_div_exact(poly([0, 4]), poly([4])) == (0, 1)
+
+
 @given(pairs, st.integers(min_value=-6, max_value=6).filter(bool))
 def test_ratfunc_canonical_matches_oracle(pq, c):
     num, den = pq
@@ -134,12 +197,12 @@ values = st.one_of(ratfuncs, st.just(RF_ZERO), st.builds(RatFunc, dense, st.just
 
 def _full_sum(a, b):
     return RatFunc(
-        poly_add(poly_mul(a.num, b.den), poly_mul(b.num, a.den)), poly_mul(a.den, b.den)
+        poly_add(oracle_mul(a.num, b.den), oracle_mul(b.num, a.den)), oracle_mul(a.den, b.den)
     )
 
 
 def _full_cmp_sign(a, b):
-    lead = poly_lead(poly_sub(poly_mul(a.num, b.den), poly_mul(b.num, a.den)))
+    lead = poly_lead(poly_sub(oracle_mul(a.num, b.den), oracle_mul(b.num, a.den)))
     return (lead > 0) - (lead < 0)
 
 
@@ -243,13 +306,6 @@ def operand_pairs(draw):
     return (x, y - x) if draw(st.booleans()) else (x, y)
 
 
-def _pow(p, n):
-    out = (1,)
-    for _ in range(n):
-        out = poly_mul(out, p)
-    return out
-
-
 def _assert_canonical_result(r, school):
     assert (r.num, r.den) == oracle_canonical(*school)
     again = RatFunc(r.num, r.den)
@@ -263,12 +319,12 @@ OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": opera
 def _schoolbook(x, y):
     a, b, c, d = x.num, x.den, y.num, y.den
     pairs = {
-        "+": (poly_add(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d)),
-        "-": (poly_sub(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d)),
-        "*": (poly_mul(a, c), poly_mul(b, d)),
+        "+": (poly_add(oracle_mul(a, d), oracle_mul(c, b)), oracle_mul(b, d)),
+        "-": (poly_sub(oracle_mul(a, d), oracle_mul(c, b)), oracle_mul(b, d)),
+        "*": (oracle_mul(a, c), oracle_mul(b, d)),
     }
     if c:
-        pairs["/"] = (poly_mul(a, d), poly_mul(b, c))
+        pairs["/"] = (oracle_mul(a, d), oracle_mul(b, c))
     return pairs
 
 
@@ -288,7 +344,62 @@ def test_arithmetic_matches_the_schoolbook_pair(xy):
 @given(st.one_of(st.just(RF_ZERO), st.builds(RatFunc, small_dense, small_dense)),
        st.integers(min_value=0, max_value=6))
 def test_powers_match_the_schoolbook_pair(x, n):
-    _assert_canonical_result(x**n, (_pow(x.num, n), _pow(x.den, n)))
+    _assert_canonical_result(x**n, (oracle_pow(x.num, n), oracle_pow(x.den, n)))
+
+
+def _partial_sums(c, b, signs):
+    """The running sums of sign_k c / (X + b)^k, with the pair each sum
+    makes from the last one and its term by schoolbook products.  The
+    denominators share (X + b)^(k-1), which stands to different powers on
+    the two sides and so never cancels."""
+    total = RF_ZERO
+    for k, sign in enumerate(signs, start=1):
+        term = RatFunc.from_fraction(sign * c) / RatFunc((b, 1)) ** k
+        school = _schoolbook(total, term)["+"]
+        total = total + term
+        yield total, school
+
+
+@given(st.fractions(min_value=-8, max_value=8, max_denominator=12).filter(bool),
+       small, st.lists(st.sampled_from((1, -1)), min_size=1, max_size=10))
+def test_partial_sums_of_c_over_a_power_of_x_plus_b_match_the_schoolbook_pair(c, b, signs):
+    for total, school in _partial_sums(c, b, signs):
+        _assert_canonical_result(total, school)
+
+
+@st.composite
+def cancelling_sums(draw):
+    """x = a / (h^m k u) and y = z - x for z = s / (h^p v): x + y is z, so
+    the sum cancels k, which both denominators hold once, while h stands
+    to different powers on the two sides when p > m."""
+    h, k, u, v = (draw(small_dense) for _ in range(4))
+    m, p = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    x = RatFunc(draw(small_dense), poly_mul(poly_mul(poly_pow(h, m), k), u))
+    z = RatFunc(draw(small_dense), poly_mul(poly_pow(h, p), poly_mul(v, (draw(contents),))))
+    return x, z - x, z
+
+
+@given(cancelling_sums())
+def test_sums_that_cancel_part_of_a_shared_factor_match_the_schoolbook_pair(xyz):
+    x, y, z = xyz
+    for u, v in ((x, y), (y, x)):
+        _assert_canonical_result(u + v, _schoolbook(u, v)["+"])
+        assert u + v == z
+
+
+def test_henrici_sum_pins():
+    x2x1 = RatFunc((1,), (0, 0, 1, 1))  # 1/(X^2 (X+1))
+    # X stands squared on one side and once on the other; X + 1 cancels
+    r = x2x1 + RatFunc((1,), (0, 1, 1))
+    assert (r.num, r.den) == ((1,), (0, 0, 1))
+    r = RatFunc((1,), (-1, 0, 1)) + RatFunc((0, 1), (-1, 0, 1))  # (1 + X)/(X^2 - 1)
+    assert (r.num, r.den) == ((1,), (-1, 1))
+    r = RatFunc((1,), (0, 2)) + RatFunc((1,), (0, 2))  # equal denominators, a content cancels
+    assert (r.num, r.den) == ((1,), (0, 1))
+    # X + 1 stands squared on one side and once on the other; the content 2 cancels
+    r = RatFunc((1, 3), (2, 4, 2)) + RatFunc((1,), (2, 2))
+    assert (r.num, r.den) == ((1, 2), (1, 2, 1))
+    assert x2x1 + -x2x1 == RF_ZERO and (x2x1 + -x2x1).den == (1,)
 
 
 def test_arithmetic_pins():

@@ -26,6 +26,7 @@ from ordalab.sequences import (
     PartialSums,
     PowerTerm,
     Seq,
+    _power_tail,
     scanned_cauchy_cert,
     scanned_conv_cert,
     sums_cauchy_cert,
@@ -251,6 +252,40 @@ def test_a_ratio_of_one_takes_the_walk():
     seq = _compiled("Q", "2*pow(1, n)")
     with pytest.raises(ValueError, match="fail to strictly decrease at index 1"):
         check_monotone(HANDLES["Q"], seq, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
+
+
+def test_a_power_tail_probe_multiplies_powers_it_holds():
+    """From start 1, _power_tail's search probes 2^0..2^j, then bisects
+    (2^(j-1), 2^j], where 2^(j-1) < N <= 2^j: each probe takes one product
+    for its power, from powers the search holds, and one for the scale, so
+    with eps * d a modulus N > 1 costs 4j products, and N = 1 two;
+    recomputing every power costs O(j^2).  Queried in any order, the moduli stay the least N with
+    scale * ratio^N < eps * d."""
+    q = HANDLES["Q"]
+    products = [0]
+
+    def mul(a, b):
+        products[0] += 1
+        return q.second_op(a, b)
+
+    grp = dataclasses.replace(q, second_op=mul)
+    scale, ratio, d = F(5), F(2, 3), F(1, 3)
+
+    def least(eps):
+        return next(n for n in range(1, _MAX_INDEX + 1) if scale * ratio**n < eps * d)
+
+    epsilons = [F(1, 10**k) for k in (1, 3, 40, 300, 900)] + [F(12), F(7, 2), F(1, 2)]
+    for eps in epsilons:
+        modulus = _power_tail(grp, scale, ratio, d, str)
+        products[0] = 0
+        n = modulus(eps)
+        assert n == least(eps)
+        j = (n - 1).bit_length()
+        assert products[0] == (4 * j or 2), (eps, n)
+    resumed = _power_tail(grp, scale, ratio, d, str)
+    for eps in (epsilons[2], epsilons[4], epsilons[0], epsilons[3], epsilons[7], epsilons[1],
+                epsilons[5]):
+        assert resumed(eps) == least(eps)
 
 
 def _report(argv):
