@@ -2,7 +2,10 @@
 
 ``poly_gcd``, ``poly_div_exact`` and the ``RatFunc`` constructor must give
 the very tuples the oracle gives, on dense and on sparse high-degree inputs;
-every fast path of ``RatFunc`` must agree with the general path it skips.
+products, powers and division by a monomial (a shift and a scale) must give
+the schoolbook's; every fast path of ``RatFunc`` must agree with the
+general path it skips, and every arithmetic result with the oracle's
+canonical form of the schoolbook pair.
 """
 
 import operator
