@@ -77,9 +77,6 @@ def poly_scale(p: Poly, c: int) -> Poly:
 
 def poly_pow(p: Poly, k: int) -> Poly:
     """p^k for a natural k, by repeated squaring."""
-    if _is_monomial(p):
-        # (c X^v)^k = c^k X^(v k); with no trailing zeros, c is the last coefficient
-        return (0,) * ((len(p) - 1) * k) + (p[-1] ** k,)
     out = (1,)
     while k:
         if k & 1:
@@ -256,12 +253,6 @@ def poly_div_exact(p: Poly, q: Poly) -> Poly:
     v = _valuation(q)
     if _valuation(p) < v:
         raise ValueError("polynomial division is not exact")
-    if len(q) == v + 1:
-        # q = c X^v: a shift down, then each coefficient divided by c
-        c = q[-1]
-        if any(a % c for a in p[v:]):
-            raise ValueError("polynomial quotient is not integral")
-        return tuple(a // c for a in p[v:])
     r, b = list(p[v:]), q[v:]
     db = len(b) - 1
     lb = b[-1]
