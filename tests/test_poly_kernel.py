@@ -2,10 +2,10 @@
 
 ``poly_gcd``, ``poly_div_exact`` and the ``RatFunc`` constructor must give
 the very tuples the oracle gives, on dense and on sparse high-degree inputs;
-products, powers and division by a monomial (a shift and a scale) must give
-the schoolbook's; every fast path of ``RatFunc`` must agree with the
-general path it skips, and every arithmetic result with the oracle's
-canonical form of the schoolbook pair.
+products by a monomial (a shift and a scale), and powers of and division
+by one, must give the schoolbook's; every fast path of ``RatFunc`` must
+agree with the general path it skips, and every arithmetic result with
+the oracle's canonical form of the schoolbook pair.
 """
 
 import operator
@@ -121,7 +121,8 @@ def test_div_exact_refusals():
 
 
 # ---------------------------------------------------------------------------
-# monomials c X^k: products, powers and division shift and scale
+# monomials c X^k: a product shifts and scales; a power squares through such
+# products, and a division is the long division with a one-term divisor
 
 coefficients = st.one_of(nonzero, st.integers(min_value=-(10**30), max_value=10**30).filter(bool))
 
