@@ -75,6 +75,10 @@ def _cases() -> list[tuple[str, list[str]]]:
         ("error-Z-no-inverse", _series("1/2^n", "Z", "geometric")),
         # a ratio of 1 has no geometric limit
         ("error-Q-ratio-one", _series("pow(1,n)", "Q", "geometric")),
+        # the powers of 1/2 up to index 6, then a term that leaves them
+        ("error-Q-geometric-late-mismatch",
+         _series("pow(1/2,n)+(n-1)*(n-2)*(n-3)*(n-4)*(n-5)*(n-6)/(1000000000000*n^8)",
+                 "Q", "geometric")),
         # a missing capability (exit 3) and terms that do not decrease (exit 2)
         ("unverifiable-Qi-alternating", _series("1/2^n", "Q(i)", "alternating")),
         ("error-Q-increasing-condensation", _series("n", "Q", "condensation")),
