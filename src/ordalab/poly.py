@@ -317,8 +317,9 @@ class RatFunc:
 
     @classmethod
     def from_fraction(cls, q) -> "RatFunc":
+        # a Fraction's pair is coprime with a positive denominator: canonical
         q = Fraction(q)
-        return cls((q.numerator,), (q.denominator,))
+        return _make((q.numerator,) if q else (), (q.denominator,))
 
     # -- arithmetic -----------------------------------------------------
     # Henrici's method (Knuth, TAOCP vol. 2, 4.5.1): sums, products and
@@ -470,18 +471,12 @@ class RatFunc:
 
 def _canonical(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Canonical form of num / den, both nonzero (see the module docstring)."""
-    vn = _valuation(num)
-    v = min(vn, _valuation(den)) if vn else 0
-    if v:
-        num, den = num[v:], den[v:]
     cn, cd = poly_content(num), poly_content(den)
     pn, pd = poly_primitive(num), poly_primitive(den)
-    # with the common power of X gone, a monomial is coprime to the other side
-    if not (_is_monomial(pn) or _is_monomial(pd)):
-        g = poly_gcd(pn, pd)
-        if g != (1,):
-            pn = poly_div_exact(pn, g)
-            pd = poly_div_exact(pd, g)
+    g = poly_gcd(pn, pd)
+    if g != (1,):
+        pn = poly_div_exact(pn, g)
+        pd = poly_div_exact(pd, g)
     c = gcd(cn, cd)
     num = poly_scale(pn, cn // c)
     den = poly_scale(pd, cd // c)

@@ -106,8 +106,7 @@ class PowerTerm:
     c and r free of n and evaluated once (power_term).  The powers step
     from r^k to r^(k+1) with one product, and c = 1 is not multiplied in.
     Through shape_fact it decides, from c and r on the space or handle
-    given, zero_tail, sums_tail, sum_inverse, positive, falls and bounds,
-    and shows c."""
+    given, zero_tail, sums_tail, sum_inverse, positive, falls and bounds."""
 
     def __init__(self, handle: StructureHandle, c: Element, r: Element):
         self.c, self.r = c, r

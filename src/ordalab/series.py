@@ -172,23 +172,23 @@ def tail_bound(cauchy: CauchyCert, eps: Element, m: int, n: int) -> TailCheck:
 def alternating_cauchy(
     handle: StructureHandle,
     space: MetricSpace,
-    x: Seq,
     mono: MonotoneEvidence,
     c0: ConvCert,
 ) -> CauchyCert:
-    """Alternating series with strictly decreasing positive terms: the
-    partial sums of x_1 - x_2 + x_3 - ... are Cauchy with the modulus of
-    the terms' own convergence to zero (pair gaps collapse below x_{m+1}).
-    The partial sums follow the rule of Series (PartialSums): a block of a
-    rational term's terms is summed by binary splitting, and c r^n whose
-    1 + r is a unit gives c r (1 - (-r)^n) / (1 + r)."""
+    """Alternating series with strictly decreasing positive terms: for the
+    sequence x of c0, which certifies x -> 0, the partial sums of
+    x_1 - x_2 + x_3 - ... are Cauchy with c0's modulus (pair gaps collapse
+    below x_{m+1}).  The partial sums follow the rule of Series
+    (PartialSums): a block of a rational term's terms is summed by binary
+    splitting, and c r^n whose 1 + r is a unit gives
+    c r (1 - (-r)^n) / (1 + r)."""
     handle.require("ring", "total_order")
     if mono.kind is not MonotoneKind.STRICTLY_DECREASING_POSITIVE:
         raise ValueError("alternating series needs strictly decreasing positive terms")
+    x = c0.seq
     check_monotone(handle, x, mono.kind, mono.checked_up_to)
     if not handle.eq(c0.limit, handle.identity):
-        raise ValueError(f"{c0.seq.name} does not carry a zero limit")
-    _sample_agree(c0.seq, x, 8, "zero-limit certificate is for a different sequence")
+        raise ValueError(f"{x.name} does not carry a zero limit")
 
     sums = PartialSums(handle, x, True)
     partials = Seq(f"sum(alt({x.name}))", sums, sums.sums)
@@ -272,26 +272,24 @@ def condense(
     base_partials = Series(handle, x).partials
     cond_partials = Series(handle, condensed_terms(handle, x)).partials
 
+    # c claims one of the two sums; the result is for the other
     if direction == "forward":
-        _sample_agree(c.seq, base_partials, 6,
-                      "certificate is not for this series' partial sums")
+        claimed, other, what = base_partials, cond_partials, "partial sums"
 
         def modulus(eps: Element) -> int:
             # the least k with 2^(k-1) >= N
             return (plain_modulus(eps) - 1).bit_length() + 1
 
-        return CauchyCert(space, cond_partials, modulus)
-
-    if direction == "backward":
-        _sample_agree(c.seq, cond_partials, 6,
-                      "certificate is not for this series' condensed partial sums")
+    elif direction == "backward":
+        claimed, other, what = cond_partials, base_partials, "condensed partial sums"
 
         def modulus(eps: Element) -> int:
             return max(1, 2 ** modulus_at(c.modulus, eps) - 1)
 
-        return CauchyCert(space, base_partials, modulus)
-
-    raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    else:
+        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    _sample_agree(c.seq, claimed, 6, f"certificate is not for this series' {what}")
+    return CauchyCert(space, other, modulus)
 
 
 def condensation_inequalities(
@@ -353,12 +351,16 @@ def geometric_cert(
     c0: ConvCert,
     inv: Element,
 ) -> ConvCert:
-    """Certificate that 1 + r + r^2 + ... converges to inv = (1-r)^(-1).
+    """Certificate that 1 + r + r^2 + ... converges to inv = (1-r)^(-1),
+    where c0 certifies x -> 0 for the power sequence x of r.
 
-    The n-th sequence value is the sum of powers 0..n.  The closed form
-    (1 + ... + r^n) = (1 - r^(n+1)) * inv is checked exactly up to n = 32,
-    and the modulus shrinks eps against |inv| before consulting the power
-    certificate.
+    The n-th sequence value is 1 + x_1 + ... + x_n.  Its closed form
+    (1 - x_(n+1)) * inv is checked exactly for n = 0..32; given
+    (1 - r) inv = 1 this holds exactly when x_k = r^k for every k <= 33
+    (at n = 0 it reads x_1 = r; subtract consecutive closed forms and
+    multiply by 1 - r for the rest), so the first failure names the index
+    where x leaves the powers of r.  The modulus shrinks eps against |inv|
+    before consulting c0.
     """
     handle.require("ring", "total_order")
     if handle.one is None:
@@ -370,24 +372,21 @@ def geometric_cert(
             f"{handle.name}: {handle.fmt(inv)} is not the inverse of "
             f"1 - {handle.fmt(r)}"
         )
+    x = c0.seq
     if not handle.eq(c0.limit, handle.identity):
-        raise ValueError(f"{c0.seq.name} does not carry a zero limit")
-    power = power_seq(handle, r, f"pow({handle.fmt(r)})")
-    _sample_agree(c0.seq, power, 6, "power certificate is for a different ratio")
+        raise ValueError(f"{x.name} does not carry a zero limit")
     shrink = shrink_witness(handle)
 
-    # terms r^(i-1); the closed form below reads r^(n+1) as term n + 2, so
-    # both walks share the term cache and step through the powers once
-    terms = Seq(power.name, lambda i: handle.one if i == 1 else power(i - 1))
+    # terms 1, x_1, x_2, ...: the sums and the closed form share x's cache
+    terms = Seq(x.name, lambda i: handle.one if i == 1 else x(i - 1))
     partials = Series(handle, terms).partials
-    seq = Seq(f"geom({handle.fmt(r)})", lambda n: partials(n + 1))
-
-    for n in range(1, 33):
-        want = handle.mul(handle.sub(handle.one, terms(n + 2)), inv)
-        if not handle.eq(seq(n), want):
+    for n in range(33):
+        want = handle.mul(handle.sub(handle.one, x(n + 1)), inv)
+        if not handle.eq(partials(n + 1), want):
             raise ValueError(
-                f"{handle.name}: geometric closed form fails at n={n}"
+                f"{x.name} is not the power sequence of {handle.fmt(r)} (index {n + 1})"
             )
+    seq = Seq(f"geom({handle.fmt(r)})", lambda n: partials(n + 1))
 
     bound = absolute_value(handle, inv)
 

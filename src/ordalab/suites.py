@@ -57,7 +57,6 @@ from .sequences import (
     power_seq,
     prod_certs,
     refute_distinct_limits,
-    shape_fact,
     shift_cert,
     sums_cauchy_cert,
     sums_conv_cert,
@@ -478,8 +477,7 @@ def _alternating(handle: StructureHandle, space, terms: Seq, h: int):
     zero_limit_cert."""
     handle.require("ring", "total_order")
     mono = check_monotone(handle, terms, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
-    c0 = zero_limit_cert(handle, space, terms, h)
-    return alternating_cauchy(handle, space, terms, mono, c0)
+    return alternating_cauchy(handle, space, mono, zero_limit_cert(handle, space, terms, h))
 
 
 def _condensation(handle: StructureHandle, space, terms: Seq, h: int):
@@ -566,8 +564,8 @@ def _suite_geometric(handle: StructureHandle, cfg: RunConfig, rng: random.Random
     space, grid = _metric_grid(handle, cfg.grid)
     h = cfg.horizon
     mfmt = space.codomain.fmt
-    r, _, inv, _ = _stock_ratio(handle, space, grid)
-    c0 = zero_limit_cert(handle, space, power_seq(handle, r, f"pow({handle.fmt(r)})"), h)
+    r, terms, inv, _ = _stock_ratio(handle, space, grid)
+    c0 = zero_limit_cert(handle, space, terms, h)
 
     col.cert("geometric.certificate", "series.geometric",
              lambda: geometric_cert(handle, space, r, c0, inv),
@@ -721,19 +719,15 @@ def run_series(structure: str, expr: str, test: str, grid: Sequence[str],
         if handle.invert is None:
             raise CapabilityError(f"{handle.name} has no multiplicative inverses")
         r = seq(1)
-        # a power term with c = 1 is the power sequence of r = x_1 by its syntax
-        c = shape_fact(seq, "c")
-        if c is None or not handle.eq(c, handle.one):
-            power = power_seq(handle, r, seq.name)
-            for k in range(1, 7):
-                if not handle.eq(seq(k), power(k)):
-                    raise ValueError(
-                        f"{seq.name} is not the power sequence of {handle.fmt(r)} "
-                        f"(index {k})"
-                    )
+        # an early departure from the powers of r is named before 1 - r is
+        # inverted; geometric_cert checks every index up to 33
+        for k in range(2, 7):
+            if not handle.eq(seq(k), handle.mul(r, seq(k - 1))):
+                raise ValueError(
+                    f"{seq.name} is not the power sequence of {handle.fmt(r)} (index {k})"
+                )
         inv = geometric_limit(handle, r)
-        c0 = zero_limit_cert(handle, space, seq, horizon)
-        c = geometric_cert(handle, space, r, c0, inv)
+        c = geometric_cert(handle, space, r, zero_limit_cert(handle, space, seq, horizon), inv)
         col.cert("series.geometric", "series.geometric", lambda: c,
                  verify_conv_cert, grid, horizon, mfmt)
 

@@ -227,7 +227,7 @@ def test_closed_form_alternating_sums_match_the_series_partials(data):
     seq = _compiled(key, src)
     space = handle.metrics[0]
     mono = check_monotone(handle, seq, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
-    cert = alternating_cauchy(handle, space, seq, mono, zero_limit_cert(handle, space, seq, 4))
+    cert = alternating_cauchy(handle, space, mono, zero_limit_cert(handle, space, seq, 4))
     plain = _plain(seq)
     signed = Seq(f"alt({seq.name})", lambda i: plain(i) if i % 2 else handle.negate(plain(i)))
     reference = Series(handle, signed).partials

@@ -258,7 +258,7 @@ def test_the_alternating_test_sums_rational_terms_in_blocks():
     x = seq_from_expr("1/(n+3)", Q)
     mono = check_monotone(Q, x, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
     c0 = zero_limit_cert(Q, SPACE, x, 8)
-    cert = alternating_cauchy(Q, SPACE, x, mono, c0)
+    cert = alternating_cauchy(Q, SPACE, mono, c0)
     reference = Series(Q, _signed(x)).partials
     indices = [4089, 4090, 700, 4095, 1, 2]
     random.Random(0).shuffle(indices)
@@ -299,7 +299,7 @@ def test_window_values_match_the_series_partials_up_to_a_shift(
 def test_tail_bound_reads_far_partial_sums_from_their_gap():
     x = seq_from_expr("1/(n+8)", Q)
     mono = check_monotone(Q, x, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
-    alt = alternating_cauchy(Q, SPACE, x, mono, zero_limit_cert(Q, SPACE, x, 8))
+    alt = alternating_cauchy(Q, SPACE, mono, zero_limit_cert(Q, SPACE, x, 8))
     plain = CauchyCert(SPACE, Series(Q, x).partials, lambda eps: 4001)
     ref_alt, ref_plain = Series(Q, _signed(x)).partials, Series(Q, x).partials
     for cert, ref, eps, m, n in ((alt, ref_alt, F(1, 4096), 4089, 4094),

@@ -295,7 +295,7 @@ def test_alternating_cauchy_pins():
     x = harmonic_terms()
     mono = check_monotone(Q, x, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
     c0 = scanned_conv_cert(SPACE, x, F(0))
-    alt = alternating_cauchy(Q, SPACE, x, mono, c0)
+    alt = alternating_cauchy(Q, SPACE, mono, c0)
     assert [alt.seq(n) for n in range(1, 5)] == [F(1), F(1, 2), F(5, 6), F(7, 12)]
     assert verify_cauchy_cert(alt, GRID, 32) == []
 
