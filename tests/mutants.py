@@ -89,6 +89,8 @@ CONDENSED_TESTS = (
 )
 POWER_SEQ_TEST = (
     "test_powers.py::test_power_seq_is_r_to_the_n_through_a_power_term_where_the_gate_admits")
+GEOMETRIC_TEST = (
+    "test_series.py::test_geometric_cert_names_the_index_where_the_terms_leave_the_powers")
 KERNEL_TESTS = ("test_fast_paths.py::test_the_fraction_kernel_matches_fractions_own_operators",)
 REFERENCE_TESTS = ("test_reference_reports.py::test_reports_match_under_the_reference_registry",)
 COLLECTOR_TESTS = (
@@ -340,6 +342,20 @@ MUTANTS = (
            "series.py", "return (plain_modulus(eps) - 1).bit_length() + 1",
            "return plain_modulus(eps).bit_length() + 1",
            ("test_golden.py::test_golden_bytes[series-Q-condensation]",)),
+    Mutant("geometric closed form: the index-1 check dropped",
+           "series.py", "for n in range(33):", "for n in range(1, 33):",
+           (GEOMETRIC_TEST + "[another-ratio]",)),
+    Mutant("geometric closed form: stopped at n = 6",
+           "series.py", "for n in range(33):", "for n in range(7):",
+           (GEOMETRIC_TEST + "[index-33]",)),
+    Mutant("series --test geometric: the early power check starting at index 3",
+           "suites.py", "for k in range(2, 7):", "for k in range(3, 7):",
+           ("test_cli.py::test_an_early_departure_from_the_powers_is_named_before_the_inverse"
+            "[2-Q-1]",)),
+    Mutant("condense: forward claims the condensed sums and returns the plain ones",
+           "series.py", 'claimed, other, what = base_partials, cond_partials, "partial sums"',
+           'claimed, other, what = cond_partials, base_partials, "partial sums"',
+           ("test_series.py::test_condense_refuses_a_certificate_for_the_other_sums",)),
     Mutant("power_seq: the stepping closure taken where the PowerTerm gate admits",
            "sequences.py",
            "return Seq(name, power_term(handle, lambda: (handle.one, r)) or powers(handle, r))",

@@ -323,3 +323,16 @@ def test_a_geometric_ratio_of_one_is_refused_as_such(capsys, structure):
     code, out, err = run(capsys, ["series", "pow(1,n)", "--structure", structure,
                                   "--test", "geometric"])
     assert (code, out, err) == (2, "", f"error: {structure}: ratio 1 has no geometric limit\n")
+
+
+@pytest.mark.parametrize("structure, r", [("Q", "1/2"), ("Q", "1"), ("Z[1/3]", "1/3")])
+@pytest.mark.parametrize("k", range(2, 7))
+def test_an_early_departure_from_the_powers_is_named_before_the_inverse(capsys, structure, r, k):
+    # ratio 1 has no geometric limit and 1 - 1/3 has no inverse in Z[1/3]:
+    # the departure at index k is named first
+    bump = "*".join(f"(n-{i})" for i in range(1, k))
+    code, out, err = run(capsys, ["series", f"pow({r},n)+{bump}/3", "--structure", structure,
+                                  "--test", "geometric"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(
+        f" is not the power sequence of {r} (index {k})\n")

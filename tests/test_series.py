@@ -1,5 +1,6 @@
 """Series machinery: partial sums, condensation, geometric sums, inequalities."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -179,6 +180,23 @@ def test_backward_condensation_needs_no_density_witness():
     assert verify_cauchy_cert(back, GRID, 16) == []
 
 
+def test_condense_refuses_a_certificate_for_the_other_sums():
+    # forward claims the plain sums and backward the condensed ones; each
+    # direction names the sums it expected, at the first index that differs
+    x = halves()
+    mono = check_monotone(Q, x, MonotoneKind.DECREASING_POSITIVE, 32)
+    base = scanned_cauchy_cert(SPACE, Series(Q, x).partials, horizon=16)
+    fwd = condense(Q, SPACE, x, mono, base, "forward")
+    message = ("sum(cond(1/2^n)): certificate is not for this series' partial sums "
+               "(mismatch at index 2)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        condense(Q, SPACE, x, mono, fwd, "forward")
+    message = ("sum(1/2^n): certificate is not for this series' condensed partial sums "
+               "(mismatch at index 2)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        condense(Q, SPACE, x, mono, base, "backward")
+
+
 def test_condense_rejects_unknown_direction():
     x = halves()
     mono = check_monotone(Q, x, MonotoneKind.DECREASING_POSITIVE, 32)
@@ -221,6 +239,29 @@ def test_geometric_cert_rational_pins():
         for idx, val in partial_pins.items():
             assert g.seq(idx) == val
         assert verify_conv_cert(g, GRID, 32) == []
+
+
+@pytest.mark.parametrize("name, term, k", [
+    ("pow(1/3)", lambda n: F(1, 3) ** n, 1),  # the powers of another ratio
+    *((f"late-{k}", lambda n, k=k: F(1, 2) ** n + (F(1, 10**9) if n >= k else 0), k)
+      for k in (2, 7, 33)),
+], ids=["another-ratio", "index-2", "index-7", "index-33"])
+def test_geometric_cert_names_the_index_where_the_terms_leave_the_powers(name, term, k):
+    c0 = scanned_conv_cert(SPACE, Seq(name, term), F(0))
+    message = f"{name} is not the power sequence of 1/2 (index {k})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        geometric_cert(Q, SPACE, F(1, 2), c0, F(2))
+
+
+@given(r=st.fractions(-3, 3, max_denominator=12).filter(lambda r: r != 1),
+       j=st.integers(0, 32), d=st.fractions(-1, 1, max_denominator=10**6).filter(bool))
+def test_geometric_cert_refuses_terms_that_agree_with_the_powers_up_to_j(r, j, d):
+    # x_k = r^k for k <= j, then x leaves the powers: refused at index j + 1
+    x = Seq("x", lambda n: r**n + (d if n > j else 0))
+    c0 = scanned_conv_cert(SPACE, x, F(0))
+    message = f"x is not the power sequence of {Q.fmt(r)} (index {j + 1})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        geometric_cert(Q, SPACE, r, c0, 1 / (1 - r))
 
 
 def test_geometric_cert_rejects_a_wrong_inverse():
