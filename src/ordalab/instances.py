@@ -35,7 +35,9 @@ from .order import (
     demarr_density_witness,
     density_from_unit_interval,
     field_invert,
+    frac_abs,
     frac_add,
+    frac_cmp,
     frac_mul,
     frac_neg,
     make_flags,
@@ -43,6 +45,9 @@ from .order import (
 )
 
 F = Fraction
+
+# an OrderResult by the sign frac_cmp returns: -1 reads the last entry
+_SIGN = (OrderResult.EQUAL, OrderResult.GREATER, OrderResult.LESS)
 
 
 def _frac_floor_count(x: F, y: F) -> int:
@@ -215,7 +220,7 @@ def _bottom_max(a, b):
         return b
     if b is None:
         return a
-    return a if a >= b else b
+    return a if frac_cmp(a, b) >= 0 else b
 
 
 def _bottom_compare(a, b):
@@ -225,7 +230,7 @@ def _bottom_compare(a, b):
         return OrderResult.LESS
     if b is None:
         return OrderResult.GREATER
-    return total_compare(a, b)
+    return _SIGN[frac_cmp(a, b)]
 
 
 def _drop_one(eps):
@@ -250,15 +255,22 @@ def _build_tropical() -> StructureHandle:
     )
 
 
+def _two_to(k: int) -> F:
+    # 2^k as a bare Fraction, its pair written as the kernel writes one
+    x = object.__new__(F)
+    x._numerator, x._denominator = (1 << k, 1) if k >= 0 else (1, 1 << -k)
+    return x
+
+
 def _build_lex() -> StructureHandle:
     def op(g, h):
         a, q = g
         b, r = h
-        return (a + b, q * F(2) ** b + r)
+        return (a + b, frac_add(frac_mul(q, _two_to(b)), r))
 
     def negate(g):
         a, q = g
-        return (-a, -(q * F(2) ** (-a)))
+        return (-a, frac_neg(frac_mul(q, _two_to(-a))))
 
     def split(eps):
         a, q = eps
@@ -288,14 +300,23 @@ def _build_lex() -> StructureHandle:
     )
 
 
-def _build_gaussian() -> StructureHandle:
-    def op(z, w):
-        return (z[0] + w[0], z[1] + w[1])
+# Q(i) and Q^2 add and negate coordinatewise on the Fraction kernel
 
+
+def _pair_add(z, w):
+    return (frac_add(z[0], w[0]), frac_add(z[1], w[1]))
+
+
+def _pair_neg(z):
+    return (frac_neg(z[0]), frac_neg(z[1]))
+
+
+def _build_gaussian() -> StructureHandle:
     def mul(z, w):
         a, b = z
         c, d = w
-        return (a * c - b * d, a * d + b * c)
+        return (frac_add(frac_mul(a, c), frac_neg(frac_mul(b, d))),
+                frac_add(frac_mul(a, d), frac_mul(b, c)))
 
     def invert(z):
         a, b = z
@@ -305,9 +326,9 @@ def _build_gaussian() -> StructureHandle:
         return (a / n, -b / n)
 
     def compare(z, w):
-        if z[1] != w[1]:
+        if frac_cmp(z[1], w[1]):
             return OrderResult.INCOMPARABLE
-        return total_compare(z[0], w[0])
+        return _SIGN[frac_cmp(z[0], w[0])]
 
     def fmt(z):
         a, b = z
@@ -320,10 +341,10 @@ def _build_gaussian() -> StructureHandle:
     base = StructureHandle(
         name="Q(i)",
         flags=make_flags(field=True),
-        op=op,
+        op=_pair_add,
         compare=compare,
         identity=(F(0), F(0)),
-        negate=lambda z: (-z[0], -z[1]),
+        negate=_pair_neg,
         second_op=mul,
         one=(F(1), F(0)),
         invert=invert,
@@ -370,18 +391,15 @@ def _build_ideals() -> StructureHandle:
 
 
 def _build_orthant(q: StructureHandle) -> StructureHandle:
-    def op(x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
     def compare(x, y):
-        dx, dy = y[0] - x[0], y[1] - x[1]
-        if dx == 0 and dy == 0:
-            return OrderResult.EQUAL
-        if dx >= 0 and dy >= 0:
-            return OrderResult.LESS
-        if dx <= 0 and dy <= 0:
-            return OrderResult.GREATER
-        return OrderResult.INCOMPARABLE
+        cx, cy = frac_cmp(x[0], y[0]), frac_cmp(x[1], y[1])
+        if cx * cy < 0:
+            return OrderResult.INCOMPARABLE
+        return _SIGN[cx or cy]
+
+    def join(x, y):
+        (a, b), (c, d) = x, y
+        return (a if frac_cmp(a, c) >= 0 else c, b if frac_cmp(b, d) >= 0 else d)
 
     # Q's slice split at 1/2 on each coordinate: m -> (m/4, m/4)
     half = density_from_unit_interval(q, F(1, 2))
@@ -389,12 +407,12 @@ def _build_orthant(q: StructureHandle) -> StructureHandle:
     return StructureHandle(
         name="Q^2",
         flags=make_flags(group=True, commutative_add=True, join_semilattice=True),
-        op=op,
+        op=_pair_add,
         compare=compare,
         identity=(F(0), F(0)),
-        negate=lambda x: (-x[0], -x[1]),
+        negate=_pair_neg,
         density=lambda m: tuple(zip(half(m[0]), half(m[1]))),
-        join=lambda x, y: (max(x[0], y[0]), max(x[1], y[1])),
+        join=join,
         eps_grid=((F(1), F(2)),) + tuple((F(1, 2**k), F(1, 2**k)) for k in range(1, 5)),
         sample=((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1)),
                 (F(-1), F(2)), (F(1, 2), F(3)), (F(-1), F(-1)),
@@ -486,10 +504,11 @@ def _attach_spaces(reg: dict[str, StructureHandle]) -> None:
     # magnitude only once heads cancel -- is subadditive in every case split
     # and symmetric under inversion, so its induced distance is a metric.
     lex = reg["lex"]
+    zero = F(0)
 
     def lex_lead_norm(g):
         a, q = g
-        return (abs(a), F(0)) if a else (0, abs(q))
+        return (abs(a), zero) if a else (0, frac_abs(q))
 
     lex_ng = _metric.NormedGroup(
         name="lex.lead", group=lex, codomain=lex, norm=lex_lead_norm
@@ -500,7 +519,7 @@ def _attach_spaces(reg: dict[str, StructureHandle]) -> None:
     qi = reg["Q(i)"]
 
     def taxicab(z):
-        return abs(z[0]) + abs(z[1])
+        return frac_add(frac_abs(z[0]), frac_abs(z[1]))
 
     qi_norm = _metric.NormedGroup(
         name="Q(i).taxicab", group=qi, codomain=q, norm=taxicab

@@ -61,8 +61,9 @@ def field_invert(x: Element) -> Element:
 # The Fraction kernel: a + b, a * b and -a by the gcd steps of Fraction's
 # own _add and _mul, with the coprime result written into the slots
 # _numerator and _denominator, skipping the numeric tower and the
-# normalising constructor.  Any operand that is not exactly a Fraction
-# (an int, a bool, a subclass) takes Python's operator.
+# normalising constructor; |a| and the sign of a - b read off the pairs.
+# Any operand that is not exactly a Fraction (an int, a bool, a subclass)
+# takes Python's operator or comparison.
 
 _new = object.__new__
 
@@ -110,6 +111,20 @@ def frac_neg(a: Element) -> Element:
     x = _new(Fraction)
     x._numerator, x._denominator = -a._numerator, a._denominator
     return x
+
+
+def frac_abs(a: Element) -> Element:
+    if type(a) is not Fraction:
+        return abs(a)
+    return a if a._numerator >= 0 else frac_neg(a)
+
+
+def frac_cmp(a: Element, b: Element) -> int:
+    # the sign of a - b: -1, 0 or 1, from the cross products of the pairs
+    if type(a) is not Fraction or type(b) is not Fraction:
+        return (a > b) - (a < b)
+    x, y = a._numerator * b._denominator, b._numerator * a._denominator
+    return (x > y) - (x < y)
 
 
 # Q's own comparison and operations, bound here at import, so a profiler

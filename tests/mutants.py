@@ -104,6 +104,11 @@ def edge(case: str) -> str:
     return f"test_window_facts.py::test_windows_at_the_edge_of_a_bound_are_walked[{case}]"
 
 
+def carrier(key: str) -> str:
+    """The node id of one carrier's case of the kernel carriers' differential test."""
+    return f"test_fast_paths.py::test_kernel_carriers_match_their_old_closures[{key}]"
+
+
 MUTANTS = (
     Mutant("integer norm check: > becomes >= in the submultiplicative comparison",
            "algebra.py", "else (prod > bound)", "else (prod >= bound)", NORM_TESTS),
@@ -137,6 +142,21 @@ MUTANTS = (
     Mutant("Fraction kernel: eq reads the numerators only",
            "order.py", "a._numerator == b._numerator and a._denominator == b._denominator",
            "a._numerator == b._numerator", KERNEL_TESTS),
+    Mutant("Fraction kernel: frac_cmp reads a tie as less",
+           "order.py", "    return (x > y) - (x < y)\n", "    return (x > y) - (x <= y)\n",
+           KERNEL_TESTS),
+    Mutant("Q(i) product: + b*d in the first coordinate",
+           "instances.py", "frac_add(frac_mul(a, c), frac_neg(frac_mul(b, d)))",
+           "frac_add(frac_mul(a, c), frac_mul(b, d))", (carrier("Q(i)"),)),
+    Mutant("lex negate: the tail scaled by 2^a, not 2^-a",
+           "instances.py", "frac_neg(frac_mul(q, _two_to(-a)))",
+           "frac_neg(frac_mul(q, _two_to(a)))", (carrier("lex"),)),
+    Mutant("Q^2 compare: only the first coordinate read",
+           "instances.py", "cx, cy = frac_cmp(x[0], y[0]), frac_cmp(x[1], y[1])",
+           "cx = cy = frac_cmp(x[0], y[0])", (carrier("Q^2"),)),
+    Mutant("_bottom_max: the smaller value kept",
+           "instances.py", "return a if frac_cmp(a, b) >= 0 else b",
+           "return a if frac_cmp(a, b) <= 0 else b", (carrier("trop"), carrier("G0"))),
     Mutant("law memo keyed on the first argument alone",
            "order.py", "key = (id(x), id(y))", "key = id(x)", LAW_TESTS),
     Mutant("compatibility: the left side f(c, a) becomes f(a, c)",

@@ -1,4 +1,4 @@
-"""Slow references for the orders of ``Z(X)`` and ``lex``.
+"""Slow references for closures the bundled carriers used to compute with.
 
 Both carriers used to compare through hand-written closures: ``Z(X)`` read
 the sign of a difference off ``RatFunc._cmp_sign``, and ``lex`` compared
@@ -13,7 +13,14 @@ by hand in the registry; they now come from ``demarr_density_witness`` and
 ``density_from_unit_interval``.  The hand-written splits are kept here too,
 and so is ``module_density_witness``, which split ``Q^2`` by a scalar action
 before ``Q^2`` took ``Q``'s slice split on each coordinate.
+
+``Q(i)``, ``Q^2``, ``lex``, ``trop`` and ``G0`` used to add, multiply,
+negate, compare, join and take norms with ``Fraction``'s own operators and
+comparisons; they now compute on the ``Fraction`` kernel of ``order``.
+Their old closures are kept here as references.
 """
+
+from fractions import Fraction
 
 from ordalab import OrderResult, total_compare
 from ordalab.poly import RF_ONE, RF_ZERO
@@ -81,3 +88,83 @@ def module_density_witness(ring, smul, alpha):
         return (smul(c1, m), smul(alpha_sq, m))
 
     return split
+
+
+# The closures that Q(i), Q^2, lex, trop and G0 computed with through
+# Fraction's own operators and comparisons, before they moved onto the
+# Fraction kernel of ``order``.
+
+def gaussian_op(z, w):
+    return (z[0] + w[0], z[1] + w[1])
+
+
+def gaussian_negate(z):
+    return (-z[0], -z[1])
+
+
+def gaussian_mul(z, w):
+    a, b = z
+    c, d = w
+    return (a * c - b * d, a * d + b * c)
+
+
+def gaussian_compare(z, w):
+    if z[1] != w[1]:
+        return OrderResult.INCOMPARABLE
+    return total_compare(z[0], w[0])
+
+
+def taxicab(z):
+    return abs(z[0]) + abs(z[1])
+
+
+orthant_op, orthant_negate = gaussian_op, gaussian_negate
+
+
+def orthant_compare(x, y):
+    dx, dy = y[0] - x[0], y[1] - x[1]
+    if dx == 0 and dy == 0:
+        return OrderResult.EQUAL
+    if dx >= 0 and dy >= 0:
+        return OrderResult.LESS
+    if dx <= 0 and dy <= 0:
+        return OrderResult.GREATER
+    return OrderResult.INCOMPARABLE
+
+
+def orthant_join(x, y):
+    return (max(x[0], y[0]), max(x[1], y[1]))
+
+
+def lex_op(g, h):
+    a, q = g
+    b, r = h
+    return (a + b, q * Fraction(2) ** b + r)
+
+
+def lex_negate(g):
+    a, q = g
+    return (-a, -(q * Fraction(2) ** (-a)))
+
+
+def lex_lead_norm(g):
+    a, q = g
+    return (abs(a), Fraction(0)) if a else (0, abs(q))
+
+
+def bottom_max(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a if a >= b else b
+
+
+def bottom_compare(a, b):
+    if a is None and b is None:
+        return OrderResult.EQUAL
+    if a is None:
+        return OrderResult.LESS
+    if b is None:
+        return OrderResult.GREATER
+    return total_compare(a, b)

@@ -8,14 +8,17 @@ two ``Fraction``s, for ``lt/le/eq``), ``_int_terms`` (rational terms of n
 over ints) and the integer check of a coefficient pseudonorm are all off.
 The ``Fraction`` kernel of ``order`` (``frac_add``, ``frac_mul``,
 ``frac_neg``) is first replaced by the Python operator it stands for
-(``a + b``, ``a * b``, ``-a``), so a report under the reference never runs
-the kernel.  The metric spaces, norms and pseudonorms are built again
+(``a + b``, ``a * b``, ``-a``).  The metric spaces, norms and pseudonorms are built again
 on the wrapped handles and then copied with ``dataclasses.replace``, which
 drops ``MetricSpace._group`` and so the spread-decided Cauchy windows and
 bound-decided scans.
 
 ``use_reference_registry()`` installs it as the registry that ``lookup``
-and the CLI read, for the length of a ``with`` block.
+and the CLI read, for the length of a ``with`` block.  For that length it
+also binds the kernel names that the closures of ``instances`` call
+(``frac_cmp`` and ``frac_abs`` among them) to Python's operators, so that
+``Q(i)``, ``Q^2``, ``lex``, ``trop`` and ``G0`` compute on ``Fraction``'s
+own operators and a report under the reference never runs the kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from ordalab import instances, order, registry
 WRAPPED = ("compare", "op", "negate", "second_op", "invert", "from_rational")
 # each kernel function and the Python operator that replaces it
 PLAIN = {order.frac_add: operator.add, order.frac_mul: operator.mul,
-         order.frac_neg: operator.neg}
+         order.frac_neg: operator.neg, order.frac_abs: operator.abs,
+         order.frac_cmp: lambda a, b: (a > b) - (a < b)}
 
 
 def _plain(f):
@@ -51,8 +55,11 @@ def reference_registry() -> dict:
 @contextlib.contextmanager
 def use_reference_registry(reg: dict):
     fast = registry()
+    kernel = {f.__name__: f for f in PLAIN if getattr(instances, f.__name__, None) is f}
     instances._REGISTRY = reg
+    vars(instances).update({name: PLAIN[f] for name, f in kernel.items()})
     try:
         yield
     finally:
         instances._REGISTRY = fast
+        vars(instances).update(kernel)

@@ -10,6 +10,11 @@
 * ``Z(X)`` and ``lex`` compare with ``total_compare``, join with ``max``,
   and ``Z(X)`` inverts with ``Q``'s inverse; the references are the
   closures these replaced, kept in ``tests/order_oracle.py``.
+* ``Q(i)``, ``Q^2``, ``lex``, ``trop`` and ``G0`` add, multiply, negate,
+  compare, join and take norms on the ``Fraction`` kernel; the references
+  are their old closures on ``Fraction``'s operators, kept in
+  ``tests/order_oracle.py``, and a guard swaps those operators for ones
+  that raise.
 * ``verify_pseudonorm`` computes each sample norm once, and decides a
   coefficient norm over ``Q`` in integers; the reference is the old loop
   in ``tests/pseudonorm_oracle.py``.
@@ -54,6 +59,7 @@ from ordalab import (
     verify_pseudonorm,
 )
 from ordalab.poly import RatFunc, poly_scale
+import order_oracle
 from order_oracle import (
     lex_compare,
     lex_join,
@@ -192,7 +198,154 @@ def test_the_fraction_kernel_matches_fractions_own_operators(key, p, data):
             assert h.lt(x, y) is (x < y)
             assert h.le(x, y) is (x <= y)
             assert h.eq(x, y) is (x == y)
+            got = order.frac_cmp(x, y)
+            assert type(got) is int and got == (x > y) - (x < y)
         same(order.frac_neg(a), -a)
+        same(order.frac_abs(a), abs(a))
+
+
+# -- the pair and bottom carriers on the Fraction kernel --------------------
+
+# each carrier's old closures, by the name of the handle's callable they
+# are the reference for; sub is op after negate
+KERNEL_CARRIERS = {
+    "Q(i)": {"op": order_oracle.gaussian_op, "negate": order_oracle.gaussian_negate,
+             "mul": order_oracle.gaussian_mul, "compare": order_oracle.gaussian_compare,
+             "norm": order_oracle.taxicab},
+    "Q^2": {"op": order_oracle.orthant_op, "negate": order_oracle.orthant_negate,
+            "compare": order_oracle.orthant_compare, "join": order_oracle.orthant_join},
+    "lex": {"op": order_oracle.lex_op, "negate": order_oracle.lex_negate,
+            "norm": order_oracle.lex_lead_norm},
+    "trop": {"op": order_oracle.bottom_max, "compare": order_oracle.bottom_compare,
+             "join": order_oracle.bottom_max},
+    "G0": {"op": order_oracle.bottom_max, "compare": order_oracle.bottom_compare,
+           "join": order_oracle.bottom_max},
+}
+
+# Fractions with ints mixed in
+coordinates = st.one_of(small_fractions, small_fractions, st.integers(-6, 6))
+
+
+def carrier_elements(key):
+    if key == "G0":
+        return st.one_of(st.none(), st.integers(-6, 6))
+    if key == "trop":
+        return st.one_of(st.none(), coordinates)
+    head = st.integers(-3, 3) if key == "lex" else coordinates
+    return st.tuples(head, coordinates)
+
+
+def copy_of(x):
+    """A new object equal to x, or x where x is an int or None."""
+    if isinstance(x, tuple):
+        return tuple(map(copy_of, x))
+    return F(x.numerator, x.denominator) if type(x) is F else x
+
+
+def kernel_partners(key, a):
+    """A second operand for a: a itself, an equal copy, any element, or one
+    that shares a coordinate of a (as an equal copy, or as the int it
+    equals)."""
+    pool = carrier_elements(key)
+    options = [st.just(a), st.just(copy_of(a)), pool]
+    if isinstance(a, tuple):
+        twins = [st.just(c) for c in (a[1], copy_of(a[1]))]
+        if a[1] == int(a[1]):
+            twins.append(st.just(int(a[1])))
+        options += [st.tuples(st.just(a[0]), st.one_of(*twins)),
+                    pool.map(lambda g: (a[0], g[1]))]
+    return st.one_of(*options)
+
+
+def same_element(got, want):
+    """same() coordinate by coordinate, None for None."""
+    if want is None or isinstance(want, tuple):
+        assert type(got) is type(want)
+        if want is not None:
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                same_element(g, w)
+    else:
+        same(got, want)
+
+
+@pytest.mark.parametrize("key", sorted(KERNEL_CARRIERS))
+@given(data=st.data())
+def test_kernel_carriers_match_their_old_closures(key, data):
+    h, ref = lookup(key), KERNEL_CARRIERS[key]
+    a = data.draw(carrier_elements(key))
+    b = data.draw(kernel_partners(key, a))
+    norm = h.norms[0].norm if "norm" in ref else None
+    if key == "Q(i)":
+        assert h.pnorms[0].norm is norm
+    for x, y in ((a, b), (b, a), (a, a)):
+        same_element(h.op(x, y), ref["op"](x, y))
+        if "negate" in ref:
+            same_element(h.negate(x), ref["negate"](x))
+            same_element(h.sub(x, y), ref["op"](x, ref["negate"](y)))
+        if "mul" in ref:
+            same_element(h.mul(x, y), ref["mul"](x, y))
+        if "compare" in ref:
+            assert h.compare(x, y) is ref["compare"](x, y)
+        if "join" in ref:
+            got, want = h.join(x, y), ref["join"](x, y)
+            same_element(got, want)
+            # the join picks the same objects as max
+            if isinstance(want, tuple):
+                assert all(g is w for g, w in zip(got, want))
+            else:
+                assert got is want
+        if norm is not None:
+            same_element(norm(x), ref["norm"](x))
+
+
+FRACTION_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
+    "__rmod__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
+    "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+def test_kernel_carriers_never_reach_fractions_own_operators(monkeypatch):
+    # every operation, comparison, join and norm of Q(i), Q^2 and trop, and
+    # lex's op, negate and lead norm (lex compares and joins as a tuple,
+    # through Fraction's comparisons), over each handle's sample and
+    # eps_grid; inverses, density witnesses and fmt are not covered
+    cases = []
+    for key in ("Q(i)", "Q^2", "trop", "lex"):
+        h = lookup(key)
+        points = tuple(h.sample) + tuple(h.eps_grid)
+        unary = [h.negate] if h.negate is not None else []
+        unary += [ng.norm for ng in h.norms] + [pn.norm for pn in h.pnorms]
+        binary = [h.op]
+        if h.negate is not None:
+            binary.append(h.sub)
+        if h.second_op is not None:
+            binary.append(h.mul)
+        if key != "lex":
+            binary.append(h.compare)
+            if h.join is not None:
+                binary.append(h.join)
+        cases.append((key, points, unary, binary))
+    assert [len(c[2]) for c in cases] == [3, 1, 0, 2]
+
+    def refuse(*args):
+        raise AssertionError("a Fraction operator was called")
+
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(F, name, refuse)
+    try:
+        for key, points, unary, binary in cases:
+            for f in unary:
+                for x in points:
+                    f(x)
+            for f in binary:
+                for x in points:
+                    for y in points:
+                        f(x, y)
+    finally:
+        monkeypatch.undo()
 
 
 def test_the_fraction_kernel_relies_on_two_slots():
