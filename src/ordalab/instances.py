@@ -40,6 +40,7 @@ from .order import (
     frac_cmp,
     frac_mul,
     frac_neg,
+    frac_pow2,
     make_flags,
     total_compare,
 )
@@ -255,22 +256,15 @@ def _build_tropical() -> StructureHandle:
     )
 
 
-def _two_to(k: int) -> F:
-    # 2^k as a bare Fraction, its pair written as the kernel writes one
-    x = object.__new__(F)
-    x._numerator, x._denominator = (1 << k, 1) if k >= 0 else (1, 1 << -k)
-    return x
-
-
 def _build_lex() -> StructureHandle:
     def op(g, h):
         a, q = g
         b, r = h
-        return (a + b, frac_add(frac_mul(q, _two_to(b)), r))
+        return (a + b, frac_add(frac_mul(q, frac_pow2(b)), r))
 
     def negate(g):
         a, q = g
-        return (-a, frac_neg(frac_mul(q, _two_to(-a))))
+        return (-a, frac_neg(frac_mul(q, frac_pow2(-a))))
 
     def split(eps):
         a, q = eps

@@ -61,7 +61,8 @@ def field_invert(x: Element) -> Element:
 # The Fraction kernel: a + b, a * b and -a by the gcd steps of Fraction's
 # own _add and _mul, with the coprime result written into the slots
 # _numerator and _denominator, skipping the numeric tower and the
-# normalising constructor; |a| and the sign of a - b read off the pairs.
+# normalising constructor; |a| and the sign of a - b read off the pairs,
+# and 2^k is written as one.
 # Any operand that is not exactly a Fraction (an int, a bool, a subclass)
 # takes Python's operator or comparison.
 
@@ -110,6 +111,12 @@ def frac_neg(a: Element) -> Element:
         return -a
     x = _new(Fraction)
     x._numerator, x._denominator = -a._numerator, a._denominator
+    return x
+
+
+def frac_pow2(k: int) -> Fraction:
+    x = _new(Fraction)
+    x._numerator, x._denominator = (1 << k, 1) if k >= 0 else (1, 1 << -k)
     return x
 
 

@@ -131,7 +131,7 @@ MUTANTS = (
            KERNEL_TESTS),
     Mutant("Fraction kernel: frac_mul's second gcd skipped",
            "order.py", "    if g2 > 1:\n        nb, da = nb // g2, da // g2\n", "",
-           REFERENCE_TESTS),
+           KERNEL_TESTS + REFERENCE_TESTS),
     Mutant("Fraction kernel: lt crosses each numerator with its own denominator",
            "order.py", "a._numerator * b._denominator < b._numerator * a._denominator",
            "a._numerator * a._denominator < b._numerator * b._denominator",
@@ -149,8 +149,8 @@ MUTANTS = (
            "instances.py", "frac_add(frac_mul(a, c), frac_neg(frac_mul(b, d)))",
            "frac_add(frac_mul(a, c), frac_mul(b, d))", (carrier("Q(i)"),)),
     Mutant("lex negate: the tail scaled by 2^a, not 2^-a",
-           "instances.py", "frac_neg(frac_mul(q, _two_to(-a)))",
-           "frac_neg(frac_mul(q, _two_to(a)))", (carrier("lex"),)),
+           "instances.py", "frac_neg(frac_mul(q, frac_pow2(-a)))",
+           "frac_neg(frac_mul(q, frac_pow2(a)))", (carrier("lex"),)),
     Mutant("Q^2 compare: only the first coordinate read",
            "instances.py", "cx, cy = frac_cmp(x[0], y[0]), frac_cmp(x[1], y[1])",
            "cx = cy = frac_cmp(x[0], y[0])", (carrier("Q^2"),)),

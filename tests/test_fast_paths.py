@@ -204,6 +204,11 @@ def test_the_fraction_kernel_matches_fractions_own_operators(key, p, data):
         same(order.frac_abs(a), abs(a))
 
 
+def test_frac_pow2_is_two_to_the_k():
+    for k in range(-70, 71):
+        same(order.frac_pow2(k), F(2) ** k)
+
+
 # -- the pair and bottom carriers on the Fraction kernel --------------------
 
 # each carrier's old closures, by the name of the handle's callable they
