@@ -83,6 +83,10 @@ def _cases() -> list[tuple[str, list[str]]]:
         ("unverifiable-Qi-alternating", _series("1/2^n", "Q(i)", "alternating")),
         ("error-Q-increasing-condensation", _series("n", "Q", "condensation")),
         ("unverifiable-trop-condensation", _series("1/2^n", "trop", "condensation")),
+        # Z has no density witness: the decrease is checked before the split
+        ("error-Z-increasing-condensation", _series("n", "Z", "condensation")),
+        # terms that fall until index 8 and then rise
+        ("error-Q-alternating-rises-at-8", _series("1/n+n^2/1000", "Q", "alternating")),
         # the three certificate tests over Z(X) at a short horizon
         ("series-ZX-alternating", _series("1/(X+1)^n", "Z(X)", "alternating", "--horizon", "3")),
         ("series-ZX-condensation", _series("1/X^n", "Z(X)", "condensation", "--horizon", "3")),
