@@ -13,6 +13,7 @@ in any carrier that can interpret it.
     atom   := integer | 'n' | 'pow' '(' expr ',' 'n' ')' | '(' expr ')' | symbol
 
 '+'/'-' and '*'/'/' associate left; '^' binds tightest and does not chain.
+Parentheses nest at most 100 deep, and a tree is at most 100 levels high.
 """
 
 from __future__ import annotations
@@ -98,16 +99,23 @@ class _Token:
 # digits and names are ASCII only: str.isdigit would also read '¹' or '٣'
 _TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),])|\s+")
 
+# The deepest parentheses and the highest tree (a leaf is 1, an operator or
+# power adds 1) of a term: the parser, printer and compiler recurse on them.
+_MAX_DEPTH = 100
+
 
 def _lex(src: str) -> list[_Token]:
     out: list[_Token] = []
-    i = 0
+    i = depth = 0
     while i < len(src):
         m = _TOKEN.match(src, i)
         if m is None:
             raise TermError(f"unexpected character {src[i]!r}", i + 1)
         if m.lastgroup is not None:  # not whitespace
             kind = m.group() if m.lastgroup == "op" else m.lastgroup
+            depth += (kind == "(") - (kind == ")")
+            if depth > _MAX_DEPTH:
+                raise TermError(f"parentheses nest more than {_MAX_DEPTH} deep", i + 1)
             out.append(_Token(kind, m.group(), i + 1))
         i = m.end()
     out.append(_Token("end", "", len(src) + 1))
@@ -118,7 +126,7 @@ def _lex(src: str) -> list[_Token]:
 # parser
 
 
-class _Parser:
+class _Parser:  # each production returns its node and its height
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
@@ -145,57 +153,65 @@ class _Parser:
             raise TermError("integer literal has more than 4300 digits", t.column)
         return int(t.text)
 
-    def expr(self) -> Node:
-        node = self.term()
+    def above(self, at: _Token, height: int) -> int:
+        """The height of the node token at builds over a child this high."""
+        if height >= _MAX_DEPTH:
+            raise TermError(f"term is more than {_MAX_DEPTH} levels high", at.column)
+        return height + 1
+
+    def expr(self) -> tuple[Node, int]:
+        node, h = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.take()
-            node = Bin(op.kind, node, self.term())
-        return node
+            right, hr = self.term()
+            node, h = Bin(op.kind, node, right), self.above(op, max(h, hr))
+        return node, h
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> tuple[Node, int]:
+        node, h = self.factor()
         while self.peek().kind in ("*", "/"):
             op = self.take()
-            node = Bin(op.kind, node, self.factor())
-        return node
+            right, hr = self.factor()
+            node, h = Bin(op.kind, node, right), self.above(op, max(h, hr))
+        return node, h
 
-    def factor(self) -> Node:
-        node = self.atom()
+    def factor(self) -> tuple[Node, int]:
+        node, h = self.atom()
         if self.peek().kind == "^":
-            self.take()
+            op = self.take()
             t = self.peek()
             if t.kind == "int":
-                return Pow(node, self.integer())
+                return Pow(node, self.integer()), self.above(op, h)
             if t.kind == "name" and t.text == "n":
                 self.take()
-                return Pow(node, None)
+                return Pow(node, None), self.above(op, h)
             got = repr(t.text) if t.kind != "end" else "end of input"
             raise TermError(f"exponent must be a natural number or n, got {got}", t.column)
-        return node
+        return node, h
 
-    def atom(self) -> Node:
+    def atom(self) -> tuple[Node, int]:
         t = self.peek()
         if t.kind == "int":
-            return Lit(self.integer())
+            return Lit(self.integer()), 1
         if t.kind == "name":
             self.take()
             if t.text == "n":
-                return Index()
+                return Index(), 1
             if t.text == "pow":
                 self.expect("(", "'(' after pow")
-                base = self.expr()
+                base, h = self.expr()
                 self.expect(",", "',' in pow(base, n)")
                 idx = self.expect("name", "the index variable n")
                 if idx.text != "n":
                     raise TermError("pow's second argument must be n", idx.column)
                 self.expect(")", "')'")
-                return Pow(base, None)
-            return Sym(t.text)
+                return Pow(base, None), self.above(t, h)
+            return Sym(t.text), 1
         if t.kind == "(":
             self.take()
-            node = self.expr()
+            out = self.expr()
             self.expect(")", "')'")
-            return node
+            return out
         got = repr(t.text) if t.kind != "end" else "end of input"
         raise TermError(f"expected a value, got {got}", t.column)
 
@@ -203,7 +219,7 @@ class _Parser:
 def parse_term_expr(src: str) -> Node:
     """Parse source text into an AST; TermError carries the failing column."""
     p = _Parser(_lex(src))
-    node = p.expr()
+    node, _ = p.expr()
     tail = p.peek()
     if tail.kind != "end":
         raise TermError(f"unexpected trailing input {tail.text!r}", tail.column)

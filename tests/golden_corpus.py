@@ -73,6 +73,8 @@ def _cases() -> list[tuple[str, list[str]]]:
         # bad input (exit 2)
         ("error-Q-not-geometric", _series("1/n", "Q", "geometric")),
         ("error-Z-no-inverse", _series("1/2^n", "Z", "geometric")),
+        # parentheses nested one past the parser's bound
+        ("error-Q-parentheses-too-deep", _series("(" * 101 + "1/n" + ")" * 101, "Q", "zero-limit")),
         # a ratio of 1 has no geometric limit
         ("error-Q-ratio-one", _series("pow(1,n)", "Q", "geometric")),
         # the powers of 1/2 up to index 6, then a term that leaves them

@@ -128,6 +128,57 @@ def test_a_4300_digit_literal_parses_and_prints():
     assert parse_term_expr(pretty(node)) == node
 
 
+def _parens(k):
+    return "(" * k + "1/n" + ")" * k
+
+
+def _sum(k):
+    return "+".join(["1/n"] * k)
+
+
+def _tower(k):
+    """A term k levels high whose parentheses nest k - 1 deep: (n+(n+...n))."""
+    src = "n"
+    for _ in range(k - 1):
+        src = f"(n+{src})"
+    return src[1:-1] if k > 1 else src
+
+
+@pytest.mark.parametrize("src", [_parens(100), _sum(99), _tower(100), "(" + _tower(99) + ")",
+                                 "pow(" * 99 + "1" + ", n)" * 99],
+                         ids=["parens-100", "sum-99", "tower-100", "tower-99-in-parens",
+                              "pow-nested-99"])
+def test_a_term_at_the_depth_bounds_parses_prints_and_evaluates(src):
+    node = parse_term_expr(src)
+    assert parse_term_expr(pretty(node)) == node
+    seq = seq_from_expr(src, Q)
+    assert seq(3) == eval_term(node, Q, 3)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["series", _parens(101), "--structure", "Q", "--test", "zero-limit"],
+     "parentheses nest more than 100 deep (column 101)"),
+    (["series", _parens(247), "--structure", "Q", "--test", "zero-limit"],
+     "parentheses nest more than 100 deep (column 101)"),
+    (["series", _sum(100), "--structure", "Q", "--test", "zero-limit"],
+     "term is more than 100 levels high (column 396)"),
+    (["series", _sum(984), "--structure", "Q", "--test", "zero-limit"],
+     "term is more than 100 levels high (column 396)"),
+    (["series", _tower(101), "--structure", "Q", "--test", "zero-limit"],
+     "term is more than 100 levels high (column 2)"),
+    (["series", "pow(" * 100 + "1" + ", n)" * 100, "--structure", "Q", "--test", "zero-limit"],
+     "term is more than 100 levels high (column 1)"),
+    (["check", "Q", "--suite", "density", "--grid", "(" * 400 + "1/2" + ")" * 400],
+     "parentheses nest more than 100 deep (column 101)"),
+], ids=["parens-101", "parens-247", "sum-100", "sum-984", "tower-101", "pow-nested-100",
+        "grid-parens-400"])
+def test_a_term_past_the_depth_bounds_is_a_term_error(capsys, argv, message):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(message + "\n")
+
+
 # short strings over the grammar's own characters and a spread of others
 _SOURCE_CHARS = st.sampled_from("0123456789nXpow_()+-*/^, ") | st.characters(
     blacklist_categories=("Cs",))
