@@ -69,7 +69,7 @@ class RationalTerm:
     at every n >= 1 (termexpr._Facts.form), built only under _int_terms.
     pair(n) gives the ints (P(n), Q(n)), by Horner's rule, and the term at
     n is their quotient.  Through shape_fact, PartialSums reads the pairs
-    and zero_limit_cert the polynomials (zero_tail)."""
+    and conv_cert the polynomials (tail)."""
 
     def __init__(self, num: Poly, den: Poly):
         self.num, self.den = num, den
@@ -86,11 +86,12 @@ class RationalTerm:
     def __call__(self, n: int) -> Fraction:
         return Fraction(*self.pair(n))
 
-    def zero_tail(self, space: MetricSpace, message: Callable[[Element], str]):
-        """The proved modulus of P/Q -> 0 on space, when its _group has Q's
-        own operations and deg P < deg Q, else None: at eps = a/b the least
-        N with (a Q(n) - b P(n)) (a Q(n) + b P(n)) > 0 from N on (tail_start)."""
-        grp = space._group
+    def tail(self, space: MetricSpace, limit: Element | None, horizon: int,
+             message: Callable[[Element], str]):
+        """The proved modulus of P/Q -> limit, the zero of space's _group
+        (_zero_group) with Q's own operations, when deg P < deg Q, else None:
+        at eps = a/b the least N with (aQ(n) - bP(n)) (aQ(n) + bP(n)) > 0 from N on."""
+        grp = _zero_group(space, limit)
 
         def least(eps: Element, start: int) -> int | None:
             aq, bp = poly_scale(self.den, eps.numerator), poly_scale(self.num, eps.denominator)
@@ -106,7 +107,7 @@ class PowerTerm:
     c and r free of n and evaluated once (power_term).  The powers step
     from r^k to r^(k+1) with one product, and c = 1 is not multiplied in.
     Through shape_fact it decides, from c and r on the space or handle
-    given, zero_tail, sums_tail, sum_inverse, positive, falls and bounds."""
+    given, tail, sums_tail, sum_inverse, positive, falls and bounds."""
 
     def __init__(self, handle: StructureHandle, c: Element, r: Element):
         self.c, self.r = c, r
@@ -132,11 +133,12 @@ class PowerTerm:
         grp = space._group
         return (n0 + h, n0) if grp is not None and self.falls(grp) else None
 
-    def zero_tail(self, space: MetricSpace, message: Callable[[Element], str]):
-        """The modulus of c r^n -> 0 on space, when it has a _group and
-        0 < |r| < 1, else None: |c r^n| strictly decreases, so N(eps) is
-        the least N with |c| |r|^N < eps (_power_tail)."""
-        grp = space._group
+    def tail(self, space: MetricSpace, limit: Element | None, horizon: int,
+             message: Callable[[Element], str]):
+        """The modulus of c r^n -> limit, the zero of space's _group
+        (_zero_group), when 0 < |r| < 1, else None: |c r^n| strictly
+        decreases, so N(eps) is the least N with |c| |r|^N < eps (_power_tail)."""
+        grp = _zero_group(space, limit)
         ratio = None if grp is None else absolute_value(grp, self.r)
         decides = ratio is not None and grp.is_positive(ratio) and grp.lt(ratio, grp.one)
         return (_power_tail(grp, absolute_value(grp, self.c), ratio, grp.one, message)
@@ -165,6 +167,12 @@ class PowerTerm:
             return None if handle.invert is None else handle.invert(x)
         except ValueError:  # 0, or 2/3 in Z[1/3]
             return None
+
+
+def _zero_group(space: MetricSpace, limit: Element | None) -> StructureHandle | None:
+    """space's _group when limit (None for a Cauchy claim) is its zero, else None."""
+    grp = space._group
+    return grp if grp is not None and limit is not None and grp.eq(limit, grp.identity) else None
 
 
 def shape_fact(seq: Seq, name: str, *args: Any) -> Any:
@@ -211,7 +219,7 @@ class PartialSums:
     term this is, so each sum is stored once, and that Seq calls it only
     for an index it holds no sum for.  Through shape_fact, window gives
     the values of a Cauchy window, from the gaps when the sums are far
-    below it, and bounds the two sums that bound a window's."""
+    below it, bounds the two sums that bound a window's, and tail."""
 
     def __init__(self, handle: StructureHandle, x: Seq, alternating: bool):
         self.handle, self.x, self.alternating = handle, x, alternating
@@ -289,6 +297,14 @@ class PartialSums:
         if self.alternating:
             return (n0, n0 + 1) if shape_fact(self.x, "falls", grp) else None
         return (n0, n0 + h) if shape_fact(self.x, "positive", grp) else None
+
+    def tail(self, space: MetricSpace, limit: Element | None, horizon: int,
+             message: Callable[[Element], str]):
+        """The modulus the terms' sums_tail proves for plain sums (a Cauchy
+        one with limit None); None for alternating sums."""
+        if self.alternating:
+            return None
+        return shape_fact(self.x, "sums_tail", space, limit, horizon, message)
 
 
 class CondensedTerm:
@@ -1002,40 +1018,22 @@ def _no_window(seq: Seq, s: StructureHandle) -> Callable[[Element], str]:
                         f"below {s.fmt(eps)}; the claimed limit fails at this scale")
 
 
-def zero_limit_cert(
-    handle: StructureHandle, space: MetricSpace, seq: Seq, horizon: int
-) -> ConvCert:
-    """Certificate for seq -> 0 in space, with the modulus its term's shape
-    proves (zero_tail), else the scanned one with this horizon.  Either way
-    an epsilon whose N would lie past _MAX_INDEX raises the scan's error."""
-    modulus = shape_fact(seq, "zero_tail", space, _no_window(seq, space.codomain))
+def conv_cert(space: MetricSpace, seq: Seq, limit: Element, horizon: int) -> ConvCert:
+    """Certificate for seq -> limit in space, with the modulus seq's shape
+    proves (tail), else the scanned one with this horizon.  Either way an
+    epsilon whose N would lie past _MAX_INDEX raises the scan's error."""
+    modulus = shape_fact(seq, "tail", space, limit, horizon, _no_window(seq, space.codomain))
     if modulus is None:
-        return scanned_conv_cert(space, seq, handle.identity, horizon)
-    return ConvCert(space, seq, handle.identity, modulus)
+        return scanned_conv_cert(space, seq, limit, horizon)
+    return ConvCert(space, seq, limit, modulus)
 
 
-def sums_conv_cert(
-    space: MetricSpace, sums: Seq, terms: Seq, limit: Element, horizon: int
-) -> ConvCert:
-    """Certificate that sums, the partial sums of terms, converge to limit,
-    with the window starts of scanned_conv_cert(space, sums, limit,
-    horizon), proved by the shape of terms (sums_tail) or scanned."""
-    modulus = shape_fact(terms, "sums_tail", space, limit, horizon,
-                         _no_window(sums, space.codomain))
+def cauchy_cert(space: MetricSpace, seq: Seq, horizon: int) -> CauchyCert:
+    """Cauchy certificate for seq in space, proved as in conv_cert (limit None)."""
+    modulus = shape_fact(seq, "tail", space, None, horizon, _no_cluster(seq, space.codomain))
     if modulus is None:
-        return scanned_conv_cert(space, sums, limit, horizon)
-    return ConvCert(space, sums, limit, modulus)
-
-
-def sums_cauchy_cert(space: MetricSpace, sums: Seq, terms: Seq, horizon: int) -> CauchyCert:
-    """Cauchy certificate for sums, the partial sums of terms, with the
-    window starts of scanned_cauchy_cert(space, sums, horizon), proved by
-    the shape of terms (sums_tail) or scanned."""
-    modulus = shape_fact(terms, "sums_tail", space, None, horizon,
-                         _no_cluster(sums, space.codomain))
-    if modulus is None:
-        return scanned_cauchy_cert(space, sums, horizon)
-    return CauchyCert(space, sums, modulus)
+        return scanned_cauchy_cert(space, seq, horizon)
+    return CauchyCert(space, seq, modulus)
 
 
 def scanned_conv_cert(

@@ -83,7 +83,9 @@ class MonotoneKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MonotoneEvidence:
-    """Monotonicity hypothesis, exactly verified for indices <= checked_up_to."""
+    """A stated monotonicity hypothesis: its kind, and the depth up to which
+    it is checked exactly.  check_monotone checks it, and so does every
+    certificate that relies on it (condense), so stating it checks nothing."""
 
     kind: MonotoneKind
     checked_up_to: int
@@ -169,44 +171,37 @@ def tail_bound(cauchy: CauchyCert, eps: Element, m: int, n: int) -> TailCheck:
 # convergence tests as certificate transformations
 
 
-def alternating_cauchy(
-    handle: StructureHandle,
-    space: MetricSpace,
-    mono: MonotoneEvidence,
-    c0: ConvCert,
-) -> CauchyCert:
+def alternating_cauchy(handle: StructureHandle, c0: ConvCert) -> CauchyCert:
     """Alternating series with strictly decreasing positive terms: for the
     sequence x of c0, which certifies x -> 0, the partial sums of
-    x_1 - x_2 + x_3 - ... are Cauchy with c0's modulus (pair gaps collapse
-    below x_{m+1}).  The partial sums follow the rule of Series
+    x_1 - x_2 + x_3 - ... are Cauchy in c0's space with c0's modulus (pair
+    gaps collapse below x_{m+1}).  The strict decrease is checked up to
+    index 32 (check_monotone).  The partial sums follow the rule of Series
     (PartialSums): a block of a rational term's terms is summed by binary
     splitting, and c r^n whose 1 + r is a unit gives
     c r (1 - (-r)^n) / (1 + r)."""
     handle.require("ring", "total_order")
-    if mono.kind is not MonotoneKind.STRICTLY_DECREASING_POSITIVE:
-        raise ValueError("alternating series needs strictly decreasing positive terms")
     x = c0.seq
-    check_monotone(handle, x, mono.kind, mono.checked_up_to)
+    check_monotone(handle, x, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
     if not handle.eq(c0.limit, handle.identity):
         raise ValueError(f"{x.name} does not carry a zero limit")
 
     sums = PartialSums(handle, x, True)
     partials = Seq(f"sum(alt({x.name}))", sums, sums.sums)
-    return CauchyCert(space, partials, lambda eps: modulus_at(c0.modulus, eps))
+    return CauchyCert(c0.space, partials, lambda eps: modulus_at(c0.modulus, eps))
 
 
 def squeeze_cauchy(
     handle: StructureHandle,
-    space: MetricSpace,
     cx: CauchyCert,
     cz: CauchyCert,
     n1: int,
     y: Seq,
 ) -> CauchyCert:
     """If the flanking series have Cauchy partial sums and x_n <= y_n <= z_n
-    from n1 on, the middle series is Cauchy: a tail of y is pinched between
-    two tails that are both small.  The squeeze is checked on the 33 indices
-    from n1 on."""
+    from n1 on, the middle series is Cauchy in cx's space: a tail of y is
+    pinched between two tails that are both small.  The squeeze is checked
+    on the 33 indices from n1 on."""
     handle.require("ring", "total_order")
     if n1 < 1:
         raise ValueError("ordering onset index must be >= 1")
@@ -222,7 +217,7 @@ def squeeze_cauchy(
     def modulus(eps: Element) -> int:
         return max(n1, modulus_at(cx.modulus, eps), modulus_at(cz.modulus, eps))
 
-    return CauchyCert(space, partials, modulus)
+    return CauchyCert(cx.space, partials, modulus)
 
 
 def condensed_terms(handle: StructureHandle, x: Seq) -> Seq:
@@ -256,18 +251,14 @@ def condense(
     backward: from a Cauchy certificate for the condensed partial sums,
     derive one for the plain partial sums with modulus 2^N(eps) - 1: the
     terms from 2^k to 2^(k+1)-1 are dominated blockwise by condensed terms.
+    mono is checked before the split, which a carrier may lack the witness for.
     """
     handle.require("ring", "total_order")
     if handle.one is None:
         raise CapabilityError(f"{handle.name} has no multiplicative identity")
+    check_monotone(handle, x, mono.kind, mono.checked_up_to)
     # only the forward modulus splits eps: backward needs no density witness
     plain_modulus = split_max(handle, c.modulus, c.modulus) if direction == "forward" else None
-    if mono.kind not in (
-        MonotoneKind.DECREASING_POSITIVE,
-        MonotoneKind.STRICTLY_DECREASING_POSITIVE,
-    ):
-        raise ValueError("condensation needs decreasing positive terms")
-    check_monotone(handle, x, mono.kind, mono.checked_up_to)
 
     base_partials = Series(handle, x).partials
     cond_partials = Series(handle, condensed_terms(handle, x)).partials

@@ -52,26 +52,25 @@ from .sequences import (
     Seq,
     add_certs,
     apart_tail,
+    cauchy_cert,
     constant_cert,
+    conv_cert,
     conv_to_cauchy,
     power_seq,
     prod_certs,
     refute_distinct_limits,
     shift_cert,
-    sums_cauchy_cert,
-    sums_conv_cert,
     unshift_cert,
     verify_cauchy_cert,
     verify_conv_cert,
-    zero_limit_cert,
 )
 from .series import (
+    MonotoneEvidence,
     MonotoneKind,
     Series,
     alternating_cauchy,
     archimedean_power_modulus,
     bernoulli_check,
-    check_monotone,
     condensation_inequalities,
     condense,
     geometric_cert,
@@ -472,22 +471,18 @@ def _stock_ratio(handle: StructureHandle, space, grid):
 
 
 def _alternating(handle: StructureHandle, space, terms: Seq, h: int):
-    """The alternating test's Cauchy certificate for terms, whose strict
-    decrease is checked up to index 32 and whose zero limit is certified by
-    zero_limit_cert."""
-    handle.require("ring", "total_order")
-    mono = check_monotone(handle, terms, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
-    return alternating_cauchy(handle, space, mono, zero_limit_cert(handle, space, terms, h))
+    """The alternating test's Cauchy certificate for terms, whose zero
+    limit is certified by conv_cert."""
+    return alternating_cauchy(handle, conv_cert(space, terms, handle.identity, h))
 
 
 def _condensation(handle: StructureHandle, space, terms: Seq, h: int):
     """(forward, backward) condensation certificates for terms, whose
-    decrease is checked up to index 32 and whose partial sums' Cauchy
-    certificate has the scanned window starts (sums_cauchy_cert)."""
+    decrease up to index 32 each of them checks, and whose partial sums'
+    Cauchy certificate has the scanned window starts (cauchy_cert)."""
     handle.require("ring", "total_order")
-    mono = check_monotone(handle, terms, MonotoneKind.DECREASING_POSITIVE, 32)
-    partials = Series(handle, terms).partials
-    base = sums_cauchy_cert(space, partials, terms, min(h, 16))
+    mono = MonotoneEvidence(MonotoneKind.DECREASING_POSITIVE, 32)
+    base = cauchy_cert(space, Series(handle, terms).partials, min(h, 16))
     fwd = condense(handle, space, terms, mono, base, "forward")
     return fwd, condense(handle, space, terms, mono, fwd, "backward")
 
@@ -497,8 +492,7 @@ def _suite_series(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
     space, grid = _metric_grid(handle, cfg.grid)
     h = cfg.horizon
     r, terms, inv, _ = _stock_ratio(handle, space, grid)
-    partials = Series(handle, terms).partials
-    c = sums_conv_cert(space, partials, terms, handle.mul(r, inv), h)
+    c = conv_cert(space, Series(handle, terms).partials, handle.mul(r, inv), h)
     mfmt = space.codomain.fmt
 
     col.cert("series.partials-converge", "series.partial-sums", lambda: c,
@@ -524,7 +518,7 @@ def _suite_series(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
         zero = constant_cert(space, handle.identity, name="zero-sums")
         cx = conv_to_cauchy(zero)
         cz = conv_to_cauchy(c)
-        return squeeze_cauchy(handle, space, cx, cz, 1, terms)
+        return squeeze_cauchy(handle, cx, cz, 1, terms)
     col.cert("series.squeeze", "series.squeeze", squeeze, verify_cauchy_cert, grid, h, mfmt)
 
     return col.records
@@ -565,7 +559,7 @@ def _suite_geometric(handle: StructureHandle, cfg: RunConfig, rng: random.Random
     h = cfg.horizon
     mfmt = space.codomain.fmt
     r, terms, inv, _ = _stock_ratio(handle, space, grid)
-    c0 = zero_limit_cert(handle, space, terms, h)
+    c0 = conv_cert(space, terms, handle.identity, h)
 
     col.cert("geometric.certificate", "series.geometric",
              lambda: geometric_cert(handle, space, r, c0, inv),
@@ -698,7 +692,7 @@ def run_series(structure: str, expr: str, test: str, grid: Sequence[str],
     col = _Collector("series", handle)
 
     if test == "zero-limit":
-        c = zero_limit_cert(handle, space, seq, horizon)
+        c = conv_cert(space, seq, handle.identity, horizon)
         col.cert("series.zero-limit", "limit.zero", lambda: c,
                  verify_conv_cert, grid, horizon, mfmt)
 
@@ -727,7 +721,7 @@ def run_series(structure: str, expr: str, test: str, grid: Sequence[str],
                     f"{seq.name} is not the power sequence of {handle.fmt(r)} (index {k})"
                 )
         inv = geometric_limit(handle, r)
-        c = geometric_cert(handle, space, r, zero_limit_cert(handle, space, seq, horizon), inv)
+        c = geometric_cert(handle, space, r, conv_cert(space, seq, handle.identity, horizon), inv)
         col.cert("series.geometric", "series.geometric", lambda: c,
                  verify_conv_cert, grid, horizon, mfmt)
 

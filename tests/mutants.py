@@ -8,9 +8,12 @@ when they fail. Before any mutant, the named tests must pass on the
 unmutated copy. Every pytest run draws its Hypothesis examples from the one
 fixed ``SEED`` (with no example database), so the verdicts repeat from run
 to run. The mutants run on as many worker processes as there are CPUs (at
-most one per mutant), each with its own copy of ``src/``, and the results
-print in list order. Nothing in the repository is written. Exits 1 when a
-mutant survives and 2 when the baseline fails or a mutation's text is
+most one per mutant), each with its own copy of ``src/``. A pytest run
+that takes more than ``TIMEOUT`` seconds is killed, and its mutant gets the
+verdict ``timeout``: neither caught nor survived, and counted apart. Each
+verdict prints as it lands, and all of them again in list order at the
+end. Nothing in the repository is written. Exits 1 when a mutant survives
+or times out, and 2 when the baseline fails or a mutation's text is
 missing.
 
 A change to a fast path adds the mutants its tests should catch.
@@ -28,12 +31,13 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0  # passed to every pytest run as --hypothesis-seed
+TIMEOUT = 300  # seconds one pytest run may take before it is killed
 
 
 class Mutant(NamedTuple):
@@ -87,6 +91,9 @@ CONDENSED_TESTS = (
     "test_series.py::test_condensed_terms_match_the_doubling_path",
     "test_series.py::test_condensed_terms_pins",
 )
+TAIL_TESTS = tuple(f"test_power_terms.py::test_a_tail_declines_{name}" for name in (
+    "a_nonzero_limit", "alternating_sums"))
+MONOTONE_TEST = "test_series.py::test_each_certificate_checks_its_monotone_hypothesis_once"
 POWER_SEQ_TEST = (
     "test_powers.py::test_power_seq_is_r_to_the_n_through_a_power_term_where_the_gate_admits")
 GEOMETRIC_TEST = (
@@ -259,7 +266,8 @@ MUTANTS = (
            "sequences.py", "self._block(m + 1, n)", "self._block(m + 2, n)", BLOCK_TESTS),
     Mutant("partial sums: the stepped run inserted one position late",
            "sequences.py", "known[i:i] =", "known[i + 1:i + 1] =",
-           BLOCK_TESTS),
+           BLOCK_TESTS + ("test_rational_moduli.py::"
+                          "test_a_stepped_sum_below_a_block_sum_keeps_the_indices_sorted",)),
     Mutant("window blocks: the sign of a block that starts at an even index flipped",
            "sequences.py", "num, den, last = num * b + a * den, den * b, n + o",
            "num, den, last = num * b + (-a if self.alternating and last % 2 else a) * den, "
@@ -333,10 +341,17 @@ MUTANTS = (
            "sequences.py", "s.lt(self.r, s.one)", "s.le(self.r, s.one)",
            (POWER_TESTS[4], "test_power_terms.py::test_a_ratio_of_one_takes_the_walk")),
     Mutant("shape facts: a rational zero tail answered on a space without a _group",
-           "sequences.py", "decides = grp is not None and grp._int_terms",
-           "grp = space.codomain\n        decides = grp is not None and grp._int_terms",
+           "sequences.py", "grp = space._group\n    return grp if grp is not None",
+           "grp = space._group or space.codomain\n    return grp if grp is not None",
            ("test_rational_moduli.py::"
             "test_terms_without_a_zero_limit_and_other_carriers_keep_the_scan",)),
+    Mutant("shape facts: a power's tail answered for a nonzero limit",
+           "sequences.py", "grp = _zero_group(space, limit)\n        ratio = None",
+           "grp = space._group\n        ratio = None", (TAIL_TESTS[0],)),
+    Mutant("shape facts: alternating sums answer their terms' plain sums_tail",
+           "sequences.py",
+           "        if self.alternating:\n            return None\n        return shape_fact(",
+           "        return shape_fact(", (TAIL_TESTS[1],)),
     Mutant("shape facts: partial sums answer pair for their terms",
            "sequences.py", "self._pair = shape_fact(x, \"pair\")",
            "self._pair = self.pair = shape_fact(x, \"pair\")", (BLOCK_TESTS[0],)),
@@ -372,6 +387,21 @@ MUTANTS = (
            "suites.py", "for k in range(2, 7):", "for k in range(3, 7):",
            ("test_cli.py::test_an_early_departure_from_the_powers_is_named_before_the_inverse"
             "[2-Q-1]",)),
+    Mutant("alternating_cauchy: the strict decrease left unchecked",
+           "series.py",
+           "    check_monotone(handle, x, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)\n", "",
+           (MONOTONE_TEST + "[series-alternating]",
+            "test_golden.py::test_golden_bytes[error-Q-alternating-rises-at-8]")),
+    Mutant("condense: the decrease checked after the forward density split",
+           "series.py",
+           "    check_monotone(handle, x, mono.kind, mono.checked_up_to)\n"
+           "    # only the forward modulus splits eps: backward needs no density witness\n"
+           "    plain_modulus = split_max(handle, c.modulus, c.modulus)"
+           " if direction == \"forward\" else None\n",
+           "    plain_modulus = split_max(handle, c.modulus, c.modulus)"
+           " if direction == \"forward\" else None\n"
+           "    check_monotone(handle, x, mono.kind, mono.checked_up_to)\n",
+           ("test_golden.py::test_golden_bytes[error-Z-increasing-condensation]",)),
     Mutant("condense: forward claims the condensed sums and returns the plain ones",
            "series.py", 'claimed, other, what = base_partials, cond_partials, "partial sums"',
            'claimed, other, what = cond_partials, base_partials, "partial sums"',
@@ -396,17 +426,20 @@ MUTANTS = (
 
 
 def tests_pass(src: Path, tests, workdir: Path) -> bool:
+    """Whether the named tests pass with src first on PYTHONPATH; raises
+    subprocess.TimeoutExpired, with the run killed, past TIMEOUT seconds."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
             f"--hypothesis-seed={SEED}", *(str(ROOT / "tests" / t) for t in tests)]
-    done = subprocess.run(argv, cwd=workdir, env=env,
+    done = subprocess.run(argv, cwd=workdir, env=env, timeout=TIMEOUT,
                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return done.returncode == 0
 
 
-def mutate(m: Mutant, copies: queue.Queue, workdir: Path):
+def mutate(m: Mutant, copies: queue.Queue, workdir: Path) -> str | None:
     """Apply m to a free copy of src/, run its tests, and put the copy back
-    unmutated; True when the tests catch it, None when the text is missing."""
+    unmutated; the verdict "caught", "SURVIVED" or "timeout", or None when
+    the text is missing."""
     src = copies.get()
     try:
         path = src / "ordalab" / m.module
@@ -415,11 +448,19 @@ def mutate(m: Mutant, copies: queue.Queue, workdir: Path):
             return None
         path.write_text(text.replace(m.old, m.new), encoding="utf-8")
         try:
-            return not tests_pass(src, m.tests, workdir)
+            return "SURVIVED" if tests_pass(src, m.tests, workdir) else "caught"
+        except subprocess.TimeoutExpired:
+            return "timeout"
         finally:
             path.write_text(text, encoding="utf-8")
     finally:
         copies.put(src)
+
+
+def _line(m: Mutant, verdict: str | None) -> str:
+    if verdict is None:
+        return f"{m.name}: the text to mutate does not occur once in {m.module}"
+    return f"{verdict:8} {m.name}"
 
 
 def main() -> int:
@@ -433,19 +474,27 @@ def main() -> int:
                             ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
             copies.put(src)
         named = sorted({t for m in MUTANTS for t in m.tests})
-        if not tests_pass(workdir / "src-0", named, workdir):
-            print("the named tests fail on the unmutated source")
+        try:
+            baseline = tests_pass(workdir / "src-0", named, workdir)
+        except subprocess.TimeoutExpired:
+            baseline = False
+        if not baseline:
+            print(f"the named tests fail, or pass {TIMEOUT} s, on the unmutated source")
             return 2
         # each worker thread drives one pytest process at a time
         with ThreadPoolExecutor(workers) as pool:
-            hits = list(pool.map(lambda m: mutate(m, copies, workdir), MUTANTS))
-        for m, hit in zip(MUTANTS, hits):
-            if hit is None:
-                print(f"{m.name}: the text to mutate does not occur once in {m.module}")
-                return 2
-            print(f"{'caught  ' if hit else 'SURVIVED'} {m.name}")
-        caught = sum(hits)
-        print(f"caught {caught}/{len(MUTANTS)}")
+            runs = [pool.submit(mutate, m, copies, workdir) for m in MUTANTS]
+            where = {run: m for run, m in zip(runs, MUTANTS)}
+            for k, run in enumerate(as_completed(runs), 1):
+                print(f"[{k}/{len(MUTANTS)}] {_line(where[run], run.result())}", flush=True)
+        verdicts = [run.result() for run in runs]
+        print("in list order:")
+        for m, verdict in zip(MUTANTS, verdicts):
+            print(_line(m, verdict))
+        if None in verdicts:
+            return 2
+        caught, timeouts = verdicts.count("caught"), verdicts.count("timeout")
+        print(f"caught {caught}/{len(MUTANTS)}, timed out {timeouts}")
         return 0 if caught == len(MUTANTS) else 1
 
 

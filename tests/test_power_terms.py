@@ -25,13 +25,14 @@ from ordalab import cli, lookup, seq_from_expr
 from ordalab.sequences import (
     PartialSums,
     PowerTerm,
+    RationalTerm,
     Seq,
     _power_tail,
     scanned_cauchy_cert,
+    cauchy_cert,
+    conv_cert,
     scanned_conv_cert,
-    sums_cauchy_cert,
-    sums_conv_cert,
-    zero_limit_cert,
+    shape_fact,
 )
 from ordalab.series import MonotoneKind, Series, alternating_cauchy, check_monotone
 from reference_registry import reference_registry, use_reference_registry
@@ -148,7 +149,7 @@ def test_galloped_zero_limit_moduli_match_the_scan(data):
     handle, src = HANDLES[key], data.draw(power_terms(key))
     space, horizon = _space(data, handle), data.draw(st.integers(0, 16))
     seq = _compiled(key, src)
-    cert = zero_limit_cert(handle, space, seq, horizon)
+    cert = conv_cert(space, seq, handle.identity, horizon)
     scanned = scanned_conv_cert(space, _plain(seq), handle.identity, horizon)
     for eps in data.draw(epsilons(key, past_cap=True)):
         assert _outcome(cert.modulus, eps) == _outcome(scanned.modulus, eps), (src, eps)
@@ -160,7 +161,7 @@ def test_galloped_cauchy_windows_match_the_scan(data):
     handle = HANDLES[key]
     space, horizon = _space(data, handle), data.draw(st.integers(0, 16))
     seq = _compiled(key, src)
-    cert = sums_cauchy_cert(space, Series(handle, seq).partials, seq, horizon)
+    cert = cauchy_cert(space, Series(handle, seq).partials, horizon)
     plain = _plain(seq)
     scanned = scanned_cauchy_cert(space, Series(handle, plain).partials, horizon)
     for eps in data.draw(epsilons(key)):
@@ -177,7 +178,7 @@ def test_galloped_partial_sum_limits_match_the_scan(data):
     # in Q or Q(X), which Z[1/3] need not hold when 1 - r is no unit there:
     # the bounds of the scans are compared all the same
     limit = t.c * t.r / (1 - t.r)
-    cert = sums_conv_cert(space, Series(handle, seq).partials, seq, limit, horizon)
+    cert = conv_cert(space, Series(handle, seq).partials, limit, horizon)
     scanned = scanned_conv_cert(space, Series(handle, _plain(seq)).partials, limit, horizon)
     for eps in data.draw(epsilons(key)):
         assert _outcome(cert.modulus, eps) == _outcome(scanned.modulus, eps), (src, eps)
@@ -192,11 +193,11 @@ def test_moduli_past_the_index_cap_and_wrong_limits_raise_the_scan_messages():
     sums, plain = Series(handle, seq).partials, Series(handle, _plain(seq)).partials
     eps = F(1, 2 ** 9000)
     pairs = [
-        (sums_cauchy_cert(space, sums, seq, 4), scanned_cauchy_cert(space, plain, 4), eps),
+        (cauchy_cert(space, sums, 4), scanned_cauchy_cert(space, plain, 4), eps),
         # the limit is 3, and 2 is no limit at any scale below 1
-        (sums_conv_cert(space, sums, seq, F(2), 4), scanned_conv_cert(space, plain, F(2), 4),
+        (conv_cert(space, sums, F(2), 4), scanned_conv_cert(space, plain, F(2), 4),
          F(1, 2)),
-        (sums_conv_cert(space, sums, seq, F(3), 4), scanned_conv_cert(space, plain, F(3), 4),
+        (conv_cert(space, sums, F(3), 4), scanned_conv_cert(space, plain, F(3), 4),
          eps),
     ]
     for cert, scanned, eps in pairs:
@@ -204,6 +205,53 @@ def test_moduli_past_the_index_cap_and_wrong_limits_raise_the_scan_messages():
             cert.modulus(eps)
         assert (ValueError, str(caught.value)) == _outcome(scanned.modulus, eps)
         assert f"no index window up to {_MAX_INDEX}" in str(caught.value)
+
+
+def _no_window(eps):
+    return "no index window"
+
+
+@pytest.mark.parametrize("key, src, limit, grid", [
+    ("Q", "pow(1/2, n)", F(1, 1000), (F(1, 10), F(3, 1000))),
+    ("Z[1/2]", "3/2^n", F(1, 64), (F(1, 4), F(1, 64))),
+    ("Q", "1/n", F(1, 1000), (F(1, 10), F(1, 1000))),
+], ids=["power-Q", "power-Z[1/2]", "rational-Q"])
+def test_a_tail_declines_a_nonzero_limit(key, src, limit, grid):
+    """A term's tail proves only a zero limit: for any other, conv_cert
+    scans, and its moduli are the scan's on a plain copy."""
+    handle = HANDLES[key]
+    space, seq = handle.metrics[0], seq_from_expr(src, handle)
+    assert type(seq.term) in (PowerTerm, RationalTerm)
+    assert shape_fact(seq, "tail", space, limit, 8, _no_window) is None
+    assert shape_fact(seq, "tail", space, handle.identity, 8, _no_window) is not None
+    cert = conv_cert(space, seq, limit, 8)
+    scanned = scanned_conv_cert(space, _plain(seq), limit, 8)
+    for eps in grid:
+        assert _outcome(cert.modulus, eps) == _outcome(scanned.modulus, eps), eps
+
+
+@pytest.mark.parametrize("key, src", [("Q", "pow(1/2, n)"), ("Z[1/2]", "3/2^n"),
+                                      ("Z(X)", "1/X^n")])
+def test_a_tail_declines_alternating_sums(key, src):
+    """The plain sums of a falling power have a proved tail; the
+    alternating sums of the same terms have none, and cauchy_cert and
+    conv_cert scan them, with the scan's moduli on a plain copy."""
+    handle = HANDLES[key]
+    space, seq = handle.metrics[0], _compiled(key, src)
+    sums = PartialSums(handle, seq, True)
+    alt = Seq(f"sum(alt({seq.name}))", sums, sums.sums)
+    assert shape_fact(Series(handle, seq).partials, "tail", space, None, 8, _no_window)
+    t = seq.term
+    limit = t.c * t.r / (1 + t.r)
+    for lim in (None, limit):
+        assert shape_fact(alt, "tail", space, lim, 8, _no_window) is None
+    cauchy, conv = cauchy_cert(space, alt, 8), conv_cert(space, alt, limit, 8)
+    plain = _plain(alt)
+    scanned_cauchy, scanned_conv = scanned_cauchy_cert(space, plain, 8), \
+        scanned_conv_cert(space, plain, limit, 8)
+    for eps in handle.eps_grid:
+        assert _outcome(cauchy.modulus, eps) == _outcome(scanned_cauchy.modulus, eps), eps
+        assert _outcome(conv.modulus, eps) == _outcome(scanned_conv.modulus, eps), eps
 
 
 @given(st.data())
@@ -226,8 +274,7 @@ def test_closed_form_alternating_sums_match_the_series_partials(data):
     handle, src = HANDLES[key], data.draw(power_terms(key, falling=True))
     seq = _compiled(key, src)
     space = handle.metrics[0]
-    mono = check_monotone(handle, seq, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
-    cert = alternating_cauchy(handle, space, mono, zero_limit_cert(handle, space, seq, 4))
+    cert = alternating_cauchy(handle, conv_cert(space, seq, handle.identity, 4))
     plain = _plain(seq)
     signed = Seq(f"alt({seq.name})", lambda i: plain(i) if i % 2 else handle.negate(plain(i)))
     reference = Series(handle, signed).partials

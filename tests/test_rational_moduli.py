@@ -22,11 +22,9 @@ from hypothesis import example, given, settings, strategies as st
 from ordalab import cli, lookup, pretty, seq_from_expr
 from ordalab.poly import tail_start
 from ordalab.sequences import (
-    CauchyCert, PartialSums, RationalTerm, Seq, _offsets, scanned_conv_cert, zero_limit_cert,
+    CauchyCert, PartialSums, RationalTerm, Seq, _offsets, conv_cert, scanned_conv_cert,
 )
-from ordalab.series import (
-    MonotoneKind, Series, TailCheck, alternating_cauchy, check_monotone, tail_bound,
-)
+from ordalab.series import Series, TailCheck, alternating_cauchy, tail_bound
 from ordalab.termexpr import Bin, Index, Lit, Pow
 from reference_registry import reference_registry
 
@@ -116,7 +114,7 @@ def test_proved_moduli_are_the_least_tails(num, den, grid, horizon):
     while num and num[-1] == 0:
         num = num[:-1]
     src = _source(num, den)
-    cert = zero_limit_cert(Q, SPACE, seq_from_expr(src, Q), horizon)
+    cert = conv_cert(SPACE, seq_from_expr(src, Q), F(0), horizon)
     if len(num) < len(den) and not _vanishes(den):
         for eps in grid:
             want = _least_tail(num, den, eps)
@@ -139,14 +137,14 @@ def test_the_rising_tail_gets_its_true_modulus():
     seq = seq_from_expr("(1000-n)/n^2", Q)
     assert scanned_conv_cert(SPACE, seq, F(0), 64).modulus(eps) == 832
     assert abs(seq(2000)) == F(1, 4000)
-    assert zero_limit_cert(Q, SPACE, seq, 64).modulus(eps) == 2362
+    assert conv_cert(SPACE, seq, F(0), 64).modulus(eps) == 2362
     assert abs(seq(2361)) >= eps > abs(seq(2362))
 
 
 def test_a_proved_modulus_past_the_index_cap_raises_the_scan_message():
     """1/n needs N(1/10000) = 10001 > 8192: the proved modulus gives the
     scan's own ValueError, which the CLI reports as modulus.window."""
-    proved = zero_limit_cert(Q, SPACE, seq_from_expr("1/n", Q), 64)
+    proved = conv_cert(SPACE, seq_from_expr("1/n", Q), F(0), 64)
     assert proved.modulus(F(1, 8191)) == _MAX_INDEX
     with pytest.raises(ValueError) as caught:
         proved.modulus(F(1, 10000))
@@ -161,22 +159,22 @@ def test_a_proved_modulus_past_the_index_cap_raises_the_scan_message():
 
 def test_terms_without_a_zero_limit_and_other_carriers_keep_the_scan():
     # deg p >= deg q: no zero limit, and the scan's message
-    cert = zero_limit_cert(Q, SPACE, seq_from_expr("n/(n+1)", Q), 4)
+    cert = conv_cert(SPACE, seq_from_expr("n/(n+1)", Q), F(0), 4)
     with pytest.raises(ValueError, match="no index window up to 8192"):
         cert.modulus(F(1, 2))
     # Z[1/2] terms are not evaluated over ints: the scanned window
     z2 = lookup("Z[1/2]")
     seq = seq_from_expr("1/2^n", z2)
     assert type(seq.term) is not RationalTerm
-    assert zero_limit_cert(z2, z2.metrics[0], seq, 4).modulus(F(1, 8)) == 4
+    assert conv_cert(z2.metrics[0], seq, z2.identity, 4).modulus(F(1, 8)) == 4
     # a space without a _group: the scan's window starts and its message
     foreign = dataclasses.replace(SPACE)
     for src, eps in (("(1000-n)/n^2", F(1, 4096)), ("1/n", F(1, 10000))):
         seq = seq_from_expr(src, Q)
         assert type(seq.term) is RationalTerm
-        cert = zero_limit_cert(Q, foreign, seq, 64)
+        cert = conv_cert(foreign, seq, F(0), 64)
         assert _outcome(cert, eps) == _outcome(scanned_conv_cert(foreign, seq, F(0), 64), eps)
-    assert zero_limit_cert(Q, foreign, seq_from_expr("(1000-n)/n^2", Q), 64).modulus(
+    assert conv_cert(foreign, seq_from_expr("(1000-n)/n^2", Q), F(0), 64).modulus(
         F(1, 4096)) == 832
     # a handle without Q's own operations adds a rational term's sums one at a time
     plain_q = reference_registry()["Q"]
@@ -254,11 +252,23 @@ def test_block_partial_sums_match_the_series_partials(
     assert sums.known == sorted(sums.sums)
 
 
+@pytest.mark.parametrize("alternating", [False, True])
+def test_a_stepped_sum_below_a_block_sum_keeps_the_indices_sorted(alternating):
+    """Sums read in descending order: each far one is a block, and the one
+    just below a known sum is a one-term step, which goes in before it."""
+    x = seq_from_expr("1/(n+3)", Q)
+    reference = Series(Q, _signed(x) if alternating else x).partials
+    sums = PartialSums(Q, x, alternating)
+    blocks = Seq(x.name, sums, sums.sums)
+    for n in (6, 5, 2, 1, 3):
+        assert blocks(n) == reference(n), n
+    assert sums.known == sorted(sums.sums) == [1, 2, 3, 5, 6]
+
+
 def test_the_alternating_test_sums_rational_terms_in_blocks():
     x = seq_from_expr("1/(n+3)", Q)
-    mono = check_monotone(Q, x, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
-    c0 = zero_limit_cert(Q, SPACE, x, 8)
-    cert = alternating_cauchy(Q, SPACE, mono, c0)
+    c0 = conv_cert(SPACE, x, F(0), 8)
+    cert = alternating_cauchy(Q, c0)
     reference = Series(Q, _signed(x)).partials
     indices = [4089, 4090, 700, 4095, 1, 2]
     random.Random(0).shuffle(indices)
@@ -298,8 +308,7 @@ def test_window_values_match_the_series_partials_up_to_a_shift(
 
 def test_tail_bound_reads_far_partial_sums_from_their_gap():
     x = seq_from_expr("1/(n+8)", Q)
-    mono = check_monotone(Q, x, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
-    alt = alternating_cauchy(Q, SPACE, mono, zero_limit_cert(Q, SPACE, x, 8))
+    alt = alternating_cauchy(Q, conv_cert(SPACE, x, F(0), 8))
     plain = CauchyCert(SPACE, Series(Q, x).partials, lambda eps: 4001)
     ref_alt, ref_plain = Series(Q, _signed(x)).partials, Series(Q, x).partials
     for cert, ref, eps, m, n in ((alt, ref_alt, F(1, 4096), 4089, 4094),

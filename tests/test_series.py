@@ -1,6 +1,7 @@
 """Series machinery: partial sums, condensation, geometric sums, inequalities."""
 
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -33,6 +34,8 @@ from ordalab import (
     verify_cauchy_cert,
     verify_conv_cert,
 )
+from ordalab import series
+from ordalab.cli import main
 from ordalab.poly import RF_ONE, X
 from ordalab.series import terms_from_partials
 from term_oracle import condensed_term_reference
@@ -334,11 +337,35 @@ def test_abs_conv_cauchy():
 
 def test_alternating_cauchy_pins():
     x = harmonic_terms()
-    mono = check_monotone(Q, x, MonotoneKind.STRICTLY_DECREASING_POSITIVE, 32)
     c0 = scanned_conv_cert(SPACE, x, F(0))
-    alt = alternating_cauchy(Q, SPACE, mono, c0)
+    alt = alternating_cauchy(Q, c0)
     assert [alt.seq(n) for n in range(1, 5)] == [F(1), F(1, 2), F(5, 6), F(7, 12)]
     assert verify_cauchy_cert(alt, GRID, 32) == []
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["series", "1/n", "--structure", "Q", "--test", "alternating"], 1),
+    (["series", "1/3^n", "--structure", "Q", "--test", "condensation"], 2),
+    (["check", "Q", "--suite", "series", "--seed", "0"], 1),
+    (["check", "Q", "--suite", "condensation", "--seed", "0"], 2),
+], ids=["series-alternating", "series-condensation", "check-series", "check-condensation"])
+def test_each_certificate_checks_its_monotone_hypothesis_once(monkeypatch, capsys, argv, calls):
+    """The alternating certificate checks its terms' strict decrease, and
+    each of the forward and backward condensation certificates their
+    decrease; no caller checks them again."""
+    real, seen = series.check_monotone, []
+
+    def counted(handle, x, kind, up_to):
+        seen.append((x.name, kind, up_to))
+        return real(handle, x, kind, up_to)
+
+    for module in list(sys.modules.values()):  # every ordalab module that binds it
+        if (getattr(module, "__name__", "").startswith("ordalab")
+                and getattr(module, "check_monotone", None) is real):
+            monkeypatch.setattr(module, "check_monotone", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(seen) == calls, seen
 
 
 def test_bernoulli_check_pins():

@@ -28,11 +28,11 @@ from ordalab.sequences import (
     CauchyCert,
     PartialSums,
     Seq,
+    cauchy_cert,
+    conv_cert,
     shape_fact,
-    sums_cauchy_cert,
     verify_cauchy_cert,
     verify_conv_cert,
-    zero_limit_cert,
 )
 from ordalab.series import Series, archimedean_power_modulus, condensed_terms
 from reference_registry import reference_registry
@@ -60,8 +60,8 @@ def _proved(handle, space, seq, kind, h):
     if not shape_fact(seq, "falls", handle) or kind == "condensed":
         return None
     if kind == "plain":
-        return sums_cauchy_cert(space, Series(handle, seq).partials, seq, h).modulus
-    return zero_limit_cert(handle, space, seq, h).modulus
+        return cauchy_cert(space, Series(handle, seq).partials, h).modulus
+    return conv_cert(space, seq, handle.identity, h).modulus
 
 
 # ratios above 1, whose powers and sums rise and whose alternating sums
