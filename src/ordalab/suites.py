@@ -477,9 +477,9 @@ def _alternating(handle: StructureHandle, space, terms: Seq, h: int):
 
 
 def _condensation(handle: StructureHandle, space, terms: Seq, h: int):
-    """(forward, backward) condensation certificates for terms, whose
-    decrease up to index 32 each of them checks, and whose partial sums'
-    Cauchy certificate has the scanned window starts (cauchy_cert)."""
+    """(forward, backward) condensation certificates for terms, each of
+    which checks their decrease up to index 32, over the Cauchy
+    certificate of their partial sums (cauchy_cert)."""
     handle.require("ring", "total_order")
     mono = MonotoneEvidence(MonotoneKind.DECREASING_POSITIVE, 32)
     base = cauchy_cert(space, Series(handle, terms).partials, min(h, 16))

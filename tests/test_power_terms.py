@@ -28,9 +28,9 @@ from ordalab.sequences import (
     RationalTerm,
     Seq,
     _power_tail,
-    scanned_cauchy_cert,
     cauchy_cert,
     conv_cert,
+    scanned_cauchy_cert,
     scanned_conv_cert,
     shape_fact,
 )
