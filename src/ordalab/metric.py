@@ -18,7 +18,7 @@ from .order import (
     Element,
     StructureHandle,
     Violation,
-    once,
+    pair_table,
 )
 
 
@@ -136,26 +136,42 @@ def verify_metric(space: MetricSpace, triples: Iterable[tuple]) -> list[Violatio
     Pair laws run over all pairs of the space's points; the triangle law
     runs over the given triples.  The metric suite passes the cube of the
     first four points plus 48 seeded random triples.  Each distance is taken
-    once per pair of point objects.
+    once per pair of point positions: a point of a triple takes its first
+    position among the space's points, or the next one after them when it
+    is not one of them.
     """
     m = space.codomain
-    dist = once(space.distance)
     pts = tuple(space.points)
+    points, where = list(pts), {}
+    for k, x in enumerate(pts):
+        where.setdefault(id(x), k)
+    dist = pair_table(space.distance, points, points)
+
+    def position(x: Any) -> int:
+        k = where.get(id(x))
+        if k is None:
+            k = where[id(x)] = len(points)
+            points.append(x)
+            dist.extend(pair_table(space.distance, (x,), points))
+        return k
+
     out: list[Violation] = []
-    for x in pts:
-        for y in pts:
-            dxy = dist(x, y)
+    for i, x in enumerate(pts):
+        d_x = dist[i]
+        for j, y in enumerate(pts):
+            dxy = d_x[j]
             if not m.le(m.identity, dxy):
                 out.append(Violation("metric.nonneg", (x, y, dxy)))
             same = x == y
             iszero = m.eq(dxy, m.identity)
             if same != iszero:
                 out.append(Violation("metric.identity", (x, y, dxy)))
-            if not m.eq(dxy, dist(y, x)):
+            if not m.eq(dxy, dist[j][i]):
                 out.append(Violation("metric.symmetry", (x, y)))
     for x, y, z in triples:
-        lhs = dist(x, z)
-        rhs = m.op(dist(x, y), dist(y, z))
+        d_x, j, k = dist[position(x)], position(y), position(z)
+        lhs = d_x[k]
+        rhs = m.op(d_x[j], dist[j][k])
         if not m.le(lhs, rhs):
             out.append(Violation("metric.triangle", (x, y, z, lhs, rhs)))
     return out

@@ -504,29 +504,37 @@ def demarr_density_witness(s: StructureHandle) -> Split:
 # law verifiers (exact; return lists of Violation, empty means pass)
 
 
-def once(f: Callable[[Element, Element], Element]) -> Callable[[Element, Element], Element]:
-    """f memoised on the identities of its two arguments, for the length of
-    one law check.  An entry keeps its arguments alive, so their ids are not
-    reused while the memo is; the checks take a handle's operations to be
-    functions of their arguments."""
-    memo: dict = {}
+class _Row(dict):
+    # row[j] is f(x, cols[j]), called on the first read of j
+    __slots__ = ("f", "x", "cols")
 
-    def f_once(x: Element, y: Element) -> Element:
-        key = (id(x), id(y))
-        if key in memo:
-            return memo[key][0]
-        value = f(x, y)
-        memo[key] = (value, x, y)
+    def __init__(self, f: Callable[[Element, Element], Element], x: Element,
+                 cols: Sequence[Element]) -> None:
+        self.f, self.x, self.cols = f, x, cols
+
+    def __missing__(self, j: int) -> Element:
+        value = self[j] = self.f(self.x, self.cols[j])
         return value
 
-    return f_once
+
+def pair_table(f: Callable[[Element, Element], Element], rows: Sequence[Element],
+               cols: Sequence[Element]) -> list[dict]:
+    """f over pairs taken by position, for the length of one law check:
+    table[i][j] is f(rows[i], cols[j]), called on the first read of that
+    entry and kept for every later one.  A check whose loops read the
+    entries in their own order makes each first call, and meets any
+    exception, where the plain loops would; the checks take a handle's
+    operations to be functions of their arguments.  A row reads cols as it
+    is at each first read, so a check may append to a list of columns."""
+    return [_Row(f, x, cols) for x in rows]
 
 
-def _pairs_lt(rel: Callable[[Element, Element], bool], sample: Sequence[Element]):
-    for a in sample:
-        for b in sample:
-            if a is not b and rel(a, b):
-                yield a, b
+def _with_identity(items: tuple, e: Element) -> tuple[tuple, int]:
+    # items with e appended unless it is one of them, and e's position
+    for i, x in enumerate(items):
+        if x is e:
+            return items, i
+    return items + (e,), len(items)
 
 
 def verify_compatibility(s: StructureHandle) -> list[Violation]:
@@ -540,48 +548,67 @@ def verify_compatibility(s: StructureHandle) -> list[Violation]:
     sample = tuple(s.sample)
     strict = s.flags.group
     rel = s.lt if strict else s.le
-    # (law prefix, operation, elements c to combine with, wording); the
-    # cone is positive under a group, nonnegative otherwise
-    laws = [("op", once(s.op), sample, "with")]
+    # (law prefix, operation table, positions of the elements c to combine
+    # with, wording); the cone is positive under a group, nonnegative
+    # otherwise
+    laws = [("op", pair_table(s.op, sample, sample), range(len(sample)), "with")]
     if s.second_op is not None:
-        cone = [c for c in sample if rel(s.identity, c)]
-        laws.append(("mul", once(s.second_op), cone, "scaled by"))
+        cone = [k for k, c in enumerate(sample) if rel(s.identity, c)]
+        laws.append(("mul", pair_table(s.second_op, sample, sample), cone, "scaled by"))
+    # the pairs a < b, compared once for both laws
+    below = pair_table(rel, sample, sample)
     out: list[Violation] = []
+
+    def violation(prefix: str, side: str, wording: str, a: Element, b: Element, k: int,
+                  fx: Element, fy: Element) -> Violation:
+        c = sample[k]
+        return Violation(f"order.compatibility.{prefix}-{side}", (a, b, c, fx, fy),
+                         f"{s.fmt(a)} vs {s.fmt(b)} {wording} {s.fmt(c)} on the {side}")
+
     for prefix, f, others, wording in laws:
-        for a, b in _pairs_lt(rel, sample):
-            for c in others:
-                for side, x, y in (("right", (a, c), (b, c)), ("left", (c, a), (c, b))):
-                    fx, fy = f(*x), f(*y)
+        for i, a in enumerate(sample):
+            f_a, below_a = f[i], below[i]
+            for j, b in enumerate(sample):
+                if a is b or not below_a[j]:
+                    continue
+                f_b = f[j]
+                for k in others:
+                    fx, fy = f_a[k], f_b[k]
                     if not rel(fx, fy):
-                        out.append(Violation(
-                            f"order.compatibility.{prefix}-{side}",
-                            (a, b, c, fx, fy),
-                            f"{s.fmt(a)} vs {s.fmt(b)} {wording} {s.fmt(c)} on the {side}",
-                        ))
+                        out.append(violation(prefix, "right", wording, a, b, k, fx, fy))
+                    f_c = f[k]
+                    fx, fy = f_c[i], f_c[j]
+                    if not rel(fx, fy):
+                        out.append(violation(prefix, "left", wording, a, b, k, fx, fy))
     return out
 
 
 def verify_monoid(s: StructureHandle) -> list[Violation]:
     """Identity and (if flagged) associativity/commutativity of op."""
     sample = tuple(s.sample)
-    op = once(s.op)
+    items, e = _with_identity(sample, s.identity)
+    op = pair_table(s.op, items, items)
     out: list[Violation] = []
     if s.flags.unital:
-        for a in sample:
-            if not (s.eq(op(s.identity, a), a) and s.eq(op(a, s.identity), a)):
+        from_e = op[e]
+        for i, a in enumerate(sample):
+            if not (s.eq(from_e[i], a) and s.eq(op[i][e], a)):
                 out.append(Violation("op.identity", (a,)))
     if s.flags.associative:
         small = sample[:6]
         # the outer sums are new per triple, so only the inner ones are kept
-        for a in small:
-            for b in small:
-                for c in small:
-                    if not s.eq(s.op(op(a, b), c), s.op(a, op(b, c))):
+        for i, a in enumerate(small):
+            op_a = op[i]
+            for j, b in enumerate(small):
+                op_b = op[j]
+                for k, c in enumerate(small):
+                    if not s.eq(s.op(op_a[j], c), s.op(a, op_b[k])):
                         out.append(Violation("op.associative", (a, b, c)))
     if s.flags.commutative_add:
-        for a in sample:
-            for b in sample:
-                if not s.eq(op(a, b), op(b, a)):
+        for i, a in enumerate(sample):
+            op_a = op[i]
+            for j, b in enumerate(sample):
+                if not s.eq(op_a[j], op[j][i]):
                     out.append(Violation("op.commutative", (a, b)))
     return out
 
@@ -605,21 +632,29 @@ def verify_hemiring(s: StructureHandle) -> list[Violation]:
     out: list[Violation] = []
     if not s.flags.hemiring or s.second_op is None:
         return [Violation("hemiring.capability", (), f"{s.name} is not a hemiring")]
-    add, mul = once(s.op), once(s.second_op)
     small = sample[:6]
-    for a in small:
-        za = mul(s.identity, a)
-        az = mul(a, s.identity)
+    items, e = _with_identity(small, s.identity)
+    add = pair_table(s.op, small, small)
+    mul = pair_table(s.second_op, items, items)
+    # the sum m + m of the product m of positions i and j, which the left
+    # law takes at (a, b, b) and the right law at (a, a, b)
+    positions = range(len(small))
+    twice = pair_table(lambda i, j: s.op(mul[i][j], mul[i][j]), positions, positions)
+    for i, a in enumerate(small):
+        add_a, mul_a, twice_a = add[i], mul[i], twice[i]
+        za = mul[e][i]
+        az = mul_a[e]
         if not (s.eq(za, s.identity) and s.eq(az, s.identity)):
             out.append(Violation("hemiring.zero-absorbs", (a,)))
-        for b in small:
-            for c in small:
-                lhs = mul(a, add(b, c))
-                rhs = add(mul(a, b), mul(a, c))
+        for j, b in enumerate(small):
+            add_b, mul_b = add[j], mul[j]
+            for k, c in enumerate(small):
+                lhs = s.second_op(a, add_b[k])
+                rhs = twice_a[j] if j == k else s.op(mul_a[j], mul_a[k])
                 if not s.eq(lhs, rhs):
                     out.append(Violation("hemiring.distributive-left", (a, b, c)))
-                lhs = mul(add(a, b), c)
-                rhs = add(mul(a, c), mul(b, c))
+                lhs = s.second_op(add_a[j], c)
+                rhs = twice_a[k] if i == j else s.op(mul_a[k], mul_b[k])
                 if not s.eq(lhs, rhs):
                     out.append(Violation("hemiring.distributive-right", (a, b, c)))
     return out

@@ -34,7 +34,7 @@ from .order import (
     betweenness,
     n_split,
     nat_mul,
-    once,
+    pair_table,
     shrink_witness,
     split_witness,
     verify_archimedean,
@@ -259,9 +259,9 @@ def _suite_axioms(handle: StructureHandle, cfg: RunConfig, rng: random.Random):
 
 
 def _order_violations(handle: StructureHandle, sample) -> list[Violation]:
-    # each comparison once per pair of element objects; a < b exactly when
+    # each comparison once per pair of sample positions; a < b exactly when
     # compare gives LESS, which total_compare keeps for the direct handles
-    compare = once(handle.compare)
+    compare = pair_table(handle.compare, sample, sample)
     out: list[Violation] = []
     mirror = {
         OrderResult.LESS: OrderResult.GREATER,
@@ -269,37 +269,52 @@ def _order_violations(handle: StructureHandle, sample) -> list[Violation]:
         OrderResult.EQUAL: OrderResult.EQUAL,
         OrderResult.INCOMPARABLE: OrderResult.INCOMPARABLE,
     }
-    for a in sample:
-        if compare(a, a) is not OrderResult.EQUAL:
+    for i, a in enumerate(sample):
+        from_a = compare[i]
+        if from_a[i] is not OrderResult.EQUAL:
             out.append(Violation("order.reflexive", (a,)))
-        for b in sample:
-            r = compare(a, b)
-            if compare(b, a) is not mirror[r]:
+        for j, b in enumerate(sample):
+            r = from_a[j]
+            if compare[j][i] is not mirror[r]:
                 out.append(Violation("order.mirror", (a, b)))
             if handle.flags.total_order and r is OrderResult.INCOMPARABLE:
                 out.append(Violation("order.total", (a, b)))
     small = sample[:6]
     less = OrderResult.LESS
-    for a in small:
-        for b in small:
-            for c in small:
-                if compare(a, b) is less and compare(b, c) is less and compare(a, c) is not less:
+    for i, a in enumerate(small):
+        from_a = compare[i]
+        for j, b in enumerate(small):
+            if from_a[j] is not less:
+                continue
+            from_b = compare[j]
+            for k, c in enumerate(small):
+                if from_b[k] is less and from_a[k] is not less:
                     out.append(Violation("order.transitive", (a, b, c)))
     return out
 
 
 def _join_violations(handle: StructureHandle, sample) -> list[Violation]:
     out: list[Violation] = []
-    join, le = handle.join, once(handle.le)
-    for a in sample:
-        for b in sample:
-            j = join(a, b)
-            if not (le(a, j) and le(b, j)):
-                out.append(Violation("join.upper-bound", (a, b, j)))
+    join, le = handle.join, pair_table(handle.le, sample, sample)
+    for i, a in enumerate(sample):
+        le_a = le[i]
+        for j, b in enumerate(sample):
+            le_b = le[j]
+            top = join(a, b)
+            # a join that returns one of its arguments is read from that
+            # argument's row and column
+            p = i if top is a else j if top is b else None
+            if p is not None:
+                bounded, le_top = le_a[p] and le_b[p], le[p]
+            else:
+                bounded = handle.le(a, top) and (a is b or handle.le(b, top))
+                le_top = pair_table(handle.le, (top,), sample)[0]
+            if not bounded:
+                out.append(Violation("join.upper-bound", (a, b, top)))
                 continue
-            for c in sample:
-                if le(a, c) and le(b, c) and not le(j, c):
-                    out.append(Violation("join.least", (a, b, c, j)))
+            for k, c in enumerate(sample):
+                if le_a[k] and le_b[k] and not le_top[k]:
+                    out.append(Violation("join.least", (a, b, c, top)))
     return out
 
 

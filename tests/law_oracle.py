@@ -1,8 +1,9 @@
 """Slow references for the law verifiers that compute each value once.
 
-These are the loops ``ordalab`` ran before its law verifiers memoised their
-operations, comparisons, distances and norms on the identity of their
-arguments: ``order.verify_monoid``, ``order.verify_hemiring``,
+These are the loops ``ordalab`` ran before its law verifiers kept their
+operations, comparisons, distances and norms in tables for the length of
+one check, now indexed by sample position (``order.pair_table``):
+``order.verify_monoid``, ``order.verify_hemiring``,
 ``order.verify_compatibility``, ``suites._order_violations``,
 ``suites._join_violations``, ``metric.verify_metric`` and
 ``metric.verify_norm``.  They recompute every value at each use and are

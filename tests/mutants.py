@@ -164,21 +164,29 @@ MUTANTS = (
     Mutant("_bottom_max: the smaller value kept",
            "instances.py", "return a if frac_cmp(a, b) >= 0 else b",
            "return a if frac_cmp(a, b) <= 0 else b", (carrier("trop"), carrier("G0"))),
-    Mutant("law memo keyed on the first argument alone",
-           "order.py", "key = (id(x), id(y))", "key = id(x)", LAW_TESTS),
-    Mutant("compatibility: the left side f(c, a) becomes f(a, c)",
-           "order.py", '("left", (c, a), (c, b))', '("left", (a, c), (c, b))', LAW_TESTS),
-    Mutant("metric symmetry: dist(y, x) becomes dist(x, y)",
-           "metric.py", "if not m.eq(dxy, dist(y, x)):", "if not m.eq(dxy, dist(x, y)):",
+    Mutant("law tables: an entry computed but not stored",
+           "order.py", "value = self[j] = self.f(self.x, self.cols[j])",
+           "value = self.f(self.x, self.cols[j])", COUNT_TESTS),
+    Mutant("compatibility: the left side read from the transposed cells, f(a, c) for f(c, a)",
+           "order.py", "fx, fy = f_c[i], f_c[j]", "fx, fy = f_a[k], f_b[k]", LAW_TESTS),
+    Mutant("law tables: the identity given the last sample element's slot",
+           "order.py", "return items + (e,), len(items)", "return items + (e,), len(items) - 1",
            LAW_TESTS),
+    Mutant("join: the row of a join that returns an argument taken from the other one",
+           "suites.py", "p = i if top is a else j if top is b else None",
+           "p = j if top is a else i if top is b else None", LAW_TESTS),
+    Mutant("hemiring: the doubled product of the left law summed apart from the right law's",
+           "order.py", "rhs = twice_a[j] if j == k else s.op(mul_a[j], mul_a[k])",
+           "rhs = s.op(mul_a[j], mul_a[k])", COUNT_TESTS),
+    Mutant("metric symmetry: dist(y, x) becomes dist(x, y)",
+           "metric.py", "if not m.eq(dxy, dist[j][i]):", "if not m.eq(dxy, dist[i][j]):",
+           LAW_TESTS),
+    Mutant("metric: a triple's point outside the space given a new position at each use",
+           "metric.py", "k = where[id(x)] = len(points)", "k = len(points)",
+           ("test_fast_paths.py::test_metric_triples_may_hold_points_outside_the_space",)),
     Mutant("norm: norm(a - b) reused for norm(a + b)",
            "metric.py", "if not m.le(ng.norm(g.op(a, b)), bound):",
            "if not m.le(diff, bound):", LAW_TESTS),
-    Mutant("metric: distances taken without the memo",
-           "metric.py", "dist = once(space.distance)", "dist = space.distance", COUNT_TESTS),
-    Mutant("hemiring: products of sample pairs taken without the memo",
-           "order.py", "add, mul = once(s.op), once(s.second_op)",
-           "add, mul = once(s.op), s.second_op", COUNT_TESTS),
     Mutant("rational terms: a difference of polynomials taken as their sum",
            "termexpr.py", 'cross = poly_add if op == "+" else poly_sub', "cross = poly_add",
            TERM_TESTS),

@@ -18,10 +18,11 @@
 * ``verify_pseudonorm`` computes each sample norm once, and decides a
   coefficient norm over ``Q`` in integers; the reference is the old loop
   in ``tests/pseudonorm_oracle.py``.
-* The law verifiers of the axioms and metric suites compute each
-  operation, comparison, distance and norm value once per pair of argument
-  objects; the references are the old loops in ``tests/law_oracle.py``,
-  and call counters hold the once-per-pair property itself.
+* The law verifiers of the axioms and metric suites read each operation,
+  comparison and distance value from a table indexed by sample position,
+  and each norm from a list; the references are the old loops in
+  ``tests/law_oracle.py``, and call counters hold the once-per-pair
+  property itself.
 """
 
 import itertools
@@ -739,21 +740,44 @@ def test_memoised_law_checks_call_nothing_twice_with_the_same_objects(case):
             assert repeats([c for c in log if c[0] == f]) == 0, (name, f)
 
 
+@given(carriers(fresh=True), st.data())
+def test_metric_triples_may_hold_points_outside_the_space(case, data):
+    # a triple's point that is not one of the space's points, here an equal
+    # copy of one, takes a position after theirs, once for all its uses
+    _, space, _, _, log = case
+    pool = tuple(space.points) + tuple(Elt(x.k) for x in space.points)
+    triples = data.draw(st.lists(st.tuples(*[st.sampled_from(pool)] * 3), max_size=12)
+                        if pool else st.just([]))
+    log.clear()
+    got = verify_metric(space, triples)
+    fast_calls, log[:] = list(log), []
+    assert same_violations(got, law_oracle.verify_metric(space, triples))
+    assert first_calls(fast_calls) == first_calls(log)
+    assert repeats(fast_calls) == 0
+
+
 @pytest.mark.parametrize("key", sorted(registry()))
 def test_law_checks_make_each_call_once_per_pair_of_sample_elements(key):
-    # the bounds count the memoised calls once per pair of sample elements
+    # the bounds count the tabled calls once per pair of sample elements
     # (k of them in the cubic loops over the first six) and the others once
-    # per use; the loops before the memo made from 1.5 to 18 times as many
+    # per use; the loops before the memo made from 1.5 to 18 times as many.
+    # verify_compatibility compares the cone, each pair once for both laws
+    # and two products per pair a < b and element c; verify_hemiring's
+    # k * k doubled products m + m serve both distributive laws
     h = registry()[key]
     sample = tuple(h.sample)
     n, k = len(sample), min(len(sample), 6)
+    rel = h.lt if h.flags.group else h.le
+    pairs = sum(1 for a in sample for b in sample if a is not b and rel(a, b))
+    cone = 0 if h.second_op is None else sum(1 for c in sample if rel(h.identity, c))
     checks = [
         (verify_monoid, {"op": 2 * n + n * n + 2 * k ** 3}),
-        (verify_compatibility, {"op": n * n, "second_op": n * n}),
+        (verify_compatibility, {"op": n * n, "second_op": n * n,
+                                "compare": n + n * n + 2 * pairs * (n + cone)}),
         (lambda c: suites._order_violations(c, sample), {"compare": n * n}),
     ]
     if h.flags.hemiring and h.second_op is not None:
-        checks.append((verify_hemiring, {"op": k * k + 2 * k ** 3,
+        checks.append((verify_hemiring, {"op": 2 * k ** 3,
                                          "second_op": 2 * k + k * k + 2 * k ** 3}))
     if h.join is not None:
         checks.append((lambda c: suites._join_violations(c, sample),

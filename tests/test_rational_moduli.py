@@ -223,6 +223,9 @@ def _plain(seq):
 
 @given(numerators, denominators, st.lists(st.integers(1, 120), min_size=1, max_size=8),
        st.booleans(), st.booleans(), st.booleans())
+# a block sum, then a one-term step just below it, which goes in before it
+@example(num=(1,), den=(3, 1), indices=[2, 1], ascending=False, alternating=False,
+         nested=False)
 def test_block_partial_sums_match_the_series_partials(
         num, den, indices, ascending, alternating, nested):
     src = _source(num, den)
